@@ -1,0 +1,73 @@
+"""Exception types shared across the package."""
+
+
+class PartitionTunerError(Exception):
+    """Base class for all package errors."""
+
+
+class DataError(PartitionTunerError):
+    """Malformed or inconsistent input data (CLI exit code 2)."""
+
+
+class NumericError(PartitionTunerError):
+    """Numeric failure such as overflow or an infeasible exact mode (CLI exit code 3)."""
+
+
+class BadAlphaRange(DataError):
+    """Generator parameter alpha outside its permitted range."""
+
+
+class InconsistentMetric(DataError):
+    """Specified distances violate a shortest-path bound during completion."""
+
+
+class Disconnected(DataError):
+    """Partial distance graph is not connected, so completion is impossible."""
+
+
+class OffsetsNotDecreasing(DataError):
+    """Round offsets must decrease strictly and stay resolvable in float arithmetic."""
+
+
+class ParseError(DataError):
+    """Instance or config file does not match the expected schema."""
+
+
+class DimensionMismatch(DataError):
+    """Array shapes disagree with the declared instance size."""
+
+
+class MissingGroundTruth(DataError):
+    """Objective requires ground-truth labels the instance does not carry."""
+
+
+class KTooLarge(DataError):
+    """Requested cluster count exceeds the number of leaves."""
+
+
+class CenterOutsideCluster(DataError):
+    """A proposed center is not a member of its cluster."""
+
+
+class DomainError(DataError):
+    """Parameter value outside a family's domain (e.g. alpha = 0 for a power family)."""
+
+
+class UnknownFamily(DataError):
+    """Merge family tag not recognized."""
+
+
+class SigmaTooLargeForExact(NumericError):
+    """Exact weight-vector search is only available for sigma = 2."""
+
+
+class Overflow(NumericError):
+    """A requested quantity exceeds floating-point range."""
+
+
+class NonNullDiagonal(NumericError):
+    """Expectation formula requires a zero diagonal on the coefficient matrix."""
+
+
+class ClassTooLarge(NumericError):
+    """Discretized rounding-class enumeration would exceed the cap."""

@@ -1,0 +1,853 @@
+"""Exact parameter search: root finding, lazy sweeps, and ERM drivers.
+
+A sweep runs the full pipeline at one point of a parameter interval, collects
+every comparison the run executed as an equation in the parameter, and splits
+the interval at the equations' roots.  Piecewise constancy between roots is
+what makes the recursion exact: the first structural change met when moving
+away from the evaluation point must flip one of the executed comparisons.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from typing import Callable, List, Optional, Sequence
+
+import numpy as np
+
+from .errors import DomainError, SigmaTooLargeForExact, UnknownFamily
+from .instances import ClusteringInstance
+from .linkage import MergeRule, MergeTree, _run, comparison_terms, selector_indices
+from .pruning_dp import (
+    Objective,
+    PruningRule,
+    best_k_pruning,
+    dp_with_comparisons,
+    objective_value,
+    voronoi_reassign,
+)
+
+IDENTICALLY_ZERO = "identically_zero"
+
+SWEEP_CLIP = 64.0
+ROOT_TOL = 1e-10
+BREAK_MERGE_TOL = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# polynomial-exponential sums and their real roots
+
+
+class ExpSum:
+    """f(x) = sum_i a_i * x^(j_i) * b_i^x with b_i > 0.
+
+    Terms are (coeff, base) pairs or (coeff, base, degree) triples; plain
+    pairs mean degree 0.  Like terms are combined on construction.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        acc = {}
+        for t in terms:
+            if len(t) == 2:
+                a, b = t
+                j = 0
+            else:
+                a, b, j = t
+            b = float(b)
+            j = int(j)
+            if b <= 0:
+                raise DomainError("bases must be positive")
+            if j < 0:
+                raise DomainError("degrees must be nonnegative")
+            if a == 0.0:
+                continue
+            acc[(b, j)] = acc.get((b, j), 0.0) + float(a)
+        self.terms = tuple(
+            (a, b, j) for (b, j), a in sorted(acc.items()) if a != 0.0
+        )
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        for a, b, j in self.terms:
+            t = a * np.exp(x * math.log(b))
+            if j:
+                t = t * x ** j
+            out = out + t
+        if out.ndim == 0:
+            return float(out)
+        return out
+
+    def derivative(self) -> "ExpSum":
+        new = []
+        for a, b, j in self.terms:
+            lb = math.log(b)
+            if lb != 0.0:
+                new.append((a * lb, b, j))
+            if j >= 1:
+                new.append((a * j, b, j - 1))
+        return ExpSum(new)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __repr__(self):
+        return f"ExpSum({list(self.terms)})"
+
+
+def _local_scale(f: ExpSum, x: float) -> float:
+    s = 0.0
+    for a, b, j in f.terms:
+        t = abs(a) * math.exp(min(700.0, x * math.log(b)))
+        if j:
+            t *= abs(x) ** j
+        s += t
+    return max(s, 1e-300)
+
+
+def _bisect(f, lo, hi, flo, tol):
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol:
+            return mid
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _poly_roots(terms, lo, hi):
+    deg = max(j for _, _, j in terms)
+    coef = np.zeros(deg + 1)
+    for a, _, j in terms:
+        coef[deg - j] += a
+    if deg == 0:
+        return []
+    if deg == 1:
+        r = [-coef[1] / coef[0]]
+    else:
+        rr = np.roots(coef)
+        r = [float(z.real) for z in rr if abs(z.imag) <= 1e-9 * (1.0 + abs(z.real))]
+    return [x for x in r if lo - ROOT_TOL <= x <= hi + ROOT_TOL]
+
+
+def find_roots(f: ExpSum, lo: float, hi: float, tol: float = ROOT_TOL):
+    """All real roots of f in [lo, hi], or the IDENTICALLY_ZERO sentinel.
+
+    Bases are first divided out by the largest one (roots are unchanged since
+    b^x > 0); if every term then has base 1 the problem is polynomial,
+    otherwise the interval is split at the derivative's roots, computed
+    recursively, leaving at most one sign change per piece.  Each
+    differentiation removes the base-1 group's top degree, so the recursion
+    terminates within sum(degree + 1) steps.
+    """
+    if f.is_zero():
+        return IDENTICALLY_ZERO
+    if not (lo < hi):
+        raise DomainError("need lo < hi")
+    roots = _roots_rec(f, float(lo), float(hi), tol)
+    if roots is IDENTICALLY_ZERO:
+        return IDENTICALLY_ZERO
+    roots = sorted(roots)
+    out = []
+    for x in roots:
+        if not out or x - out[-1] > BREAK_MERGE_TOL:
+            out.append(x)
+    return out
+
+
+def _roots_rec(f: ExpSum, lo: float, hi: float, tol: float):
+    if f.is_zero():
+        return IDENTICALLY_ZERO
+    bmax = max(b for _, b, _ in f.terms)
+    g = ExpSum([(a, b / bmax, j) for a, b, j in f.terms])
+    if g.is_zero():
+        return IDENTICALLY_ZERO
+    if all(b == 1.0 for _, b, j in g.terms):
+        if all(j == 0 for _, _, j in g.terms):
+            return []  # nonzero constant
+        return _poly_roots(g.terms, lo, hi)
+
+    crit = _roots_rec(g.derivative(), lo, hi, tol)
+    if crit is IDENTICALLY_ZERO:
+        # derivative vanishes identically: g is constant
+        mid = 0.5 * (lo + hi)
+        if abs(g(mid)) <= 1e-12 * _local_scale(g, mid):
+            return IDENTICALLY_ZERO
+        return []
+    pts = [lo] + sorted(c for c in crit if lo < c < hi) + [hi]
+    vals = [g(x) for x in pts]
+    roots = []
+    for i, (x, v) in enumerate(zip(pts, vals)):
+        if abs(v) <= 1e-12 * _local_scale(g, x):
+            roots.append(x)
+            vals[i] = 0.0
+    for i in range(len(pts) - 1):
+        a, b = pts[i], pts[i + 1]
+        fa, fb = vals[i], vals[i + 1]
+        if fa == 0.0 or fb == 0.0:
+            continue
+        if (fa > 0) != (fb > 0):
+            roots.append(_bisect(g, a, b, fa, tol))
+    return roots
+
+
+# ---------------------------------------------------------------------------
+# piecewise-constant profiles
+
+
+@dataclass
+class PiecewiseProfile:
+    """Cost of the pipeline as a piecewise-constant function of one parameter.
+
+    breakpoints includes both domain endpoints, so values and
+    representatives have one entry less.  hard_boundaries marks interior
+    breakpoints that exclude their own parameter value (domain splits).
+    """
+
+    parameter: str
+    breakpoints: List[float]
+    values: List[float]
+    representatives: List[float]
+    payloads: Optional[list] = None
+    hard_boundaries: tuple = ()
+
+    def interval(self, i):
+        return (self.breakpoints[i], self.breakpoints[i + 1])
+
+    def __len__(self):
+        return len(self.values)
+
+
+@dataclass
+class ErmResult:
+    best_param: object
+    best_interval: object
+    best_cost: float
+    profile: Optional[PiecewiseProfile]
+    instances_evaluated: int
+    certificate: Optional[list] = None
+
+
+def _values_close(x: float, y: float) -> bool:
+    return x == y or abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y))
+
+
+def _lazy_sweep(lo, hi, run, solve):
+    """Refine [lo, hi] into cells on which run's fingerprint is constant.
+
+    run(x) -> (fingerprint, value, equation_keys); solve(key) -> roots over
+    the whole sweep domain (cached by the caller).  Adjacent cells that agree
+    in fingerprint and value are merged back together.
+    """
+    cells = []
+
+    def refine(a, b, depth):
+        if depth > 80:
+            raise RuntimeError("sweep refinement failed to converge")
+        mid = 0.5 * (a + b)
+        fp, val, eqs = run(mid)
+        guard = 1e-12 * max(1.0, abs(a), abs(b))
+        found = set()
+        for key in eqs:
+            roots = solve(key)
+            if roots is IDENTICALLY_ZERO:
+                continue
+            for x in roots:
+                if a + guard < x < b - guard:
+                    found.add(x)
+        if not found:
+            cells.append([a, b, mid, fp, val])
+            return
+        pts = sorted(found)
+        merged = [pts[0]]
+        for x in pts[1:]:
+            if x - merged[-1] > BREAK_MERGE_TOL:
+                merged.append(x)
+        bounds = [a] + merged + [b]
+        for i in range(len(bounds) - 1):
+            refine(bounds[i], bounds[i + 1], depth + 1)
+
+    refine(float(lo), float(hi), 0)
+    out = [cells[0]]
+    for c in cells[1:]:
+        prev = out[-1]
+        if c[3] == prev[3] and _values_close(c[4], prev[4]):
+            prev[1] = c[1]
+        else:
+            out.append(c)
+    return out
+
+
+def _canon_terms(terms):
+    """Hashable sign-canonical form of an equation's term list."""
+    terms = tuple(sorted((float(b), int(j), float(a)) for a, b, j in terms))
+    if not terms:
+        return terms
+    if terms[0][2] < 0:
+        terms = tuple((b, j, -a) for b, j, a in terms)
+    return terms
+
+
+def _terms_from_key(key):
+    return [(a, b, j) for b, j, a in key]
+
+
+# ---------------------------------------------------------------------------
+# alpha sweeps
+
+
+def _alpha_segments(family, lo, hi):
+    if family == "convex_minmax":
+        if lo < 0.0 or hi > 1.0:
+            raise DomainError("convex sweep range must lie in [0, 1]")
+        return [(lo, hi)], ()
+    if family in ("power_minmax", "power_average", "sigma_power"):
+        lo = max(lo, -SWEEP_CLIP)
+        hi = min(hi, SWEEP_CLIP)
+        if lo < 0.0 < hi:
+            return [(lo, 0.0), (0.0, hi)], (0.0,)
+        return [(lo, hi)], ()
+    raise UnknownFamily(f"family {family!r} has no alpha sweep")
+
+
+def _make_collector(family, sigma, eqs):
+    """Collector for linkage._run: canonical equations of every executed
+    winner-vs-candidate comparison at the evaluation point."""
+
+    if family in ("convex_minmax", "power_minmax"):
+
+        def cb(step, winner, ids, tri, minD, maxD, cnt, distinct):
+            wi, wj = winner
+            wmin = minD[wi, wj]
+            wmax = maxD[wi, wj]
+            ii = ids[tri[0]]
+            jj = ids[tri[1]]
+            rows = np.unique(np.column_stack([minD[ii, jj], maxD[ii, jj]]), axis=0)
+            for cmin, cmax in rows:
+                if cmin == wmin and cmax == wmax:
+                    continue
+                eqs.add(
+                    _canon_terms(
+                        comparison_terms(family, wmin, wmax, cmin, cmax)
+                    )
+                )
+
+    elif family == "power_average":
+
+        def cb(step, winner, ids, tri, minD, maxD, cnt, distinct):
+            wi, wj = winner
+            wrow = cnt[wi, wj]
+            nw = wrow.sum()
+            ii = ids[tri[0]]
+            jj = ids[tri[1]]
+            rows = np.unique(cnt[ii, jj], axis=0)
+            for crow in rows:
+                diff = crow.sum() * wrow - nw * crow
+                nz = np.flatnonzero(diff)
+                if nz.size == 0:
+                    continue
+                eqs.add(
+                    _canon_terms([(diff[t], distinct[t], 0) for t in nz])
+                )
+
+    elif family == "sigma_power":
+
+        def cb(step, winner, ids, tri, minD, maxD, cnt, distinct):
+            wi, wj = winner
+            wsel = _selected(cnt[wi, wj], distinct, sigma)
+            ii = ids[tri[0]]
+            jj = ids[tri[1]]
+            rows = np.unique(cnt[ii, jj], axis=0)
+            for crow in rows:
+                csel = _selected(crow, distinct, sigma)
+                terms = [(1.0, b, 0) for b in wsel] + [(-1.0, b, 0) for b in csel]
+                key = _canon_terms(terms)
+                if key:
+                    eqs.add(key)
+
+    else:
+        raise UnknownFamily(f"no sweep collector for {family!r}")
+
+    return cb
+
+
+def _selected(counts, distinct, sigma):
+    L = int(counts.sum())
+    pos = selector_indices(L, sigma)
+    cum = np.cumsum(counts)
+    return distinct[np.searchsorted(cum, pos + 1)]
+
+
+def sweep_alpha(
+    instances: Sequence[ClusteringInstance],
+    family: str,
+    alpha_range,
+    k: int,
+    rule: PruningRule,
+    obj: Objective,
+    variant: str = "fixed",
+    sigma: Optional[int] = None,
+    tol: float = ROOT_TOL,
+) -> PiecewiseProfile:
+    """Exact cost profile of the full pipeline over an alpha interval.
+
+    Each interval of the returned profile carries the summed objective of
+    the pipeline output, which is constant there.  Power families exclude
+    alpha = 0: a range straddling it is split and 0 becomes a hard boundary.
+    """
+    profile, _ = _sweep_alpha_counted(
+        instances, family, alpha_range, k, rule, obj, variant, sigma, tol
+    )
+    return profile
+
+
+def _sweep_alpha_counted(instances, family, alpha_range, k, rule, obj,
+                         variant="fixed", sigma=None, tol=ROOT_TOL):
+    lo, hi = (float(alpha_range[0]), float(alpha_range[1]))
+    if not lo < hi:
+        raise DomainError("empty alpha range")
+    segments, hard = _alpha_segments(family, lo, hi)
+    glo, ghi = segments[0][0], segments[-1][1]
+
+    root_cache = {}
+    counter = [0]
+
+    def solve(key):
+        if key not in root_cache:
+            root_cache[key] = find_roots(ExpSum(_terms_from_key(key)), glo, ghi, tol)
+        return root_cache[key]
+
+    def run(alpha):
+        eqs = set()
+        cb = _make_collector(family, sigma, eqs)
+        fps = []
+        total = 0.0
+        for inst in instances:
+            mrule = MergeRule(family=family, alpha=alpha, sigma=sigma)
+            tree, _ = _run(inst, mrule, record=False, collector=cb)
+            res = best_k_pruning(inst, tree, k, rule, variant)
+            total += objective_value(inst, obj, res.clusters, res.centers)
+            fps.append(tree.fingerprint())
+            counter[0] += 1
+        return tuple(fps), total, eqs
+
+    cells = []
+    for a, b in segments:
+        cells.extend(_lazy_sweep(a, b, run, solve))
+
+    breakpoints = [cells[0][0]] + [c[1] for c in cells]
+    return PiecewiseProfile(
+        parameter="alpha",
+        breakpoints=breakpoints,
+        values=[c[4] for c in cells],
+        representatives=[c[2] for c in cells],
+        payloads=[c[3] for c in cells],
+        hard_boundaries=hard,
+    ), counter[0]
+
+
+def _best_run(profile: PiecewiseProfile):
+    """Maximal run of adjacent minimal-cost cells; earliest run on ties.
+
+    Returns (lo, hi, cost, rep). Runs never cross hard boundaries.
+    """
+    values = profile.values
+    vmin = min(values)
+    hard = set(profile.hard_boundaries)
+    best = None
+    i = 0
+    while i < len(values):
+        if _values_close(values[i], vmin):
+            j = i
+            while (
+                j + 1 < len(values)
+                and _values_close(values[j + 1], vmin)
+                and profile.breakpoints[j + 1] not in hard
+            ):
+                j += 1
+            if best is None:
+                best = (i, j)
+            i = j + 1
+        else:
+            i += 1
+    i, j = best
+    lo = profile.breakpoints[i]
+    hi = profile.breakpoints[j + 1]
+    cost = min(values[i : j + 1])
+    return lo, hi, cost, 0.5 * (lo + hi)
+
+
+def erm_alpha(
+    instances,
+    family,
+    alpha_range,
+    k,
+    rule: PruningRule,
+    obj: Objective,
+    variant: str = "fixed",
+    sigma: Optional[int] = None,
+    tol: float = ROOT_TOL,
+) -> ErmResult:
+    """Minimize total cost over alpha; returns the best closed interval.
+
+    The minimum of a piecewise-constant profile is attained on a union of
+    cells; the reported interval is the widest span of consecutive minimal
+    cells containing the earliest one, closed at both ends, with the
+    midpoint as the concrete parameter choice.
+    """
+    profile, evals = _sweep_alpha_counted(
+        instances, family, alpha_range, k, rule, obj, variant, sigma, tol
+    )
+    lo, hi, cost, rep = _best_run(profile)
+    return ErmResult(
+        best_param=rep,
+        best_interval=(lo, hi),
+        best_cost=cost,
+        profile=profile,
+        instances_evaluated=evals,
+    )
+
+
+# ---------------------------------------------------------------------------
+# exponent sweeps over a fixed tree, and the joint search
+
+
+def _sweep_p_cells(instances, trees, k, p_range, obj, variant, tol=ROOT_TOL):
+    lo, hi = float(p_range[0]), float(p_range[1])
+    if not (0.0 < lo < hi):
+        raise DomainError("p range must satisfy 0 < lo < hi")
+    hi = min(hi, SWEEP_CLIP)
+
+    root_cache = {}
+    counter = [0]
+
+    def solve(key):
+        if key not in root_cache:
+            root_cache[key] = find_roots(ExpSum(_terms_from_key(key)), lo, hi, tol)
+        return root_cache[key]
+
+    def run(p):
+        eqs = set()
+        sigs = []
+        total = 0.0
+        for inst, tree in zip(instances, trees):
+            res, comps, sig = dp_with_comparisons(inst, tree, k, p)
+            clusters, centers = res.clusters, res.centers
+            if variant == "voronoi":
+                clusters, centers = voronoi_reassign(inst, clusters, centers)
+            total += objective_value(inst, obj, clusters, centers)
+            sigs.append(sig)
+            counter[0] += 1
+            for diff, vals in comps:
+                nz = np.flatnonzero(diff)
+                key = _canon_terms([(diff[t], vals[t], 0) for t in nz])
+                if key:
+                    eqs.add(key)
+        return tuple(sigs), total, eqs
+
+    cells = _lazy_sweep(lo, hi, run, solve)
+    return cells, counter[0]
+
+
+def sweep_p(
+    instances, trees, k, p_range, obj: Objective, variant: str = "fixed",
+    tol: float = ROOT_TOL,
+) -> PiecewiseProfile:
+    """Cost profile over the pruning exponent for fixed merge trees."""
+    cells, _ = _sweep_p_cells(instances, trees, k, p_range, obj, variant, tol)
+    return PiecewiseProfile(
+        parameter="p",
+        breakpoints=[cells[0][0]] + [c[1] for c in cells],
+        values=[c[4] for c in cells],
+        representatives=[c[2] for c in cells],
+        payloads=[c[3] for c in cells],
+    )
+
+
+def erm_joint(
+    instances,
+    family,
+    alpha_range,
+    p_range,
+    k,
+    obj: Objective,
+    variant: str = "fixed",
+    tol: float = ROOT_TOL,
+) -> ErmResult:
+    """Joint minimization over the merge parameter and the pruning exponent.
+
+    The outer sweep refines alpha on merge-tree structure; within each alpha
+    cell the trees are fixed and an inner exponent sweep finds the best p.
+    The reported cost is exact for the product range.
+    """
+    lo, hi = float(alpha_range[0]), float(alpha_range[1])
+    segments, hard = _alpha_segments(family, lo, hi)
+    glo, ghi = segments[0][0], segments[-1][1]
+
+    root_cache = {}
+    evals = [0]
+
+    def solve(key):
+        if key not in root_cache:
+            root_cache[key] = find_roots(ExpSum(_terms_from_key(key)), glo, ghi, tol)
+        return root_cache[key]
+
+    def trees_at(alpha, eqs=None):
+        cb = _make_collector(family, None, eqs) if eqs is not None else None
+        out = []
+        for inst in instances:
+            mrule = MergeRule(family=family, alpha=alpha)
+            tree, _ = _run(inst, mrule, record=False, collector=cb)
+            out.append(tree)
+        return out
+
+    def run(alpha):
+        eqs = set()
+        trees = trees_at(alpha, eqs)
+        cells, c = _sweep_p_cells(instances, trees, k, p_range, obj, variant, tol)
+        evals[0] += c
+        val = min(cell[4] for cell in cells)
+        fps = tuple(t.fingerprint() for t in trees)
+        return fps, val, eqs
+
+    cells = []
+    for a, b in segments:
+        cells.extend(_lazy_sweep(a, b, run, solve))
+
+    profile = PiecewiseProfile(
+        parameter="alpha",
+        breakpoints=[cells[0][0]] + [c[1] for c in cells],
+        values=[c[4] for c in cells],
+        representatives=[c[2] for c in cells],
+        payloads=[c[3] for c in cells],
+        hard_boundaries=hard,
+    )
+    alo, ahi, cost, arep = _best_run(profile)
+
+    trees = trees_at(arep)
+    pcells, c = _sweep_p_cells(instances, trees, k, p_range, obj, variant, tol)
+    evals[0] += c
+    pprofile = PiecewiseProfile(
+        parameter="p",
+        breakpoints=[pcells[0][0]] + [pc[1] for pc in pcells],
+        values=[pc[4] for pc in pcells],
+        representatives=[pc[2] for pc in pcells],
+        payloads=[pc[3] for pc in pcells],
+    )
+    plo, phi, pcost, prep = _best_run(pprofile)
+
+    return ErmResult(
+        best_param=(arep, prep),
+        best_interval=((alo, ahi), (plo, phi)),
+        best_cost=cost,
+        profile=profile,
+        instances_evaluated=evals[0],
+    )
+
+
+# ---------------------------------------------------------------------------
+# weight-vector search for the selector-linear family
+
+
+def erm_sigma_linear(
+    instances,
+    sigma: int,
+    weight_box,
+    k: int,
+    rule: PruningRule,
+    obj: Objective,
+    variant: str = "fixed",
+    grid_density: int = 8,
+    exact: Optional[bool] = None,
+    seed: int = 0,
+) -> ErmResult:
+    """Tune the weight vector of the selector-linear merge family.
+
+    Merge decisions are invariant to positive scaling of the weights, so for
+    sigma = 2 the search is one-dimensional and exact: the normalized first
+    weight theta = w1/(w1+w2) is swept with breakpoints at the roots of the
+    executed affine comparisons.  For sigma >= 3 the exact mode raises
+    SigmaTooLargeForExact; the fallback evaluates a jittered grid with
+    grid_density points per axis and returns the best point together with
+    the near-tie comparisons active there (the certificate).
+    """
+    if sigma < 2:
+        raise DomainError("sigma must be at least 2")
+    box = [(float(a), float(b)) for a, b in weight_box]
+    if len(box) != sigma:
+        raise DomainError("weight box must have one interval per weight")
+    for a, b in box:
+        if not (0.0 <= a < b):
+            raise DomainError("weight intervals need 0 <= lo < hi")
+    if exact is None:
+        exact = sigma == 2
+    if exact and sigma != 2:
+        raise SigmaTooLargeForExact("exact weight search available only for sigma = 2")
+
+    if exact:
+        (l1, h1), (l2, h2) = box
+        tlo = l1 / (l1 + h2) if (l1 + h2) > 0 else 0.0
+        thi = h1 / (h1 + l2) if (h1 + l2) > 0 else 1.0
+        tlo = max(tlo, 1e-9)
+        thi = min(thi, 1.0 - 1e-9)
+        if not tlo < thi:
+            raise DomainError("weight box admits no weight rays")
+
+        root_cache = {}
+        counter = [0]
+
+        def solve(key):
+            if key not in root_cache:
+                root_cache[key] = find_roots(ExpSum(_terms_from_key(key)), tlo, thi)
+            return root_cache[key]
+
+        def run(theta):
+            eqs = set()
+
+            def cb(step, winner, ids, tri, minD, maxD, cnt, distinct):
+                wi, wj = winner
+                wsel = _selected(cnt[wi, wj], distinct, 2)
+                ii = ids[tri[0]]
+                jj = ids[tri[1]]
+                rows = np.unique(cnt[ii, jj], axis=0)
+                for crow in rows:
+                    csel = _selected(crow, distinct, 2)
+                    d1 = wsel[0] - csel[0]
+                    d2 = wsel[1] - csel[1]
+                    if d1 == 0.0 and d2 == 0.0:
+                        continue
+                    eqs.add(_canon_terms([(d1 - d2, 1.0, 1), (d2, 1.0, 0)]))
+
+            fps = []
+            total = 0.0
+            for inst in instances:
+                mrule = MergeRule(
+                    family="sigma_linear", weights=(theta, 1.0 - theta), sigma=2
+                )
+                tree, _ = _run(inst, mrule, record=False, collector=cb)
+                res = best_k_pruning(inst, tree, k, rule, variant)
+                total += objective_value(inst, obj, res.clusters, res.centers)
+                fps.append(tree.fingerprint())
+                counter[0] += 1
+            return tuple(fps), total, eqs
+
+        cells = _lazy_sweep(tlo, thi, run, solve)
+        profile = PiecewiseProfile(
+            parameter="theta",
+            breakpoints=[cells[0][0]] + [c[1] for c in cells],
+            values=[c[4] for c in cells],
+            representatives=[c[2] for c in cells],
+            payloads=[c[3] for c in cells],
+        )
+        lo_t, hi_t, cost, rep = _best_run(profile)
+        # scale the normalized ray back into the box
+        w1, w2 = rep, 1.0 - rep
+        t = max(l1 / w1 if w1 > 0 else 0.0, l2 / w2 if w2 > 0 else 0.0)
+        if t == 0.0:
+            t = min(h1 / w1, h2 / w2)
+        weights = (w1 * t, w2 * t)
+        return ErmResult(
+            best_param=weights,
+            best_interval=(lo_t, hi_t),
+            best_cost=cost,
+            profile=profile,
+            instances_evaluated=counter[0],
+        )
+
+    # randomized multi-start grid
+    total_pts = grid_density ** sigma
+    if total_pts > 200000:
+        raise DomainError("grid too large; reduce grid_density")
+    rng = np.random.Generator(np.random.Philox(seed))
+    axes = [np.linspace(a, b, grid_density) for a, b in box]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, sigma)
+    jitter = rng.uniform(-0.5, 0.5, mesh.shape)
+    steps = np.array([(b - a) / max(grid_density - 1, 1) for a, b in box])
+    pts = np.clip(
+        mesh + jitter * steps,
+        [a for a, _ in box],
+        [b for _, b in box],
+    )
+    best = None
+    count = 0
+    for w in pts:
+        if not np.any(w > 0):
+            continue
+        mrule = MergeRule(family="sigma_linear", weights=tuple(w), sigma=sigma)
+        total = 0.0
+        margins = []
+
+        def cb(step, winner, ids, tri, minD, maxD, cnt, distinct, w=w, margins=margins):
+            wi, wj = winner
+            wsel = _selected(cnt[wi, wj], distinct, sigma)
+            ii = ids[tri[0]]
+            jj = ids[tri[1]]
+            rows = np.unique(cnt[ii, jj], axis=0)
+            for crow in rows:
+                csel = _selected(crow, distinct, sigma)
+                dv = wsel - csel
+                if np.any(dv):
+                    margins.append((float(np.dot(w, dv)), tuple(dv)))
+
+        for inst in instances:
+            tree, _ = _run(inst, mrule, record=False, collector=cb)
+            res = best_k_pruning(inst, tree, k, rule, variant)
+            total += objective_value(inst, obj, res.clusters, res.centers)
+            count += 1
+        if best is None or total < best[0]:
+            cert = [dv for m, dv in margins if abs(m) <= 1e-9]
+            best = (total, tuple(float(x) for x in w), cert)
+    return ErmResult(
+        best_param=best[1],
+        best_interval=None,
+        best_cost=best[0],
+        profile=None,
+        instances_evaluated=count,
+        certificate=best[2],
+    )
+
+
+# ---------------------------------------------------------------------------
+# sample-complexity helpers
+
+
+def sample_size(H: float, eps: float, delta: float, pdim: float, c: float = 1.0) -> int:
+    """Instances needed so empirical costs concentrate within eps.
+
+    ceil(c * (H/eps)^2 * (pdim + ln(1/delta))).
+    """
+    if H <= 0 or eps <= 0 or not (0 < delta < 1) or pdim <= 0 or c <= 0:
+        raise DomainError("H, eps, pdim, c must be positive and delta in (0, 1)")
+    return math.ceil(c * (H / eps) ** 2 * (pdim + math.log(1.0 / delta)))
+
+
+def pdim_table(family: str, n: int, sigma: Optional[int] = None,
+               beta: Optional[int] = None):
+    """Pseudo-dimension growth class and concrete value for a family at size n."""
+    if n < 2:
+        raise DomainError("need n >= 2")
+    log2n = math.log2(n)
+    if family in ("convex_minmax", "power_minmax"):
+        return "Theta(log n)", log2n
+    if family == "power_average":
+        return "Theta(n)", float(n)
+    if family == "beta_restricted":
+        if beta is None or beta < 1:
+            raise DomainError("beta_restricted needs beta >= 1")
+        return "Theta~(min(beta, n))", min(beta * log2n, float(n))
+    if family == "sigma_linear":
+        if sigma is None or sigma < 2:
+            raise DomainError("sigma_linear needs sigma >= 2")
+        return "O(sigma^2 log n)", sigma ** 2 * log2n
+    if family == "sigma_power":
+        if sigma is None or sigma < 2:
+            raise DomainError("sigma_power needs sigma >= 2")
+        return "Theta~(sigma)", float(sigma)
+    raise UnknownFamily(f"no pseudo-dimension entry for {family!r}")

@@ -1,0 +1,517 @@
+"""Rounding of SDP embeddings for quadratic programs, with exact ERM.
+
+Every rounding family here turns an embedding (one unit vector per variable)
+and a random projection into a fractional or binary assignment.  For each
+family the value, as a function of the family's parameter with the random
+draws held fixed, is piecewise simple (constant, or a/s^2 + b/s + c), so
+empirical maximization can enumerate the pieces instead of gridding.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass, field
+from typing import Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from .errors import (
+    ClassTooLarge,
+    DimensionMismatch,
+    DomainError,
+    NonNullDiagonal,
+)
+from .instances import Embedding, MaxQPInstance
+
+_THRESH_MERGE = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# sampling and value primitives
+
+
+def sample_z(n: int, count: int, seed: int) -> np.ndarray:
+    """count standard-normal projection vectors of dimension n.
+
+    Row i is drawn from its own counter-based stream keyed by seed XOR i, so
+    samples are reproducible and independent of evaluation order.
+    """
+    if n < 1 or count < 1:
+        raise DomainError("need n >= 1 and count >= 1")
+    out = np.empty((count, n))
+    for i in range(count):
+        rng = np.random.Generator(np.random.Philox(key=seed ^ i))
+        out[i] = rng.standard_normal(n)
+    return out
+
+
+_Q_STREAM_SALT = 0x9E3779B97F4A7C15
+
+
+def sample_q(n: int, count: int, seed: int) -> np.ndarray:
+    """Uniform [-1, 1] threshold vectors, one stream per row.
+
+    The stream key is salted so Q draws never reuse the Z streams of the
+    same master seed.
+    """
+    if n < 1 or count < 1:
+        raise DomainError("need n >= 1 and count >= 1")
+    out = np.empty((count, n))
+    for i in range(count):
+        rng = np.random.Generator(np.random.Philox(key=(seed ^ i) ^ _Q_STREAM_SALT))
+        out[i] = rng.uniform(-1.0, 1.0, n)
+    return out
+
+
+def cut_value(weights: np.ndarray, assignment: np.ndarray) -> float:
+    """Weight of edges cut by a +-1 assignment: sum w_ij (1 - h_i h_j) / 2.
+
+    With edge weights summing to 1 this lies in [0, 1].  Symmetric under
+    global sign flip.  The diagonal is ignored.
+    """
+    W = np.asarray(weights, dtype=float)
+    h = np.asarray(assignment, dtype=float)
+    off = W - np.diag(np.diag(W))
+    return float((off.sum() - h @ off @ h) / 4.0)
+
+
+def qp_value(matrix: np.ndarray, x: np.ndarray) -> float:
+    """Quadratic form x^T A x for a fractional assignment x in [-1, 1]^n."""
+    A = np.asarray(matrix, dtype=float)
+    x = np.asarray(x, dtype=float)
+    return float(x @ A @ x)
+
+
+def _value(inst: MaxQPInstance, x: np.ndarray) -> float:
+    if inst.origin == "maxcut":
+        return cut_value(inst.matrix, x)
+    return qp_value(inst.matrix, x)
+
+
+def _projections(emb: Embedding, z: np.ndarray) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
+    if z.shape != (emb.d,):
+        raise DimensionMismatch(
+            f"projection has dimension {z.shape}, embedding needs ({emb.d},)"
+        )
+    return emb.vectors @ z
+
+
+# ---------------------------------------------------------------------------
+# s-linear rounding: phi_s(y) = clamp(y / s)
+
+
+def slin_value(inst: MaxQPInstance, emb: Embedding, z: np.ndarray, s: float) -> float:
+    """Fractional value of clamp-linear rounding at scale s.
+
+    Coordinates are x_i = clamp(<u_i, z> / s, -1, 1).  Max-cut instances get
+    the cut form sum w_ij (1 - x_i x_j) / 2, generic ones the quadratic form.
+    """
+    if s <= 0:
+        raise DomainError("s must be positive")
+    y = _projections(emb, z)
+    x = np.clip(y / s, -1.0, 1.0)
+    return _value(inst, x)
+
+
+@dataclass
+class RoundingErmResult:
+    best_param: float
+    best_value: float
+    thresholds: List[float]
+    interval_values: List[float]
+
+
+def _merge_sorted(vals) -> List[float]:
+    vals = sorted(v for v in vals if v > 0)
+    out: List[float] = []
+    for v in vals:
+        if not out or v - out[-1] > _THRESH_MERGE:
+            out.append(v)
+    return out
+
+
+def slin_erm(samples: Sequence[tuple]) -> RoundingErmResult:
+    """Maximize the mean clamp-linear value over s > 0 for fixed samples.
+
+    samples: (instance, embedding, z) triples.  The mean value restricted to
+    an interval between consecutive pooled |<u_i, z>| magnitudes is exactly
+    a/s^2 + b/s + c, so each piece is maximized in closed form (endpoints,
+    plus the interior critical point s* = -2a/b when it lies inside).
+    """
+    if not samples:
+        raise DomainError("need at least one sample")
+    ys = [_projections(emb, z) for _, emb, z in samples]
+    thresholds = _merge_sorted(abs(v) for y in ys for v in y)
+    m = len(samples)
+
+    if not thresholds:
+        val = sum(_value(inst, np.zeros(inst.n)) for inst, _, _ in samples) / m
+        return RoundingErmResult(1.0, val, [], [val])
+
+    def coeffs(clamp_at: float):
+        """Mean-value coefficients (a, b, c) valid while s < clamp_at bounds
+        the unclamped set as {|y| < clamp_at}."""
+        a = b = c = 0.0
+        for (inst, _, _), y in zip(samples, ys):
+            clamped = np.abs(y) >= clamp_at
+            u = np.where(clamped, 0.0, y)
+            v = np.where(clamped, np.sign(y), 0.0)
+            A = inst.matrix
+            if inst.origin == "maxcut":
+                W = A - np.diag(np.diag(A))
+                a += -0.25 * (u @ W @ u)
+                b += -0.5 * (u @ W @ v)
+                c += W.sum() / 4.0 - 0.25 * (v @ W @ v)
+            else:
+                a += u @ A @ u
+                b += 2.0 * (u @ A @ v)
+                c += v @ A @ v
+        return a / m, b / m, c / m
+
+    candidates: List[Tuple[float, float]] = []  # (s, value)
+    interval_values: List[float] = []
+    bounds = [0.0] + thresholds + [math.inf]
+    for i in range(len(bounds) - 1):
+        lo, hi = bounds[i], bounds[i + 1]
+        clamp_at = hi if math.isfinite(hi) else math.inf
+        a, b, c = coeffs(clamp_at)
+
+        def val(s):
+            return a / (s * s) + b / s + c
+
+        probes = []
+        if lo > 0:
+            probes.append(lo)
+        if math.isfinite(hi):
+            probes.append(hi)
+        else:
+            probes.append(max(1.0, bounds[i]) * 1e9)
+        if b != 0.0:
+            s_star = -2.0 * a / b
+            if lo < s_star < hi:
+                probes.append(s_star)
+        if not probes:
+            probes.append(hi / 2.0 if math.isfinite(hi) else 1.0)
+        vals = [(s, val(s)) for s in probes]
+        interval_values.append(max(v for _, v in vals))
+        candidates.extend(vals)
+
+    best_s, best_v = candidates[0]
+    for s, v in candidates[1:]:
+        if v > best_v + 1e-15 or (abs(v - best_v) <= 1e-15 and s < best_s):
+            best_s, best_v = s, v
+    return RoundingErmResult(best_s, best_v, thresholds, interval_values)
+
+
+# ---------------------------------------------------------------------------
+# outward rotation: blend the embedding with fresh coordinates
+
+
+def owr_value(inst: MaxQPInstance, emb: Embedding, z2: np.ndarray, gamma: float) -> float:
+    """Value of the sign assignment after rotating each vector outward.
+
+    Vector i becomes (cos(gamma) u_i, sin(gamma) e_i), so the projection is
+    cos(gamma) <u_i, z_head> + sin(gamma) z_tail_i with z2 of dimension
+    d + n.  gamma = 0 is plain hyperplane rounding; gamma = pi/2 ignores the
+    embedding.  sign(0) counts as +1.
+    """
+    if not 0.0 <= gamma <= math.pi / 2:
+        raise DomainError("gamma must lie in [0, pi/2]")
+    z2 = np.asarray(z2, dtype=float)
+    if z2.shape != (emb.d + emb.n,):
+        raise DimensionMismatch(
+            f"rotation projection needs dimension {emb.d + emb.n}, got {z2.shape}"
+        )
+    proj = math.cos(gamma) * (emb.vectors @ z2[: emb.d]) + math.sin(gamma) * z2[emb.d :]
+    x = np.where(proj >= 0.0, 1.0, -1.0)
+    return _value(inst, x)
+
+
+def owr_erm(samples: Sequence[tuple]) -> RoundingErmResult:
+    """Maximize the mean outward-rotation value over gamma in [0, pi/2].
+
+    samples: (instance, embedding, z2) triples.  Each coordinate's sign
+    flips at most once, at gamma = arctan(-head_i / tail_i) when the two
+    parts disagree in sign, so the mean value is piecewise constant; one
+    midpoint per interval plus the right endpoint covers all pieces.
+    """
+    if not samples:
+        raise DomainError("need at least one sample")
+    cuts = set()
+    for _, emb, z2 in samples:
+        z2 = np.asarray(z2, dtype=float)
+        head = emb.vectors @ z2[: emb.d]
+        tail = z2[emb.d :]
+        mask = head * tail < 0
+        for g in np.arctan(-head[mask] / tail[mask]):
+            if 0.0 < g < math.pi / 2:
+                cuts.add(float(g))
+    thresholds = _merge_sorted(cuts)
+    bounds = [0.0] + thresholds + [math.pi / 2]
+    probes = [0.5 * (bounds[i] + bounds[i + 1]) for i in range(len(bounds) - 1)]
+    probes.append(math.pi / 2)
+
+    m = len(samples)
+    interval_values = []
+    best = None
+    for g in probes:
+        v = sum(owr_value(inst, emb, z2, g) for inst, emb, z2 in samples) / m
+        interval_values.append(v)
+        if best is None or v > best[1] + 1e-15:
+            best = (g, v)
+    return RoundingErmResult(best[0], best[1], thresholds, interval_values)
+
+
+# ---------------------------------------------------------------------------
+# random projection, randomized threshold
+
+
+def rprt_assign(
+    inst: MaxQPInstance, emb: Embedding, z: np.ndarray, q: np.ndarray, s: float
+) -> np.ndarray:
+    """Binary assignment x_i = sign(q_i - s <u_i, z>), sign(0) = +1."""
+    if s < 0:
+        raise DomainError("s must be nonnegative")
+    y = _projections(emb, z)
+    q = np.asarray(q, dtype=float)
+    if q.shape != y.shape:
+        raise DimensionMismatch("threshold vector must have one entry per point")
+    return np.where(q - s * y >= 0.0, 1.0, -1.0)
+
+
+def rprt_expect(inst: MaxQPInstance, emb: Embedding, z: np.ndarray, s: float) -> float:
+    """Expected value of rprt_assign over the uniform thresholds, in closed form.
+
+    E[x_i] = -clamp(s <u_i, z>), and with a null diagonal the expectation of
+    the quadratic value factors into these means, giving exactly the
+    fractional clamp value at scale 1/s.  A nonzero diagonal breaks the
+    factorization (E[x_i^2] = 1, not the squared mean), hence the error.
+    """
+    if s < 0:
+        raise DomainError("s must be nonnegative")
+    if np.any(np.diag(inst.matrix) != 0.0):
+        raise NonNullDiagonal("exact expectation requires a null diagonal")
+    y = _projections(emb, z)
+    f = np.clip(s * y, -1.0, 1.0)
+    return _value(inst, f)
+
+
+def rprt_erm(samples: Sequence[tuple]) -> RoundingErmResult:
+    """Maximize the mean rprt value over the scale s >= 0.
+
+    samples: (instance, embedding, z, q) quadruples.  Coordinate i of sample
+    j flips exactly at s = q_i / <u_i, z> when that ratio is positive, so
+    the mean of the binary values is piecewise constant with at most one
+    threshold per coordinate; midpoints of the gaps (and one probe past the
+    last threshold) cover every piece.
+    """
+    if not samples:
+        raise DomainError("need at least one sample")
+    ratios = []
+    for _, emb, z, q in samples:
+        y = _projections(emb, z)
+        q = np.asarray(q, dtype=float)
+        nz = y != 0.0
+        r = q[nz] / y[nz]
+        ratios.extend(r[r > 0])
+    thresholds = _merge_sorted(ratios)
+
+    probes = []
+    bounds = [0.0] + thresholds
+    for i in range(len(bounds) - 1):
+        probes.append(0.5 * (bounds[i] + bounds[i + 1]))
+    probes.append(bounds[-1] + 1.0)
+
+    m = len(samples)
+    interval_values = []
+    best = None
+    for s in probes:
+        v = sum(
+            _value(inst, rprt_assign(inst, emb, z, q, s))
+            for inst, emb, z, q in samples
+        ) / m
+        interval_values.append(v)
+        if best is None or v > best[1] + 1e-15:
+            best = (s, v)
+    return RoundingErmResult(best[0], best[1], thresholds, interval_values)
+
+
+# ---------------------------------------------------------------------------
+# the discretized rounding class
+
+
+@dataclass(frozen=True)
+class DiscretizedSpec:
+    """A rounding function constant on fixed intervals.
+
+    Identically -1 on (-inf, -B], +1 on [B, inf), 0 at 0, and equal to
+    values[i] on the i-th finite interval.  The finite intervals are the
+    central (-e^2, e^2) minus the origin and the side intervals between
+    consecutive multiples of e^2 out to B, where e is the grid step.
+    """
+
+    eps: float
+    B: float
+    knots: tuple  # ascending interior boundaries, len 2K - 2
+    values: tuple  # len 2K - 1
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        out = np.empty_like(y)
+        inner = np.array(self.knots)
+        vals = np.array(self.values)
+        lowtail = y <= -self.B
+        hightail = y >= self.B
+        zero = y == 0.0
+        mid = ~(lowtail | hightail | zero)
+        out[lowtail] = -1.0
+        out[hightail] = 1.0
+        out[zero] = 0.0
+        if inner.size:
+            out[mid] = vals[np.searchsorted(inner, y[mid], side="right")]
+        else:
+            out[mid] = vals[0]
+        return out
+
+
+def _disc_geometry(eps: float):
+    if not 0.0 < eps < 1.0:
+        raise DomainError("discretization step must lie in (0, 1)")
+    target = math.sqrt(2.0 * math.log(1.0 / eps))
+    e2 = eps * eps
+    K = int(math.floor(target / e2)) + 1
+    B = K * e2
+    levels = int(math.floor((1.0 - 1e-15) / eps))
+    vals = tuple(k * eps for k in range(-levels, levels + 1))
+    pieces = 2 * K - 1
+    return K, B, vals, pieces
+
+
+def discretized_count(eps: float) -> int:
+    """Size of the discretized class: (levels per interval)^(finite intervals)."""
+    _, _, vals, pieces = _disc_geometry(eps)
+    return len(vals) ** pieces
+
+
+def enumerate_discretized(eps: float, cap: int = 10 ** 6) -> Iterator[DiscretizedSpec]:
+    """All discretized rounding functions with step eps, lexicographic order.
+
+    Raises ClassTooLarge up front when the full count exceeds cap.
+    """
+    K, B, vals, pieces = _disc_geometry(eps)
+    count = len(vals) ** pieces
+    if count > cap:
+        raise ClassTooLarge(f"{count} rounding functions exceed the cap {cap}")
+    e2 = eps * eps
+    knots = tuple(j * e2 for j in range(-(K - 1), K) if j != 0)
+    for table in itertools.product(vals, repeat=pieces):
+        yield DiscretizedSpec(eps=eps, B=B, knots=knots, values=table)
+
+
+def disc_best(
+    samples: Sequence[tuple], eps: float, cap: int = 10 ** 6
+) -> Tuple[DiscretizedSpec, float]:
+    """Best discretized rounding function by mean fractional value.
+
+    samples: (instance, embedding, z) triples.  Every function in the class
+    is evaluated; ties keep the earliest in enumeration order.
+    """
+    if not samples:
+        raise DomainError("need at least one sample")
+    ys = [_projections(emb, z) for _, emb, z in samples]
+    m = len(samples)
+    best = None
+    for spec in enumerate_discretized(eps, cap):
+        v = sum(
+            _value(inst, spec.apply(y)) for (inst, _, _), y in zip(samples, ys)
+        ) / m
+        if best is None or v > best[1] + 1e-15:
+            best = (spec, v)
+    return best
+
+
+# ---------------------------------------------------------------------------
+# low-rank embedding by projected gradient ascent
+
+
+@dataclass
+class EmbedResult:
+    embedding: Embedding
+    converged: bool
+    objective: float
+    iterations: int
+    history: List[float] = field(default_factory=list)
+
+
+def embed_bm(
+    inst: MaxQPInstance,
+    rank: Optional[int] = None,
+    seed: int = 0,
+    max_iters: int = 10 ** 4,
+    grad_tol: float = 1e-6,
+) -> EmbedResult:
+    """Heuristic unit-vector embedding maximizing sum a_ij <u_i, u_j>.
+
+    Low-rank factorization with projected gradient ascent and backtracking
+    line search; rows stay unit length.  Max-cut instances maximize the
+    relaxed cut, i.e. the quadratic objective with the negated weight
+    matrix.  Deterministic for a given seed.  The result is a stationary
+    point, not a certified optimum; converged reports whether the projected
+    gradient dropped below tolerance within the iteration budget.
+    """
+    n = inst.n
+    if rank is None:
+        rank = max(2, math.ceil(math.sqrt(2.0 * n)))
+    if rank < 2:
+        raise DomainError("rank must be at least 2")
+    M = np.asarray(inst.matrix, dtype=float)
+    if inst.origin == "maxcut":
+        M = -(M - np.diag(np.diag(M)))
+    M = 0.5 * (M + M.T)
+
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    V = rng.standard_normal((n, rank))
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+
+    def objective(U):
+        return float(np.sum(M * (U @ U.T)))
+
+    f = objective(V)
+    history = [f]
+    step = 1.0 / (1.0 + np.abs(M).sum(axis=1).max())
+    converged = False
+    it = 0
+    for it in range(1, max_iters + 1):
+        G = 2.0 * (M @ V)
+        P = G - (np.sum(G * V, axis=1, keepdims=True)) * V
+        pn2 = float(np.sum(P * P))
+        if math.sqrt(pn2) <= grad_tol * max(1.0, abs(f)):
+            converged = True
+            break
+        accepted = False
+        for _ in range(60):
+            cand = V + step * P
+            cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+            fc = objective(cand)
+            if fc >= f + 1e-4 * step * pn2:
+                V, f = cand, fc
+                history.append(f)
+                step *= 1.25
+                accepted = True
+                break
+            step *= 0.5
+            if step < 1e-18:
+                break
+        if not accepted:
+            break
+
+    emb = Embedding(n=n, d=rank, vectors=V)
+    return EmbedResult(
+        embedding=emb,
+        converged=converged,
+        objective=f,
+        iterations=it,
+        history=history,
+    )
