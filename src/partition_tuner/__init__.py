@@ -18,6 +18,7 @@ from .errors import (
     InconsistentMetric,
     KTooLarge,
     MissingGroundTruth,
+    NonFiniteDistance,
     NonNullDiagonal,
     NumericError,
     OffsetsNotDecreasing,
@@ -25,6 +26,7 @@ from .errors import (
     ParseError,
     PartitionTunerError,
     SigmaTooLargeForExact,
+    SweepDiverged,
     UnknownFamily,
 )
 from .instances import (

@@ -37,6 +37,10 @@ class DimensionMismatch(DataError):
     """Array shapes disagree with the declared instance size."""
 
 
+class NonFiniteDistance(DataError):
+    """A distance matrix holds NaN or an infinite entry."""
+
+
 class MissingGroundTruth(DataError):
     """Objective requires ground-truth labels the instance does not carry."""
 
@@ -59,6 +63,10 @@ class UnknownFamily(DataError):
 
 class SigmaTooLargeForExact(NumericError):
     """Exact weight-vector search is only available for sigma = 2."""
+
+
+class SweepDiverged(NumericError):
+    """A lazy sweep kept finding breakpoints past its refinement depth."""
 
 
 class Overflow(NumericError):

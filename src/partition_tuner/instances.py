@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatch,
     Disconnected,
     InconsistentMetric,
+    NonFiniteDistance,
     OffsetsNotDecreasing,
     Overflow,
     ParseError,
@@ -49,6 +50,8 @@ class ClusteringInstance:
             raise DimensionMismatch(
                 f"dist has shape {self.dist.shape}, expected ({self.n}, {self.n})"
             )
+        if not np.all(np.isfinite(self.dist)):
+            raise NonFiniteDistance("dist holds NaN or infinite entries")
         if self.ground_truth is not None:
             self.ground_truth = np.asarray(self.ground_truth, dtype=int)
             if self.ground_truth.shape != (self.n,):

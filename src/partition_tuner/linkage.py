@@ -291,15 +291,9 @@ def _run(inst: ClusteringInstance, rule: MergeRule, record: bool, collector=None
         best = np.min(vals)
         cand = np.flatnonzero(vals == best)
         if cand.size > 1:
-            keys = []
-            for ci in cand:
-                i, j = ids[tri[0][ci]], ids[tri[1][ci]]
-                a, b = sorted((minleaf[i], minleaf[j]))
-                keys.append((a, b))
-            cand = cand[int(np.lexsort((
-                np.array([k[1] for k in keys]),
-                np.array([k[0] for k in keys]),
-            ))[0])]
+            li = minleaf[ids[tri[0][cand]]]
+            lj = minleaf[ids[tri[1][cand]]]
+            cand = cand[np.lexsort((np.maximum(li, lj), np.minimum(li, lj)))[0]]
         else:
             cand = cand[0]
         wi, wj = ids[tri[0][cand]], ids[tri[1][cand]]

@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, SigmaTooLargeForExact, UnknownFamily
+from .errors import DomainError, SigmaTooLargeForExact, SweepDiverged, UnknownFamily
 from .instances import ClusteringInstance
 from .linkage import MergeRule, MergeTree, _run, comparison_terms, selector_indices
 from .pruning_dp import (
@@ -42,10 +42,12 @@ class ExpSum:
     """f(x) = sum_i a_i * x^(j_i) * b_i^x with b_i > 0.
 
     Terms are (coeff, base) pairs or (coeff, base, degree) triples; plain
-    pairs mean degree 0.  Like terms are combined on construction.
+    pairs mean degree 0.  Like terms are combined on construction, and the
+    terms are kept sorted by (base, degree) with ln b computed once.
+    Scalars evaluate in ``math``; arrays take one ``exp`` per distinct base.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_logs")
 
     def __init__(self, terms):
         acc = {}
@@ -61,34 +63,72 @@ class ExpSum:
                 raise DomainError("bases must be positive")
             if j < 0:
                 raise DomainError("degrees must be nonnegative")
-            if a == 0.0:
-                continue
-            acc[(b, j)] = acc.get((b, j), 0.0) + float(a)
-        self.terms = tuple(
-            (a, b, j) for (b, j), a in sorted(acc.items()) if a != 0.0
-        )
+            _add_term(acc, float(a), b, j)
+        self._set(acc)
+
+    @classmethod
+    def _combined(cls, acc) -> "ExpSum":
+        """Build from a {(base, degree): coeff} dict of checked terms."""
+        f = cls.__new__(cls)
+        f._set(acc)
+        return f
+
+    def _set(self, acc):
+        self.terms = tuple((a, b, j) for (b, j), a in sorted(acc.items()) if a != 0.0)
+        self._logs = tuple(math.log(b) for _, b, _ in self.terms)
 
     def __call__(self, x):
+        if isinstance(x, (float, int)):
+            try:
+                return self._scalar(float(x))
+            except OverflowError:
+                pass  # the array path returns inf, as numpy does
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for a, b, j in self.terms:
-            t = a * np.exp(x * math.log(b))
+        if x.ndim == 0:
+            return float(self._array(x))
+        return self._array(x)
+
+    def _scalar(self, x: float) -> float:
+        s = 0.0
+        for (a, _, j), lb in zip(self.terms, self._logs):
+            t = a * math.exp(x * lb)
             if j:
                 t = t * x ** j
+            s = s + t
+        return s
+
+    def _array(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(x)
+        powers = [None, x]
+        last_lb = e = None
+        for (a, _, j), lb in zip(self.terms, self._logs):
+            if lb != last_lb:
+                e = np.exp(x * lb)
+                last_lb = lb
+            t = a * e
+            if j:
+                while len(powers) <= j:
+                    powers.append(powers[-1] * x)
+                t = t * powers[j]
             out = out + t
-        if out.ndim == 0:
-            return float(out)
         return out
 
     def derivative(self) -> "ExpSum":
-        new = []
+        acc = {}
+        for (a, b, j), lb in zip(self.terms, self._logs):
+            _add_term(acc, a * lb, b, j)
+            _add_term(acc, a * j, b, j - 1)
+        return ExpSum._combined(acc)
+
+    def _scaled(self) -> "ExpSum":
+        """f(x) / bmax^x: the same roots, with every base at most 1."""
+        bmax = self.terms[-1][1]
+        if bmax == 1.0:
+            return self
+        acc = {}
         for a, b, j in self.terms:
-            lb = math.log(b)
-            if lb != 0.0:
-                new.append((a * lb, b, j))
-            if j >= 1:
-                new.append((a * j, b, j - 1))
-        return ExpSum(new)
+            _add_term(acc, a, b / bmax, j)
+        return ExpSum._combined(acc)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -97,10 +137,15 @@ class ExpSum:
         return f"ExpSum({list(self.terms)})"
 
 
+def _add_term(acc, a, b, j):
+    if a != 0.0:
+        acc[(b, j)] = acc.get((b, j), 0.0) + a
+
+
 def _local_scale(f: ExpSum, x: float) -> float:
     s = 0.0
-    for a, b, j in f.terms:
-        t = abs(a) * math.exp(min(700.0, x * math.log(b)))
+    for (a, _, j), lb in zip(f.terms, f._logs):
+        t = abs(a) * math.exp(min(700.0, x * lb))
         if j:
             t *= abs(x) ** j
         s += t
@@ -137,13 +182,26 @@ def _poly_roots(terms, lo, hi):
     return [x for x in r if lo - ROOT_TOL <= x <= hi + ROOT_TOL]
 
 
+def _sign_changes(terms) -> int:
+    changes = 0
+    for s, t in zip(terms, terms[1:]):
+        if (s[0] > 0) != (t[0] > 0):
+            changes += 1
+    return changes
+
+
 def find_roots(f: ExpSum, lo: float, hi: float, tol: float = ROOT_TOL):
     """All real roots of f in [lo, hi], or the IDENTICALLY_ZERO sentinel.
 
     Bases are first divided out by the largest one (roots are unchanged since
-    b^x > 0); if every term then has base 1 the problem is polynomial,
-    otherwise the interval is split at the derivative's roots, computed
-    recursively, leaving at most one sign change per piece.  Each
+    b^x > 0); if every term then has base 1 the problem is polynomial.
+    A sum of pure exponentials (every degree 0) is screened first by
+    Laguerre's extension of Descartes' rule of signs (Polya-Szego, Problems
+    and Theorems in Analysis II, Part V): it has at most as many real roots
+    as there are sign changes in its coefficients ordered by base, so no
+    change means no root.  Otherwise the interval is split at the
+    derivative's roots, computed recursively, leaving at most one sign
+    change per piece.  Each
     differentiation removes the base-1 group's top degree, so the recursion
     terminates within sum(degree + 1) steps.
     """
@@ -165,14 +223,16 @@ def find_roots(f: ExpSum, lo: float, hi: float, tol: float = ROOT_TOL):
 def _roots_rec(f: ExpSum, lo: float, hi: float, tol: float):
     if f.is_zero():
         return IDENTICALLY_ZERO
-    bmax = max(b for _, b, _ in f.terms)
-    g = ExpSum([(a, b / bmax, j) for a, b, j in f.terms])
+    g = f._scaled()
     if g.is_zero():
         return IDENTICALLY_ZERO
     if all(b == 1.0 for _, b, j in g.terms):
         if all(j == 0 for _, _, j in g.terms):
             return []  # nonzero constant
         return _poly_roots(g.terms, lo, hi)
+
+    if all(j == 0 for _, _, j in g.terms) and _sign_changes(g.terms) == 0:
+        return []
 
     crit = _roots_rec(g.derivative(), lo, hi, tol)
     if crit is IDENTICALLY_ZERO:
@@ -250,7 +310,7 @@ def _lazy_sweep(lo, hi, run, solve):
 
     def refine(a, b, depth):
         if depth > 80:
-            raise RuntimeError("sweep refinement failed to converge")
+            raise SweepDiverged("sweep refinement failed to converge")
         mid = 0.5 * (a + b)
         fp, val, eqs = run(mid)
         guard = 1e-12 * max(1.0, abs(a), abs(b))
@@ -329,8 +389,13 @@ def _make_collector(family, sigma, eqs):
             wmax = maxD[wi, wj]
             ii = ids[tri[0]]
             jj = ids[tri[1]]
-            rows = np.unique(np.column_stack([minD[ii, jj], maxD[ii, jj]]), axis=0)
-            for cmin, cmax in rows:
+            # one complex key per candidate, (min, max) as (real, imag),
+            # sorts and deduplicates like the rows it stands for
+            keys = np.empty(ii.size, dtype=complex)
+            keys.real = minD[ii, jj]
+            keys.imag = maxD[ii, jj]
+            keys = np.unique(keys)
+            for cmin, cmax in zip(keys.real, keys.imag):
                 if cmin == wmin and cmax == wmax:
                     continue
                 eqs.add(

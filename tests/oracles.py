@@ -244,3 +244,169 @@ def pair_counting_reference(la, lb):
             if same_a != same_b:
                 disagree += 1
     return disagree / (n * (n - 1) / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# unscreened root solver
+
+
+class ReferenceExpSum:
+    """Plain exponential sum: numpy evaluation of every term, and a new
+    object for every derivative and every division by the largest base."""
+
+    def __init__(self, terms):
+        acc = {}
+        for t in terms:
+            a, b, j = t if len(t) == 3 else (t[0], t[1], 0)
+            if a == 0.0:
+                continue
+            acc[(float(b), int(j))] = acc.get((float(b), int(j)), 0.0) + float(a)
+        self.terms = tuple(
+            (a, b, j) for (b, j), a in sorted(acc.items()) if a != 0.0
+        )
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        for a, b, j in self.terms:
+            t = a * np.exp(x * math.log(b))
+            if j:
+                t = t * x ** j
+            out = out + t
+        if out.ndim == 0:
+            return float(out)
+        return out
+
+    def derivative(self):
+        new = []
+        for a, b, j in self.terms:
+            lb = math.log(b)
+            if lb != 0.0:
+                new.append((a * lb, b, j))
+            if j >= 1:
+                new.append((a * j, b, j - 1))
+        return ReferenceExpSum(new)
+
+    def is_zero(self):
+        return not self.terms
+
+
+REF_ROOT_TOL = 1e-10
+REF_MERGE_TOL = 1e-9
+REF_ZERO = "identically_zero"
+
+
+def _ref_local_scale(f, x):
+    s = 0.0
+    for a, b, j in f.terms:
+        t = abs(a) * math.exp(min(700.0, x * math.log(b)))
+        if j:
+            t *= abs(x) ** j
+        s += t
+    return max(s, 1e-300)
+
+
+def _ref_bisect(f, lo, hi, flo, tol):
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol:
+            return mid
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _ref_poly_roots(terms, lo, hi):
+    deg = max(j for _, _, j in terms)
+    coef = np.zeros(deg + 1)
+    for a, _, j in terms:
+        coef[deg - j] += a
+    if deg == 0:
+        return []
+    if deg == 1:
+        r = [-coef[1] / coef[0]]
+    else:
+        rr = np.roots(coef)
+        r = [float(z.real) for z in rr if abs(z.imag) <= 1e-9 * (1.0 + abs(z.real))]
+    return [x for x in r if lo - REF_ROOT_TOL <= x <= hi + REF_ROOT_TOL]
+
+
+def reference_find_roots(terms, lo, hi, tol=REF_ROOT_TOL):
+    """Roots of sum a * x^j * b^x over [lo, hi] by plain derivative recursion:
+    divide out the largest base, find the derivative's roots, bisect every
+    piece whose ends differ in sign.  Returns REF_ZERO for the zero sum."""
+    f = ReferenceExpSum(terms)
+    if f.is_zero():
+        return REF_ZERO
+    roots = _ref_roots_rec(f, float(lo), float(hi), tol)
+    if roots is REF_ZERO:
+        return REF_ZERO
+    out = []
+    for x in sorted(roots):
+        if not out or x - out[-1] > REF_MERGE_TOL:
+            out.append(x)
+    return out
+
+
+def _ref_roots_rec(f, lo, hi, tol):
+    if f.is_zero():
+        return REF_ZERO
+    bmax = max(b for _, b, _ in f.terms)
+    g = ReferenceExpSum([(a, b / bmax, j) for a, b, j in f.terms])
+    if g.is_zero():
+        return REF_ZERO
+    if all(b == 1.0 for _, b, j in g.terms):
+        if all(j == 0 for _, _, j in g.terms):
+            return []
+        return _ref_poly_roots(g.terms, lo, hi)
+    crit = _ref_roots_rec(g.derivative(), lo, hi, tol)
+    if crit is REF_ZERO:
+        mid = 0.5 * (lo + hi)
+        if abs(g(mid)) <= 1e-12 * _ref_local_scale(g, mid):
+            return REF_ZERO
+        return []
+    pts = [lo] + sorted(c for c in crit if lo < c < hi) + [hi]
+    vals = [g(x) for x in pts]
+    roots = []
+    for i, (x, v) in enumerate(zip(pts, vals)):
+        if abs(v) <= 1e-12 * _ref_local_scale(g, x):
+            roots.append(x)
+            vals[i] = 0.0
+    for i in range(len(pts) - 1):
+        a, b = pts[i], pts[i + 1]
+        fa, fb = vals[i], vals[i + 1]
+        if fa == 0.0 or fb == 0.0:
+            continue
+        if (fa > 0) != (fb > 0):
+            roots.append(_ref_bisect(g, a, b, fa, tol))
+    return roots
+
+
+# ---------------------------------------------------------------------------
+# minmax comparison collector
+
+
+def reference_minmax_collector(family, eqs):
+    """Collector for linkage._run that deduplicates each step's candidate
+    (min, max) rows with np.unique(axis=0), the way the sweep first did."""
+    from partition_tuner.linkage import comparison_terms
+    from partition_tuner.param_search import _canon_terms
+
+    def cb(step, winner, ids, tri, minD, maxD, cnt, distinct):
+        wi, wj = winner
+        wmin = minD[wi, wj]
+        wmax = maxD[wi, wj]
+        ii = ids[tri[0]]
+        jj = ids[tri[1]]
+        rows = np.unique(np.column_stack([minD[ii, jj], maxD[ii, jj]]), axis=0)
+        for cmin, cmax in rows:
+            if cmin == wmin and cmax == wmax:
+                continue
+            eqs.add(_canon_terms(comparison_terms(family, wmin, wmax, cmin, cmax)))
+
+    return cb

@@ -8,7 +8,14 @@ import subprocess
 import numpy as np
 import pytest
 
-from partition_tuner import load_embedding, load_fixture, load_instance, save_instance
+from partition_tuner import (
+    SweepDiverged,
+    load_embedding,
+    load_fixture,
+    load_instance,
+    param_search,
+    save_instance,
+)
 from partition_tuner.cli import main
 from conftest import euclidean_instance
 
@@ -84,6 +91,26 @@ def test_corrupt_schema_exits_two(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text(json.dumps({"schema": "other/9", "rows": []}))
     assert main(["validate", "--instances", str(path)]) == 2
+
+
+def test_non_finite_distance_exits_two(tmp_path):
+    D = (np.ones((4, 4)) - np.eye(4)).tolist()
+    D[1][3] = D[3][1] = math.nan
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"schema": "partition-tuner/1", "type": "clustering",
+                                "n": 4, "dist": D}))
+    assert main(["tree", "--instances", str(path), "--family", "convex",
+                 "--alpha", "0.3"]) == 2
+
+
+def test_diverging_sweep_exits_three(points_path, monkeypatch):
+    def diverge(lo, hi, run, solve):
+        raise SweepDiverged("sweep refinement failed to converge")
+
+    monkeypatch.setattr(param_search, "_lazy_sweep", diverge)
+    rc = main(["sweep-alpha", "--instances", points_path, "--family", "convex",
+               "--range", "0,1", "--k", "2"])
+    assert rc == 3
 
 
 # ---------------------------------------------------------------------------

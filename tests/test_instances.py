@@ -13,6 +13,7 @@ from partition_tuner import (
     DimensionMismatch,
     Embedding,
     InconsistentMetric,
+    NonFiniteDistance,
     OffsetsNotDecreasing,
     ParseError,
     UnknownFamily,
@@ -303,3 +304,11 @@ def test_embedding_shape_checked():
 def test_instance_shape_checked():
     with pytest.raises(DimensionMismatch):
         ClusteringInstance(n=3, dist=np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_instance_rejects_non_finite_distances(bad):
+    D = np.ones((3, 3)) - np.eye(3)
+    D[0, 2] = D[2, 0] = bad
+    with pytest.raises(NonFiniteDistance):
+        ClusteringInstance(n=3, dist=D)

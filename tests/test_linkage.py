@@ -13,15 +13,19 @@ from partition_tuner import (
     MergeRule,
     UnknownFamily,
     build_tree,
+    gen_two_gadget,
     record_comparisons,
     rule_value,
     selector_indices,
 )
+from partition_tuner.linkage import _run
+from partition_tuner.param_search import _make_collector
 from conftest import euclidean_instance
 from oracles import (
     merge_value,
     naive_linkage,
     naive_linkage_sequence,
+    reference_minmax_collector,
     tree_merge_sequence,
 )
 
@@ -224,3 +228,57 @@ def test_recorded_comparisons_name_real_candidates():
         slope_const = cmp_.terms(rule)
         val = sum(c * rule.alpha ** j for c, _, j in slope_const)
         assert val <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# tie-heavy inputs
+
+
+def _integer_instance(rng, n, top):
+    D = rng.integers(1, top + 1, size=(n, n)).astype(float)
+    D = np.triu(D, 1)
+    return ClusteringInstance(n=n, dist=D + D.T)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_tie_heavy_merge_sequence_matches_naive_scan(alpha):
+    rng = np.random.default_rng(int(alpha * 10) + 17)
+    rule = MergeRule("convex_minmax", alpha)
+    for trial in range(12):
+        inst = _integer_instance(rng, int(rng.integers(4, 12)), int(rng.integers(2, 5)))
+        _, want = naive_linkage_sequence(inst, rule)
+        assert tree_merge_sequence(build_tree(inst, rule)) == want, (trial, inst.dist)
+
+
+def _collected_pair(inst, rule):
+    got, want = set(), set()
+    cb = _make_collector(rule.family, None, got)
+    ref = reference_minmax_collector(rule.family, want)
+
+    def both(*args):
+        cb(*args)
+        ref(*args)
+
+    _run(inst, rule, record=False, collector=both)
+    return got, want
+
+
+def test_minmax_collector_matches_row_unique_reference_on_gadget():
+    inst, _ = gen_two_gadget(0.4, "convex_minmax")
+    got, want = _collected_pair(inst, MergeRule("convex_minmax", 0.4))
+    assert got == want
+    assert len(got) > 1
+
+
+@pytest.mark.parametrize("family,alpha", [("convex_minmax", 0.3), ("power_minmax", 1.7),
+                                          ("power_minmax", -0.8)])
+def test_minmax_collector_matches_row_unique_reference_on_random(family, alpha):
+    rng = np.random.default_rng(2024)
+    for trial in range(6):
+        n = int(rng.integers(4, 16))
+        if trial % 2:
+            inst = _integer_instance(rng, n, 4)
+        else:
+            inst = euclidean_instance(rng, n)
+        got, want = _collected_pair(inst, MergeRule(family, alpha))
+        assert got == want

@@ -15,6 +15,7 @@ from partition_tuner import (
     Objective,
     PruningRule,
     SigmaTooLargeForExact,
+    SweepDiverged,
     UnknownFamily,
     best_k_pruning,
     build_tree,
@@ -22,6 +23,7 @@ from partition_tuner import (
     erm_joint,
     erm_sigma_linear,
     find_roots,
+    gen_general_lb,
     gen_oscillation,
     objective_value,
     pdim_table,
@@ -29,8 +31,10 @@ from partition_tuner import (
     sweep_alpha,
     sweep_p,
 )
+from partition_tuner import param_search
+from partition_tuner.param_search import BREAK_MERGE_TOL
 from conftest import euclidean_instance
-from oracles import grid_joint_min, random_instance
+from oracles import REF_ZERO, grid_joint_min, random_instance, reference_find_roots
 
 
 def _pipeline_cost(instances, family, alpha, k, rule, obj, sigma=None, weights=None):
@@ -138,6 +142,69 @@ def test_find_roots_accuracy_property(bases, coeffs):
     for r in roots:
         scale = sum(abs(a) * b ** r for a, b, _ in f.terms)
         assert abs(f(r)) <= 1e-7 * max(scale, 1e-12)
+
+
+# the solver against its unscreened reference
+
+_BASES = [0.5, 1.0, 1.1, 1.2, 2.0]
+_coeff = st.one_of(
+    st.integers(-6, 6).filter(bool).map(float),
+    st.floats(1e-3, 2.0) | st.floats(-2.0, -1e-3),
+)
+_base = st.one_of(st.sampled_from(_BASES), st.floats(-1.5, 1.5).map(math.exp))
+
+
+def _same_roots(terms, lo, hi):
+    got = find_roots(ExpSum(terms), lo, hi)
+    want = reference_find_roots(terms, lo, hi)
+    if want == REF_ZERO:
+        assert got is IDENTICALLY_ZERO
+    else:
+        assert got == want
+
+
+@given(terms=st.lists(st.tuples(_coeff, _base), min_size=1, max_size=7),
+       lo=st.floats(-6.0, 0.0), width=st.floats(0.5, 8.0))
+@settings(max_examples=400, deadline=None)
+def test_screened_solver_matches_reference_on_exponential_sums(terms, lo, width):
+    _same_roots(terms, lo, lo + width)
+
+
+@given(terms=st.lists(st.tuples(_coeff, _base, st.integers(0, 3)), min_size=1, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_screened_solver_matches_reference_on_mixed_degrees(terms):
+    _same_roots(terms, -3.0, 3.0)
+
+
+def test_screened_solver_matches_reference_on_drawn_sums():
+    # draws shaped like the bulk property suite's
+    rng = np.random.default_rng(4321)
+    for _ in range(400):
+        terms = []
+        for _ in range(int(rng.integers(1, 6))):
+            coeff = float(rng.uniform(-2.0, 2.0)) or 0.7
+            base = (float(rng.choice(_BASES)) if rng.random() < 0.4
+                    else float(np.exp(rng.uniform(-1.5, 1.5))))
+            terms.append((coeff, base, int(rng.integers(0, 4))))
+        _same_roots(terms, -3.0, 3.0)
+
+
+@given(terms=st.lists(st.tuples(_coeff, _base, st.integers(0, 3)), min_size=1, max_size=6),
+       xs=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_expsum_scalar_and_array_paths_agree(terms, xs):
+    f = ExpSum(terms)
+    arr = f(np.asarray(xs))
+    for x, v in zip(xs, arr):
+        scale = sum(abs(a) * b ** x * abs(x) ** j for a, b, j in f.terms)
+        assert abs(f(x) - v) <= 1e-12 * scale
+
+
+def test_expsum_scalar_overflow_returns_inf():
+    with np.errstate(over="ignore"):
+        assert ExpSum([(1.0, 10.0)])(400.0) == math.inf
+        assert ExpSum([(2.0, 1.0, 200)])(1e10) == math.inf
+        assert ExpSum([(-1.0, 10.0, 1)])(400.0) == -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -389,3 +456,32 @@ def test_pdim_table_errors():
         pdim_table("sigma_linear", 8)
     with pytest.raises(UnknownFamily):
         pdim_table("ward", 8)
+
+
+@pytest.mark.parametrize("rounds,cells", [(4, 16), (5, 32), (6, 64)])
+def test_general_lb_sweep_keeps_every_cell_above_merge_tolerance(rounds, cells):
+    inst, _ = gen_general_lb(rounds)
+    prof = sweep_alpha([inst], "power_average", (1.0, 3.0), 2,
+                       PruningRule(p=1.0), Objective(kind="phi_p", p=1.0))
+    assert len(prof) == cells
+    assert len(set(prof.payloads)) == cells
+    gaps = np.diff(prof.breakpoints[1:-1])
+    assert gaps.min() > BREAK_MERGE_TOL
+
+
+def test_sweep_that_never_settles_raises_typed_error():
+    # every run reports a root near the right end of its own cell, so the
+    # left piece is refined again and again
+    bounds = [0.0, 1.0]
+
+    def run(mid):
+        return mid, 0.0, [mid]
+
+    def solve(mid):
+        a = max(x for x in bounds if x < mid)
+        b = min(x for x in bounds if x > mid)
+        bounds.append(a + 0.9 * (b - a))
+        return [bounds[-1]]
+
+    with pytest.raises(SweepDiverged):
+        param_search._lazy_sweep(0.0, 1.0, run, solve)
