@@ -19,6 +19,7 @@ from .errors import (
     KTooLarge,
     MissingGroundTruth,
     NonFiniteDistance,
+    NonFiniteValue,
     NonNullDiagonal,
     NumericError,
     OffsetsNotDecreasing,

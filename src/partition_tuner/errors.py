@@ -41,6 +41,10 @@ class NonFiniteDistance(DataError):
     """A distance matrix holds NaN or an infinite entry."""
 
 
+class NonFiniteValue(DataError):
+    """A coefficient matrix, embedding or projection holds NaN or an infinite entry."""
+
+
 class MissingGroundTruth(DataError):
     """Objective requires ground-truth labels the instance does not carry."""
 

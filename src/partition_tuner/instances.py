@@ -19,6 +19,7 @@ from .errors import (
     Disconnected,
     InconsistentMetric,
     NonFiniteDistance,
+    NonFiniteValue,
     OffsetsNotDecreasing,
     Overflow,
     ParseError,
@@ -79,6 +80,8 @@ class MaxQPInstance:
             )
         if self.origin not in ("generic", "maxcut"):
             raise ParseError(f"unknown origin {self.origin!r}")
+        if not np.all(np.isfinite(self.matrix)):
+            raise NonFiniteValue("matrix holds NaN or infinite entries")
         if np.any(np.diag(self.matrix) < 0):
             raise ParseError("matrix diagonal must be nonnegative")
 
@@ -97,6 +100,8 @@ class Embedding:
             raise DimensionMismatch(
                 f"vectors have shape {self.vectors.shape}, expected ({self.n}, {self.d})"
             )
+        if not np.all(np.isfinite(self.vectors)):
+            raise NonFiniteValue("vectors hold NaN or infinite entries")
 
 
 @dataclass

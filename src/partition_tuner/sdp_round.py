@@ -9,10 +9,11 @@ empirical maximization can enumerate the pieces instead of gridding.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .errors import (
     ClassTooLarge,
     DimensionMismatch,
     DomainError,
+    NonFiniteValue,
     NonNullDiagonal,
 )
 from .instances import Embedding, MaxQPInstance
@@ -124,12 +126,140 @@ class RoundingErmResult:
 
 
 def _merge_sorted(vals) -> List[float]:
-    vals = sorted(v for v in vals if v > 0)
+    vals = sorted(float(v) for v in vals if v > 0)
     out: List[float] = []
     for v in vals:
         if not out or v - out[-1] > _THRESH_MERGE:
             out.append(v)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the piece-walker shared by the exact ERMs
+
+
+class _Block:
+    """The samples of an ERM that share one instance object.
+
+    The instance's matrix M (off-diagonal weights for max-cut, the
+    coefficient matrix otherwise) is built once for all of them, and their
+    per-sample arrays are stacked into the rows of data.  For each tracked
+    assignment X (one row per sample) the block keeps the product X @ M and,
+    for each registered pair (t, s), the row forms x_t M x_s.  Consecutive
+    pieces differ in few coordinates, so change() updates a product only
+    through the entries it sets.
+    """
+
+    def __init__(self, inst: MaxQPInstance):
+        A = inst.matrix
+        self.maxcut = inst.origin == "maxcut"
+        # the cut form ignores the diagonal; most graphs have none to drop
+        self.M = A - np.diag(np.diag(A)) if self.maxcut and np.diag(A).any() else A
+        self.weight = float(self.M.sum()) if self.maxcut else 0.0
+        self.data: list = []
+
+    def track(self, count: int, pairs) -> None:
+        shape = self.data[0].shape
+        self.X = [np.zeros(shape) for _ in range(count)]
+        self.P = [np.zeros(shape) for _ in range(count)]
+        self.forms = {pair: np.zeros(shape[0]) for pair in pairs}
+
+    def change(self, t: int, rows: np.ndarray, cols: np.ndarray, values) -> np.ndarray:
+        """Set X[t][rows, cols] = values; returns the rows touched.
+
+        The product follows entry by entry through the matching rows of M,
+        in batches of as many entries as the block has samples, so the
+        scratch never outgrows a (samples, n) array.
+        """
+        X, P = self.X[t], self.P[t]
+        delta = values - X[rows, cols]
+        X[rows, cols] = values
+        step = len(X)
+        for lo in range(0, rows.size, step):
+            part = slice(lo, lo + step)
+            np.add.at(P, rows[part], delta[part, None] * self.M[cols[part]])
+        return rows
+
+    def move(self, t: int, X: np.ndarray) -> np.ndarray:
+        """Make assignment t equal X; returns the rows touched."""
+        rows, cols = np.nonzero(X != self.X[t])
+        return self.change(t, rows, cols, X[rows, cols])
+
+    def refresh(self, rows: np.ndarray) -> None:
+        """Recompute the registered row forms on the given rows."""
+        if rows.size >= len(self.X[0]):  # as cheap, and no repeated rows
+            rows = slice(None)
+        for (t, s), form in self.forms.items():
+            # not einsum: its kernels page in 0.1 MiB of otherwise unused code
+            form[rows] = (self.P[t][rows] * self.X[s][rows]).sum(axis=1)
+
+    def form(self, t: int, s: int) -> float:
+        """Sum over the block's samples of x_t M x_s."""
+        return float(self.forms[(t, s)].sum())
+
+    def value(self) -> float:
+        """Summed value of the block's samples at assignment 0."""
+        q = self.form(0, 0)
+        if self.maxcut:
+            return (len(self.X[0]) * self.weight - q) / 4.0
+        return q
+
+
+def _blocks(samples: Sequence[tuple], arrays, tracks: int, pairs) -> dict:
+    """Group samples by instance object and stack arrays(sample) per block.
+
+    arrays returns one or more equal-length vectors per sample; a block's
+    data then hold a (samples, n) array for each of them.  The blocks are
+    keyed by id() of their instance.
+    """
+    if not samples:
+        raise DomainError("need at least one sample")
+    blocks = {}
+    for sample in samples:
+        inst, emb = sample[0], sample[1]
+        if emb.n != inst.n:
+            raise DimensionMismatch(
+                f"embedding has {emb.n} points, instance has {inst.n}"
+            )
+        blk = blocks.get(id(inst))
+        if blk is None:
+            blk = blocks[id(inst)] = _Block(inst)
+        blk.data.append(arrays(sample))
+    for blk in blocks.values():
+        blk.data = [np.array(col) for col in zip(*blk.data)]
+        if not all(np.isfinite(col).all() for col in blk.data):
+            raise NonFiniteValue("projections hold NaN or infinite entries")
+        blk.track(tracks, pairs)
+    return blocks
+
+
+# ---------------------------------------------------------------------------
+# s-linear ERM
+
+
+def _slin_terms(blk: _Block, count: int, uu: float, uv: float, vv: float):
+    """Summed (a, b, c) of count samples of blk from their forms u M u,
+    u M v and v M v, where x = u / s + v."""
+    if blk.maxcut:
+        return -0.25 * uu, -0.5 * uv, count * blk.weight / 4.0 - 0.25 * vv
+    return uu, 2.0 * uv, vv
+
+
+def _direct_coeffs(samples: Sequence[tuple], blocks: dict, clamp_at: float):
+    """Mean-value coefficients (a, b, c) of one clamp-linear piece, summed
+    sample by sample from the full quadratic forms of u and v."""
+    a = b = c = 0.0
+    for inst, emb, z in samples:
+        y = _projections(emb, z)
+        clamped = np.abs(y) >= clamp_at
+        u = np.where(clamped, 0.0, y)
+        v = np.where(clamped, np.sign(y), 0.0)
+        blk = blocks[id(inst)]
+        W = blk.M
+        da, db, dc = _slin_terms(blk, 1, u @ W @ u, u @ W @ v, v @ W @ v)
+        a, b, c = a + da, b + db, c + dc
+    m = len(samples)
+    return float(a / m), float(b / m), float(c / m)
 
 
 def slin_erm(samples: Sequence[tuple]) -> RoundingErmResult:
@@ -139,44 +269,68 @@ def slin_erm(samples: Sequence[tuple]) -> RoundingErmResult:
     an interval between consecutive pooled |<u_i, z>| magnitudes is exactly
     a/s^2 + b/s + c, so each piece is maximized in closed form (endpoints,
     plus the interior critical point s* = -2a/b when it lies inside).
+    From one piece to the next only the coordinates at the threshold change
+    between clamped and linear, so the coefficients come from kept products
+    of the linear part u and the clamped part v with the instance matrix.
+    A winning interior critical point is recomputed from direct per-sample
+    sums, so it does not carry the rounding the kept products accumulate.
     """
-    if not samples:
-        raise DomainError("need at least one sample")
-    ys = [_projections(emb, z) for _, emb, z in samples]
-    thresholds = _merge_sorted(abs(v) for y in ys for v in y)
+    def parts(sample):
+        y = _projections(sample[1], sample[2])
+        return y, np.sign(y)
+
+    # track 0 is the linear part u, track 1 the clamped part v
+    by_inst = _blocks(samples, parts, tracks=2, pairs=[(0, 0), (0, 1), (1, 1)])
+    blocks = list(by_inst.values())
+    thresholds = _merge_sorted(v for blk in blocks for v in np.abs(blk.data[0]).ravel())
     m = len(samples)
 
     if not thresholds:
-        val = sum(_value(inst, np.zeros(inst.n)) for inst, _, _ in samples) / m
+        val = _direct_coeffs(samples, by_inst, math.inf)[2]
         return RoundingErmResult(1.0, val, [], [val])
 
-    def coeffs(clamp_at: float):
-        """Mean-value coefficients (a, b, c) valid while s < clamp_at bounds
-        the unclamped set as {|y| < clamp_at}."""
+    # On piece i a coordinate is clamped while |y| >= thresholds[i], so it
+    # turns linear at piece k = #{t in thresholds : t <= |y|}; one sorted
+    # search schedules every coordinate's change.  Only y = 0 has k = 0.
+    # Python's bisect and sort take about 2 ms longer than numpy's
+    # searchsorted and stable argsort for 2000 entries, 1-2% of a slin
+    # call; the numpy kernels would page in about 0.2 MiB of library code
+    # that nothing else on the rounding path uses, which counts in the
+    # process's peak resident memory.
+    schedule = []
+    for blk in blocks:
+        y, sign = blk.data
+        k = [bisect.bisect_right(thresholds, a) for a in np.abs(y).ravel().tolist()]
+        order = sorted(range(len(k)), key=k.__getitem__)
+        k.sort()
+        starts = [bisect.bisect_left(k, i) for i in range(len(thresholds) + 2)]
+        rows, cols = np.divmod(np.array(order, dtype=np.intp), y.shape[1])
+        clamped = slice(starts[1], None)
+        blk.refresh(blk.change(1, rows[clamped], cols[clamped],
+                               sign[rows[clamped], cols[clamped]]))
+        schedule.append((rows, cols, starts))
+
+    def coeffs(i: int):
+        """Mean-value coefficients (a, b, c) on piece i, whose upper bound
+        leaves {|y| < bounds[i + 1]} unclamped."""
         a = b = c = 0.0
-        for (inst, _, _), y in zip(samples, ys):
-            clamped = np.abs(y) >= clamp_at
-            u = np.where(clamped, 0.0, y)
-            v = np.where(clamped, np.sign(y), 0.0)
-            A = inst.matrix
-            if inst.origin == "maxcut":
-                W = A - np.diag(np.diag(A))
-                a += -0.25 * (u @ W @ u)
-                b += -0.5 * (u @ W @ v)
-                c += W.sum() / 4.0 - 0.25 * (v @ W @ v)
-            else:
-                a += u @ A @ u
-                b += 2.0 * (u @ A @ v)
-                c += v @ A @ v
+        for blk, (rows, cols, starts) in zip(blocks, schedule):
+            r, cc = rows[starts[i] : starts[i + 1]], cols[starts[i] : starts[i + 1]]
+            if i > 0 and r.size:
+                blk.change(0, r, cc, blk.data[0][r, cc])
+                blk.refresh(blk.change(1, r, cc, 0.0))
+            da, db, dc = _slin_terms(
+                blk, len(blk.X[0]), blk.form(0, 0), blk.form(0, 1), blk.form(1, 1)
+            )
+            a, b, c = a + da, b + db, c + dc
         return a / m, b / m, c / m
 
-    candidates: List[Tuple[float, float]] = []  # (s, value)
+    best_s, best_v, best_i = math.nan, -math.inf, 0
     interval_values: List[float] = []
     bounds = [0.0] + thresholds + [math.inf]
     for i in range(len(bounds) - 1):
         lo, hi = bounds[i], bounds[i + 1]
-        clamp_at = hi if math.isfinite(hi) else math.inf
-        a, b, c = coeffs(clamp_at)
+        a, b, c = coeffs(i)
 
         def val(s):
             return a / (s * s) + b / s + c
@@ -192,21 +346,33 @@ def slin_erm(samples: Sequence[tuple]) -> RoundingErmResult:
             s_star = -2.0 * a / b
             if lo < s_star < hi:
                 probes.append(s_star)
-        if not probes:
-            probes.append(hi / 2.0 if math.isfinite(hi) else 1.0)
-        vals = [(s, val(s)) for s in probes]
-        interval_values.append(max(v for _, v in vals))
-        candidates.extend(vals)
+        vals = [val(s) for s in probes]
+        interval_values.append(max(vals))
+        for s, v in zip(probes, vals):
+            if v > best_v + 1e-15 or (abs(v - best_v) <= 1e-15 and s < best_s):
+                best_s, best_v, best_i = s, v, i
 
-    best_s, best_v = candidates[0]
-    for s, v in candidates[1:]:
-        if v > best_v + 1e-15 or (abs(v - best_v) <= 1e-15 and s < best_s):
-            best_s, best_v = s, v
+    lo, hi = bounds[best_i], bounds[best_i + 1]
+    if lo < best_s < hi and math.isfinite(hi):
+        a, b, c = _direct_coeffs(samples, by_inst, hi)
+        if b != 0.0 and lo < -2.0 * a / b < hi:
+            best_s = -2.0 * a / b
+            best_v = a / (best_s * best_s) + b / best_s + c
     return RoundingErmResult(best_s, best_v, thresholds, interval_values)
 
 
 # ---------------------------------------------------------------------------
 # outward rotation: blend the embedding with fresh coordinates
+
+
+def _rotation_parts(emb: Embedding, z2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The embedding part <u_i, z_head> and the fresh part z_tail of z2."""
+    z2 = np.asarray(z2, dtype=float)
+    if z2.shape != (emb.d + emb.n,):
+        raise DimensionMismatch(
+            f"rotation projection needs dimension {emb.d + emb.n}, got {z2.shape}"
+        )
+    return emb.vectors @ z2[: emb.d], z2[emb.d :]
 
 
 def owr_value(inst: MaxQPInstance, emb: Embedding, z2: np.ndarray, gamma: float) -> float:
@@ -219,14 +385,19 @@ def owr_value(inst: MaxQPInstance, emb: Embedding, z2: np.ndarray, gamma: float)
     """
     if not 0.0 <= gamma <= math.pi / 2:
         raise DomainError("gamma must lie in [0, pi/2]")
-    z2 = np.asarray(z2, dtype=float)
-    if z2.shape != (emb.d + emb.n,):
-        raise DimensionMismatch(
-            f"rotation projection needs dimension {emb.d + emb.n}, got {z2.shape}"
-        )
-    proj = math.cos(gamma) * (emb.vectors @ z2[: emb.d]) + math.sin(gamma) * z2[emb.d :]
+    head, tail = _rotation_parts(emb, z2)
+    proj = math.cos(gamma) * head + math.sin(gamma) * tail
     x = np.where(proj >= 0.0, 1.0, -1.0)
     return _value(inst, x)
+
+
+def _mean_sign_value(blocks: Iterable[_Block], m: int, assign) -> float:
+    """Mean value over all samples of the +-1 assignment assign(block)."""
+    total = 0.0
+    for blk in blocks:
+        blk.refresh(blk.move(0, np.where(assign(blk) >= 0.0, 1.0, -1.0)))
+        total += blk.value()
+    return total / m
 
 
 def owr_erm(samples: Sequence[tuple]) -> RoundingErmResult:
@@ -235,19 +406,17 @@ def owr_erm(samples: Sequence[tuple]) -> RoundingErmResult:
     samples: (instance, embedding, z2) triples.  Each coordinate's sign
     flips at most once, at gamma = arctan(-head_i / tail_i) when the two
     parts disagree in sign, so the mean value is piecewise constant; one
-    midpoint per interval plus the right endpoint covers all pieces.
+    midpoint per interval plus the right endpoint covers all pieces.  Each
+    probe's value comes from kept products updated through the flipped signs.
     """
-    if not samples:
-        raise DomainError("need at least one sample")
+    blocks = _blocks(samples, lambda s: _rotation_parts(*s[1:]), 1, [(0, 0)]).values()
     cuts = set()
-    for _, emb, z2 in samples:
-        z2 = np.asarray(z2, dtype=float)
-        head = emb.vectors @ z2[: emb.d]
-        tail = z2[emb.d :]
-        mask = head * tail < 0
-        for g in np.arctan(-head[mask] / tail[mask]):
-            if 0.0 < g < math.pi / 2:
-                cuts.add(float(g))
+    for blk in blocks:
+        for head, tail in zip(*blk.data):
+            mask = head * tail < 0
+            for g in np.arctan(-head[mask] / tail[mask]):
+                if 0.0 < g < math.pi / 2:
+                    cuts.add(float(g))
     thresholds = _merge_sorted(cuts)
     bounds = [0.0] + thresholds + [math.pi / 2]
     probes = [0.5 * (bounds[i] + bounds[i + 1]) for i in range(len(bounds) - 1)]
@@ -257,7 +426,8 @@ def owr_erm(samples: Sequence[tuple]) -> RoundingErmResult:
     interval_values = []
     best = None
     for g in probes:
-        v = sum(owr_value(inst, emb, z2, g) for inst, emb, z2 in samples) / m
+        cg, sg = math.cos(g), math.sin(g)
+        v = _mean_sign_value(blocks, m, lambda blk: cg * blk.data[0] + sg * blk.data[1])
         interval_values.append(v)
         if best is None or v > best[1] + 1e-15:
             best = (g, v)
@@ -268,16 +438,22 @@ def owr_erm(samples: Sequence[tuple]) -> RoundingErmResult:
 # random projection, randomized threshold
 
 
+def _threshold_parts(emb: Embedding, z: np.ndarray, q: np.ndarray):
+    """The projections <u_i, z> and the thresholds q, checked to match."""
+    y = _projections(emb, z)
+    q = np.asarray(q, dtype=float)
+    if q.shape != y.shape:
+        raise DimensionMismatch("threshold vector must have one entry per point")
+    return y, q
+
+
 def rprt_assign(
     inst: MaxQPInstance, emb: Embedding, z: np.ndarray, q: np.ndarray, s: float
 ) -> np.ndarray:
     """Binary assignment x_i = sign(q_i - s <u_i, z>), sign(0) = +1."""
     if s < 0:
         raise DomainError("s must be nonnegative")
-    y = _projections(emb, z)
-    q = np.asarray(q, dtype=float)
-    if q.shape != y.shape:
-        raise DimensionMismatch("threshold vector must have one entry per point")
+    y, q = _threshold_parts(emb, z, q)
     return np.where(q - s * y >= 0.0, 1.0, -1.0)
 
 
@@ -305,33 +481,27 @@ def rprt_erm(samples: Sequence[tuple]) -> RoundingErmResult:
     j flips exactly at s = q_i / <u_i, z> when that ratio is positive, so
     the mean of the binary values is piecewise constant with at most one
     threshold per coordinate; midpoints of the gaps (and one probe past the
-    last threshold) cover every piece.
+    last threshold) cover every piece.  Each probe's value comes from kept
+    products updated through the flipped signs.
     """
-    if not samples:
-        raise DomainError("need at least one sample")
+    blocks = _blocks(samples, lambda s: _threshold_parts(*s[1:]), 1, [(0, 0)]).values()
     ratios = []
-    for _, emb, z, q in samples:
-        y = _projections(emb, z)
-        q = np.asarray(q, dtype=float)
+    for blk in blocks:
+        y, q = blk.data
         nz = y != 0.0
         r = q[nz] / y[nz]
         ratios.extend(r[r > 0])
     thresholds = _merge_sorted(ratios)
 
-    probes = []
     bounds = [0.0] + thresholds
-    for i in range(len(bounds) - 1):
-        probes.append(0.5 * (bounds[i] + bounds[i + 1]))
+    probes = [0.5 * (bounds[i] + bounds[i + 1]) for i in range(len(bounds) - 1)]
     probes.append(bounds[-1] + 1.0)
 
     m = len(samples)
     interval_values = []
     best = None
     for s in probes:
-        v = sum(
-            _value(inst, rprt_assign(inst, emb, z, q, s))
-            for inst, emb, z, q in samples
-        ) / m
+        v = _mean_sign_value(blocks, m, lambda blk: blk.data[1] - s * blk.data[0])
         interval_values.append(v)
         if best is None or v > best[1] + 1e-15:
             best = (s, v)

@@ -10,7 +10,17 @@ import math
 
 import numpy as np
 
-from partition_tuner import ClusteringInstance, MergeRule, PruningRule, Objective
+from partition_tuner import (
+    ClusteringInstance,
+    MergeRule,
+    Objective,
+    PruningRule,
+    RoundingErmResult,
+    cut_value,
+    owr_value,
+    qp_value,
+    rprt_assign,
+)
 from partition_tuner.linkage import build_tree
 from partition_tuner.pruning_dp import best_k_pruning
 
@@ -410,3 +420,142 @@ def reference_minmax_collector(family, eqs):
             eqs.add(_canon_terms(comparison_terms(family, wmin, wmax, cmin, cmax)))
 
     return cb
+
+
+# ---------------------------------------------------------------------------
+# full-recompute rounding ERMs
+
+
+REF_THRESH_MERGE = 1e-12
+
+
+def _ref_value(inst, x):
+    if inst.origin == "maxcut":
+        return cut_value(inst.matrix, x)
+    return qp_value(inst.matrix, x)
+
+
+def _ref_merge_sorted(vals):
+    vals = sorted(v for v in vals if v > 0)
+    out = []
+    for v in vals:
+        if not out or v - out[-1] > REF_THRESH_MERGE:
+            out.append(v)
+    return out
+
+
+def reference_slin_erm(samples):
+    """Clamp-linear ERM that recomputes every sample's quadratic form, with a
+    fresh off-diagonal copy of a max-cut matrix, for each piece."""
+    ys = [emb.vectors @ np.asarray(z, dtype=float) for _, emb, z in samples]
+    thresholds = _ref_merge_sorted(abs(v) for y in ys for v in y)
+    m = len(samples)
+
+    if not thresholds:
+        val = sum(_ref_value(inst, np.zeros(inst.n)) for inst, _, _ in samples) / m
+        return RoundingErmResult(1.0, val, [], [val])
+
+    def coeffs(clamp_at):
+        a = b = c = 0.0
+        for (inst, _, _), y in zip(samples, ys):
+            clamped = np.abs(y) >= clamp_at
+            u = np.where(clamped, 0.0, y)
+            v = np.where(clamped, np.sign(y), 0.0)
+            A = inst.matrix
+            if inst.origin == "maxcut":
+                W = A - np.diag(np.diag(A))
+                a += -0.25 * (u @ W @ u)
+                b += -0.5 * (u @ W @ v)
+                c += W.sum() / 4.0 - 0.25 * (v @ W @ v)
+            else:
+                a += u @ A @ u
+                b += 2.0 * (u @ A @ v)
+                c += v @ A @ v
+        return a / m, b / m, c / m
+
+    candidates = []
+    interval_values = []
+    bounds = [0.0] + thresholds + [math.inf]
+    for i in range(len(bounds) - 1):
+        lo, hi = bounds[i], bounds[i + 1]
+        a, b, c = coeffs(hi)
+
+        def val(s):
+            return a / (s * s) + b / s + c
+
+        probes = []
+        if lo > 0:
+            probes.append(lo)
+        if math.isfinite(hi):
+            probes.append(hi)
+        else:
+            probes.append(max(1.0, bounds[i]) * 1e9)
+        if b != 0.0:
+            s_star = -2.0 * a / b
+            if lo < s_star < hi:
+                probes.append(s_star)
+        vals = [(s, val(s)) for s in probes]
+        interval_values.append(max(v for _, v in vals))
+        candidates.extend(vals)
+
+    best_s, best_v = candidates[0]
+    for s, v in candidates[1:]:
+        if v > best_v + 1e-15 or (abs(v - best_v) <= 1e-15 and s < best_s):
+            best_s, best_v = s, v
+    return RoundingErmResult(best_s, best_v, thresholds, interval_values)
+
+
+def reference_owr_erm(samples):
+    """Outward-rotation ERM that evaluates owr_value afresh at every probe."""
+    cuts = set()
+    for _, emb, z2 in samples:
+        z2 = np.asarray(z2, dtype=float)
+        head = emb.vectors @ z2[: emb.d]
+        tail = z2[emb.d:]
+        mask = head * tail < 0
+        for g in np.arctan(-head[mask] / tail[mask]):
+            if 0.0 < g < math.pi / 2:
+                cuts.add(float(g))
+    thresholds = _ref_merge_sorted(cuts)
+    bounds = [0.0] + thresholds + [math.pi / 2]
+    probes = [0.5 * (bounds[i] + bounds[i + 1]) for i in range(len(bounds) - 1)]
+    probes.append(math.pi / 2)
+
+    m = len(samples)
+    interval_values = []
+    best = None
+    for g in probes:
+        v = sum(owr_value(inst, emb, z2, g) for inst, emb, z2 in samples) / m
+        interval_values.append(v)
+        if best is None or v > best[1] + 1e-15:
+            best = (g, v)
+    return RoundingErmResult(best[0], best[1], thresholds, interval_values)
+
+
+def reference_rprt_erm(samples):
+    """RPR^2 ERM that evaluates the binary value afresh at every probe."""
+    ratios = []
+    for _, emb, z, q in samples:
+        y = emb.vectors @ np.asarray(z, dtype=float)
+        q = np.asarray(q, dtype=float)
+        nz = y != 0.0
+        r = q[nz] / y[nz]
+        ratios.extend(r[r > 0])
+    thresholds = _ref_merge_sorted(ratios)
+
+    bounds = [0.0] + thresholds
+    probes = [0.5 * (bounds[i] + bounds[i + 1]) for i in range(len(bounds) - 1)]
+    probes.append(bounds[-1] + 1.0)
+
+    m = len(samples)
+    interval_values = []
+    best = None
+    for s in probes:
+        v = sum(
+            _ref_value(inst, rprt_assign(inst, emb, z, q, s))
+            for inst, emb, z, q in samples
+        ) / m
+        interval_values.append(v)
+        if best is None or v > best[1] + 1e-15:
+            best = (s, v)
+    return RoundingErmResult(best[0], best[1], thresholds, interval_values)
