@@ -8,6 +8,7 @@ with known optimal parameters serve as ground truth for both.
 """
 
 from .errors import (
+    AsymmetricMatrix,
     BadAlphaRange,
     CenterOutsideCluster,
     ClassTooLarge,
@@ -21,6 +22,7 @@ from .errors import (
     NonFiniteDistance,
     NonFiniteValue,
     NonNullDiagonal,
+    NonPositiveDistance,
     NumericError,
     OffsetsNotDecreasing,
     Overflow,

@@ -18,7 +18,18 @@ class BadAlphaRange(DataError):
 
 
 class InconsistentMetric(DataError):
-    """Specified distances violate a shortest-path bound during completion."""
+    """Distances break the metric contract: a distance matrix that is not
+    symmetric or has a nonzero diagonal, or specified distances that violate
+    a shortest-path bound during completion."""
+
+
+class NonPositiveDistance(DataError):
+    """An off-diagonal distance is zero or negative, for example between two
+    copies of one point."""
+
+
+class AsymmetricMatrix(DataError):
+    """A coefficient matrix is not symmetric."""
 
 
 class Disconnected(DataError):

@@ -14,12 +14,14 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    AsymmetricMatrix,
     BadAlphaRange,
     DimensionMismatch,
     Disconnected,
     InconsistentMetric,
     NonFiniteDistance,
     NonFiniteValue,
+    NonPositiveDistance,
     OffsetsNotDecreasing,
     Overflow,
     ParseError,
@@ -35,9 +37,10 @@ CLUSTER_FAMILIES = ("convex_minmax", "power_minmax", "power_average")
 class ClusteringInstance:
     """A finite metric space given by a full distance matrix.
 
-    dist must be symmetric with a zero diagonal and strictly positive
-    off-diagonal entries.  ground_truth, when present, holds one integer
-    label per point.
+    dist must be symmetric (within 1e-12 relative) with a zero diagonal,
+    or InconsistentMetric is raised, and its off-diagonal entries must be
+    strictly positive, or NonPositiveDistance is raised.  ground_truth, when
+    present, holds one integer label per point.
     """
 
     n: int
@@ -53,6 +56,12 @@ class ClusteringInstance:
             )
         if not np.all(np.isfinite(self.dist)):
             raise NonFiniteDistance("dist holds NaN or infinite entries")
+        if not _symmetric(self.dist) or np.any(np.diag(self.dist) != 0.0):
+            raise InconsistentMetric("dist must be symmetric with a zero diagonal")
+        if np.any(self.dist[~np.eye(self.n, dtype=bool)] <= 0.0):
+            raise NonPositiveDistance(
+                "off-diagonal distances must be positive (duplicate points?)"
+            )
         if self.ground_truth is not None:
             self.ground_truth = np.asarray(self.ground_truth, dtype=int)
             if self.ground_truth.shape != (self.n,):
@@ -65,7 +74,9 @@ class MaxQPInstance:
 
     For origin "maxcut" the matrix is the nonnegative edge-weight matrix and
     values are cut weights sum(w_ij * (1 - x_i x_j) / 2).  For origin
-    "generic" values are the raw quadratic form x^T A x.
+    "generic" values are the raw quadratic form x^T A x.  A max-cut matrix
+    must be symmetric (within 1e-12 relative), or AsymmetricMatrix is
+    raised; a generic form depends only on the symmetric part of its matrix.
     """
 
     n: int
@@ -84,6 +95,14 @@ class MaxQPInstance:
             raise NonFiniteValue("matrix holds NaN or infinite entries")
         if np.any(np.diag(self.matrix) < 0):
             raise ParseError("matrix diagonal must be nonnegative")
+        if self.origin == "maxcut" and not _symmetric(self.matrix):
+            # a cut value reads each edge as the mean of w_ij and w_ji
+            raise AsymmetricMatrix("max-cut weight matrix must be symmetric")
+
+
+def _symmetric(M: np.ndarray) -> bool:
+    """Symmetric within 1e-12 of the largest entry's magnitude."""
+    return bool(np.all(np.abs(M - M.T) <= 1e-12 * np.max(np.abs(M), initial=0.0)))
 
 
 @dataclass

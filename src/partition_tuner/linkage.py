@@ -4,6 +4,13 @@ Merge values for the power families are compared through their logarithms so
 that small exponents (where the raw values blow up like 2^(1/alpha)) stay
 well ordered; reported merge values exponentiate back and may overflow to inf
 without affecting the tree.
+
+The families that read the whole multiset of cross-cluster distances
+(power_average and the selector families) keep each active pair's multiset
+sparse, as a support of indices into the instance's sorted distinct
+distances with integer counts.  Each leaf pair lies in at most one active
+pair's multiset, so all multisets together hold at most n(n-1)/2 counts and
+a build needs O(n^2) memory.
 """
 
 from __future__ import annotations
@@ -66,14 +73,15 @@ class MergeRule:
                 raise DomainError("sigma_power needs sigma >= 2")
 
 
-def selector_indices(length: int, sigma: int) -> np.ndarray:
+def selector_indices(length, sigma: int) -> np.ndarray:
     """Positions of the sigma selected order statistics in a sorted length-L multiset.
 
     Always includes the minimum and maximum; the remaining sigma - 2 are
-    evenly spaced ranks, j -> round(j * (L-1) / (sigma-1)).
+    evenly spaced ranks, j -> round(j * (L-1) / (sigma-1)).  An array of
+    lengths gives one row of positions per length.
     """
     j = np.arange(sigma)
-    return np.rint(j * (length - 1) / (sigma - 1)).astype(int)
+    return np.rint(j * (np.asarray(length)[..., None] - 1) / (sigma - 1)).astype(int)
 
 
 def rule_value(rule: MergeRule, dists) -> float:
@@ -155,7 +163,8 @@ class Comparison:
 
     Each side is summarized by the data its family's value depends on: the
     (min, max) of the inter-set distances plus, when needed, the multiset as
-    counts over the instance's sorted distinct distances.
+    a sparse support (idx, cnt): indices into the instance's sorted distinct
+    distances and their counts.
     """
 
     step: int
@@ -165,8 +174,8 @@ class Comparison:
     winner_max: float
     candidate_min: float
     candidate_max: float
-    winner_counts: Optional[np.ndarray] = None
-    candidate_counts: Optional[np.ndarray] = None
+    winner_counts: Optional[tuple] = None
+    candidate_counts: Optional[tuple] = None
     distinct: Optional[np.ndarray] = None
 
     def terms(self, rule: MergeRule):
@@ -209,15 +218,20 @@ def comparison_terms(
     if family == "power_average":
         if wcounts is None or ccounts is None or distinct is None:
             raise DomainError("power_average comparisons need distance counts")
-        nw = float(wcounts.sum())
-        nc = float(ccounts.sum())
-        out = []
-        for b, cw, cc in zip(distinct, wcounts, ccounts):
-            coeff = nc * float(cw) - nw * float(cc)
-            if coeff != 0.0:
-                out.append((coeff, float(b), 0))
-        return out
+        return average_terms(wcounts, ccounts, distinct)
     raise UnknownFamily(f"no comparison encoding for family {family!r}")
+
+
+def average_terms(wset, cset, distinct):
+    """power_average comparison of two sparse multisets (idx, cnt), cross-
+    multiplied by the counts: sum_t (n_c w_t - n_w c_t) d_t^alpha."""
+    (wi, wc), (ci, cc) = wset, cset
+    wc, cc = wc.tolist(), cc.tolist()
+    nw, nc = float(sum(wc)), float(sum(cc))
+    acc = {t: nc * c for t, c in zip(wi.tolist(), wc)}
+    for t, c in zip(ci.tolist(), cc):
+        acc[t] = acc.get(t, 0.0) - nw * c
+    return [(a, float(distinct[t]), 0) for t, a in acc.items() if a != 0.0]
 
 
 def _combine(terms):
@@ -232,19 +246,143 @@ def build_tree(inst: ClusteringInstance, rule: MergeRule) -> MergeTree:
 
     Ties on the merge value pick the pair whose (smaller side min leaf,
     other side min leaf) is lexicographically least, with the side holding
-    the globally smallest leaf listed first in the merge record.
+    the globally smallest leaf listed first in the merge record.  Memory is
+    O(n^2) for every family (see ``_run``).
     """
-    tree, _ = _run(inst, rule, record=False)
-    return tree
+    return _run(inst, rule)
 
 
 def record_comparisons(inst: ClusteringInstance, rule: MergeRule):
     """Like build_tree but also returns every executed winner-vs-candidate
     comparison (one Comparison per losing candidate pair per step)."""
-    return _run(inst, rule, record=True)
+    comparisons = []
+
+    def record(step, winner, ids, tri, minD, maxD, sets, distinct):
+        wi, wj = winner
+        wset = None if sets is None else sets.support(sets.sid[wi, wj])
+        for i, j in zip(ids[tri[0]], ids[tri[1]]):
+            if {i, j} == {wi, wj}:
+                continue
+            comparisons.append(
+                Comparison(
+                    step=step,
+                    winner=(wi, wj),
+                    candidate=(i, j),
+                    winner_min=minD[wi, wj],
+                    winner_max=maxD[wi, wj],
+                    candidate_min=minD[i, j],
+                    candidate_max=maxD[i, j],
+                    winner_counts=wset,
+                    candidate_counts=None if sets is None else sets.support(sets.sid[i, j]),
+                    distinct=distinct,
+                )
+            )
+
+    return _run(inst, rule, record), comparisons
 
 
-def _run(inst: ClusteringInstance, rule: MergeRule, record: bool, collector=None):
+class PairMultisets:
+    """Distance multisets of the active cluster pairs of one tree build.
+
+    A multiset is a support sorted by distinct-distance index, with integer
+    counts: (idx, cnt).  With ``interned`` (what the collectors read),
+    equal multisets share one id, so ``sid[u, v]``, the id of active pair
+    (u, v), compares multisets by value.  An id is dropped once no active
+    pair holds it, so the store holds at most the n(n-1)/2 leaf-pair counts
+    of the active pairs.  Without it, merges only hand back the new
+    multisets, which is all a plain build reads.
+    """
+
+    def __init__(self, D: np.ndarray, interned: bool):
+        n = D.shape[0]
+        iu = np.triu_indices(n, k=1)
+        self.distinct = np.unique(D[iu])
+        self.beta = self.distinct.size
+        didx = np.zeros((n, n), dtype=np.int64)
+        didx[iu] = np.searchsorted(self.distinct, D[iu])
+        didx.T[iu] = didx[iu]
+        self.didx = didx
+        self.label = np.arange(n)  # leaf -> active node holding it
+        self._pos = np.zeros(2 * n - 1, dtype=np.int64)
+        self.sid = None
+        if interned:
+            self.sid = np.zeros((2 * n - 1, 2 * n - 1), dtype=np.int64)
+            self.sid[:n, :n] = didx
+            # a leaf pair's multiset is the singleton {t: 1}, interned as id t
+            one = np.ones(1, dtype=np.int64).tobytes()
+            self._keys = [t.tobytes() + one for t in np.arange(self.beta, dtype=np.int64)]
+            self._index = {key: t for t, key in enumerate(self._keys)}
+            self._refs = np.bincount(didx[iu], minlength=self.beta).tolist()
+
+    def support(self, s):
+        """The multiset with id s as (idx, cnt)."""
+        both = np.frombuffer(self._keys[s], dtype=np.int64)
+        half = both.size // 2
+        return both[:half], both[half:]
+
+    def candidates(self, winner, ids, tri):
+        """The winner's multiset and every distinct multiset among one
+        step's candidate pairs (the winner's included), as (idx, cnt)."""
+        found = np.unique(self.sid[ids[tri[0]], ids[tri[1]]])
+        return self.support(self.sid[winner]), [self.support(s) for s in found.tolist()]
+
+    def merge(self, new, wi, wj, members, rest):
+        """Build the multisets of node new = wi + wj (the leaves in members)
+        against each node of rest, in one pass over the new cluster's
+        leaves x the other leaves, and retire the pairs of wi and wj.
+
+        Returns them as one support sorted by (position in rest, distinct
+        index): idx, cnt and the start of each node's segment.
+        """
+        label = self.label
+        label[members] = new
+        others = np.flatnonzero(label != new)
+        self._pos[rest] = np.arange(rest.size)
+        code = self._pos[label[others]] * self.beta + self.didx[np.ix_(members, others)]
+        code, cnt = np.unique(code, return_counts=True)
+        seg = code // self.beta
+        idx = code - seg * self.beta
+        starts = np.flatnonzero(np.diff(seg, prepend=-1))
+        sid = self.sid
+        if sid is not None:
+            self._release(np.concatenate(([sid[wi, wj]], sid[wi, rest], sid[wj, rest])))
+            # one key per multiset: its idx bytes, then its cnt bytes
+            bi, bc = idx.tobytes(), cnt.astype(np.int64).tobytes()
+            bounds = (idx.itemsize * np.append(starts, idx.size)).tolist()
+            new_ids = [self._intern(bi[a:b] + bc[a:b]) for a, b in zip(bounds, bounds[1:])]
+            sid[new, rest] = new_ids
+            sid[rest, new] = new_ids
+        return idx, cnt, starts
+
+    def _intern(self, key):
+        s = self._index.get(key)
+        if s is None:
+            s = self._index[key] = len(self._keys)
+            self._keys.append(key)
+            self._refs.append(0)
+        self._refs[s] += 1
+        return s
+
+    def _release(self, ids):
+        for s in ids.tolist():
+            self._refs[s] -= 1
+            if not self._refs[s]:
+                del self._index[self._keys[s]]
+                self._keys[s] = None
+
+
+def _run(inst: ClusteringInstance, rule: MergeRule, collector=None) -> MergeTree:
+    """The merge loop behind build_tree and the sweeps.
+
+    minD, maxD and the comparison keys V are (2n-1)^2 matrices over node
+    ids.  Families that read whole multisets keep them in a PairMultisets
+    store, with no count work for power_average at alpha = +-inf, which
+    needs only minD / maxD.  Before each merge, ``collector`` (when given)
+    is called as collector(step, winner, ids, tri, minD, maxD, sets,
+    distinct): ids are the active nodes, the candidate pairs are
+    (ids[tri[0]], ids[tri[1]]), and sets / distinct are the PairMultisets
+    store and its distinct distances, None for the min/max families.
+    """
     n = inst.n
     total = 2 * n - 1
     big = np.inf
@@ -254,30 +392,26 @@ def _run(inst: ClusteringInstance, rule: MergeRule, record: bool, collector=None
     minD[:n, :n] = D
     maxD[:n, :n] = D
 
-    needs_counts = rule.family in _NEEDS_COUNTS
-    if needs_counts:
-        iu = np.triu_indices(n, k=1)
-        distinct = np.unique(D[iu])
-        beta = distinct.size
-        cnt = np.zeros((total, total, beta), dtype=np.float64)
-        idx = np.searchsorted(distinct, D[iu])
-        cnt[iu[0], iu[1], idx] = 1.0
-        cnt[iu[1], iu[0], idx] = 1.0
-        logd = np.log(distinct)
-    else:
-        distinct = None
-        cnt = None
-        logd = None
-
     V = np.full((total, total), big)
-    act = list(range(n))
-    _fill_rows(rule, V, minD, maxD, cnt, logd, act, act)
+    if _counts_needed(rule):
+        sets = PairMultisets(D, interned=collector is not None)
+        distinct = sets.distinct
+        logd = np.log(distinct)
+        t = np.arange(sets.beta)
+        single = _count_keys(rule, t, np.ones_like(t), t, logd)
+    else:
+        sets = distinct = None
+    # row by row, so that no temporary is quadratic in n
+    for r in range(n - 1):
+        d = D[r, r + 1:]
+        key = _minmax_keys(rule, d, d) if sets is None else single[sets.didx[r, r + 1:]]
+        V[r, r + 1:n] = key
+        V[r + 1:n, r] = key
     minleaf = np.arange(total)
     leaf_sets = [[i] for i in range(n)] + [None] * (n - 1)
 
     merges = []
     values = []
-    comparisons = [] if record else None
 
     active_mask = np.zeros(total, dtype=bool)
     active_mask[:n] = True
@@ -300,36 +434,8 @@ def _run(inst: ClusteringInstance, rule: MergeRule, record: bool, collector=None
         if minleaf[wj] < minleaf[wi]:
             wi, wj = wj, wi
 
-        if record:
-            for ci in range(vals.size):
-                i, j = ids[tri[0][ci]], ids[tri[1][ci]]
-                if {i, j} == {wi, wj}:
-                    continue
-                comparisons.append(
-                    Comparison(
-                        step=step,
-                        winner=(wi, wj),
-                        candidate=(i, j),
-                        winner_min=minD[wi, wj],
-                        winner_max=maxD[wi, wj],
-                        candidate_min=minD[i, j],
-                        candidate_max=maxD[i, j],
-                        winner_counts=None if cnt is None else cnt[wi, wj].copy(),
-                        candidate_counts=None if cnt is None else cnt[i, j].copy(),
-                        distinct=distinct,
-                    )
-                )
         if collector is not None:
-            collector(
-                step,
-                (wi, wj),
-                ids,
-                tri,
-                minD,
-                maxD,
-                cnt,
-                distinct,
-            )
+            collector(step, (wi, wj), ids, tri, minD, maxD, sets, distinct)
 
         new = n + step
         key = V[wi, wj]
@@ -351,74 +457,66 @@ def _run(inst: ClusteringInstance, rule: MergeRule, record: bool, collector=None
             minD[rest, new] = minD[new, rest]
             maxD[new, rest] = np.maximum(maxD[wi, rest], maxD[wj, rest])
             maxD[rest, new] = maxD[new, rest]
-            if needs_counts:
-                cnt[new, rest] = cnt[wi, rest] + cnt[wj, rest]
-                cnt[rest, new] = cnt[new, rest]
-            _fill_rows(rule, V, minD, maxD, cnt, logd, [new], list(rest))
+            if sets is None:
+                key = _minmax_keys(rule, minD[new, rest], maxD[new, rest])
+            else:
+                key = _count_keys(rule, *sets.merge(new, wi, wj, leaf_sets[new], rest), logd)
+            V[new, rest] = key
+            V[rest, new] = key
         V[wi, :] = big
         V[:, wi] = big
         V[wj, :] = big
         V[:, wj] = big
 
-    tree = MergeTree(n=n, merges=merges, values=values, leaf_sets=leaf_sets)
-    return tree, comparisons
+    return MergeTree(n=n, merges=merges, values=values, leaf_sets=leaf_sets)
 
 
-def _fill_rows(rule, V, minD, maxD, cnt, logd, rows, cols):
-    """Compute comparison keys for the given row ids against col ids."""
-    fam = rule.family
-    cols = np.asarray(cols)
-    for r in rows:
-        cc = cols[cols != r]
-        if cc.size == 0:
-            continue
-        mn = minD[r, cc]
-        mx = maxD[r, cc]
-        if fam == "convex_minmax":
-            key = rule.alpha * mn + (1.0 - rule.alpha) * mx
-        elif fam == "power_minmax":
-            a = rule.alpha
-            if np.isinf(a):
-                key = np.log(mx if a > 0 else mn)
-            else:
-                key = np.logaddexp(a * np.log(mn), a * np.log(mx)) / a
-        elif fam == "power_average":
-            a = rule.alpha
-            rowcnt = cnt[r, cc]
-            tot = rowcnt.sum(axis=1)
-            if np.isinf(a):
-                # the multiset extremes are the pairwise min / max
-                key = np.log(mx if a > 0 else mn)
-            elif a == 0.0:
-                key = (rowcnt @ logd) / tot
-            else:
-                terms = a * logd[None, :] + np.log(rowcnt, where=rowcnt > 0,
-                                                   out=np.full_like(rowcnt, -np.inf))
-                mrow = terms.max(axis=1)
-                key = (mrow + np.log(np.sum(np.exp(terms - mrow[:, None]), axis=1))
-                       - np.log(tot)) / a
-        else:
-            key = _selector_keys(rule, cnt[r, cc], logd)
-        V[r, cc] = key
-        V[cc, r] = key
+def _counts_needed(rule: MergeRule) -> bool:
+    if rule.family == "power_average":
+        return not np.isinf(rule.alpha)
+    return rule.family in _NEEDS_COUNTS
 
 
-def _selector_keys(rule, rowcnt, logd):
-    sigma = rule.sigma
-    out = np.empty(rowcnt.shape[0])
-    vals = np.exp(logd)
-    for t in range(rowcnt.shape[0]):
-        counts = rowcnt[t]
-        L = int(counts.sum())
-        pos = selector_indices(L, sigma)
-        cum = np.cumsum(counts)
-        sel = vals[np.searchsorted(cum, pos + 1)]
-        if rule.family == "sigma_linear":
-            out[t] = np.dot(rule.weights, sel)
-        else:
-            a = rule.alpha
-            if np.isinf(a):
-                out[t] = np.log(sel.max() if a > 0 else sel.min())
-            else:
-                out[t] = _logsumexp(a * np.log(sel)) / a
-    return out
+def _minmax_keys(rule, mn, mx):
+    """Comparison keys from the pairwise (min, max) distances alone."""
+    a = rule.alpha
+    if rule.family == "convex_minmax":
+        return a * mn + (1.0 - a) * mx
+    if np.isinf(a):
+        # the power forms degenerate to the extremes
+        return np.log(mx if a > 0 else mn)
+    return np.logaddexp(a * np.log(mn), a * np.log(mx)) / a
+
+
+def _count_keys(rule, idx, cnt, starts, logd):
+    """Comparison keys of a batch of sparse multisets, multiset p being
+    (idx, cnt)[starts[p]:starts[p+1]].  Every reduction runs within one
+    multiset, so equal multisets get bit-equal keys wherever they sit."""
+    tot = np.add.reduceat(cnt, starts)
+    if rule.family != "power_average":
+        return _selector_keys(rule, idx, cnt, starts, tot, logd)
+    a = rule.alpha
+    if a == 0.0:
+        return np.add.reduceat(cnt * logd[idx], starts) / tot
+    terms = a * logd[idx] + np.log(cnt)
+    top = np.maximum.reduceat(terms, starts)
+    spread = np.exp(terms - np.repeat(top, np.diff(starts, append=terms.size)))
+    return (top + np.log(np.add.reduceat(spread, starts)) - np.log(tot)) / a
+
+
+def _selector_keys(rule, idx, cnt, starts, tot, logd):
+    # the selected order statistics are exact: cumulative counts are integers
+    cum = np.cumsum(cnt)
+    before = cum[starts] - cnt[starts]
+    at = np.searchsorted(cum, before[:, None] + selector_indices(tot, rule.sigma) + 1)
+    sel = np.exp(logd[idx[at]])
+    if rule.family == "sigma_linear":
+        return np.array([np.dot(rule.weights, row) for row in sel])
+    a = rule.alpha
+    if np.isinf(a):
+        return np.log(sel.max(axis=1) if a > 0 else sel.min(axis=1))
+    x = a * np.log(sel)
+    top = x.max(axis=1)
+    with np.errstate(invalid="ignore"):
+        lse = top + np.log(np.sum(np.exp(x - top[:, None]), axis=1))
+    return np.where(np.isinf(top), top, lse) / a

@@ -17,7 +17,14 @@ import numpy as np
 
 from .errors import DomainError, SigmaTooLargeForExact, SweepDiverged, UnknownFamily
 from .instances import ClusteringInstance
-from .linkage import MergeRule, MergeTree, _run, comparison_terms, selector_indices
+from .linkage import (
+    MergeRule,
+    MergeTree,
+    _run,
+    average_terms,
+    comparison_terms,
+    selector_indices,
+)
 from .pruning_dp import (
     Objective,
     PruningRule,
@@ -379,11 +386,13 @@ def _alpha_segments(family, lo, hi):
 
 def _make_collector(family, sigma, eqs):
     """Collector for linkage._run: canonical equations of every executed
-    winner-vs-candidate comparison at the evaluation point."""
+    winner-vs-candidate comparison at the evaluation point.  For
+    sigma_linear they are affine in theta, the first of the weights
+    (theta, 1 - theta) of the exact sigma = 2 sweep."""
 
     if family in ("convex_minmax", "power_minmax"):
 
-        def cb(step, winner, ids, tri, minD, maxD, cnt, distinct):
+        def cb(step, winner, ids, tri, minD, maxD, sets, distinct):
             wi, wj = winner
             wmin = minD[wi, wj]
             wmax = maxD[wi, wj]
@@ -406,36 +415,37 @@ def _make_collector(family, sigma, eqs):
 
     elif family == "power_average":
 
-        def cb(step, winner, ids, tri, minD, maxD, cnt, distinct):
-            wi, wj = winner
-            wrow = cnt[wi, wj]
-            nw = wrow.sum()
-            ii = ids[tri[0]]
-            jj = ids[tri[1]]
-            rows = np.unique(cnt[ii, jj], axis=0)
-            for crow in rows:
-                diff = crow.sum() * wrow - nw * crow
-                nz = np.flatnonzero(diff)
-                if nz.size == 0:
-                    continue
-                eqs.add(
-                    _canon_terms([(diff[t], distinct[t], 0) for t in nz])
-                )
+        def cb(step, winner, ids, tri, minD, maxD, sets, distinct):
+            wset, cands = sets.candidates(winner, ids, tri)
+            for cset in cands:
+                terms = average_terms(wset, cset, distinct)
+                if terms:
+                    eqs.add(_canon_terms(terms))
 
     elif family == "sigma_power":
 
-        def cb(step, winner, ids, tri, minD, maxD, cnt, distinct):
-            wi, wj = winner
-            wsel = _selected(cnt[wi, wj], distinct, sigma)
-            ii = ids[tri[0]]
-            jj = ids[tri[1]]
-            rows = np.unique(cnt[ii, jj], axis=0)
-            for crow in rows:
-                csel = _selected(crow, distinct, sigma)
+        def cb(step, winner, ids, tri, minD, maxD, sets, distinct):
+            wset, cands = sets.candidates(winner, ids, tri)
+            wsel = _selected(wset, distinct, sigma)
+            for cset in cands:
+                csel = _selected(cset, distinct, sigma)
                 terms = [(1.0, b, 0) for b in wsel] + [(-1.0, b, 0) for b in csel]
                 key = _canon_terms(terms)
                 if key:
                     eqs.add(key)
+
+    elif family == "sigma_linear":
+
+        def cb(step, winner, ids, tri, minD, maxD, sets, distinct):
+            wset, cands = sets.candidates(winner, ids, tri)
+            wsel = _selected(wset, distinct, 2)
+            for cset in cands:
+                csel = _selected(cset, distinct, 2)
+                d1 = wsel[0] - csel[0]
+                d2 = wsel[1] - csel[1]
+                if d1 == 0.0 and d2 == 0.0:
+                    continue
+                eqs.add(_canon_terms([(d1 - d2, 1.0, 1), (d2, 1.0, 0)]))
 
     else:
         raise UnknownFamily(f"no sweep collector for {family!r}")
@@ -443,11 +453,33 @@ def _make_collector(family, sigma, eqs):
     return cb
 
 
-def _selected(counts, distinct, sigma):
-    L = int(counts.sum())
-    pos = selector_indices(L, sigma)
-    cum = np.cumsum(counts)
-    return distinct[np.searchsorted(cum, pos + 1)]
+def _margin_collector(sigma, w, margins):
+    """Collector for the sigma_linear grid search: appends (margin at w,
+    selected-value difference) for each distinct candidate multiset whose
+    selected values differ from the winner's."""
+
+    def cb(step, winner, ids, tri, minD, maxD, sets, distinct):
+        wset, cands = sets.candidates(winner, ids, tri)
+        wsel = _selected(wset, distinct, sigma)
+        for cset in sorted(cands, key=_dense_order):
+            dv = wsel - _selected(cset, distinct, sigma)
+            if np.any(dv):
+                margins.append((float(np.dot(w, dv)), tuple(dv)))
+
+    return cb
+
+
+def _selected(support, distinct, sigma):
+    idx, cnt = support
+    pos = selector_indices(int(cnt.sum()), sigma)
+    return distinct[idx[np.searchsorted(np.cumsum(cnt), pos + 1)]]
+
+
+def _dense_order(support):
+    """Sort key that orders sparse multisets like their dense count rows in
+    lexicographic order (the order np.unique(axis=0) gives those rows)."""
+    idx, cnt = support
+    return list(zip((-idx).tolist(), cnt.tolist()))
 
 
 def sweep_alpha(
@@ -496,7 +528,7 @@ def _sweep_alpha_counted(instances, family, alpha_range, k, rule, obj,
         total = 0.0
         for inst in instances:
             mrule = MergeRule(family=family, alpha=alpha, sigma=sigma)
-            tree, _ = _run(inst, mrule, record=False, collector=cb)
+            tree = _run(inst, mrule, collector=cb)
             res = best_k_pruning(inst, tree, k, rule, variant)
             total += objective_value(inst, obj, res.clusters, res.centers)
             fps.append(tree.fingerprint())
@@ -669,7 +701,7 @@ def erm_joint(
         out = []
         for inst in instances:
             mrule = MergeRule(family=family, alpha=alpha)
-            tree, _ = _run(inst, mrule, record=False, collector=cb)
+            tree = _run(inst, mrule, collector=cb)
             out.append(tree)
         return out
 
@@ -775,28 +807,14 @@ def erm_sigma_linear(
 
         def run(theta):
             eqs = set()
-
-            def cb(step, winner, ids, tri, minD, maxD, cnt, distinct):
-                wi, wj = winner
-                wsel = _selected(cnt[wi, wj], distinct, 2)
-                ii = ids[tri[0]]
-                jj = ids[tri[1]]
-                rows = np.unique(cnt[ii, jj], axis=0)
-                for crow in rows:
-                    csel = _selected(crow, distinct, 2)
-                    d1 = wsel[0] - csel[0]
-                    d2 = wsel[1] - csel[1]
-                    if d1 == 0.0 and d2 == 0.0:
-                        continue
-                    eqs.add(_canon_terms([(d1 - d2, 1.0, 1), (d2, 1.0, 0)]))
-
+            cb = _make_collector("sigma_linear", 2, eqs)
             fps = []
             total = 0.0
             for inst in instances:
                 mrule = MergeRule(
                     family="sigma_linear", weights=(theta, 1.0 - theta), sigma=2
                 )
-                tree, _ = _run(inst, mrule, record=False, collector=cb)
+                tree = _run(inst, mrule, collector=cb)
                 res = best_k_pruning(inst, tree, k, rule, variant)
                 total += objective_value(inst, obj, res.clusters, res.centers)
                 fps.append(tree.fingerprint())
@@ -848,21 +866,9 @@ def erm_sigma_linear(
         mrule = MergeRule(family="sigma_linear", weights=tuple(w), sigma=sigma)
         total = 0.0
         margins = []
-
-        def cb(step, winner, ids, tri, minD, maxD, cnt, distinct, w=w, margins=margins):
-            wi, wj = winner
-            wsel = _selected(cnt[wi, wj], distinct, sigma)
-            ii = ids[tri[0]]
-            jj = ids[tri[1]]
-            rows = np.unique(cnt[ii, jj], axis=0)
-            for crow in rows:
-                csel = _selected(crow, distinct, sigma)
-                dv = wsel - csel
-                if np.any(dv):
-                    margins.append((float(np.dot(w, dv)), tuple(dv)))
-
+        cb = _margin_collector(sigma, w, margins)
         for inst in instances:
-            tree, _ = _run(inst, mrule, record=False, collector=cb)
+            tree = _run(inst, mrule, collector=cb)
             res = best_k_pruning(inst, tree, k, rule, variant)
             total += objective_value(inst, obj, res.clusters, res.centers)
             count += 1

@@ -463,11 +463,12 @@ def rprt_expect(inst: MaxQPInstance, emb: Embedding, z: np.ndarray, s: float) ->
     E[x_i] = -clamp(s <u_i, z>), and with a null diagonal the expectation of
     the quadratic value factors into these means, giving exactly the
     fractional clamp value at scale 1/s.  A nonzero diagonal breaks the
-    factorization (E[x_i^2] = 1, not the squared mean), hence the error.
+    factorization of a generic form (E[x_i^2] = 1, not the squared mean),
+    hence the error; the cut value ignores the diagonal.
     """
     if s < 0:
         raise DomainError("s must be nonnegative")
-    if np.any(np.diag(inst.matrix) != 0.0):
+    if inst.origin == "generic" and np.any(np.diag(inst.matrix) != 0.0):
         raise NonNullDiagonal("exact expectation requires a null diagonal")
     y = _projections(emb, z)
     f = np.clip(s * y, -1.0, 1.0)

@@ -423,6 +423,205 @@ def reference_minmax_collector(family, eqs):
 
 
 # ---------------------------------------------------------------------------
+# dense count tensor: the tree build and count collectors before sparse multisets
+
+
+def reference_run(inst: ClusteringInstance, rule: MergeRule, collector=None):
+    """linkage._run as it was with a dense (2n-1)^2 * beta count tensor.
+
+    Collectors get the tensor where the package passes its sparse store:
+    collector(step, winner, ids, tri, minD, maxD, cnt, distinct).
+    """
+    from partition_tuner.linkage import MergeTree
+
+    n = inst.n
+    total = 2 * n - 1
+    big = np.inf
+    minD = np.full((total, total), big)
+    maxD = np.full((total, total), -big)
+    D = inst.dist
+    minD[:n, :n] = D
+    maxD[:n, :n] = D
+
+    if rule.family in ("power_average", "sigma_linear", "sigma_power"):
+        iu = np.triu_indices(n, k=1)
+        distinct = np.unique(D[iu])
+        cnt = np.zeros((total, total, distinct.size), dtype=np.float64)
+        idx = np.searchsorted(distinct, D[iu])
+        cnt[iu[0], iu[1], idx] = 1.0
+        cnt[iu[1], iu[0], idx] = 1.0
+        logd = np.log(distinct)
+    else:
+        distinct = cnt = logd = None
+
+    V = np.full((total, total), big)
+    act = list(range(n))
+    _ref_fill_rows(rule, V, minD, maxD, cnt, logd, act, act)
+    minleaf = np.arange(total)
+    leaf_sets = [[i] for i in range(n)] + [None] * (n - 1)
+    merges = []
+    values = []
+    active_mask = np.zeros(total, dtype=bool)
+    active_mask[:n] = True
+
+    for step in range(n - 1):
+        ids = np.flatnonzero(active_mask)
+        sub = V[np.ix_(ids, ids)]
+        tri = np.triu_indices(ids.size, k=1)
+        vals = sub[tri]
+        cand = np.flatnonzero(vals == np.min(vals))
+        if cand.size > 1:
+            li = minleaf[ids[tri[0][cand]]]
+            lj = minleaf[ids[tri[1][cand]]]
+            cand = cand[np.lexsort((np.maximum(li, lj), np.minimum(li, lj)))[0]]
+        else:
+            cand = cand[0]
+        wi, wj = ids[tri[0][cand]], ids[tri[1][cand]]
+        if minleaf[wj] < minleaf[wi]:
+            wi, wj = wj, wi
+        if collector is not None:
+            collector(step, (wi, wj), ids, tri, minD, maxD, cnt, distinct)
+
+        new = n + step
+        key = V[wi, wj]
+        if rule.family in ("convex_minmax", "sigma_linear"):
+            values.append(float(key))
+        else:
+            with np.errstate(over="ignore"):
+                values.append(float(np.exp(key)))
+        merges.append((wi, wj))
+        leaf_sets[new] = sorted(leaf_sets[wi] + leaf_sets[wj])
+        minleaf[new] = min(minleaf[wi], minleaf[wj])
+        active_mask[wi] = False
+        active_mask[wj] = False
+        active_mask[new] = True
+        rest = np.flatnonzero(active_mask)
+        rest = rest[rest != new]
+        if rest.size:
+            minD[new, rest] = np.minimum(minD[wi, rest], minD[wj, rest])
+            minD[rest, new] = minD[new, rest]
+            maxD[new, rest] = np.maximum(maxD[wi, rest], maxD[wj, rest])
+            maxD[rest, new] = maxD[new, rest]
+            if cnt is not None:
+                cnt[new, rest] = cnt[wi, rest] + cnt[wj, rest]
+                cnt[rest, new] = cnt[new, rest]
+            _ref_fill_rows(rule, V, minD, maxD, cnt, logd, [new], list(rest))
+        V[wi, :] = big
+        V[:, wi] = big
+        V[wj, :] = big
+        V[:, wj] = big
+
+    return MergeTree(n=n, merges=merges, values=values, leaf_sets=leaf_sets)
+
+
+def _ref_fill_rows(rule, V, minD, maxD, cnt, logd, rows, cols):
+    fam = rule.family
+    cols = np.asarray(cols)
+    for r in rows:
+        cc = cols[cols != r]
+        if cc.size == 0:
+            continue
+        mn = minD[r, cc]
+        mx = maxD[r, cc]
+        a = rule.alpha
+        if fam == "convex_minmax":
+            key = a * mn + (1.0 - a) * mx
+        elif fam in ("power_minmax", "power_average") and np.isinf(a):
+            key = np.log(mx if a > 0 else mn)
+        elif fam == "power_minmax":
+            key = np.logaddexp(a * np.log(mn), a * np.log(mx)) / a
+        elif fam == "power_average":
+            rowcnt = cnt[r, cc]
+            tot = rowcnt.sum(axis=1)
+            if a == 0.0:
+                key = (rowcnt @ logd) / tot
+            else:
+                terms = a * logd[None, :] + np.log(rowcnt, where=rowcnt > 0,
+                                                   out=np.full_like(rowcnt, -np.inf))
+                mrow = terms.max(axis=1)
+                key = (mrow + np.log(np.sum(np.exp(terms - mrow[:, None]), axis=1))
+                       - np.log(tot)) / a
+        else:
+            key = _ref_selector_keys(rule, cnt[r, cc], logd)
+        V[r, cc] = key
+        V[cc, r] = key
+
+
+def _ref_selector_keys(rule, rowcnt, logd):
+    from partition_tuner.linkage import selector_indices
+
+    out = np.empty(rowcnt.shape[0])
+    vals = np.exp(logd)
+    for t in range(rowcnt.shape[0]):
+        counts = rowcnt[t]
+        pos = selector_indices(int(counts.sum()), rule.sigma)
+        sel = vals[np.searchsorted(np.cumsum(counts), pos + 1)]
+        a = rule.alpha
+        if rule.family == "sigma_linear":
+            out[t] = np.dot(rule.weights, sel)
+        elif np.isinf(a):
+            out[t] = np.log(sel.max() if a > 0 else sel.min())
+        else:
+            x = a * np.log(sel)
+            m = np.max(x)
+            out[t] = (m if np.isinf(m) else m + np.log(np.sum(np.exp(x - m)))) / a
+    return out
+
+
+def _ref_selected(counts, distinct, sigma):
+    from partition_tuner.linkage import selector_indices
+
+    pos = selector_indices(int(counts.sum()), sigma)
+    return distinct[np.searchsorted(np.cumsum(counts), pos + 1)]
+
+
+def reference_count_collector(family, sigma, eqs):
+    """The dense-tensor collectors of the count families, for reference_run:
+    each step deduplicates the candidates' count rows with np.unique(axis=0).
+    sigma_linear is the exact sweep's (theta, 1 - theta) collector."""
+    from partition_tuner.param_search import _canon_terms
+
+    def cb(step, winner, ids, tri, minD, maxD, cnt, distinct):
+        wrow = cnt[winner]
+        nw = wrow.sum()
+        rows = np.unique(cnt[ids[tri[0]], ids[tri[1]]], axis=0)
+        for crow in rows:
+            if family == "power_average":
+                diff = crow.sum() * wrow - nw * crow
+                nz = np.flatnonzero(diff)
+                if nz.size:
+                    eqs.add(_canon_terms([(diff[t], distinct[t], 0) for t in nz]))
+                continue
+            wsel = _ref_selected(wrow, distinct, sigma)
+            csel = _ref_selected(crow, distinct, sigma)
+            if family == "sigma_power":
+                key = _canon_terms([(1.0, b, 0) for b in wsel] + [(-1.0, b, 0) for b in csel])
+                if key:
+                    eqs.add(key)
+            else:
+                d1 = wsel[0] - csel[0]
+                d2 = wsel[1] - csel[1]
+                if d1 != 0.0 or d2 != 0.0:
+                    eqs.add(_canon_terms([(d1 - d2, 1.0, 1), (d2, 1.0, 0)]))
+
+    return cb
+
+
+def reference_grid_collector(sigma, w, margins):
+    """The dense-tensor collector of the sigma_linear grid search: appends
+    (margin, selected-value difference) per distinct candidate row."""
+
+    def cb(step, winner, ids, tri, minD, maxD, cnt, distinct):
+        wsel = _ref_selected(cnt[winner], distinct, sigma)
+        for crow in np.unique(cnt[ids[tri[0]], ids[tri[1]]], axis=0):
+            dv = wsel - _ref_selected(crow, distinct, sigma)
+            if np.any(dv):
+                margins.append((float(np.dot(w, dv)), tuple(dv)))
+
+    return cb
+
+
+# ---------------------------------------------------------------------------
 # full-recompute rounding ERMs
 
 

@@ -103,6 +103,23 @@ def test_non_finite_distance_exits_two(tmp_path):
                  "--alpha", "0.3"]) == 2
 
 
+@pytest.mark.parametrize("where,value,says", [((0, 2), 2.0, "symmetric"),
+                                              ((1, 1), 0.5, "zero diagonal"),
+                                              ((1, 3), 0.0, "positive")])
+def test_broken_distance_contract_exits_two(tmp_path, capsys, where, value, says):
+    # asymmetric entry, nonzero diagonal, duplicate point
+    D = (np.ones((4, 4)) - np.eye(4)).tolist()
+    D[where[0]][where[1]] = value
+    if where == (1, 3):
+        D[3][1] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema": "partition-tuner/1", "type": "clustering",
+                                "n": 4, "dist": D}))
+    assert main(["erm-alpha", "--instances", str(path), "--family", "power_average",
+                 "--range", "0.5,2", "--k", "2"]) == 2
+    assert says in capsys.readouterr().err
+
+
 def test_diverging_sweep_exits_three(points_path, monkeypatch):
     def diverge(lo, hi, run, solve):
         raise SweepDiverged("sweep refinement failed to converge")

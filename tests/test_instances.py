@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from partition_tuner import (
+    AsymmetricMatrix,
     BadAlphaRange,
     ClusteringInstance,
     Disconnected,
@@ -14,6 +15,7 @@ from partition_tuner import (
     Embedding,
     InconsistentMetric,
     NonFiniteDistance,
+    NonPositiveDistance,
     OffsetsNotDecreasing,
     ParseError,
     UnknownFamily,
@@ -312,3 +314,44 @@ def test_instance_rejects_non_finite_distances(bad):
     D[0, 2] = D[2, 0] = bad
     with pytest.raises(NonFiniteDistance):
         ClusteringInstance(n=3, dist=D)
+
+
+def _unit_metric(n):
+    return np.ones((n, n)) - np.eye(n)
+
+
+def test_instance_rejects_asymmetric_distances():
+    D = _unit_metric(3)
+    D[0, 1] = 1.5
+    with pytest.raises(InconsistentMetric):
+        ClusteringInstance(n=3, dist=D)
+
+
+def test_instance_accepts_asymmetry_within_relative_tolerance():
+    D = _unit_metric(3) * 1e6
+    D[0, 1] += 1e-7  # 1e-13 of the scale
+    ClusteringInstance(n=3, dist=D)
+
+
+def test_instance_rejects_nonzero_diagonal():
+    D = _unit_metric(3)
+    D[1, 1] = 0.25
+    with pytest.raises(InconsistentMetric):
+        ClusteringInstance(n=3, dist=D)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_instance_rejects_non_positive_distances(bad):
+    # a zero distance is a duplicate point
+    D = _unit_metric(4)
+    D[1, 3] = D[3, 1] = bad
+    with pytest.raises(NonPositiveDistance):
+        ClusteringInstance(n=4, dist=D)
+
+
+def test_max_cut_instance_rejects_asymmetric_matrix():
+    W = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(AsymmetricMatrix):
+        MaxQPInstance(n=2, matrix=W, origin="maxcut")
+    # a generic form x^T A x reads only the symmetric part of A
+    MaxQPInstance(n=2, matrix=W, origin="generic")

@@ -259,7 +259,7 @@ def _collected_pair(inst, rule):
         cb(*args)
         ref(*args)
 
-    _run(inst, rule, record=False, collector=both)
+    _run(inst, rule, collector=both)
     return got, want
 
 

@@ -1,0 +1,218 @@
+"""Sparse pair multisets in the tree build, against the dense count tensor.
+
+The reference build in oracles.py keeps every cluster pair's distance
+multiset as a dense row of counts over the distinct distances; the package
+keeps sparse, interned supports.  Trees, selector keys and collected
+equations must agree; power_average keys may differ only in rounding.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from partition_tuner import ClusteringInstance, MergeRule, build_tree, gen_general_lb
+from partition_tuner.linkage import _count_keys, _run, record_comparisons
+from partition_tuner.param_search import _make_collector, _margin_collector
+from conftest import euclidean_instance
+from oracles import (
+    merge_value,
+    reference_count_collector,
+    reference_grid_collector,
+    reference_run,
+    tree_merge_sequence,
+)
+
+
+def _rules(rng):
+    yield MergeRule("convex_minmax", float(rng.uniform(0.0, 1.0)))
+    yield MergeRule("power_minmax", float(rng.uniform(-3.0, 3.0)) or 1.0)
+    yield MergeRule("power_average", float(rng.uniform(-3.0, 3.0)))
+    yield MergeRule("power_average", 0.0)
+    yield MergeRule("power_average", math.inf)
+    yield MergeRule("power_average", -math.inf)
+    yield MergeRule("sigma_linear", weights=(float(rng.uniform(0.1, 2.0)),
+                                             float(rng.uniform(0.1, 2.0))), sigma=2)
+    yield MergeRule("sigma_linear", weights=(0.2, 1.0, 0.7), sigma=3)
+    yield MergeRule("sigma_power", float(rng.uniform(0.3, 2.5)), sigma=int(rng.integers(2, 5)))
+    yield MergeRule("sigma_power", -1.3, sigma=3)
+    yield MergeRule("sigma_power", math.inf, sigma=2)
+
+
+def _assert_same_build(inst, rule):
+    got = build_tree(inst, rule)
+    want = reference_run(inst, rule)
+    assert tree_merge_sequence(got) == tree_merge_sequence(want), rule
+    if rule.family == "power_average" and not math.isinf(rule.alpha):
+        np.testing.assert_allclose(got.values, want.values, rtol=1e-12)
+    else:
+        # selector keys pick exact order statistics: bit-identical
+        assert got.values == want.values, rule
+
+
+def test_builds_match_dense_reference_on_gaussian_points():
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        inst = euclidean_instance(rng, int(rng.integers(2, 18)))
+        for rule in _rules(rng):
+            _assert_same_build(inst, rule)
+
+
+@pytest.mark.parametrize("rounds", [3, 4, 5, 6])
+def test_builds_match_dense_reference_on_general_lb(rounds):
+    inst, _ = gen_general_lb(rounds)
+    rng = np.random.default_rng(rounds)
+    for alpha in (1.1, 1.7, 2.3, 2.9):
+        _assert_same_build(inst, MergeRule("power_average", alpha))
+    for rule in _rules(rng):
+        _assert_same_build(inst, rule)
+
+
+def _integer_instance(rng, n, top):
+    D = rng.integers(1, top + 1, size=(n, n)).astype(float)
+    D = np.triu(D, 1)
+    return ClusteringInstance(n=n, dist=D + D.T)
+
+
+def test_tie_heavy_builds_diverge_only_at_exact_ties():
+    rng = np.random.default_rng(23)
+    for _ in range(25):
+        inst = _integer_instance(rng, int(rng.integers(3, 12)), int(rng.integers(2, 5)))
+        for rule in _rules(rng):
+            got = tree_merge_sequence(build_tree(inst, rule))
+            want = tree_merge_sequence(reference_run(inst, rule))
+            for g, w in zip(got, want):
+                if g == w:
+                    continue
+                # the same clusters are active on both sides up to here
+                vals = [merge_value([inst.dist[p, q] for p in a for q in b], rule)
+                        for a, b in (g, w)]
+                assert abs(vals[0] - vals[1]) <= 1e-12 * max(1.0, *map(abs, vals)), (
+                    rule, g, w, vals)
+                break
+
+
+_multiset = st.dictionaries(st.integers(0, 11), st.integers(1, 6), min_size=1, max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    target=_multiset,
+    others=st.lists(_multiset, max_size=5),
+    where=st.integers(0, 5),
+    # keys divide by alpha: a tiny alpha overflows them to inf
+    alpha=st.floats(-4.0, 4.0).filter(lambda a: a == 0.0 or abs(a) >= 1e-3),
+    sigma=st.integers(2, 4),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_equal_multisets_get_bit_equal_keys(target, others, where, alpha, sigma, seed):
+    rng = np.random.default_rng(seed)
+    logd = np.log(np.sort(rng.uniform(0.1, 9.0, 12)))
+    batch = list(others)
+    batch.insert(min(where, len(batch)), target)
+    batch.append(target)
+    at = [i for i, m in enumerate(batch) if m is target]
+
+    def keys(multisets, rule):
+        idx = np.concatenate([np.array(sorted(m), dtype=np.int64) for m in multisets])
+        cnt = np.concatenate([np.array([m[t] for t in sorted(m)], dtype=np.int64)
+                              for m in multisets])
+        starts = np.cumsum([0] + [len(m) for m in multisets[:-1]])
+        return _count_keys(rule, idx, cnt, starts, logd)
+
+    weights = tuple(float(w) for w in rng.uniform(0.1, 2.0, sigma))
+    for rule in (MergeRule("power_average", alpha), MergeRule("power_average", 0.0),
+                 MergeRule("sigma_linear", weights=weights, sigma=sigma),
+                 MergeRule("sigma_power", alpha or 1.0, sigma=sigma)):
+        alone = keys([target], rule)[0]
+        got = keys(batch, rule)
+        assert all(got[i].tobytes() == alone.tobytes() for i in at), rule
+
+
+def _collected(inst, rule, make, make_ref):
+    got, want = set(), set()
+    tree = _run(inst, rule, make(got))
+    ref = reference_run(inst, rule, make_ref(want))
+    return tree_merge_sequence(tree) == tree_merge_sequence(ref), got, want
+
+
+@pytest.mark.parametrize("family,sigma,rule", [
+    ("power_average", None, MergeRule("power_average", 1.3)),
+    ("power_average", None, MergeRule("power_average", -0.6)),
+    ("sigma_power", 3, MergeRule("sigma_power", 0.8, sigma=3)),
+    ("sigma_linear", 2, MergeRule("sigma_linear", weights=(0.35, 0.65), sigma=2)),
+])
+def test_count_collectors_match_dense_reference(family, sigma, rule):
+    rng = np.random.default_rng(5)
+    compared = 0
+    for trial in range(16):
+        n = int(rng.integers(3, 13))
+        inst = _integer_instance(rng, n, 3) if trial % 2 else euclidean_instance(rng, n)
+        same, got, want = _collected(
+            inst, rule,
+            lambda eqs: _make_collector(family, sigma, eqs),
+            lambda eqs: reference_count_collector(family, sigma, eqs),
+        )
+        if same:
+            assert got == want
+            compared += 1
+    assert compared >= 12
+
+
+def test_grid_margins_match_dense_reference_in_order():
+    rng = np.random.default_rng(8)
+    w = np.array([0.3, 0.9, 0.5])
+    rule = MergeRule("sigma_linear", weights=tuple(w), sigma=3)
+    for trial in range(10):
+        n = int(rng.integers(3, 12))
+        inst = _integer_instance(rng, n, 3) if trial % 2 else euclidean_instance(rng, n)
+        got, want = [], []
+        tree = _run(inst, rule, _margin_collector(3, w, got))
+        ref = reference_run(inst, rule, reference_grid_collector(3, w, want))
+        if tree_merge_sequence(tree) == tree_merge_sequence(ref):
+            assert got == want
+
+
+def test_store_holds_only_the_active_pairs():
+    rng = np.random.default_rng(3)
+    inst = _integer_instance(rng, 14, 3)
+    n = inst.n
+
+    def check(step, winner, ids, tri, minD, maxD, sets, distinct):
+        sids = sets.sid[ids[tri[0]], ids[tri[1]]]
+        # the active pairs partition the leaf pairs across clusters
+        sizes = np.bincount(sets.label)
+        cross = (n * n - int(np.sum(sizes * sizes))) // 2
+        assert sum(int(sets.support(s)[1].sum()) for s in sids) == cross
+        assert len(sets._index) == np.unique(sids).size
+
+    _run(inst, MergeRule("power_average", 1.0), check)
+
+
+def test_recorded_power_average_comparisons_favor_the_winner():
+    rng = np.random.default_rng(17)
+    inst = euclidean_instance(rng, 9)
+    rule = MergeRule("power_average", 1.4)
+    tree, comps = record_comparisons(inst, rule)
+    assert tree.fingerprint() == build_tree(inst, rule).fingerprint()
+    assert comps
+    for cmp_ in comps:
+        terms = cmp_.terms(rule)
+        val = sum(c * b ** rule.alpha for c, b, _ in terms)
+        scale = sum(abs(c) * b ** rule.alpha for c, b, _ in terms)
+        assert val <= 1e-12 * scale
+
+
+def test_power_average_build_at_n200_stays_small():
+    inst = euclidean_instance(np.random.default_rng(200), 200)
+    tracemalloc.start()
+    try:
+        build_tree(inst, MergeRule("power_average", 1.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense tensor would need (2n-1)^2 * n(n-1)/2 * 8 bytes, about 24 GiB
+    assert peak < 64 * 2 ** 20

@@ -297,3 +297,17 @@ def test_cli_rejects_embedding_of_another_size_with_exit_two(tmp_path):
     for name in ("erm-slin", "erm-owr", "erm-rprt"):
         assert main([name, "--instances", str(k12), "--embedding", embp,
                      "--samples", "2"]) == 2
+
+
+def test_cli_rejects_asymmetric_max_cut_matrix_with_exit_two(tmp_path):
+    k4 = tmp_path / "k4.json"
+    assert main(["gen", "k4", "--n", "8", "--j", "1", "--out", str(k4)]) == 0
+    embp = str(tmp_path / "k4.embedding.json")
+    doc = json.loads(k4.read_text())
+    assert doc["origin"] == "maxcut"
+    doc["matrix"][0][1] += 0.5
+    bad = tmp_path / "asym.json"
+    bad.write_text(json.dumps(doc))
+    for name in ("erm-slin", "erm-owr", "erm-rprt"):
+        assert main([name, "--instances", str(bad), "--embedding", embp,
+                     "--samples", "2"]) == 2

@@ -267,6 +267,17 @@ def test_rprt_expect_rejects_nonzero_diagonal():
         rprt_expect(inst, emb, np.ones(2), 1.0)
 
 
+def test_rprt_expect_ignores_the_diagonal_of_a_max_cut_instance():
+    # the cut value ignores w_ii, so the closed form holds with a diagonal
+    W = np.array([[0.5, 1.0], [1.0, 0.0]])
+    emb = Embedding(n=2, d=2, vectors=np.array([[1.0, 0.0], [0.6, 0.8]]))
+    z = np.array([0.3, -0.9])
+    with_diag = MaxQPInstance(n=2, matrix=W, origin="maxcut")
+    zeroed = MaxQPInstance(n=2, matrix=W - np.diag(np.diag(W)), origin="maxcut")
+    for s in (0.0, 0.4, 1.0, 3.0):
+        assert rprt_expect(with_diag, emb, z, s) == rprt_expect(zeroed, emb, z, s)
+
+
 def test_rprt_expect_matches_monte_carlo():
     inst, emb, z, _ = gen_k4_shatter(8, 1)
     s = 0.8
