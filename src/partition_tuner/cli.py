@@ -21,6 +21,8 @@ import numpy as np
 
 from .errors import DataError, DomainError, NumericError, ParseError
 from .instances import (
+    ClusteringInstance,
+    MaxQPInstance,
     fixture_path,
     gen_general_lb,
     gen_k4_shatter,
@@ -92,6 +94,13 @@ def _range(text: str):
     return vals
 
 
+def _seed(text: str) -> int:
+    val = int(text)
+    if not 0 <= val < 2 ** 128:
+        raise argparse.ArgumentTypeError(f"seed must lie in [0, 2**128), got {val}")
+    return val
+
+
 def _pvalue(text: str) -> float:
     if text in ("inf", "Inf", "INF"):
         return math.inf
@@ -101,8 +110,23 @@ def _pvalue(text: str) -> float:
         raise DomainError(f"bad exponent {text!r}") from None
 
 
-def _instances(args):
-    return [load_instance(p) for p in args.instances.split(",")]
+def _load(path, kind, command):
+    """Load one instance file and check that it holds the kind the command reads."""
+    inst = load_instance(path)
+    if not isinstance(inst, kind):
+        raise ParseError(f"{path}: {command} expects a {kind.__name__}")
+    return inst
+
+
+def _instances(args, kind=ClusteringInstance):
+    return [_load(p, kind, args.command) for p in args.instances.split(",")]
+
+
+def _one_instance(args, kind):
+    insts = _instances(args, kind)
+    if len(insts) != 1:
+        raise ParseError(f"{args.command} takes one instance file, got {len(insts)}")
+    return insts[0]
 
 
 def _objective(args) -> Objective:
@@ -161,6 +185,8 @@ def cmd_gen(args):
         save_instance(args.out, inst, fix)
         extras = [fixture_path(args.out)]
     elif kind == "oscillation":
+        if not args.alphas:
+            raise DomainError("gen oscillation requires --alphas")
         alphas = _floats(args.alphas)
         n = 6 * (len(alphas) + 1) + 2
         inst, fix = gen_oscillation(n, alphas, _family(args.family), p=args.p)
@@ -203,9 +229,7 @@ def cmd_validate(args):
     reports = {}
     bad = []
     for path in args.instances.split(","):
-        inst = load_instance(path)
-        if not hasattr(inst, "dist"):
-            raise ParseError(f"{path}: validate expects a clustering instance")
+        inst = _load(path, ClusteringInstance, args.command)
         rep = validate(inst, tol=args.tol)
         reports[path] = {
             "n": inst.n,
@@ -237,7 +261,7 @@ def _merge_rule(args):
 
 
 def cmd_tree(args):
-    (inst,) = _instances(args)
+    inst = _one_instance(args, ClusteringInstance)
     rule = _merge_rule(args)
     tree = build_tree(inst, rule)
     merges = [
@@ -253,7 +277,7 @@ def cmd_tree(args):
 
 
 def cmd_prune(args):
-    (inst,) = _instances(args)
+    inst = _one_instance(args, ClusteringInstance)
     rule = _merge_rule(args)
     tree = build_tree(inst, rule)
     prule = PruningRule(p=_pvalue(args.p))
@@ -346,7 +370,7 @@ def cmd_erm_joint(args):
 
 
 def cmd_embed(args):
-    (inst,) = _instances(args)
+    inst = _one_instance(args, MaxQPInstance)
     res = embed_bm(
         inst,
         rank=args.rank,
@@ -365,7 +389,7 @@ def cmd_embed(args):
 
 
 def _rounding_setup(args):
-    (inst,) = _instances(args)
+    inst = _one_instance(args, MaxQPInstance)
     if args.embedding:
         emb = load_embedding(args.embedding)
     else:
@@ -461,7 +485,7 @@ def _build_parser():
         p.add_argument("--save-config", dest="save_config")
         p.add_argument("--config", help="replay a saved run config")
         if seeded:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_seed, default=0)
         if profile:
             p.add_argument("--csv", help="write (parameter, cost) rows here")
 
@@ -575,22 +599,39 @@ def _build_parser():
 _CONFIG_SKIP = {"func", "command", "config", "save_config"}
 
 
-def _apply_config(args):
+def _apply_config(args, parser):
+    """Overlay a saved run config on the parsed flags.  The merged values go
+    through the parser again, so a config value gets its flag's type and
+    checks."""
     if not getattr(args, "config", None):
         return args
-    with open(args.config) as fh:
-        doc = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # undecodable bytes or invalid JSON
+        raise ParseError(f"config is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError("config must be a JSON object")
     if doc.get("command") != args.command:
         raise DataError(
             f"config is for {doc.get('command')!r}, not {args.command!r}"
         )
+    merged = vars(args).copy()
     for key, val in doc.items():
         if key in _CONFIG_SKIP or key == "command":
             continue
-        if not hasattr(args, key):
+        if key not in merged:
             raise DataError(f"config has unknown field {key!r}")
-        setattr(args, key, val)
-    return args
+        merged[key] = val
+    argv = [args.command] + ([str(merged.pop("kind"))] if "kind" in merged else [])
+    argv += [f"--{key.replace('_', '-')}={val}" for key, val in merged.items()
+             if key not in _CONFIG_SKIP and key != "command" and val is not None]
+    try:
+        replayed = parser.parse_args(argv)
+    except SystemExit:
+        raise ParseError(f"{args.config}: a value does not fit its flag") from None
+    replayed.config, replayed.save_config = args.config, args.save_config
+    return replayed
 
 
 def _save_config(args):
@@ -614,7 +655,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         _thread_budget()  # evaluation is sequential; the variable is validated only
-        args = _apply_config(args)
+        args = _apply_config(args, parser)
         _save_config(args)
         result = args.func(args)
         if result is not None:
@@ -626,7 +667,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -236,11 +236,14 @@ def gen_two_gadget(alpha_star: float, family: str, p: float = 1.0):
         if not (0.0 <= alpha_star <= 1.0):
             raise BadAlphaRange("convex form needs alpha_star in [0, 1]")
     elif family in ("power_minmax", "power_average"):
-        if alpha_star == 0.0:
+        if alpha_star == 0.0 or math.isnan(alpha_star):
             raise BadAlphaRange("power forms need nonzero alpha_star")
     else:
         raise UnknownFamily(f"unknown family {family!r}")
-    dstar = two_gadget_spread(alpha_star, family)
+    try:
+        dstar = two_gadget_spread(alpha_star, family)
+    except OverflowError:
+        raise BadAlphaRange(f"alpha_star {alpha_star!r} overflows the power form") from None
 
     n = 210
     entries = []
@@ -399,7 +402,8 @@ def gen_oscillation(n: int, alphas: Sequence[float], family: str, p: float = 1.0
         put(anchor2, y, 1.5)
         # swing-point anchor links; v alternates so the profile oscillates
         if g < used:
-            if (p <= 0) or 2.0 * 1.46 ** p <= 1.47 ** p:
+            # the gap closes near p = 101.7, long before 1.46 ** p overflows
+            if not 0 < p < 1e3 or 2.0 * 1.46 ** p <= 1.47 ** p:
                 raise BadAlphaRange("exponent p too extreme for the plateau gap")
             v = 1.47 if g % 2 == 0 else (2.0 * 1.46 ** p - 1.47 ** p) ** (1.0 / p)
             if family == "convex_minmax":
@@ -648,26 +652,35 @@ def load_instance(path):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # undecodable bytes or invalid JSON
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         raise ParseError(f"missing or unknown schema tag, expected {SCHEMA!r}")
     kind = doc.get("type")
-    if kind == "clustering":
-        gt = doc.get("ground_truth")
-        return ClusteringInstance(
-            n=int(doc["n"]),
-            dist=np.array(doc["dist"], dtype=float),
-            ground_truth=None if gt is None else np.array(gt, dtype=int),
-            k_hint=doc.get("k_hint"),
-        )
-    if kind == "maxqp":
+    if kind not in ("clustering", "maxqp"):
+        raise ParseError(f"unknown instance type {kind!r}")
+    n = doc.get("n")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ParseError(f"{kind} instance needs an integer field 'n', got {n!r}")
+    field = "dist" if kind == "clustering" else "matrix"
+    if field not in doc:
+        raise ParseError(f"{kind} instance lacks the field {field!r}")
+    try:
+        if kind == "clustering":
+            gt = doc.get("ground_truth")
+            return ClusteringInstance(
+                n=n,
+                dist=np.array(doc["dist"], dtype=float),
+                ground_truth=None if gt is None else np.array(gt, dtype=int),
+                k_hint=doc.get("k_hint"),
+            )
         return MaxQPInstance(
-            n=int(doc["n"]),
+            n=n,
             matrix=np.array(doc["matrix"], dtype=float),
             origin=doc.get("origin", "generic"),
         )
-    raise ParseError(f"unknown instance type {kind!r}")
+    except (TypeError, ValueError) as exc:  # entries that are not numbers
+        raise ParseError(f"{kind} instance has an ill-typed field: {exc}") from exc
 
 
 def load_fixture(path) -> FixtureSpec:

@@ -15,6 +15,7 @@ a build needs O(n^2) memory.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -50,6 +51,8 @@ class MergeRule:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise UnknownFamily(f"unknown merge family {self.family!r}")
+        if self.alpha is not None and np.isnan(self.alpha):
+            raise DomainError(f"{self.family} needs a number for alpha, not NaN")
         if self.family == "convex_minmax":
             if self.alpha is None or not (0.0 <= self.alpha <= 1.0):
                 raise DomainError("convex_minmax needs alpha in [0, 1]")
@@ -64,8 +67,8 @@ class MergeRule:
                 raise DomainError("sigma_linear needs sigma and a weight tuple")
             if len(self.weights) != self.sigma or self.sigma < 2:
                 raise DomainError("weight count must equal sigma >= 2")
-            if any(w < 0 for w in self.weights) or all(w == 0 for w in self.weights):
-                raise DomainError("weights must be nonnegative, not all zero")
+            if not all(0 <= w < np.inf for w in self.weights) or not any(self.weights):
+                raise DomainError("weights must be finite and nonnegative, not all zero")
         elif self.family == "sigma_power":
             if self.alpha is None or self.alpha == 0.0 or self.sigma is None:
                 raise DomainError("sigma_power needs nonzero alpha and sigma >= 2")
@@ -256,10 +259,12 @@ def record_comparisons(inst: ClusteringInstance, rule: MergeRule):
     """Like build_tree but also returns every executed winner-vs-candidate
     comparison (one Comparison per losing candidate pair per step)."""
     comparisons = []
+    counts = _counts_needed(rule)
 
-    def record(step, winner, ids, tri, minD, maxD, sets, distinct):
+    def record(step, winner, ids, _, minD, maxD, sets, distinct):
         wi, wj = winner
-        wset = None if sets is None else sets.support(sets.sid[wi, wj])
+        wset = sets.support(sets.sid[wi, wj]) if counts else None
+        tri = np.triu_indices(ids.size, k=1)
         for i, j in zip(ids[tri[0]], ids[tri[1]]):
             if {i, j} == {wi, wj}:
                 continue
@@ -273,7 +278,7 @@ def record_comparisons(inst: ClusteringInstance, rule: MergeRule):
                     candidate_min=minD[i, j],
                     candidate_max=maxD[i, j],
                     winner_counts=wset,
-                    candidate_counts=None if sets is None else sets.support(sets.sid[i, j]),
+                    candidate_counts=sets.support(sets.sid[i, j]) if counts else None,
                     distinct=distinct,
                 )
             )
@@ -281,50 +286,98 @@ def record_comparisons(inst: ClusteringInstance, rule: MergeRule):
     return _run(inst, rule, record), comparisons
 
 
-class PairMultisets:
+class PairKeys:
+    """Interned keys of the active cluster pairs of one tree build.
+
+    Equal keys share one id, and ``sid[u, v]`` is the id of active pair
+    (u, v).  An id counts the active pairs that hold it and is dropped once
+    none does, so the live keys (``live``) are exactly the distinct keys
+    among the active pairs: one merge step's candidates.  ``_run`` keeps
+    them current through the O(m) pairs each merge retires and creates.
+    A pair's key is its (min, max) distances here, its distance multiset in
+    PairMultisets.  Without ``interned`` (a plain build) nothing is interned.
+    """
+
+    def __init__(self, D: np.ndarray, interned: bool = True):
+        n = D.shape[0]
+        upper = ~np.tri(n, dtype=bool)
+        self.distinct, inv = np.unique(D[upper], return_inverse=True)
+        self.beta = self.distinct.size
+        # leaf pair -> distinct index of its upper-triangle distance, mirrored,
+        # so that both orientations agree when D is symmetric only to rounding
+        self.didx = np.zeros((n, n), dtype=np.int64)
+        self.didx[upper] = inv
+        self.didx.T[upper] = inv
+        self.sid = None
+        if interned:
+            self.sid = np.zeros((2 * n - 1, 2 * n - 1), dtype=np.int32)  # ids stay below n^2
+            # a leaf pair's key is that of its one distance t, interned as id t
+            self.sid[:n, :n] = self.didx
+            self.keys = self._leaf_keys()
+            self._index = {key: t for t, key in enumerate(self.keys)}
+            self._refs = np.bincount(inv, minlength=self.beta).tolist()
+
+    def _leaf_keys(self):
+        return [(d, d) for d in self.distinct.tolist()]
+
+    def live(self):
+        """The distinct keys of the active pairs, as a set-like view."""
+        return self._index.keys()
+
+    def replace(self, wi, wj, new, rest, keys):
+        """Intern keys[r], the key of pair (new, rest[r]), then retire the
+        pairs of wi and wj.  Python-level work is per distinct key; the
+        per-pair counting and lookups run inside Counter and map."""
+        index, refs = self._index, self._refs
+        for key, c in Counter(keys).items():
+            s = index.get(key)
+            if s is None:
+                s = index[key] = len(self.keys)
+                self.keys.append(key)
+                refs.append(0)
+            refs[s] += c
+        sid = self.sid
+        new_ids = list(map(index.__getitem__, keys))
+        sid[new, rest] = new_ids
+        sid[rest, new] = new_ids
+        gone = np.concatenate(([sid[wi, wj]], sid[wi, rest], sid[wj, rest]))
+        for s, c in Counter(gone.tolist()).items():
+            refs[s] -= c
+            if not refs[s]:
+                del index[self.keys[s]]
+                self.keys[s] = None
+
+
+class PairMultisets(PairKeys):
     """Distance multisets of the active cluster pairs of one tree build.
 
     A multiset is a support sorted by distinct-distance index, with integer
-    counts: (idx, cnt).  With ``interned`` (what the collectors read),
-    equal multisets share one id, so ``sid[u, v]``, the id of active pair
-    (u, v), compares multisets by value.  An id is dropped once no active
-    pair holds it, so the store holds at most the n(n-1)/2 leaf-pair counts
-    of the active pairs.  Without it, merges only hand back the new
-    multisets, which is all a plain build reads.
+    counts: (idx, cnt).  Interned, its key is its idx bytes followed by its
+    cnt bytes, so ``sid[u, v]`` compares multisets by value, and the store
+    holds at most the n(n-1)/2 leaf-pair counts of the active pairs.
+    Without interning, merges only hand back the new multisets, which is
+    all a plain build reads.
     """
 
     def __init__(self, D: np.ndarray, interned: bool):
+        super().__init__(D, interned)
         n = D.shape[0]
-        iu = np.triu_indices(n, k=1)
-        self.distinct = np.unique(D[iu])
-        self.beta = self.distinct.size
-        didx = np.zeros((n, n), dtype=np.int64)
-        didx[iu] = np.searchsorted(self.distinct, D[iu])
-        didx.T[iu] = didx[iu]
-        self.didx = didx
         self.label = np.arange(n)  # leaf -> active node holding it
         self._pos = np.zeros(2 * n - 1, dtype=np.int64)
-        self.sid = None
-        if interned:
-            self.sid = np.zeros((2 * n - 1, 2 * n - 1), dtype=np.int64)
-            self.sid[:n, :n] = didx
-            # a leaf pair's multiset is the singleton {t: 1}, interned as id t
-            one = np.ones(1, dtype=np.int64).tobytes()
-            self._keys = [t.tobytes() + one for t in np.arange(self.beta, dtype=np.int64)]
-            self._index = {key: t for t, key in enumerate(self._keys)}
-            self._refs = np.bincount(didx[iu], minlength=self.beta).tolist()
+
+    def _leaf_keys(self):
+        # a leaf pair's multiset is the singleton {t: 1}
+        one = np.ones(1, dtype=np.int64).tobytes()
+        return [t.tobytes() + one for t in np.arange(self.beta, dtype=np.int64)]
 
     def support(self, s):
         """The multiset with id s as (idx, cnt)."""
-        both = np.frombuffer(self._keys[s], dtype=np.int64)
-        half = both.size // 2
-        return both[:half], both[half:]
+        return _support(self.keys[s])
 
-    def candidates(self, winner, ids, tri):
+    def candidates(self, winner):
         """The winner's multiset and every distinct multiset among one
         step's candidate pairs (the winner's included), as (idx, cnt)."""
-        found = np.unique(self.sid[ids[tri[0]], ids[tri[1]]])
-        return self.support(self.sid[winner]), [self.support(s) for s in found.tolist()]
+        return self.support(self.sid[winner]), [_support(key) for key in self.live()]
 
     def merge(self, new, wi, wj, members, rest):
         """Build the multisets of node new = wi + wj (the leaves in members)
@@ -343,32 +396,18 @@ class PairMultisets:
         seg = code // self.beta
         idx = code - seg * self.beta
         starts = np.flatnonzero(np.diff(seg, prepend=-1))
-        sid = self.sid
-        if sid is not None:
-            self._release(np.concatenate(([sid[wi, wj]], sid[wi, rest], sid[wj, rest])))
-            # one key per multiset: its idx bytes, then its cnt bytes
+        if self.sid is not None:
             bi, bc = idx.tobytes(), cnt.astype(np.int64).tobytes()
             bounds = (idx.itemsize * np.append(starts, idx.size)).tolist()
-            new_ids = [self._intern(bi[a:b] + bc[a:b]) for a, b in zip(bounds, bounds[1:])]
-            sid[new, rest] = new_ids
-            sid[rest, new] = new_ids
+            keys = [bi[a:b] + bc[a:b] for a, b in zip(bounds, bounds[1:])]
+            self.replace(wi, wj, new, rest, keys)
         return idx, cnt, starts
 
-    def _intern(self, key):
-        s = self._index.get(key)
-        if s is None:
-            s = self._index[key] = len(self._keys)
-            self._keys.append(key)
-            self._refs.append(0)
-        self._refs[s] += 1
-        return s
 
-    def _release(self, ids):
-        for s in ids.tolist():
-            self._refs[s] -= 1
-            if not self._refs[s]:
-                del self._index[self._keys[s]]
-                self._keys[s] = None
+def _support(key):
+    both = np.frombuffer(key, dtype=np.int64)
+    half = both.size // 2
+    return both[:half], both[half:]
 
 
 def _run(inst: ClusteringInstance, rule: MergeRule, collector=None) -> MergeTree:
@@ -378,10 +417,14 @@ def _run(inst: ClusteringInstance, rule: MergeRule, collector=None) -> MergeTree
     ids.  Families that read whole multisets keep them in a PairMultisets
     store, with no count work for power_average at alpha = +-inf, which
     needs only minD / maxD.  Before each merge, ``collector`` (when given)
-    is called as collector(step, winner, ids, tri, minD, maxD, sets,
-    distinct): ids are the active nodes, the candidate pairs are
-    (ids[tri[0]], ids[tri[1]]), and sets / distinct are the PairMultisets
-    store and its distinct distances, None for the min/max families.
+    is called as collector(step, winner, ids, None, minD, maxD, sets,
+    distinct): the candidates are the pairs of the active nodes ids (a
+    collector that lists them builds np.triu_indices(ids.size, 1) itself),
+    sets is the interned pair store (a PairMultisets, or for the families
+    read through minD / maxD a PairKeys of (min, max) keys) and distinct
+    its distinct distances, None for the latter families.  Each merge
+    updates the store through the O(m) pairs it retires and creates; a
+    plain build interns nothing.
     """
     n = inst.n
     total = 2 * n - 1
@@ -393,18 +436,20 @@ def _run(inst: ClusteringInstance, rule: MergeRule, collector=None) -> MergeTree
     maxD[:n, :n] = D
 
     V = np.full((total, total), big)
-    if _counts_needed(rule):
+    counts = _counts_needed(rule)
+    if counts:
         sets = PairMultisets(D, interned=collector is not None)
         distinct = sets.distinct
         logd = np.log(distinct)
         t = np.arange(sets.beta)
         single = _count_keys(rule, t, np.ones_like(t), t, logd)
     else:
-        sets = distinct = None
+        sets = None if collector is None else PairKeys(D)
+        distinct = None
     # row by row, so that no temporary is quadratic in n
     for r in range(n - 1):
         d = D[r, r + 1:]
-        key = _minmax_keys(rule, d, d) if sets is None else single[sets.didx[r, r + 1:]]
+        key = single[sets.didx[r, r + 1:]] if counts else _minmax_keys(rule, d, d)
         V[r, r + 1:n] = key
         V[r + 1:n, r] = key
     minleaf = np.arange(total)
@@ -418,24 +463,19 @@ def _run(inst: ClusteringInstance, rule: MergeRule, collector=None) -> MergeTree
 
     for step in range(n - 1):
         ids = np.flatnonzero(active_mask)
-        sub = V[np.ix_(ids, ids)]
-        m = ids.size
-        tri = np.triu_indices(m, k=1)
-        vals = sub[tri]
-        best = np.min(vals)
-        cand = np.flatnonzero(vals == best)
-        if cand.size > 1:
-            li = minleaf[ids[tri[0][cand]]]
-            lj = minleaf[ids[tri[1][cand]]]
-            cand = cand[np.lexsort((np.maximum(li, lj), np.minimum(li, lj)))[0]]
-        else:
-            cand = cand[0]
-        wi, wj = ids[tri[0][cand]], ids[tri[1][cand]]
+        sub = V[np.ix_(ids, ids)]  # symmetric, with big on the diagonal
+        r, c = np.nonzero(sub == sub.min())
+        r, c = r[r < c], c[r < c]
+        k = 0
+        if r.size > 1:
+            li, lj = minleaf[ids[r]], minleaf[ids[c]]
+            k = np.lexsort((np.maximum(li, lj), np.minimum(li, lj)))[0]
+        wi, wj = ids[r[k]], ids[c[k]]
         if minleaf[wj] < minleaf[wi]:
             wi, wj = wj, wi
 
         if collector is not None:
-            collector(step, (wi, wj), ids, tri, minD, maxD, sets, distinct)
+            collector(step, (wi, wj), ids, None, minD, maxD, sets, distinct)
 
         new = n + step
         key = V[wi, wj]
@@ -453,20 +493,22 @@ def _run(inst: ClusteringInstance, rule: MergeRule, collector=None) -> MergeTree
         rest = np.flatnonzero(active_mask)
         rest = rest[rest != new]
         if rest.size:
-            minD[new, rest] = np.minimum(minD[wi, rest], minD[wj, rest])
-            minD[rest, new] = minD[new, rest]
-            maxD[new, rest] = np.maximum(maxD[wi, rest], maxD[wj, rest])
-            maxD[rest, new] = maxD[new, rest]
-            if sets is None:
-                key = _minmax_keys(rule, minD[new, rest], maxD[new, rest])
-            else:
+            mn = np.minimum(minD[wi, rest], minD[wj, rest])
+            mx = np.maximum(maxD[wi, rest], maxD[wj, rest])
+            minD[new, rest] = mn
+            minD[rest, new] = mn
+            maxD[new, rest] = mx
+            maxD[rest, new] = mx
+            if counts:
                 key = _count_keys(rule, *sets.merge(new, wi, wj, leaf_sets[new], rest), logd)
+            else:
+                key = _minmax_keys(rule, mn, mx)
+                if sets is not None:
+                    sets.replace(wi, wj, new, rest, list(zip(mn.tolist(), mx.tolist())))
             V[new, rest] = key
             V[rest, new] = key
-        V[wi, :] = big
-        V[:, wi] = big
-        V[wj, :] = big
-        V[:, wj] = big
+        V[[wi, wj], :] = big
+        V[:, [wi, wj]] = big
 
     return MergeTree(n=n, merges=merges, values=values, leaf_sets=leaf_sets)
 

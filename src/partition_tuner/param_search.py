@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, SigmaTooLargeForExact, SweepDiverged, UnknownFamily
+from .errors import DomainError, Overflow, SigmaTooLargeForExact, SweepDiverged, UnknownFamily
 from .instances import ClusteringInstance
 from .linkage import (
     MergeRule,
@@ -285,6 +285,18 @@ class PiecewiseProfile:
     payloads: Optional[list] = None
     hard_boundaries: tuple = ()
 
+    @classmethod
+    def from_cells(cls, parameter, cells, hard_boundaries=()):
+        """The profile of _lazy_sweep's cells [lo, hi, rep, payload, value]."""
+        return cls(
+            parameter=parameter,
+            breakpoints=[cells[0][0]] + [c[1] for c in cells],
+            values=[c[4] for c in cells],
+            representatives=[c[2] for c in cells],
+            payloads=[c[3] for c in cells],
+            hard_boundaries=hard_boundaries,
+        )
+
     def interval(self, i):
         return (self.breakpoints[i], self.breakpoints[i + 1])
 
@@ -366,57 +378,71 @@ def _terms_from_key(key):
     return [(a, b, j) for b, j, a in key]
 
 
+def _solver(lo, hi, tol=ROOT_TOL):
+    """find_roots on [lo, hi] of canonical equation keys, each solved once."""
+    cache = {}
+
+    def solve(key):
+        if key not in cache:
+            cache[key] = find_roots(ExpSum(_terms_from_key(key)), lo, hi, tol)
+        return cache[key]
+
+    return solve
+
+
 # ---------------------------------------------------------------------------
 # alpha sweeps
 
 
-def _alpha_segments(family, lo, hi):
+def _alpha_segments(family, alpha_range):
+    """Pieces and hard boundaries of [lo, hi]; power ranges clipped, split at 0."""
+    lo, hi = float(alpha_range[0]), float(alpha_range[1])
+    if family in ("power_minmax", "power_average", "sigma_power"):
+        lo, hi = max(lo, -SWEEP_CLIP), min(hi, SWEEP_CLIP)
+    if not lo < hi:
+        raise DomainError(f"empty alpha range (power ranges are clipped to +-{SWEEP_CLIP})")
     if family == "convex_minmax":
         if lo < 0.0 or hi > 1.0:
             raise DomainError("convex sweep range must lie in [0, 1]")
         return [(lo, hi)], ()
     if family in ("power_minmax", "power_average", "sigma_power"):
-        lo = max(lo, -SWEEP_CLIP)
-        hi = min(hi, SWEEP_CLIP)
         if lo < 0.0 < hi:
             return [(lo, 0.0), (0.0, hi)], (0.0,)
         return [(lo, hi)], ()
     raise UnknownFamily(f"family {family!r} has no alpha sweep")
 
 
+def _sweep_segments(segments, run, tol):
+    """_lazy_sweep over each piece of _alpha_segments, with one root cache."""
+    solve = _solver(segments[0][0], segments[-1][1], tol)
+    return [cell for a, b in segments for cell in _lazy_sweep(a, b, run, solve)]
+
+
 def _make_collector(family, sigma, eqs):
     """Collector for linkage._run: canonical equations of every executed
-    winner-vs-candidate comparison at the evaluation point.  For
-    sigma_linear they are affine in theta, the first of the weights
-    (theta, 1 - theta) of the exact sigma = 2 sweep."""
+    winner-vs-candidate comparison at the evaluation point.  A step's
+    distinct candidates are the live keys of the run's interned pair store,
+    so no step scans its O(m^2) candidate pairs.  For sigma_linear the
+    equations are affine in theta, the first of the weights (theta,
+    1 - theta) of the exact sigma = 2 sweep."""
 
     if family in ("convex_minmax", "power_minmax"):
+        # winner key -> candidate keys already compared with it; (min, max) keys
+        # are distances, so one cache serves every instance of the run
+        seen = {}
 
-        def cb(step, winner, ids, tri, minD, maxD, sets, distinct):
-            wi, wj = winner
-            wmin = minD[wi, wj]
-            wmax = maxD[wi, wj]
-            ii = ids[tri[0]]
-            jj = ids[tri[1]]
-            # one complex key per candidate, (min, max) as (real, imag),
-            # sorts and deduplicates like the rows it stands for
-            keys = np.empty(ii.size, dtype=complex)
-            keys.real = minD[ii, jj]
-            keys.imag = maxD[ii, jj]
-            keys = np.unique(keys)
-            for cmin, cmax in zip(keys.real, keys.imag):
-                if cmin == wmin and cmax == wmax:
-                    continue
-                eqs.add(
-                    _canon_terms(
-                        comparison_terms(family, wmin, wmax, cmin, cmax)
-                    )
-                )
+        def cb(step, winner, ids, _, minD, maxD, sets, distinct):
+            wkey = sets.keys[sets.sid[winner]]
+            done = seen.setdefault(wkey, {wkey})
+            fresh = sets.live() - done
+            done |= fresh
+            for ckey in fresh:
+                eqs.add(_canon_terms(comparison_terms(family, *wkey, *ckey)))
 
     elif family == "power_average":
 
-        def cb(step, winner, ids, tri, minD, maxD, sets, distinct):
-            wset, cands = sets.candidates(winner, ids, tri)
+        def cb(step, winner, ids, _, minD, maxD, sets, distinct):
+            wset, cands = sets.candidates(winner)
             for cset in cands:
                 terms = average_terms(wset, cset, distinct)
                 if terms:
@@ -424,8 +450,8 @@ def _make_collector(family, sigma, eqs):
 
     elif family == "sigma_power":
 
-        def cb(step, winner, ids, tri, minD, maxD, sets, distinct):
-            wset, cands = sets.candidates(winner, ids, tri)
+        def cb(step, winner, ids, _, minD, maxD, sets, distinct):
+            wset, cands = sets.candidates(winner)
             wsel = _selected(wset, distinct, sigma)
             for cset in cands:
                 csel = _selected(cset, distinct, sigma)
@@ -436,8 +462,8 @@ def _make_collector(family, sigma, eqs):
 
     elif family == "sigma_linear":
 
-        def cb(step, winner, ids, tri, minD, maxD, sets, distinct):
-            wset, cands = sets.candidates(winner, ids, tri)
+        def cb(step, winner, ids, _, minD, maxD, sets, distinct):
+            wset, cands = sets.candidates(winner)
             wsel = _selected(wset, distinct, 2)
             for cset in cands:
                 csel = _selected(cset, distinct, 2)
@@ -458,8 +484,8 @@ def _margin_collector(sigma, w, margins):
     selected-value difference) for each distinct candidate multiset whose
     selected values differ from the winner's."""
 
-    def cb(step, winner, ids, tri, minD, maxD, sets, distinct):
-        wset, cands = sets.candidates(winner, ids, tri)
+    def cb(step, winner, ids, _, minD, maxD, sets, distinct):
+        wset, cands = sets.candidates(winner)
         wsel = _selected(wset, distinct, sigma)
         for cset in sorted(cands, key=_dense_order):
             dv = wsel - _selected(cset, distinct, sigma)
@@ -507,19 +533,8 @@ def sweep_alpha(
 
 def _sweep_alpha_counted(instances, family, alpha_range, k, rule, obj,
                          variant="fixed", sigma=None, tol=ROOT_TOL):
-    lo, hi = (float(alpha_range[0]), float(alpha_range[1]))
-    if not lo < hi:
-        raise DomainError("empty alpha range")
-    segments, hard = _alpha_segments(family, lo, hi)
-    glo, ghi = segments[0][0], segments[-1][1]
-
-    root_cache = {}
+    segments, hard = _alpha_segments(family, alpha_range)
     counter = [0]
-
-    def solve(key):
-        if key not in root_cache:
-            root_cache[key] = find_roots(ExpSum(_terms_from_key(key)), glo, ghi, tol)
-        return root_cache[key]
 
     def run(alpha):
         eqs = set()
@@ -535,19 +550,8 @@ def _sweep_alpha_counted(instances, family, alpha_range, k, rule, obj,
             counter[0] += 1
         return tuple(fps), total, eqs
 
-    cells = []
-    for a, b in segments:
-        cells.extend(_lazy_sweep(a, b, run, solve))
-
-    breakpoints = [cells[0][0]] + [c[1] for c in cells]
-    return PiecewiseProfile(
-        parameter="alpha",
-        breakpoints=breakpoints,
-        values=[c[4] for c in cells],
-        representatives=[c[2] for c in cells],
-        payloads=[c[3] for c in cells],
-        hard_boundaries=hard,
-    ), counter[0]
+    cells = _sweep_segments(segments, run, tol)
+    return PiecewiseProfile.from_cells("alpha", cells, hard), counter[0]
 
 
 def _best_run(profile: PiecewiseProfile):
@@ -617,18 +621,12 @@ def erm_alpha(
 
 
 def _sweep_p_cells(instances, trees, k, p_range, obj, variant, tol=ROOT_TOL):
-    lo, hi = float(p_range[0]), float(p_range[1])
+    lo, hi = float(p_range[0]), min(float(p_range[1]), SWEEP_CLIP)
     if not (0.0 < lo < hi):
-        raise DomainError("p range must satisfy 0 < lo < hi")
-    hi = min(hi, SWEEP_CLIP)
+        raise DomainError(f"p range must satisfy 0 < lo < hi, lo below {SWEEP_CLIP}")
 
-    root_cache = {}
+    solve = _solver(lo, hi, tol)
     counter = [0]
-
-    def solve(key):
-        if key not in root_cache:
-            root_cache[key] = find_roots(ExpSum(_terms_from_key(key)), lo, hi, tol)
-        return root_cache[key]
 
     def run(p):
         eqs = set()
@@ -659,13 +657,7 @@ def sweep_p(
 ) -> PiecewiseProfile:
     """Cost profile over the pruning exponent for fixed merge trees."""
     cells, _ = _sweep_p_cells(instances, trees, k, p_range, obj, variant, tol)
-    return PiecewiseProfile(
-        parameter="p",
-        breakpoints=[cells[0][0]] + [c[1] for c in cells],
-        values=[c[4] for c in cells],
-        representatives=[c[2] for c in cells],
-        payloads=[c[3] for c in cells],
-    )
+    return PiecewiseProfile.from_cells("p", cells)
 
 
 def erm_joint(
@@ -684,17 +676,8 @@ def erm_joint(
     cell the trees are fixed and an inner exponent sweep finds the best p.
     The reported cost is exact for the product range.
     """
-    lo, hi = float(alpha_range[0]), float(alpha_range[1])
-    segments, hard = _alpha_segments(family, lo, hi)
-    glo, ghi = segments[0][0], segments[-1][1]
-
-    root_cache = {}
+    segments, hard = _alpha_segments(family, alpha_range)
     evals = [0]
-
-    def solve(key):
-        if key not in root_cache:
-            root_cache[key] = find_roots(ExpSum(_terms_from_key(key)), glo, ghi, tol)
-        return root_cache[key]
 
     def trees_at(alpha, eqs=None):
         cb = _make_collector(family, None, eqs) if eqs is not None else None
@@ -714,31 +697,14 @@ def erm_joint(
         fps = tuple(t.fingerprint() for t in trees)
         return fps, val, eqs
 
-    cells = []
-    for a, b in segments:
-        cells.extend(_lazy_sweep(a, b, run, solve))
-
-    profile = PiecewiseProfile(
-        parameter="alpha",
-        breakpoints=[cells[0][0]] + [c[1] for c in cells],
-        values=[c[4] for c in cells],
-        representatives=[c[2] for c in cells],
-        payloads=[c[3] for c in cells],
-        hard_boundaries=hard,
-    )
+    cells = _sweep_segments(segments, run, tol)
+    profile = PiecewiseProfile.from_cells("alpha", cells, hard)
     alo, ahi, cost, arep = _best_run(profile)
 
     trees = trees_at(arep)
     pcells, c = _sweep_p_cells(instances, trees, k, p_range, obj, variant, tol)
     evals[0] += c
-    pprofile = PiecewiseProfile(
-        parameter="p",
-        breakpoints=[pcells[0][0]] + [pc[1] for pc in pcells],
-        values=[pc[4] for pc in pcells],
-        representatives=[pc[2] for pc in pcells],
-        payloads=[pc[3] for pc in pcells],
-    )
-    plo, phi, pcost, prep = _best_run(pprofile)
+    plo, phi, _, prep = _best_run(PiecewiseProfile.from_cells("p", pcells))
 
     return ErmResult(
         best_param=(arep, prep),
@@ -797,13 +763,8 @@ def erm_sigma_linear(
         if not tlo < thi:
             raise DomainError("weight box admits no weight rays")
 
-        root_cache = {}
+        solve = _solver(tlo, thi)
         counter = [0]
-
-        def solve(key):
-            if key not in root_cache:
-                root_cache[key] = find_roots(ExpSum(_terms_from_key(key)), tlo, thi)
-            return root_cache[key]
 
         def run(theta):
             eqs = set()
@@ -822,13 +783,7 @@ def erm_sigma_linear(
             return tuple(fps), total, eqs
 
         cells = _lazy_sweep(tlo, thi, run, solve)
-        profile = PiecewiseProfile(
-            parameter="theta",
-            breakpoints=[cells[0][0]] + [c[1] for c in cells],
-            values=[c[4] for c in cells],
-            representatives=[c[2] for c in cells],
-            payloads=[c[3] for c in cells],
-        )
+        profile = PiecewiseProfile.from_cells("theta", cells)
         lo_t, hi_t, cost, rep = _best_run(profile)
         # scale the normalized ray back into the box
         w1, w2 = rep, 1.0 - rep
@@ -894,9 +849,12 @@ def sample_size(H: float, eps: float, delta: float, pdim: float, c: float = 1.0)
 
     ceil(c * (H/eps)^2 * (pdim + ln(1/delta))).
     """
-    if H <= 0 or eps <= 0 or not (0 < delta < 1) or pdim <= 0 or c <= 0:
-        raise DomainError("H, eps, pdim, c must be positive and delta in (0, 1)")
-    return math.ceil(c * (H / eps) ** 2 * (pdim + math.log(1.0 / delta)))
+    if not (all(0 < x < math.inf for x in (H, eps, pdim, c)) and 0 < delta < 1):
+        raise DomainError("H, eps, pdim, c must be positive and finite, delta in (0, 1)")
+    try:
+        return math.ceil(c * (H / eps) ** 2 * (pdim + math.log(1.0 / delta)))
+    except OverflowError:
+        raise Overflow("sample size exceeds floating-point range") from None
 
 
 def pdim_table(family: str, n: int, sigma: Optional[int] = None,

@@ -548,22 +548,25 @@ class DiscretizedSpec:
 
 
 def _disc_geometry(eps: float):
+    """K, B, the number of levels per side and of finite pieces; the level
+    values themselves are built only once the class has passed its cap."""
     if not 0.0 < eps < 1.0:
         raise DomainError("discretization step must lie in (0, 1)")
     target = math.sqrt(2.0 * math.log(1.0 / eps))
     e2 = eps * eps
+    if e2 == 0.0:
+        raise ClassTooLarge(f"discretization step {eps!r} is too fine: eps^2 underflows")
     K = int(math.floor(target / e2)) + 1
     B = K * e2
     levels = int(math.floor((1.0 - 1e-15) / eps))
-    vals = tuple(k * eps for k in range(-levels, levels + 1))
     pieces = 2 * K - 1
-    return K, B, vals, pieces
+    return K, B, levels, pieces
 
 
 def discretized_count(eps: float) -> int:
     """Size of the discretized class: (levels per interval)^(finite intervals)."""
-    _, _, vals, pieces = _disc_geometry(eps)
-    return len(vals) ** pieces
+    _, _, levels, pieces = _disc_geometry(eps)
+    return (2 * levels + 1) ** pieces
 
 
 def enumerate_discretized(eps: float, cap: int = 10 ** 6) -> Iterator[DiscretizedSpec]:
@@ -571,10 +574,15 @@ def enumerate_discretized(eps: float, cap: int = 10 ** 6) -> Iterator[Discretize
 
     Raises ClassTooLarge up front when the full count exceeds cap.
     """
-    K, B, vals, pieces = _disc_geometry(eps)
-    count = len(vals) ** pieces
+    K, B, levels, pieces = _disc_geometry(eps)
+    # the exact count only when it has few digits: it can have billions
+    if pieces * math.log10(2 * levels + 1) > math.log10(max(cap, 1)) + 1:
+        raise ClassTooLarge(f"about 10^{pieces * math.log10(2 * levels + 1):.0f} rounding "
+                            f"functions exceed the cap {cap}")
+    count = (2 * levels + 1) ** pieces
     if count > cap:
         raise ClassTooLarge(f"{count} rounding functions exceed the cap {cap}")
+    vals = tuple(k * eps for k in range(-levels, levels + 1))
     e2 = eps * eps
     knots = tuple(j * e2 for j in range(-(K - 1), K) if j != 0)
     for table in itertools.product(vals, repeat=pieces):

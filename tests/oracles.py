@@ -407,10 +407,11 @@ def reference_minmax_collector(family, eqs):
     from partition_tuner.linkage import comparison_terms
     from partition_tuner.param_search import _canon_terms
 
-    def cb(step, winner, ids, tri, minD, maxD, cnt, distinct):
+    def cb(step, winner, ids, _, minD, maxD, cnt, distinct):
         wi, wj = winner
         wmin = minD[wi, wj]
         wmax = maxD[wi, wj]
+        tri = np.triu_indices(ids.size, k=1)
         ii = ids[tri[0]]
         jj = ids[tri[1]]
         rows = np.unique(np.column_stack([minD[ii, jj], maxD[ii, jj]]), axis=0)

@@ -17,6 +17,7 @@ from partition_tuner import (
     save_instance,
 )
 from partition_tuner.cli import main
+from partition_tuner.instances import MaxQPInstance
 from conftest import euclidean_instance
 
 
@@ -320,6 +321,90 @@ def test_config_command_mismatch(points_path, tmp_path):
         "--range", "0,1", "--k", "2", "--config", str(cfg),
     ])
     assert rc == 2
+
+
+@pytest.mark.parametrize("text", ["{", "[1, 2]", "3", "null"])
+def test_config_that_is_not_a_json_object_exits_two(points_path, tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["tree", "--instances", points_path, "--family", "convex", "--alpha", "0.5",
+                 "--config", str(cfg)]) == 2
+    assert "config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [("head", "x"), ("alpha", "x"), ("sigma", 2.5),
+                                         ("variant", "nearest"), ("instances", None)])
+def test_config_values_are_checked_like_flags(points_path, tmp_path, field, value):
+    cfg = tmp_path / "cfg.json"
+    assert main(["prune", "--instances", points_path, "--family", "convex", "--alpha", "0.5",
+                 "--k", "2", "--save-config", str(cfg)]) == 0
+    doc = json.loads(cfg.read_text())
+    doc[field] = value
+    cfg.write_text(json.dumps(doc))
+    assert main(["prune", "--instances", points_path, "--family", "convex", "--k", "2",
+                 "--config", str(cfg)]) == 2
+
+
+def test_directory_as_input_exits_two(points_path, tmp_path):
+    assert main(["validate", "--instances", str(tmp_path)]) == 2
+    assert main(["tree", "--instances", points_path, "--family", "convex", "--alpha", "0.5",
+                 "--config", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--family", "power", "--alpha", "nan"],
+    ["--family", "average-power", "--alpha", "nan"],
+    ["--family", "sigma-power", "--alpha", "nan", "--sigma", "2"],
+    ["--family", "sigma-linear", "--weights", "nan,1", "--sigma", "2"],
+    ["--family", "sigma-linear", "--weights", "1,inf", "--sigma", "2"],
+])
+def test_non_finite_rule_parameters_exit_two(points_path, capsys, flags):
+    assert main(["tree", "--instances", points_path] + flags) == 2
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def maxqp_path(tmp_path):
+    W = np.triu(np.random.default_rng(5).uniform(0.1, 1.0, (5, 5)), 1)
+    path = tmp_path / "graph.json"
+    save_instance(str(path), MaxQPInstance(n=5, matrix=W + W.T, origin="maxcut"))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["tree", "--family", "convex", "--alpha", "0.5"],
+    ["prune", "--family", "convex", "--alpha", "0.5", "--k", "2"],
+    ["sweep-alpha", "--family", "convex", "--range", "0,1", "--k", "2"],
+    ["erm-alpha", "--family", "convex", "--range", "0,1", "--k", "2"],
+    ["erm-joint", "--family", "convex", "--range", "0,1", "--p-range", "1,2", "--k", "2"],
+])
+def test_clustering_commands_reject_a_maxqp_file(maxqp_path, capsys, argv):
+    assert main(argv[:1] + ["--instances", maxqp_path] + argv[1:]) == 2
+    assert "ClusteringInstance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["embed", "erm-slin", "erm-owr", "erm-rprt", "erm-disc"])
+def test_rounding_commands_take_one_maxqp_file(points_path, maxqp_path, capsys, cmd):
+    extra = ["--eps", "0.5"] if cmd == "erm-disc" else []
+    assert main([cmd, "--instances", points_path] + extra) == 2
+    assert "MaxQPInstance" in capsys.readouterr().err
+    assert main([cmd, "--instances", f"{maxqp_path},{maxqp_path}"] + extra) == 2
+    assert "one instance file" in capsys.readouterr().err
+    assert main(["tree", "--instances", f"{points_path},{points_path}", "--family", "convex",
+                 "--alpha", "0.5"]) == 2
+
+
+@pytest.mark.parametrize("flags", [["--H", "nan"], ["--pdim", "inf"], ["--c", "nan"],
+                                   ["--eps", "1e-300", "--H", "1e300"]])
+def test_sample_size_rejects_non_finite_inputs(capsys, flags):
+    base = {"--H": "1", "--eps": "0.1", "--delta": "0.05", "--pdim": "10"}
+    base.update(zip(flags[::2], flags[1::2]))
+    assert main(["sample-size"] + [x for kv in base.items() for x in kv]) in (2, 3)
+    assert "error" in capsys.readouterr().err
+
+
+def test_negative_seed_is_a_usage_error(maxqp_path):
+    assert main(["erm-slin", "--instances", maxqp_path, "--seed", "-1"]) == 1
 
 
 def test_thread_budget_env(points_path, monkeypatch):

@@ -298,6 +298,31 @@ def test_load_rejects_wrong_schema(tmp_path):
         load_instance(path)
 
 
+@pytest.mark.parametrize("fields", [
+    {"type": "clustering"},
+    {"type": "clustering", "n": "x", "dist": [[0.0]]},
+    {"type": "clustering", "n": 2.0, "dist": [[0.0, 1.0], [1.0, 0.0]]},
+    {"type": "clustering", "n": 2},
+    {"type": "clustering", "n": 2, "dist": "far"},
+    {"type": "clustering", "n": 2, "dist": [[0.0, 1.0], [1.0]]},
+    {"type": "clustering", "n": 2, "dist": [[0.0, 1.0], [1.0, 0.0]], "ground_truth": ["a", "b"]},
+    {"type": "maxqp", "n": 2},
+    {"type": "maxqp", "n": 2, "matrix": [[0.0, {}], [1.0, 0.0]]},
+])
+def test_load_rejects_missing_or_ill_typed_fields(tmp_path, fields):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema": "partition-tuner/1", **fields}))
+    with pytest.raises(ParseError):
+        load_instance(path)
+
+
+def test_load_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(ParseError):
+        load_instance(path)
+
+
 def test_embedding_shape_checked():
     with pytest.raises(DimensionMismatch):
         Embedding(n=3, d=2, vectors=np.zeros((2, 2)))

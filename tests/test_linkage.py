@@ -48,6 +48,12 @@ from oracles import (
         dict(family="sigma_linear", sigma=2, weights=(-1.0, 2.0)),
         dict(family="sigma_power", alpha=0.0, sigma=2),
         dict(family="sigma_power", alpha=1.0, sigma=1),
+        dict(family="power_minmax", alpha=math.nan),
+        dict(family="power_average", alpha=math.nan),
+        dict(family="sigma_power", alpha=math.nan, sigma=2),
+        dict(family="sigma_linear", sigma=2, weights=(math.nan, 1.0)),
+        dict(family="sigma_linear", sigma=2, weights=(1.0, math.inf)),
+        dict(family="sigma_linear", sigma=2, weights=(-math.inf, 1.0)),
     ],
 )
 def test_rule_domain_validation(kwargs):
@@ -263,15 +269,20 @@ def _collected_pair(inst, rule):
     return got, want
 
 
+_MINMAX_RULES = [("convex_minmax", 0.3), ("power_minmax", 1.7), ("power_minmax", -0.8),
+                 ("convex_minmax", 0.0), ("convex_minmax", 1.0),
+                 ("power_minmax", math.inf), ("power_minmax", -math.inf)]
+
+
 def test_minmax_collector_matches_row_unique_reference_on_gadget():
     inst, _ = gen_two_gadget(0.4, "convex_minmax")
-    got, want = _collected_pair(inst, MergeRule("convex_minmax", 0.4))
-    assert got == want
-    assert len(got) > 1
+    for family, alpha in [("convex_minmax", 0.4)] + _MINMAX_RULES:
+        got, want = _collected_pair(inst, MergeRule(family, alpha))
+        assert got == want, (family, alpha)
+        assert len(got) > 1
 
 
-@pytest.mark.parametrize("family,alpha", [("convex_minmax", 0.3), ("power_minmax", 1.7),
-                                          ("power_minmax", -0.8)])
+@pytest.mark.parametrize("family,alpha", _MINMAX_RULES)
 def test_minmax_collector_matches_row_unique_reference_on_random(family, alpha):
     rng = np.random.default_rng(2024)
     for trial in range(6):
@@ -282,3 +293,40 @@ def test_minmax_collector_matches_row_unique_reference_on_random(family, alpha):
             inst = euclidean_instance(rng, n)
         got, want = _collected_pair(inst, MergeRule(family, alpha))
         assert got == want
+
+
+def test_minmax_collector_equations_are_shared_across_one_run():
+    # one collector serves every instance of a pipeline run; its cache of
+    # compared (winner, candidate) keys must not drop another instance's
+    # equations
+    rng = np.random.default_rng(31)
+    insts = [_integer_instance(rng, 9, 3) for _ in range(3)]
+    rule = MergeRule("convex_minmax", 0.45)
+    got, want = set(), set()
+    cb = _make_collector(rule.family, None, got)
+    for inst in insts:
+        _run(inst, rule, collector=cb)
+        _run(inst, rule, collector=reference_minmax_collector(rule.family, want))
+    assert got == want
+
+
+@pytest.mark.parametrize("rule", [MergeRule("convex_minmax", 0.35), MergeRule("power_minmax", -1.2),
+                                  MergeRule("power_average", math.inf)])
+def test_recorded_minmax_comparisons_list_every_candidate_pair(rule):
+    rng = np.random.default_rng(12)
+    inst = _integer_instance(rng, 10, 3)
+    want = []
+
+    def listing(step, winner, ids, _, minD, maxD, sets, distinct):
+        tri = np.triu_indices(ids.size, k=1)
+        for i, j in zip(ids[tri[0]], ids[tri[1]]):
+            if {i, j} != set(winner):
+                want.append((step, winner, (i, j), minD[winner], maxD[winner],
+                             minD[i, j], maxD[i, j]))
+
+    _run(inst, rule, listing)
+    tree, comps = record_comparisons(inst, rule)
+    assert tree.merges == build_tree(inst, rule).merges
+    assert [(c.step, c.winner, c.candidate, c.winner_min, c.winner_max, c.candidate_min,
+             c.candidate_max) for c in comps] == want
+    assert all(c.winner_counts is None and c.candidate_counts is None for c in comps)

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partition_tuner import ClusteringInstance, MergeRule, build_tree, gen_general_lb
-from partition_tuner.linkage import _count_keys, _run, record_comparisons
+from partition_tuner import ClusteringInstance, MergeRule, build_tree, gen_general_lb, linkage
+from partition_tuner.linkage import _count_keys, _counts_needed, _run, record_comparisons
 from partition_tuner.param_search import _make_collector, _margin_collector
 from conftest import euclidean_instance
 from oracles import (
@@ -162,6 +162,36 @@ def test_count_collectors_match_dense_reference(family, sigma, rule):
     assert compared >= 12
 
 
+@pytest.mark.parametrize("family,sigma,rule", [
+    ("power_average", None, MergeRule("power_average", 1.3)),
+    ("power_average", None, MergeRule("power_average", 0.0)),
+    ("sigma_power", 3, MergeRule("sigma_power", 0.8, sigma=3)),
+    ("sigma_linear", 2, MergeRule("sigma_linear", weights=(0.35, 0.65), sigma=2)),
+])
+def test_builds_read_the_upper_distance_of_a_slightly_asymmetric_metric(family, sigma, rule):
+    # ClusteringInstance accepts asymmetry within 1e-12 of the largest entry;
+    # both orientations of a leaf pair must count its upper-triangle distance
+    rng = np.random.default_rng(41)
+    compared = 0
+    for trial in range(12):
+        n = int(rng.integers(3, 12))
+        base = _integer_instance(rng, n, 3) if trial % 2 else euclidean_instance(rng, n)
+        D = base.dist.copy()
+        D[np.tri(n, k=-1, dtype=bool)] += 1e-13 * D.max()  # the largest pair's too
+        inst = ClusteringInstance(n=n, dist=D)
+        if trial % 2 == 0:
+            _assert_same_build(inst, rule)
+        same, got, want = _collected(
+            inst, rule,
+            lambda eqs: _make_collector(family, sigma, eqs),
+            lambda eqs: reference_count_collector(family, sigma, eqs),
+        )
+        if same:
+            assert got == want
+            compared += 1
+    assert compared >= 9
+
+
 def test_grid_margins_match_dense_reference_in_order():
     rng = np.random.default_rng(8)
     w = np.array([0.3, 0.9, 0.5])
@@ -181,7 +211,8 @@ def test_store_holds_only_the_active_pairs():
     inst = _integer_instance(rng, 14, 3)
     n = inst.n
 
-    def check(step, winner, ids, tri, minD, maxD, sets, distinct):
+    def check(step, winner, ids, _, minD, maxD, sets, distinct):
+        tri = np.triu_indices(ids.size, k=1)
         sids = sets.sid[ids[tri[0]], ids[tri[1]]]
         # the active pairs partition the leaf pairs across clusters
         sizes = np.bincount(sets.label)
@@ -190,6 +221,47 @@ def test_store_holds_only_the_active_pairs():
         assert len(sets._index) == np.unique(sids).size
 
     _run(inst, MergeRule("power_average", 1.0), check)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 11), top=st.integers(1, 4), seed=st.integers(0, 2 ** 16),
+       pick=st.integers(0, 10))
+def test_live_ids_are_each_steps_distinct_candidate_keys(n, top, seed, pick):
+    rng = np.random.default_rng(seed)
+    inst = _integer_instance(rng, n, top) if seed % 2 else euclidean_instance(rng, n)
+    rule = list(_rules(rng))[pick]
+    steps = []
+
+    def check(step, winner, ids, _, minD, maxD, sets, distinct):
+        ii, jj = np.triu_indices(ids.size, k=1)
+        ii, jj = ids[ii], ids[jj]
+        sids = sets.sid[ii, jj]
+        # the live ids are np.unique(sids), each counting its active pairs
+        assert sorted(sets._index.values()) == np.unique(sids).tolist()
+        assert all(sets._refs[s] == c for s, c in zip(*np.unique(sids, return_counts=True)))
+        if not _counts_needed(rule):
+            keys = list(zip(minD[ii, jj].tolist(), maxD[ii, jj].tolist()))
+            assert [sets.keys[s] for s in sids.tolist()] == keys
+        steps.append(step)
+
+    tree = _run(inst, rule, check)
+    assert tree.merges == build_tree(inst, rule).merges
+    assert steps == list(range(n - 1))
+
+
+def test_plain_builds_intern_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a plain build interned a pair key")
+
+    for cls in (linkage.PairKeys, linkage.PairMultisets):
+        monkeypatch.setattr(cls, "_leaf_keys", refuse)
+    monkeypatch.setattr(linkage.PairKeys, "replace", refuse)
+    rng = np.random.default_rng(4)
+    inst = _integer_instance(rng, 12, 3)
+    for rule in _rules(rng):
+        build_tree(inst, rule)
+    with pytest.raises(AssertionError):
+        _run(inst, MergeRule("convex_minmax", 0.5), lambda *args: None)
 
 
 def test_recorded_power_average_comparisons_favor_the_winner():

@@ -266,6 +266,23 @@ def test_sweep_alpha_domain_errors():
         sweep_alpha([inst], "convex_minmax", (0.8, 0.2), 2, rule, obj)
 
 
+@pytest.mark.parametrize("alpha_range,p_range", [
+    ((math.inf, math.inf), (0.5, 3.0)),   # empty once clipped to +-64
+    ((100.0, 200.0), (0.5, 3.0)),         # entirely beyond the clip
+    ((math.nan, 1.0), (0.5, 3.0)),
+    ((0.5, 1.5), (70.0, 100.0)),          # p range beyond the clip
+    ((0.5, 1.5), (0.5, math.nan)),
+])
+def test_ranges_that_are_empty_after_clipping_are_refused(alpha_range, p_range):
+    inst = euclidean_instance(np.random.default_rng(26), 5)
+    obj = Objective(kind="phi_p", p=1.0)
+    with pytest.raises(DomainError):
+        erm_joint([inst], "power_average", alpha_range, p_range, 2, obj)
+    if p_range == (0.5, 3.0):
+        with pytest.raises(DomainError):
+            sweep_alpha([inst], "power_minmax", alpha_range, 2, PruningRule(p=1.0), obj)
+
+
 def test_erm_alpha_agrees_with_profile():
     rng = np.random.default_rng(25)
     instances = [euclidean_instance(rng, 8) for _ in range(2)]

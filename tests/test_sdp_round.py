@@ -332,6 +332,14 @@ def test_disc_geometry_counts():
         discretized_count(1.0)
 
 
+def test_fine_discretization_is_refused_before_building_its_levels():
+    # 2 * 10^9 levels per piece would not fit in memory
+    with pytest.raises(ClassTooLarge):
+        next(enumerate_discretized(1e-9))
+    with pytest.raises(ClassTooLarge):
+        discretized_count(1e-300)
+
+
 def test_enumerate_discretized_cap():
     with pytest.raises(ClassTooLarge):
         list(enumerate_discretized(0.7, cap=10))
