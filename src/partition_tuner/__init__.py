@@ -28,6 +28,7 @@ from .errors import (
     Overflow,
     ParseError,
     PartitionTunerError,
+    RootNotConverged,
     SigmaTooLargeForExact,
     SweepDiverged,
     UnknownFamily,

@@ -84,6 +84,10 @@ class SweepDiverged(NumericError):
     """A lazy sweep kept finding breakpoints past its refinement depth."""
 
 
+class RootNotConverged(NumericError):
+    """Bisection could not narrow a root's bracket to the requested tolerance."""
+
+
 class Overflow(NumericError):
     """A requested quantity exceeds floating-point range."""
 

@@ -15,7 +15,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, Overflow, SigmaTooLargeForExact, SweepDiverged, UnknownFamily
+from .errors import (DomainError, Overflow, RootNotConverged, SigmaTooLargeForExact,
+                     SweepDiverged, UnknownFamily)
 from .instances import ClusteringInstance
 from .linkage import (
     MergeRule,
@@ -64,13 +65,12 @@ class ExpSum:
                 j = 0
             else:
                 a, b, j = t
-            b = float(b)
-            j = int(j)
-            if b <= 0:
-                raise DomainError("bases must be positive")
+            a, b, j = float(a), float(b), int(j)
+            if not (0.0 < b < math.inf and -math.inf < a < math.inf):
+                raise DomainError("coefficients must be finite, bases positive and finite")
             if j < 0:
                 raise DomainError("degrees must be nonnegative")
-            _add_term(acc, float(a), b, j)
+            _add_term(acc, a, b, j)
         self._set(acc)
 
     @classmethod
@@ -123,8 +123,10 @@ class ExpSum:
     def derivative(self) -> "ExpSum":
         acc = {}
         for (a, b, j), lb in zip(self.terms, self._logs):
-            _add_term(acc, a * lb, b, j)
-            _add_term(acc, a * j, b, j - 1)
+            if lb:  # skipped, not multiplied by 0, so an overflowed a leaves no NaN
+                _add_term(acc, a * lb, b, j)
+            if j:
+                _add_term(acc, a * j, b, j - 1)
         return ExpSum._combined(acc)
 
     def _scaled(self) -> "ExpSum":
@@ -162,7 +164,7 @@ def _local_scale(f: ExpSum, x: float) -> float:
 def _bisect(f, lo, hi, flo, tol):
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
+        if hi - lo <= tol or mid == lo or mid == hi:
             return mid
         fm = f(mid)
         if fm == 0.0:
@@ -171,7 +173,7 @@ def _bisect(f, lo, hi, flo, tol):
             lo, flo = mid, fm
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    raise RootNotConverged(f"bisection left [{lo!r}, {hi!r}] wider than tol = {tol!r}")
 
 
 def _poly_roots(terms, lo, hi):
@@ -189,57 +191,75 @@ def _poly_roots(terms, lo, hi):
     return [x for x in r if lo - ROOT_TOL <= x <= hi + ROOT_TOL]
 
 
-def _sign_changes(terms) -> int:
-    changes = 0
-    for s, t in zip(terms, terms[1:]):
-        if (s[0] > 0) != (t[0] > 0):
-            changes += 1
-    return changes
-
-
 def find_roots(f: ExpSum, lo: float, hi: float, tol: float = ROOT_TOL):
     """All real roots of f in [lo, hi], or the IDENTICALLY_ZERO sentinel.
 
     Bases are first divided out by the largest one (roots are unchanged since
     b^x > 0); if every term then has base 1 the problem is polynomial.
-    A sum of pure exponentials (every degree 0) is screened first by
-    Laguerre's extension of Descartes' rule of signs (Polya-Szego, Problems
-    and Theorems in Analysis II, Part V): it has at most as many real roots
-    as there are sign changes in its coefficients ordered by base, so no
-    change means no root.  Otherwise the interval is split at the
-    derivative's roots, computed recursively, leaving at most one sign
-    change per piece.  Each
+    Otherwise the interval is split at the derivative's roots, computed
+    recursively, leaving at most one sign change per piece.  Each
     differentiation removes the base-1 group's top degree, so the recursion
     terminates within sum(degree + 1) steps.
+
+    Most sweep equations have no root.  A sum of pure exponentials is first
+    screened, at every recursion level, by Laguerre's rule for partial sums
+    (Polya-Szego, Problems and Theorems in Analysis II, Part V; Jameson,
+    Math. Gazette 90, 2006): with bases ascending and c_j = a_j (b_j/b_m)^lo,
+    f(x) / b_m^x on [lo, inf) is a convex combination of the partial sums
+    c_m, c_m + c_(m-1), ..., sum(c); if they keep one strict sign, f has no
+    root there.  The mirror rule at hi covers (-inf, hi].  A partial sum
+    counts only above 1e-12 of its magnitude sum, the solver's own zero
+    threshold, plus rounding, so the recursion finds nothing in a screened
+    sum either.  Raises DomainError unless lo < hi are finite.
     """
     if f.is_zero():
         return IDENTICALLY_ZERO
-    if not (lo < hi):
-        raise DomainError("need lo < hi")
+    if not -math.inf < lo < hi < math.inf:
+        raise DomainError("need finite lo < hi")
     roots = _roots_rec(f, float(lo), float(hi), tol)
     if roots is IDENTICALLY_ZERO:
         return IDENTICALLY_ZERO
-    roots = sorted(roots)
     out = []
-    for x in roots:
+    for x in sorted(roots):
         if not out or x - out[-1] > BREAK_MERGE_TOL:
             out.append(x)
     return out
 
 
+def _keeps_sign(f: ExpSum, lo: float, hi: float) -> bool:
+    """The screen of find_roots: True only if f provably keeps one strict sign on [lo, hi]."""
+    terms = f.terms
+    if any(j for _, _, j in terms):
+        return False
+    pos = terms[0][0] > 0
+    if all((a > 0) == pos for a, _, _ in terms):
+        return True
+    for seq, x in ((terms[::-1], lo), (terms, hi)):
+        (a0, b0, _), s, mag, keeps = seq[0], 0.0, 0.0, True
+        bound = 1e-12 + 2.3e-16 * (abs(x) + len(seq))  # c_j: |x| + 2 ulp; sums: 1 ulp each
+        try:
+            for a, b, _ in seq:
+                c = a * math.pow(b / b0, x)
+                s += c
+                mag += abs(c)
+                keeps = keeps and abs(s) > bound * mag and abs(c) > 1e-300 and (s > 0) == (a0 > 0)
+        except OverflowError:
+            return False
+        if keeps or not mag < math.inf:
+            return keeps  # c_j at lo are the recursion's own terms: on overflow, it answers
+    return False
+
+
 def _roots_rec(f: ExpSum, lo: float, hi: float, tol: float):
     if f.is_zero():
         return IDENTICALLY_ZERO
+    if _keeps_sign(f, lo, hi):
+        return []
     g = f._scaled()
     if g.is_zero():
         return IDENTICALLY_ZERO
     if all(b == 1.0 for _, b, j in g.terms):
-        if all(j == 0 for _, _, j in g.terms):
-            return []  # nonzero constant
         return _poly_roots(g.terms, lo, hi)
-
-    if all(j == 0 for _, _, j in g.terms) and _sign_changes(g.terms) == 0:
-        return []
 
     crit = _roots_rec(g.derivative(), lo, hi, tol)
     if crit is IDENTICALLY_ZERO:

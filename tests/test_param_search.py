@@ -1,10 +1,12 @@
 """Root finding, parameter sweeps, and sample-complexity helpers."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partition_tuner import (
@@ -14,6 +16,7 @@ from partition_tuner import (
     MergeRule,
     Objective,
     PruningRule,
+    RootNotConverged,
     SigmaTooLargeForExact,
     SweepDiverged,
     UnknownFamily,
@@ -71,6 +74,13 @@ def test_expsum_domain_checks():
         ExpSum([(1.0, 2.0, -1)])
 
 
+@pytest.mark.parametrize("term", [(math.nan, 2.0), (math.inf, 2.0), (-math.inf, 2.0),
+                                  (1.0, math.nan), (1.0, math.inf)])
+def test_expsum_refuses_non_finite_terms(term):
+    with pytest.raises(DomainError):
+        ExpSum([(1.0, 1.5), term])
+
+
 def test_expsum_evaluation():
     f = ExpSum([(2.0, 3.0, 1)])  # 2 x 3^x
     assert f(2.0) == pytest.approx(36.0)
@@ -124,6 +134,32 @@ def test_find_roots_identically_zero():
 def test_find_roots_rejects_empty_interval():
     with pytest.raises(DomainError):
         find_roots(ExpSum([(1.0, 2.0)]), 1.0, 1.0)
+
+
+def test_find_roots_ends_when_a_derivative_overflows():
+    # 1e308 * ln(e^-2) overflows to inf, and inf * ln 1 would be a NaN term at
+    # base 1 that no differentiation removes
+    terms = [(1.0, math.e ** 2), (1e308, 1.0), (-1.0, math.e ** -1), (1.0, math.e ** -3)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert find_roots(ExpSum(terms), -1.0, 1.0) == reference_find_roots(terms, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("terms,lo,hi", [
+    ([(1.0, 2.0), (-1.0, 3.0)], -math.inf, 1.0),  # root at 0
+    ([(1.0, 2.0), (-1.0, 3.0), (0.5, 0.5)], 0.0, math.inf),  # one root, inside
+    ([(1.0, 2.0), (-1.0, 3.0)], math.nan, 1.0),
+])
+def test_find_roots_refuses_non_finite_endpoints(terms, lo, hi):
+    with pytest.raises(DomainError):
+        find_roots(ExpSum(terms), lo, hi)
+
+
+def test_find_roots_refuses_a_bracket_bisection_cannot_narrow():
+    # 200 halvings leave a bracket about 1e248 wide
+    with np.errstate(over="ignore"), pytest.raises(RootNotConverged):
+        find_roots(ExpSum([(1.0, 2.0), (-1.0, 3.0), (0.5, 0.5)]), -1e308, 1e308)
+    # a tolerance below one ulp stops at adjacent floats
+    assert find_roots(ExpSum([(1.0, 2.0), (-2.0, 1.0)]), -4.0, 4.0, tol=0.0) == [1.0]
 
 
 @given(
@@ -187,6 +223,108 @@ def test_screened_solver_matches_reference_on_drawn_sums():
                     else float(np.exp(rng.uniform(-1.5, 1.5))))
             terms.append((coeff, base, int(rng.integers(0, 4))))
         _same_roots(terms, -3.0, 3.0)
+
+
+# the partial-sum screen: degree-0 sums out to 40 terms, bases out to e^+-10,
+# ends out to the +-64 sweep clip, and roots planted just inside or outside
+# an end
+
+_ENDS = [(-64.0, 64.0), (-64.0, -63.0), (63.0, 64.0), (0.5, 3.0), (-2.0, 5.0)]
+
+
+def _screen_agrees(coeffs, logs, lo, hi, plant, depth, pivot):
+    """find_roots equals the unscreened reference on the sum, and whenever
+    the screen proves the sum empty the reference finds no root either.
+    With plant set, the coefficient at `pivot` is chosen so the sum vanishes
+    `depth` inside lo or hi (outside for a negative depth).  Returns the
+    screen's verdict."""
+    terms = [(a, math.exp(lb)) for a, lb in zip(coeffs, logs)]
+    if plant:
+        r = lo + depth if plant == "lo" else hi - depth
+        k = pivot % len(terms)
+        bk = terms[k][1]
+        try:
+            ak = -math.fsum(a * (b / bk) ** r for i, (a, b) in enumerate(terms) if i != k)
+        except OverflowError:
+            return None
+        if not ak or not math.isfinite(ak):
+            return None
+        terms[k] = (ak, bk)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _same_roots(terms, lo, hi)
+        f = ExpSum(terms)
+        screened = not f.is_zero() and param_search._keeps_sign(f, lo, hi)
+        if screened:
+            assert reference_find_roots(terms, lo, hi) == []
+    return screened
+
+
+_near_cancelling = st.one_of(
+    _coeff,
+    st.sampled_from([1.0, -1.0]).flatmap(
+        lambda s: st.floats(-1e-12, 1e-12).map(lambda e: s * (1.0 + e))),
+)
+
+
+@given(coeffs=st.lists(_near_cancelling, min_size=2, max_size=40),
+       logs=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=40, unique=True),
+       ends=st.sampled_from(_ENDS), plant=st.sampled_from([None, "lo", "hi"]),
+       depth=st.floats(1e-13, 1e-6) | st.floats(-1e-6, -1e-13), pivot=st.integers(0, 39))
+@example(coeffs=[1.0, 1.0], logs=[6.0, 0.0], ends=(-64.0, 64.0), plant="hi", depth=-1e-6,
+         pivot=1)  # the c_j at lo overflow
+@settings(max_examples=150, deadline=None)
+def test_partial_sum_screen_matches_reference(coeffs, logs, ends, plant, depth, pivot):
+    _screen_agrees(coeffs, logs, *ends, plant, depth, pivot)
+
+
+def test_partial_sum_screen_matches_reference_on_drawn_sums():
+    rng = np.random.default_rng(97)
+    verdicts = []
+    for _ in range(150):
+        m = int(rng.integers(2, 41))
+        coeffs = np.where(rng.random(m) < 0.5, rng.choice([-1.0, 1.0], m),
+                          rng.uniform(-2.0, 2.0, m)).tolist()
+        logs = rng.uniform(-10.0, 10.0, m) if rng.random() < 0.5 else rng.uniform(-1.0, 1.0, m)
+        lo, hi = _ENDS[int(rng.integers(len(_ENDS)))]
+        plant = [None, "lo", "hi"][int(rng.integers(3))]
+        depth = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-13.0, -6.0))
+        verdicts.append(_screen_agrees(coeffs, logs.tolist(), lo, hi, plant, depth,
+                                       int(rng.integers(m))))
+    # the draws exercise both outcomes of the screen
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+
+def _recorded_solves(monkeypatch, sweep):
+    """Every (terms, lo, hi, roots) that `sweep` solved."""
+    solves = []
+
+    def recording(f, lo, hi, tol=param_search.ROOT_TOL):
+        roots = find_roots(f, lo, hi, tol)
+        solves.append((list(f.terms), lo, hi, roots))
+        return roots
+
+    monkeypatch.setattr(param_search, "find_roots", recording)
+    sweep()
+    monkeypatch.undo()
+    return solves
+
+
+def test_sweep_equations_solve_exactly_as_the_reference(monkeypatch):
+    rng = np.random.default_rng(12)
+    obj = Objective(kind="phi_p", p=2.0)
+    avg = [euclidean_instance(rng, 12)]
+    mm = [euclidean_instance(rng, 9) for _ in range(2)]
+    trees = [build_tree(inst, MergeRule(family="power_minmax", alpha=1.5)) for inst in mm]
+    for sweep in (
+        lambda: sweep_alpha(avg, "power_average", (0.5, 3.0), 3, PruningRule(p=2.0), obj),
+        lambda: sweep_alpha(mm, "power_minmax", (0.5, 4.0), 3, PruningRule(p=2.0), obj),
+        # equations of dp_with_comparisons at every point the sweep runs
+        lambda: sweep_p(mm, trees, 3, (0.5, 6.0), obj),
+    ):
+        solves = _recorded_solves(monkeypatch, sweep)
+        assert len(solves) >= 20
+        for terms, lo, hi, roots in solves:
+            assert roots == reference_find_roots(terms, lo, hi)
 
 
 @given(terms=st.lists(st.tuples(_coeff, _base, st.integers(0, 3)), min_size=1, max_size=6),
@@ -475,11 +613,17 @@ def test_pdim_table_errors():
         pdim_table("ward", 8)
 
 
-@pytest.mark.parametrize("rounds,cells", [(4, 16), (5, 32), (6, 64)])
+_GENERAL_LB_BREAKPOINTS = json.loads(
+    (Path(__file__).parent / "general_lb_breakpoints.json").read_text())
+
+
+@pytest.mark.parametrize("rounds,cells", [(3, 8), (4, 16), (5, 32), (6, 64)])
 def test_general_lb_sweep_keeps_every_cell_above_merge_tolerance(rounds, cells):
     inst, _ = gen_general_lb(rounds)
     prof = sweep_alpha([inst], "power_average", (1.0, 3.0), 2,
                        PruningRule(p=1.0), Objective(kind="phi_p", p=1.0))
+    # bit for bit the breakpoints of the unscreened solver
+    assert repr(prof.breakpoints) == repr(_GENERAL_LB_BREAKPOINTS[str(rounds)])
     assert len(prof) == cells
     assert len(set(prof.payloads)) == cells
     gaps = np.diff(prof.breakpoints[1:-1])
