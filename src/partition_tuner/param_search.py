@@ -15,8 +15,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import (DomainError, Overflow, RootNotConverged, SigmaTooLargeForExact,
-                     SweepDiverged, UnknownFamily)
+from .errors import (DimensionMismatch, DomainError, Overflow, RootNotConverged,
+                     SigmaTooLargeForExact, SweepDiverged, UnknownFamily)
 from .instances import ClusteringInstance
 from .linkage import (
     MergeRule,
@@ -272,7 +272,8 @@ def _roots_rec(f: ExpSum, lo: float, hi: float, tol: float):
     vals = [g(x) for x in pts]
     roots = []
     for i, (x, v) in enumerate(zip(pts, vals)):
-        if abs(v) <= 1e-12 * _local_scale(g, x):
+        # an overflowed value is no root, though inf <= 1e-12 * inf holds
+        if math.isfinite(v) and abs(v) <= 1e-12 * _local_scale(g, x):
             roots.append(x)
             vals[i] = 0.0
     for i in range(len(pts) - 1):
@@ -551,6 +552,19 @@ def sweep_alpha(
     return profile
 
 
+def _evaluate(instances, mrule, collector, k, rule, obj, variant):
+    """Build, prune and score each instance's tree under one merge rule:
+    (tree fingerprints, summed objective)."""
+    fps = []
+    total = 0.0
+    for inst in instances:
+        tree = _run(inst, mrule, collector=collector)
+        res = best_k_pruning(inst, tree, k, rule, variant)
+        total += objective_value(inst, obj, res.clusters, res.centers)
+        fps.append(tree.fingerprint())
+    return tuple(fps), total
+
+
 def _sweep_alpha_counted(instances, family, alpha_range, k, rule, obj,
                          variant="fixed", sigma=None, tol=ROOT_TOL):
     segments, hard = _alpha_segments(family, alpha_range)
@@ -558,17 +572,11 @@ def _sweep_alpha_counted(instances, family, alpha_range, k, rule, obj,
 
     def run(alpha):
         eqs = set()
-        cb = _make_collector(family, sigma, eqs)
-        fps = []
-        total = 0.0
-        for inst in instances:
-            mrule = MergeRule(family=family, alpha=alpha, sigma=sigma)
-            tree = _run(inst, mrule, collector=cb)
-            res = best_k_pruning(inst, tree, k, rule, variant)
-            total += objective_value(inst, obj, res.clusters, res.centers)
-            fps.append(tree.fingerprint())
-            counter[0] += 1
-        return tuple(fps), total, eqs
+        mrule = MergeRule(family=family, alpha=alpha, sigma=sigma)
+        fps, total = _evaluate(instances, mrule, _make_collector(family, sigma, eqs),
+                               k, rule, obj, variant)
+        counter[0] += len(instances)
+        return fps, total, eqs
 
     cells = _sweep_segments(segments, run, tol)
     return PiecewiseProfile.from_cells("alpha", cells, hard), counter[0]
@@ -644,6 +652,8 @@ def _sweep_p_cells(instances, trees, k, p_range, obj, variant, tol=ROOT_TOL):
     lo, hi = float(p_range[0]), min(float(p_range[1]), SWEEP_CLIP)
     if not (0.0 < lo < hi):
         raise DomainError(f"p range must satisfy 0 < lo < hi, lo below {SWEEP_CLIP}")
+    if len(trees) != len(instances):
+        raise DimensionMismatch(f"{len(trees)} trees for {len(instances)} instances")
 
     solve = _solver(lo, hi, tol)
     counter = [0]
@@ -660,11 +670,8 @@ def _sweep_p_cells(instances, trees, k, p_range, obj, variant, tol=ROOT_TOL):
             total += objective_value(inst, obj, clusters, centers)
             sigs.append(sig)
             counter[0] += 1
-            for diff, vals in comps:
-                nz = np.flatnonzero(diff)
-                key = _canon_terms([(diff[t], vals[t], 0) for t in nz])
-                if key:
-                    eqs.add(key)
+            for coeffs, vals in comps:
+                eqs.add(_canon_terms([(a, b, 0) for a, b in zip(coeffs, vals)]))
         return tuple(sigs), total, eqs
 
     cells = _lazy_sweep(lo, hi, run, solve)
@@ -788,19 +795,11 @@ def erm_sigma_linear(
 
         def run(theta):
             eqs = set()
-            cb = _make_collector("sigma_linear", 2, eqs)
-            fps = []
-            total = 0.0
-            for inst in instances:
-                mrule = MergeRule(
-                    family="sigma_linear", weights=(theta, 1.0 - theta), sigma=2
-                )
-                tree = _run(inst, mrule, collector=cb)
-                res = best_k_pruning(inst, tree, k, rule, variant)
-                total += objective_value(inst, obj, res.clusters, res.centers)
-                fps.append(tree.fingerprint())
-                counter[0] += 1
-            return tuple(fps), total, eqs
+            mrule = MergeRule(family="sigma_linear", weights=(theta, 1.0 - theta), sigma=2)
+            fps, total = _evaluate(instances, mrule, _make_collector("sigma_linear", 2, eqs),
+                                   k, rule, obj, variant)
+            counter[0] += len(instances)
+            return fps, total, eqs
 
         cells = _lazy_sweep(tlo, thi, run, solve)
         profile = PiecewiseProfile.from_cells("theta", cells)
@@ -839,14 +838,10 @@ def erm_sigma_linear(
         if not np.any(w > 0):
             continue
         mrule = MergeRule(family="sigma_linear", weights=tuple(w), sigma=sigma)
-        total = 0.0
         margins = []
-        cb = _margin_collector(sigma, w, margins)
-        for inst in instances:
-            tree = _run(inst, mrule, collector=cb)
-            res = best_k_pruning(inst, tree, k, rule, variant)
-            total += objective_value(inst, obj, res.clusters, res.centers)
-            count += 1
+        _, total = _evaluate(instances, mrule, _margin_collector(sigma, w, margins),
+                             k, rule, obj, variant)
+        count += len(instances)
         if best is None or total < best[0]:
             cert = [dv for m, dv in margins if abs(m) <= 1e-9]
             best = (total, tuple(float(x) for x in w), cert)

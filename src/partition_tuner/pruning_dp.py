@@ -9,6 +9,7 @@ with ties resolved through the full sorted list of per-cluster maxima).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from .errors import (
     CenterOutsideCluster,
+    DimensionMismatch,
     DomainError,
     KTooLarge,
     MissingGroundTruth,
@@ -67,12 +69,66 @@ class PruningResult:
     variant: str
 
 
-def _center_costs(D: np.ndarray, leaves, p: float):
-    """Cost of each member as center; returns (costs, order = leaves)."""
-    sub = D[np.ix_(leaves, leaves)]
-    if math.isinf(p):
-        return sub.max(axis=0)
-    return (sub ** p).sum(axis=0)
+def _first_min(costs):
+    return costs.index(min(costs))
+
+
+def _prune(inst: ClusteringInstance, tree: MergeTree, k: int, center_costs, add, choose):
+    """The pruning recurrence, once, over a cost algebra.
+
+    The 1-pruning of a node is its best center: center_costs(leaves) lists
+    each member's cost as the center of the cluster `leaves`.  The
+    k'-pruning of an inner node is its best split into an i'-pruning of the
+    left child and a (k' - i')-pruning of the right child, whose costs
+    combine as add(left, right).  choose(costs) returns the index of the
+    best cost, the first minimum on ties.
+
+    Returns (clusters, centers, cost, signature): the clusters ordered by
+    smallest member with their centers, the root's k-pruning cost, and
+    every choice made (each node's center, then each node's splits by k').
+    """
+    n = tree.n
+    if n != inst.n:
+        raise DimensionMismatch(f"tree has {n} leaves but the instance has {inst.n} points")
+    if not (1 <= k <= n):
+        raise KTooLarge(f"k = {k} outside 1..{n}")
+
+    sig = []
+    cent = []
+    # table[v] maps k' -> (cost, left-side count of the split; None for k' = 1)
+    table = []
+    for leaves in tree.leaf_sets:
+        costs = center_costs(leaves)
+        ci = choose(costs)
+        sig.append(ci)
+        cent.append(leaves[ci])
+        table.append({1: (costs[ci], None)})
+    for v in range(n, 2 * n - 1):
+        L, R = tree.children(v)
+        sl, sr = len(tree.leaf_sets[L]), len(tree.leaf_sets[R])
+        for kk in range(2, min(k, sl + sr) + 1):
+            splits = range(max(1, kk - sr), min(sl, kk - 1) + 1)
+            costs = [add(table[L][i][0], table[R][kk - i][0]) for i in splits]
+            bi = choose(costs)
+            sig.append(bi)
+            table[v][kk] = (costs[bi], splits[bi])
+
+    clusters: List[np.ndarray] = []
+    centers: List[int] = []
+    todo = [(tree.root, k)]
+    while todo:
+        v, kk = todo.pop()
+        if kk == 1:
+            clusters.append(np.array(tree.leaf_sets[v], dtype=int))
+            centers.append(cent[v])
+        else:
+            i = table[v][kk][1]
+            L, R = tree.children(v)
+            todo += [(L, i), (R, kk - i)]
+    order = np.argsort([c[0] for c in clusters])
+    clusters = [clusters[i] for i in order]
+    centers = [centers[i] for i in order]
+    return clusters, centers, table[tree.root][k][0], tuple(sig)
 
 
 def best_k_pruning(
@@ -91,74 +147,24 @@ def best_k_pruning(
     """
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
-    n = inst.n
-    if not (1 <= k <= n):
-        raise KTooLarge(f"k = {k} outside 1..{n}")
     p = rule.p
     D = inst.dist
-    finite = math.isfinite(p)
+    if math.isinf(p):
 
-    nodes = range(2 * n - 1)
-    cent = [None] * (2 * n - 1)
-    base = [None] * (2 * n - 1)
-    for v in nodes:
-        leaves = tree.leaf_sets[v]
-        costs = _center_costs(D, leaves, p)
-        ci = int(np.argmin(costs))
-        cent[v] = leaves[ci]
-        base[v] = float(costs[ci]) if finite else (float(costs[ci]),)
+        def center_costs(leaves):
+            return [(m,) for m in D[np.ix_(leaves, leaves)].max(axis=0).tolist()]
 
-    # table[v] maps k' -> (value, split) where split is the left-side count
-    # (None for k' = 1); values are floats (finite p) or descending tuples.
-    table = [dict() for _ in nodes]
-    for v in nodes:
-        size = len(tree.leaf_sets[v])
-        table[v][1] = (base[v], None)
-        ch = tree.children(v)
-        if ch is None:
-            continue
-        L, R = ch
-        sl, sr = len(tree.leaf_sets[L]), len(tree.leaf_sets[R])
-        for kk in range(2, min(k, size) + 1):
-            best = None
-            arg = None
-            for i in range(max(1, kk - sr), min(sl, kk - 1) + 1):
-                lv = table[L].get(i)
-                rv = table[R].get(kk - i)
-                if lv is None or rv is None:
-                    continue
-                if finite:
-                    val = lv[0] + rv[0]
-                else:
-                    val = tuple(sorted(lv[0] + rv[0], reverse=True))
-                if best is None or val < best:
-                    best = val
-                    arg = i
-            if best is not None:
-                table[v][kk] = (best, arg)
+        def add(a, b):
+            return tuple(sorted(a + b, reverse=True))
 
-    root = tree.root
-    if k not in table[root]:
-        raise KTooLarge(f"tree admits no {k}-antichain")
+    else:
 
-    clusters: List[np.ndarray] = []
-    centers: List[int] = []
+        def center_costs(leaves):
+            return (D[np.ix_(leaves, leaves)] ** p).sum(axis=0).tolist()
 
-    def collect(v, kk):
-        if kk == 1:
-            clusters.append(np.array(tree.leaf_sets[v], dtype=int))
-            centers.append(cent[v])
-            return
-        _, i = table[v][kk]
-        L, R = tree.children(v)
-        collect(L, i)
-        collect(R, kk - i)
+        add = operator.add
 
-    collect(root, k)
-    order = np.argsort([c[0] for c in clusters])
-    clusters = [clusters[i] for i in order]
-    centers = [centers[i] for i in order]
-
+    clusters, centers, _, _ = _prune(inst, tree, k, center_costs, add, _first_min)
     if variant == "voronoi":
         clusters, centers = voronoi_reassign(inst, clusters, centers)
 
@@ -173,16 +179,20 @@ def best_k_pruning(
     )
 
 
-def _score(D, clusters, centers, p):
+def _power_sum(D, clusters, centers, p):
+    """Sum over clusters of sum_q d(q, center)^p; at p = inf the largest
+    center distance."""
     if math.isinf(p):
-        worst = max(
-            float(D[cl, c].max()) for cl, c in zip(clusters, centers)
-        )
-        return worst, worst
+        return max(float(D[cl, c].max()) for cl, c in zip(clusters, centers))
     total = 0.0
     for cl, c in zip(clusters, centers):
         total += float((D[cl, c] ** p).sum())
-    return total, total ** (1.0 / p)
+    return total
+
+
+def _score(D, clusters, centers, p):
+    power_sum = _power_sum(D, clusters, centers, p)
+    return power_sum, power_sum if math.isinf(p) else power_sum ** (1.0 / p)
 
 
 def voronoi_reassign(inst: ClusteringInstance, clusters, centers):
@@ -261,12 +271,7 @@ def objective_value(
             total += float((D[cl, c] ** p).sum()) ** (1.0 / p)
         return total
     # psi_pow: raw power sum, or the largest center distance at p = inf
-    if math.isinf(p):
-        return float(max(float(D[cl, c].max()) for cl, c in zip(clusters, centers)))
-    total = 0.0
-    for cl, c in zip(clusters, centers):
-        total += float((D[cl, c] ** p).sum())
-    return total
+    return _power_sum(D, clusters, centers, p)
 
 
 # ---------------------------------------------------------------------------
@@ -279,101 +284,37 @@ def dp_with_comparisons(inst: ClusteringInstance, tree: MergeTree, k: int, p: fl
 
     Returns (result, comparisons, signature) where comparisons is a list of
     (coeffs, values) pairs: sum_t coeffs[t] * values[t]^p is the winning
-    choice's cost minus one alternative's (negative at the probe p), and
-    signature hashes every choice made (for piecewise-constancy detection).
+    choice's cost minus one alternative's (negative at the probe p), over
+    the distinct distances whose counts differ; signature records every
+    choice made (for piecewise-constancy detection).
     """
     if math.isinf(p):
         raise DomainError("comparison tracking needs finite p")
-    n = inst.n
-    if not (1 <= k <= n):
-        raise KTooLarge(f"k = {k} outside 1..{n}")
     D = inst.dist
-    iu = np.triu_indices(n, k=1)
-    distinct = np.unique(D[iu])
-    beta = distinct.size
+    distinct = np.unique(D[np.triu_indices(inst.n, k=1)])
     pw = distinct ** p
-
+    idx = np.searchsorted(distinct, D)
     comparisons = []
-    sig = []
 
-    def count_vec(dist_slice):
-        idx = np.searchsorted(distinct, dist_slice)
-        vec = np.zeros(beta)
-        np.add.at(vec, idx, 1.0)
-        return vec
+    def center_costs(leaves):
+        # row c counts the distances d(q, c) of the other members q
+        off = ~np.eye(len(leaves), dtype=bool)
+        vecs = np.zeros((len(leaves), distinct.size))
+        np.add.at(vecs, (np.nonzero(off)[1], idx[np.ix_(leaves, leaves)][off]), 1.0)
+        return list(vecs)
 
-    cent = [None] * (2 * n - 1)
-    base_vec = [None] * (2 * n - 1)
-    for v in range(2 * n - 1):
-        leaves = tree.leaf_sets[v]
-        vecs = []
-        costs = []
-        for c in leaves:
-            others = [q for q in leaves if q != c]
-            vec = count_vec(D[others, c]) if others else np.zeros(beta)
-            vecs.append(vec)
-            costs.append(float(vec @ pw))
-        ci = int(np.argmin(costs))
-        cent[v] = leaves[ci]
-        base_vec[v] = vecs[ci]
-        sig.append(ci)
+    def choose(vecs):
+        best = int(np.argmin([float(vec @ pw) for vec in vecs]))
         for j, vec in enumerate(vecs):
-            if j != ci:
-                diff = vecs[ci] - vec
-                if np.any(diff):
-                    comparisons.append((diff, distinct))
+            if j != best:
+                diff = vecs[best] - vec
+                nz = np.flatnonzero(diff)
+                if nz.size:
+                    comparisons.append((diff[nz], distinct[nz]))
+        return best
 
-    table = [dict() for _ in range(2 * n - 1)]
-    for v in range(2 * n - 1):
-        size = len(tree.leaf_sets[v])
-        table[v][1] = (base_vec[v], None)
-        ch = tree.children(v)
-        if ch is None:
-            continue
-        L, R = ch
-        sl, sr = len(tree.leaf_sets[L]), len(tree.leaf_sets[R])
-        for kk in range(2, min(k, size) + 1):
-            cand = []
-            for i in range(max(1, kk - sr), min(sl, kk - 1) + 1):
-                lv = table[L].get(i)
-                rv = table[R].get(kk - i)
-                if lv is None or rv is None:
-                    continue
-                cand.append((i, lv[0] + rv[0]))
-            if not cand:
-                continue
-            costs = [float(vec @ pw) for _, vec in cand]
-            bi = int(np.argmin(costs))
-            table[v][kk] = (cand[bi][1], cand[bi][0])
-            sig.append(bi)
-            for j, (_, vec) in enumerate(cand):
-                if j != bi:
-                    diff = cand[bi][1] - vec
-                    if np.any(diff):
-                        comparisons.append((diff, distinct))
-
-    root = tree.root
-    if k not in table[root]:
-        raise KTooLarge(f"tree admits no {k}-antichain")
-
-    clusters = []
-    centers = []
-
-    def collect(v, kk):
-        if kk == 1:
-            clusters.append(np.array(tree.leaf_sets[v], dtype=int))
-            centers.append(cent[v])
-            return
-        _, i = table[v][kk]
-        L, R = tree.children(v)
-        collect(L, i)
-        collect(R, kk - i)
-
-    collect(root, k)
-    order = np.argsort([c[0] for c in clusters])
-    clusters = [clusters[i] for i in order]
-    centers = [centers[i] for i in order]
-    power_sum = float(table[root][k][0] @ pw)
+    clusters, centers, vec, sig = _prune(inst, tree, k, center_costs, operator.add, choose)
+    power_sum = float(vec @ pw)
     result = PruningResult(
         clusters=clusters,
         centers=centers,
@@ -382,4 +323,4 @@ def dp_with_comparisons(inst: ClusteringInstance, tree: MergeTree, k: int, p: fl
         k=k,
         variant="fixed",
     )
-    return result, comparisons, tuple(sig)
+    return result, comparisons, sig

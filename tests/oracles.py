@@ -7,6 +7,7 @@ plain data containers.
 
 import itertools
 import math
+from typing import List
 
 import numpy as np
 
@@ -21,8 +22,9 @@ from partition_tuner import (
     qp_value,
     rprt_assign,
 )
-from partition_tuner.linkage import build_tree
-from partition_tuner.pruning_dp import best_k_pruning
+from partition_tuner.errors import DomainError, KTooLarge
+from partition_tuner.linkage import MergeTree, build_tree
+from partition_tuner.pruning_dp import VARIANTS, PruningResult, best_k_pruning, voronoi_reassign
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +386,7 @@ def _ref_roots_rec(f, lo, hi, tol):
     vals = [g(x) for x in pts]
     roots = []
     for i, (x, v) in enumerate(zip(pts, vals)):
-        if abs(v) <= 1e-12 * _ref_local_scale(g, x):
+        if math.isfinite(v) and abs(v) <= 1e-12 * _ref_local_scale(g, x):
             roots.append(x)
             vals[i] = 0.0
     for i in range(len(pts) - 1):
@@ -759,3 +761,238 @@ def reference_rprt_erm(samples):
         if best is None or v > best[1] + 1e-15:
             best = (s, v)
     return RoundingErmResult(best[0], best[1], thresholds, interval_values)
+
+
+# ---------------------------------------------------------------------------
+# the pruning DPs as two separate recurrences, frozen as they stood before
+# they became one DP over two cost algebras; the package must match them bit
+# for bit
+
+
+def _ref_center_costs(D: np.ndarray, leaves, p: float):
+    """Cost of each member as center; returns (costs, order = leaves)."""
+    sub = D[np.ix_(leaves, leaves)]
+    if math.isinf(p):
+        return sub.max(axis=0)
+    return (sub ** p).sum(axis=0)
+
+
+def reference_best_k_pruning(
+    inst: ClusteringInstance,
+    tree: MergeTree,
+    k: int,
+    rule: PruningRule,
+    variant: str = "fixed",
+) -> PruningResult:
+    """Best k-cluster antichain of the tree under the rule, exactly.
+
+    Cluster costs use finite-p power sums added across clusters (compared on
+    p-th powers, so no roots are taken inside the DP); p = inf compares
+    sorted lists of per-cluster maxima lexicographically.  Ties prefer
+    smaller center ids and smaller left-side cluster counts.
+    """
+    if variant not in VARIANTS:
+        raise DomainError(f"unknown variant {variant!r}")
+    n = inst.n
+    if not (1 <= k <= n):
+        raise KTooLarge(f"k = {k} outside 1..{n}")
+    p = rule.p
+    D = inst.dist
+    finite = math.isfinite(p)
+
+    nodes = range(2 * n - 1)
+    cent = [None] * (2 * n - 1)
+    base = [None] * (2 * n - 1)
+    for v in nodes:
+        leaves = tree.leaf_sets[v]
+        costs = _ref_center_costs(D, leaves, p)
+        ci = int(np.argmin(costs))
+        cent[v] = leaves[ci]
+        base[v] = float(costs[ci]) if finite else (float(costs[ci]),)
+
+    # table[v] maps k' -> (value, split) where split is the left-side count
+    # (None for k' = 1); values are floats (finite p) or descending tuples.
+    table = [dict() for _ in nodes]
+    for v in nodes:
+        size = len(tree.leaf_sets[v])
+        table[v][1] = (base[v], None)
+        ch = tree.children(v)
+        if ch is None:
+            continue
+        L, R = ch
+        sl, sr = len(tree.leaf_sets[L]), len(tree.leaf_sets[R])
+        for kk in range(2, min(k, size) + 1):
+            best = None
+            arg = None
+            for i in range(max(1, kk - sr), min(sl, kk - 1) + 1):
+                lv = table[L].get(i)
+                rv = table[R].get(kk - i)
+                if lv is None or rv is None:
+                    continue
+                if finite:
+                    val = lv[0] + rv[0]
+                else:
+                    val = tuple(sorted(lv[0] + rv[0], reverse=True))
+                if best is None or val < best:
+                    best = val
+                    arg = i
+            if best is not None:
+                table[v][kk] = (best, arg)
+
+    root = tree.root
+    if k not in table[root]:
+        raise KTooLarge(f"tree admits no {k}-antichain")
+
+    clusters: List[np.ndarray] = []
+    centers: List[int] = []
+
+    def collect(v, kk):
+        if kk == 1:
+            clusters.append(np.array(tree.leaf_sets[v], dtype=int))
+            centers.append(cent[v])
+            return
+        _, i = table[v][kk]
+        L, R = tree.children(v)
+        collect(L, i)
+        collect(R, kk - i)
+
+    collect(root, k)
+    order = np.argsort([c[0] for c in clusters])
+    clusters = [clusters[i] for i in order]
+    centers = [centers[i] for i in order]
+
+    if variant == "voronoi":
+        clusters, centers = voronoi_reassign(inst, clusters, centers)
+
+    power_sum, score = _ref_score(D, clusters, centers, p)
+    return PruningResult(
+        clusters=clusters,
+        centers=centers,
+        score=score,
+        power_sum=power_sum,
+        k=k,
+        variant=variant,
+    )
+
+
+def _ref_score(D, clusters, centers, p):
+    if math.isinf(p):
+        worst = max(
+            float(D[cl, c].max()) for cl, c in zip(clusters, centers)
+        )
+        return worst, worst
+    total = 0.0
+    for cl, c in zip(clusters, centers):
+        total += float((D[cl, c] ** p).sum())
+    return total, total ** (1.0 / p)
+
+
+def reference_dp_with_comparisons(inst: ClusteringInstance, tree: MergeTree, k: int, p: float):
+    """Run the finite-p DP tracking count vectors over distinct distances.
+
+    Returns (result, comparisons, signature) where comparisons is a list of
+    (coeffs, values) pairs: sum_t coeffs[t] * values[t]^p is the winning
+    choice's cost minus one alternative's (negative at the probe p), and
+    signature hashes every choice made (for piecewise-constancy detection).
+    """
+    if math.isinf(p):
+        raise DomainError("comparison tracking needs finite p")
+    n = inst.n
+    if not (1 <= k <= n):
+        raise KTooLarge(f"k = {k} outside 1..{n}")
+    D = inst.dist
+    iu = np.triu_indices(n, k=1)
+    distinct = np.unique(D[iu])
+    beta = distinct.size
+    pw = distinct ** p
+
+    comparisons = []
+    sig = []
+
+    def count_vec(dist_slice):
+        idx = np.searchsorted(distinct, dist_slice)
+        vec = np.zeros(beta)
+        np.add.at(vec, idx, 1.0)
+        return vec
+
+    cent = [None] * (2 * n - 1)
+    base_vec = [None] * (2 * n - 1)
+    for v in range(2 * n - 1):
+        leaves = tree.leaf_sets[v]
+        vecs = []
+        costs = []
+        for c in leaves:
+            others = [q for q in leaves if q != c]
+            vec = count_vec(D[others, c]) if others else np.zeros(beta)
+            vecs.append(vec)
+            costs.append(float(vec @ pw))
+        ci = int(np.argmin(costs))
+        cent[v] = leaves[ci]
+        base_vec[v] = vecs[ci]
+        sig.append(ci)
+        for j, vec in enumerate(vecs):
+            if j != ci:
+                diff = vecs[ci] - vec
+                if np.any(diff):
+                    comparisons.append((diff, distinct))
+
+    table = [dict() for _ in range(2 * n - 1)]
+    for v in range(2 * n - 1):
+        size = len(tree.leaf_sets[v])
+        table[v][1] = (base_vec[v], None)
+        ch = tree.children(v)
+        if ch is None:
+            continue
+        L, R = ch
+        sl, sr = len(tree.leaf_sets[L]), len(tree.leaf_sets[R])
+        for kk in range(2, min(k, size) + 1):
+            cand = []
+            for i in range(max(1, kk - sr), min(sl, kk - 1) + 1):
+                lv = table[L].get(i)
+                rv = table[R].get(kk - i)
+                if lv is None or rv is None:
+                    continue
+                cand.append((i, lv[0] + rv[0]))
+            if not cand:
+                continue
+            costs = [float(vec @ pw) for _, vec in cand]
+            bi = int(np.argmin(costs))
+            table[v][kk] = (cand[bi][1], cand[bi][0])
+            sig.append(bi)
+            for j, (_, vec) in enumerate(cand):
+                if j != bi:
+                    diff = cand[bi][1] - vec
+                    if np.any(diff):
+                        comparisons.append((diff, distinct))
+
+    root = tree.root
+    if k not in table[root]:
+        raise KTooLarge(f"tree admits no {k}-antichain")
+
+    clusters = []
+    centers = []
+
+    def collect(v, kk):
+        if kk == 1:
+            clusters.append(np.array(tree.leaf_sets[v], dtype=int))
+            centers.append(cent[v])
+            return
+        _, i = table[v][kk]
+        L, R = tree.children(v)
+        collect(L, i)
+        collect(R, kk - i)
+
+    collect(root, k)
+    order = np.argsort([c[0] for c in clusters])
+    clusters = [clusters[i] for i in order]
+    centers = [centers[i] for i in order]
+    power_sum = float(table[root][k][0] @ pw)
+    result = PruningResult(
+        clusters=clusters,
+        centers=centers,
+        score=power_sum ** (1.0 / p),
+        power_sum=power_sum,
+        k=k,
+        variant="fixed",
+    )
+    return result, comparisons, tuple(sig)

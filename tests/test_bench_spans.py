@@ -12,7 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from partition_tuner import gen_k4_shatter, linkage, param_search, pruning_dp, sdp_round
+from partition_tuner import (MergeRule, Objective, PruningRule, build_tree, gen_k4_shatter,
+                             linkage, param_search, pruning_dp, sdp_round)
+from oracles import random_instance
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -49,3 +51,21 @@ def test_span_patch_enters_and_restores():
     assert all(after[k] is before[k] for k in before)
     names = {sp.name for sp in tracer.spans}
     assert {"sdp_round.slin", "sdp_round.owr"} <= names
+
+
+def test_sweeps_cross_every_pruning_span():
+    # a sweep that bypassed the patched attributes (say, by calling the
+    # shared pruning DP directly) would leave these layers empty
+    spans = _load_spans()
+    rng = np.random.default_rng(41)
+    instances = [random_instance(rng, n=6) for _ in range(2)]
+    obj = Objective(kind="phi_p", p=2.0)
+    tracer = spans.Tracer()
+    with spans.patched(tracer):
+        param_search.sweep_alpha(instances, "power_minmax", (0.5, 2.0), 2,
+                                 PruningRule(p=2.0), obj)
+        trees = [build_tree(inst, MergeRule("power_average", 1.0)) for inst in instances]
+        param_search.sweep_p(instances, trees, 2, (0.5, 3.0), obj)
+    names = {sp.name for sp in tracer.spans}
+    assert {"linkage.run", "pruning_dp.prune", "pruning_dp.dp_cmp",
+            "pruning_dp.objective"} <= names

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partition_tuner import (
+    DimensionMismatch,
     DomainError,
     ExpSum,
     IDENTICALLY_ZERO,
@@ -142,6 +143,19 @@ def test_find_roots_ends_when_a_derivative_overflows():
     terms = [(1.0, math.e ** 2), (1e308, 1.0), (-1.0, math.e ** -1), (1.0, math.e ** -3)]
     with np.errstate(over="ignore", invalid="ignore"):
         assert find_roots(ExpSum(terms), -1.0, 1.0) == reference_find_roots(terms, -1.0, 1.0)
+
+
+def test_find_roots_takes_no_overflowed_endpoint_for_a_root():
+    # f(x) = e^(6x) - c keeps f < 0 on [-64, 64]: its one root is 64 + 1e-6.
+    # Scaled by the largest base, f(-64) and its local scale both overflow.
+    c = 5.876025294335133e166
+    terms = [(1.0, math.e ** 6), (-c, 1.0)]
+    grid = np.linspace(-64.0, 64.0, 100001)
+    assert np.all(6.0 * grid < math.log(c))
+    assert all(math.exp(6.0 * x) - c < 0.0 for x in grid[::100])
+    with np.errstate(over="ignore"):
+        assert find_roots(ExpSum(terms), -64.0, 64.0) == []
+        assert reference_find_roots(terms, -64.0, 64.0) == []
 
 
 @pytest.mark.parametrize("terms,lo,hi", [
@@ -474,6 +488,18 @@ def test_sweep_p_rejects_bad_range():
         sweep_p([inst], [tree], 2, (0.0, 2.0), obj)
     with pytest.raises(DomainError):
         sweep_p([inst], [tree], 2, (3.0, 2.0), obj)
+
+
+def test_sweep_p_refuses_unequal_tree_and_instance_counts():
+    rng = np.random.default_rng(34)
+    a, b = euclidean_instance(rng, 5), euclidean_instance(rng, 5)
+    tree_a = build_tree(a, MergeRule("power_average", 1.0))
+    obj = Objective(kind="phi_p", p=1.0)
+    for instances, trees in (([a, b], [tree_a]), ([a], [tree_a, tree_a])):
+        with pytest.raises(DimensionMismatch):
+            sweep_p(instances, trees, 2, (0.5, 2.0), obj)
+        with pytest.raises(DimensionMismatch):
+            param_search._sweep_p_cells(instances, trees, 2, (0.5, 2.0), obj, "fixed")
 
 
 def test_erm_joint_matches_grid_oracle():
