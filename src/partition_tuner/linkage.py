@@ -250,7 +250,9 @@ def build_tree(inst: ClusteringInstance, rule: MergeRule) -> MergeTree:
     Ties on the merge value pick the pair whose (smaller side min leaf,
     other side min leaf) is lexicographically least, with the side holding
     the globally smallest leaf listed first in the merge record.  Memory is
-    O(n^2) for every family (see ``_run``).
+    O(n^2) for every family (see ``_run``).  A merge step costs O(n), plus
+    O(n) per row whose minimum it retires: O(n^2) time per build on typical
+    inputs, O(n^3) at worst, plus the count families' multiset merges.
     """
     return _run(inst, rule)
 
@@ -425,6 +427,16 @@ def _run(inst: ClusteringInstance, rule: MergeRule, collector=None) -> MergeTree
     its distinct distances, None for the latter families.  Each merge
     updates the store through the O(m) pairs it retires and creates; a
     plain build interns nothing.
+
+    rowmin[u] is the exact minimum of row u of V (Muellner's generic
+    linkage, arXiv:1109.2378), so a step costs O(m) on m active nodes.
+    Every pair of least value g joins two active rows with rowmin g: the
+    tie rule takes the tied row wi of least minleaf, then its partner of
+    value g with least minleaf.  V holds +inf on the diagonal and at
+    retired and unborn nodes, and a real key may be +inf, so both searches
+    stay on the active ids.  A merge lowers rowmin to the new keys and
+    rescans only the rows whose minimum sat in the cleared columns of wi
+    and wj.  Retired rows are never read again, so they are not cleared.
     """
     n = inst.n
     total = 2 * n - 1
@@ -452,6 +464,7 @@ def _run(inst: ClusteringInstance, rule: MergeRule, collector=None) -> MergeTree
         key = single[sets.didx[r, r + 1:]] if counts else _minmax_keys(rule, d, d)
         V[r, r + 1:n] = key
         V[r + 1:n, r] = key
+    rowmin = V.min(axis=1)
     minleaf = np.arange(total)
     leaf_sets = [[i] for i in range(n)] + [None] * (n - 1)
 
@@ -463,35 +476,29 @@ def _run(inst: ClusteringInstance, rule: MergeRule, collector=None) -> MergeTree
 
     for step in range(n - 1):
         ids = np.flatnonzero(active_mask)
-        sub = V[np.ix_(ids, ids)]  # symmetric, with big on the diagonal
-        r, c = np.nonzero(sub == sub.min())
-        r, c = r[r < c], c[r < c]
-        k = 0
-        if r.size > 1:
-            li, lj = minleaf[ids[r]], minleaf[ids[c]]
-            k = np.lexsort((np.maximum(li, lj), np.minimum(li, lj)))[0]
-        wi, wj = ids[r[k]], ids[c[k]]
-        if minleaf[wj] < minleaf[wi]:
-            wi, wj = wj, wi
+        low = rowmin[ids]
+        g = low.min()
+        tied = ids[low == g]
+        tied = tied[minleaf[tied].argsort()]
+        wi, others = tied[0], tied[1:]
+        wj = others[V[wi, others] == g][0]
 
         if collector is not None:
             collector(step, (wi, wj), ids, None, minD, maxD, sets, distinct)
 
         new = n + step
-        key = V[wi, wj]
         if rule.family in ("convex_minmax", "sigma_linear"):
-            values.append(float(key))
+            values.append(float(g))
         else:
             with np.errstate(over="ignore"):
-                values.append(float(np.exp(key)))
+                values.append(float(np.exp(g)))
         merges.append((wi, wj))
         leaf_sets[new] = sorted(leaf_sets[wi] + leaf_sets[wj])
-        minleaf[new] = min(minleaf[wi], minleaf[wj])
+        minleaf[new] = minleaf[wi]
         active_mask[wi] = False
         active_mask[wj] = False
-        active_mask[new] = True
         rest = np.flatnonzero(active_mask)
-        rest = rest[rest != new]
+        active_mask[new] = True
         if rest.size:
             mn = np.minimum(minD[wi, rest], minD[wj, rest])
             mx = np.maximum(maxD[wi, rest], maxD[wj, rest])
@@ -507,8 +514,11 @@ def _run(inst: ClusteringInstance, rule: MergeRule, collector=None) -> MergeTree
                     sets.replace(wi, wj, new, rest, list(zip(mn.tolist(), mx.tolist())))
             V[new, rest] = key
             V[rest, new] = key
-        V[[wi, wj], :] = big
-        V[:, [wi, wj]] = big
+            stale = rest[rowmin[rest] == np.minimum(V[wi, rest], V[wj, rest])]
+            rowmin[rest] = np.minimum(rowmin[rest], key)
+            rowmin[new] = key.min()
+            V[:, [wi, wj]] = big
+            rowmin[stale] = V[stale].min(axis=1)
 
     return MergeTree(n=n, merges=merges, values=values, leaf_sets=leaf_sets)
 

@@ -179,6 +179,22 @@ def test_tie_break_is_lexicographic():
     assert seq[3] == ((0, 1, 2, 3), (4,))
 
 
+def test_infinite_keys_still_merge_in_min_leaf_order():
+    # every key overflows to +inf, the value that also marks the diagonal and
+    # retired nodes: the tie rule must still pick distinct active clusters
+    base = euclidean_instance(np.random.default_rng(0), 8)
+    rule = MergeRule("sigma_linear", weights=(1e308, 1e308), sigma=2)
+    with np.errstate(over="ignore"):
+        tree = build_tree(ClusteringInstance(n=8, dist=base.dist * 10), rule)
+        # unscaled, the first two keys stay finite and the rest overflow
+        mixed = build_tree(base, rule)
+    assert tree.merges == [(0, 1), (8, 2), (9, 3), (10, 4), (11, 5), (12, 6), (13, 7)]
+    assert tree.values == [math.inf] * 7
+    assert mixed.merges == [(0, 1), (3, 5), (8, 2), (10, 9), (11, 4), (12, 6), (13, 7)]
+    assert mixed.values[:2] == [9.819226749348119e+307, 1.2936664342087112e+308]
+    assert mixed.values[2:] == [math.inf] * 5
+
+
 def test_tree_structure_invariants():
     rng = np.random.default_rng(99)
     inst = euclidean_instance(rng, 12)

@@ -14,7 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partition_tuner import ClusteringInstance, MergeRule, build_tree, gen_general_lb, linkage
+from partition_tuner import (
+    ClusteringInstance,
+    MergeRule,
+    build_tree,
+    gen_general_lb,
+    gen_two_gadget,
+    linkage,
+)
 from partition_tuner.linkage import _count_keys, _counts_needed, _run, record_comparisons
 from partition_tuner.param_search import _make_collector, _margin_collector
 from conftest import euclidean_instance
@@ -93,6 +100,55 @@ def test_tie_heavy_builds_diverge_only_at_exact_ties():
                 assert abs(vals[0] - vals[1]) <= 1e-12 * max(1.0, *map(abs, vals)), (
                     rule, g, w, vals)
                 break
+
+
+_BIG_TIE_RULES = (
+    [MergeRule("convex_minmax", a) for a in (0.0, 0.4, 1.0)]
+    + [MergeRule("power_minmax", a) for a in (1.7, -1.7, math.inf, -math.inf)]
+)
+
+
+@pytest.mark.parametrize("alpha_star,family", [(0.4, "convex_minmax"), (1.5, "power_average")])
+def test_builds_match_dense_reference_on_two_gadgets(alpha_star, family):
+    # n=210: hundreds of pairs tie on the merge value, and rows whose
+    # minimum sat on a merged cluster must be found again
+    inst, _ = gen_two_gadget(alpha_star, family)
+    for rule in _BIG_TIE_RULES + [MergeRule("power_average", 1.5)]:
+        _assert_same_build(inst, rule)
+
+
+def test_minmax_builds_match_dense_reference_on_120_gaussian_points():
+    inst = euclidean_instance(np.random.default_rng(120), 120)
+    for rule in _BIG_TIE_RULES:
+        _assert_same_build(inst, rule)
+
+
+def _collector_inputs(run, inst, rule):
+    seen = []
+
+    def record(step, winner, ids, *_):
+        seen.append((step, tuple(map(int, winner)), ids.tolist()))
+
+    run(inst, rule, record)
+    return seen
+
+
+def test_collectors_see_the_reference_steps_winners_and_candidates():
+    # a sweep's equations are built from exactly these inputs
+    rng = np.random.default_rng(29)
+    rules = _BIG_TIE_RULES + [
+        MergeRule("power_average", math.inf),
+        MergeRule("sigma_linear", weights=(0.35, 0.65), sigma=2),
+        MergeRule("sigma_power", 0.8, sigma=3),
+    ]
+    for _ in range(10):
+        inst = _integer_instance(rng, int(rng.integers(3, 16)), int(rng.integers(1, 4)))
+        for rule in rules:
+            assert _collector_inputs(_run, inst, rule) == _collector_inputs(
+                reference_run, inst, rule), rule
+    inst, _ = gen_two_gadget(0.4, "convex_minmax")
+    for rule in (MergeRule("convex_minmax", 0.4), MergeRule("power_minmax", 1.7)):
+        assert _collector_inputs(_run, inst, rule) == _collector_inputs(reference_run, inst, rule)
 
 
 _multiset = st.dictionaries(st.integers(0, 11), st.integers(1, 6), min_size=1, max_size=8)
