@@ -9,6 +9,7 @@ away from the evaluation point must flip one of the executed comparisons.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
@@ -327,6 +328,14 @@ class PiecewiseProfile:
 
 @dataclass
 class ErmResult:
+    """Best parameter, its closed interval and cost, and the swept profile.
+
+    instances_evaluated counts the pipeline runs the search made, one per
+    instance per probe: tree builds for the alpha searches, and for
+    erm_joint the pruning DP runs actually made, none for a tree tuple whose
+    exponent sweep was already done.
+    """
+
     best_param: object
     best_interval: object
     best_cost: float
@@ -648,14 +657,28 @@ def erm_alpha(
 # exponent sweeps over a fixed tree, and the joint search
 
 
-def _sweep_p_cells(instances, trees, k, p_range, obj, variant, tol=ROOT_TOL):
+def _p_domain(p_range):
+    """The exponent sweep's domain: p_range with its top clipped to SWEEP_CLIP."""
     lo, hi = float(p_range[0]), min(float(p_range[1]), SWEEP_CLIP)
     if not (0.0 < lo < hi):
         raise DomainError(f"p range must satisfy 0 < lo < hi, lo below {SWEEP_CLIP}")
+    return lo, hi
+
+
+def _sparse_key(coeffs, bases):
+    """_canon_terms of the degree-0 terms coeffs[t] * bases[t]^x, for bases
+    that are already unique and ascending, as dp_with_comparisons returns them."""
+    if coeffs[0] < 0:
+        coeffs = -coeffs
+    return tuple(zip(bases.tolist(), itertools.repeat(0), coeffs.tolist()))
+
+
+def _sweep_p_cells(instances, trees, k, domain, obj, variant, solve):
+    """Cells of the summed objective over p in domain = _p_domain(...) for
+    fixed trees, and the number of DP runs made; solve is a _solver over
+    that domain, which every exponent sweep of a search may share."""
     if len(trees) != len(instances):
         raise DimensionMismatch(f"{len(trees)} trees for {len(instances)} instances")
-
-    solve = _solver(lo, hi, tol)
     counter = [0]
 
     def run(p):
@@ -671,10 +694,10 @@ def _sweep_p_cells(instances, trees, k, p_range, obj, variant, tol=ROOT_TOL):
             sigs.append(sig)
             counter[0] += 1
             for coeffs, vals in comps:
-                eqs.add(_canon_terms([(a, b, 0) for a, b in zip(coeffs, vals)]))
+                eqs.add(_sparse_key(coeffs, vals))
         return tuple(sigs), total, eqs
 
-    cells = _lazy_sweep(lo, hi, run, solve)
+    cells = _lazy_sweep(*domain, run, solve)
     return cells, counter[0]
 
 
@@ -683,7 +706,8 @@ def sweep_p(
     tol: float = ROOT_TOL,
 ) -> PiecewiseProfile:
     """Cost profile over the pruning exponent for fixed merge trees."""
-    cells, _ = _sweep_p_cells(instances, trees, k, p_range, obj, variant, tol)
+    domain = _p_domain(p_range)
+    cells, _ = _sweep_p_cells(instances, trees, k, domain, obj, variant, _solver(*domain, tol))
     return PiecewiseProfile.from_cells("p", cells)
 
 
@@ -701,37 +725,41 @@ def erm_joint(
 
     The outer sweep refines alpha on merge-tree structure; within each alpha
     cell the trees are fixed and an inner exponent sweep finds the best p.
-    The reported cost is exact for the product range.
+    The reported cost is exact for the product range.  An exponent sweep
+    depends on the trees only through their merge records, so each distinct
+    tuple of records is swept once, and every exponent sweep shares one root
+    cache.  instances_evaluated counts the DP runs actually made: a tree
+    tuple that was already swept costs none.
     """
     segments, hard = _alpha_segments(family, alpha_range)
+    domain = _p_domain(p_range)
+    psolve = _solver(*domain, tol)
+    swept = {}  # merge records of a tree tuple -> its exponent sweep's cells
     evals = [0]
 
     def trees_at(alpha, eqs=None):
         cb = _make_collector(family, None, eqs) if eqs is not None else None
-        out = []
-        for inst in instances:
-            mrule = MergeRule(family=family, alpha=alpha)
-            tree = _run(inst, mrule, collector=cb)
-            out.append(tree)
-        return out
+        return [_run(inst, MergeRule(family=family, alpha=alpha), collector=cb)
+                for inst in instances]
+
+    def p_cells(trees):
+        key = tuple(tuple(t.merges) for t in trees)
+        if key not in swept:
+            swept[key], c = _sweep_p_cells(instances, trees, k, domain, obj, variant, psolve)
+            evals[0] += c
+        return swept[key]
 
     def run(alpha):
         eqs = set()
         trees = trees_at(alpha, eqs)
-        cells, c = _sweep_p_cells(instances, trees, k, p_range, obj, variant, tol)
-        evals[0] += c
-        val = min(cell[4] for cell in cells)
+        val = min(cell[4] for cell in p_cells(trees))
         fps = tuple(t.fingerprint() for t in trees)
         return fps, val, eqs
 
     cells = _sweep_segments(segments, run, tol)
     profile = PiecewiseProfile.from_cells("alpha", cells, hard)
     alo, ahi, cost, arep = _best_run(profile)
-
-    trees = trees_at(arep)
-    pcells, c = _sweep_p_cells(instances, trees, k, p_range, obj, variant, tol)
-    evals[0] += c
-    plo, phi, _, prep = _best_run(PiecewiseProfile.from_cells("p", pcells))
+    plo, phi, _, prep = _best_run(PiecewiseProfile.from_cells("p", p_cells(trees_at(arep))))
 
     return ErmResult(
         best_param=(arep, prep),

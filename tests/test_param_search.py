@@ -424,10 +424,20 @@ def test_sweep_alpha_domain_errors():
     ((math.nan, 1.0), (0.5, 3.0)),
     ((0.5, 1.5), (70.0, 100.0)),          # p range beyond the clip
     ((0.5, 1.5), (0.5, math.nan)),
+    ((0.5, 1.5), (math.nan, 2.0)),
+    ((0.5, 1.5), (0.0, 2.0)),             # non-positive
+    ((0.5, 1.5), (-1.0, 2.0)),
+    ((0.5, 1.5), (3.0, 2.0)),             # reversed
 ])
-def test_ranges_that_are_empty_after_clipping_are_refused(alpha_range, p_range):
+def test_ranges_that_are_empty_after_clipping_are_refused(alpha_range, p_range, monkeypatch):
     inst = euclidean_instance(np.random.default_rng(26), 5)
     obj = Objective(kind="phi_p", p=1.0)
+
+    def no_build(*args, **kwargs):
+        pytest.fail("a tree was built before the ranges were checked")
+
+    # both ranges are refused before any tree is built
+    monkeypatch.setattr(param_search, "_run", no_build)
     with pytest.raises(DomainError):
         erm_joint([inst], "power_average", alpha_range, p_range, 2, obj)
     if p_range == (0.5, 3.0):
@@ -499,7 +509,73 @@ def test_sweep_p_refuses_unequal_tree_and_instance_counts():
         with pytest.raises(DimensionMismatch):
             sweep_p(instances, trees, 2, (0.5, 2.0), obj)
         with pytest.raises(DimensionMismatch):
-            param_search._sweep_p_cells(instances, trees, 2, (0.5, 2.0), obj, "fixed")
+            param_search._sweep_p_cells(instances, trees, 2, (0.5, 2.0), obj, "fixed",
+                                        param_search._solver(0.5, 2.0))
+
+
+def test_sparse_keys_equal_canonical_terms_on_random_dps():
+    rng = np.random.default_rng(36)
+    flips = set()
+    for _ in range(12):
+        inst = random_instance(rng, n=int(rng.integers(4, 10)))
+        family = ["power_minmax", "power_average"][int(rng.integers(2))]
+        tree = build_tree(inst, MergeRule(family, float(rng.uniform(0.5, 3.0))))
+        k = int(rng.integers(1, inst.n + 1))
+        _, comps, _ = param_search.dp_with_comparisons(inst, tree, k, float(rng.uniform(0.5, 4.0)))
+        for coeffs, vals in comps:
+            key = param_search._sparse_key(coeffs, vals)
+            assert key == param_search._canon_terms(
+                [(a, b, 0) for a, b in zip(coeffs, vals)])
+            flips.add(bool(coeffs[0] < 0))
+    # both signs of the leading coefficient occur
+    assert flips == {False, True}
+
+
+def test_erm_joint_sweeps_each_tree_tuple_once(monkeypatch):
+    rng = np.random.default_rng(35)
+    instances = [euclidean_instance(rng, 7) for _ in range(2)]
+    obj = Objective(kind="phi_p", p=2.0)
+    family, arange, prange, k = "power_minmax", (0.3, 2.5), (0.5, 3.0), 2
+    builds, dp_calls, solves = [], [], []
+    run, dp, roots = param_search._run, param_search.dp_with_comparisons, find_roots
+
+    def building(inst, mrule, collector=None):
+        builds.append(mrule.alpha)
+        return run(inst, mrule, collector=collector)
+
+    def dp_recording(inst, tree, kk, p):
+        dp_calls.append((tuple(tree.merges), p))
+        return dp(inst, tree, kk, p)
+
+    def solving(f, lo, hi, tol=param_search.ROOT_TOL):
+        solves.append((f.terms, lo, hi))
+        return roots(f, lo, hi, tol)
+
+    monkeypatch.setattr(param_search, "_run", building)
+    monkeypatch.setattr(param_search, "dp_with_comparisons", dp_recording)
+    monkeypatch.setattr(param_search, "find_roots", solving)
+    res = erm_joint(instances, family, arange, prange, k, obj)
+    monkeypatch.undo()
+
+    m = len(instances)
+    # one probe of an exponent sweep runs the DP on each instance in turn
+    groups = [dp_calls[i:i + m] for i in range(0, len(dp_calls), m)]
+    assert all(len({p for _, p in g}) == 1 for g in groups)
+    probes = [(tuple(rec for rec, _ in g), g[0][1]) for g in groups]
+    # a tuple swept twice would repeat its probes, the domain's midpoint first
+    assert len(set(probes)) == len(probes)
+    tuples = {recs for recs, _ in probes}
+    assert 2 <= len(tuples) < len(builds) // m
+    assert res.instances_evaluated == len(dp_calls)
+    # no equation is solved twice on one domain
+    assert len(set(solves)) == len(solves)
+    assert any((lo, hi) == prange for _, lo, hi in solves)
+
+    arep, prep = res.best_param
+    trees = [build_tree(inst, MergeRule(family, arep)) for inst in instances]
+    plo, phi_, _, fresh_rep = param_search._best_run(sweep_p(instances, trees, k, prange, obj))
+    assert res.best_interval[1] == (plo, phi_)
+    assert prep == fresh_rep
 
 
 def test_erm_joint_matches_grid_oracle():
