@@ -259,28 +259,40 @@ def build_tree(inst: ClusteringInstance, rule: MergeRule) -> MergeTree:
 
 def record_comparisons(inst: ClusteringInstance, rule: MergeRule):
     """Like build_tree but also returns every executed winner-vs-candidate
-    comparison (one Comparison per losing candidate pair per step)."""
+    comparison (one Comparison per losing candidate pair per step).
+
+    The count families' builds keep no min/max matrices, so their pairs'
+    min and max are the ends of their multisets, distinct[idx[0]] and
+    distinct[idx[-1]]: the upper-triangle distances the multisets read."""
     comparisons = []
     counts = _counts_needed(rule)
 
     def record(step, winner, ids, _, minD, maxD, sets, distinct):
+        def pair(u, v):
+            if not counts:
+                return minD[u, v], maxD[u, v], None
+            support = sets.support(sets.sid[u, v])
+            idx = support[0]
+            return distinct[idx[0]], distinct[idx[-1]], support
+
         wi, wj = winner
-        wset = sets.support(sets.sid[wi, wj]) if counts else None
+        wmin, wmax, wset = pair(wi, wj)
         tri = np.triu_indices(ids.size, k=1)
         for i, j in zip(ids[tri[0]], ids[tri[1]]):
             if {i, j} == {wi, wj}:
                 continue
+            cmin, cmax, cset = pair(i, j)
             comparisons.append(
                 Comparison(
                     step=step,
                     winner=(wi, wj),
                     candidate=(i, j),
-                    winner_min=minD[wi, wj],
-                    winner_max=maxD[wi, wj],
-                    candidate_min=minD[i, j],
-                    candidate_max=maxD[i, j],
+                    winner_min=wmin,
+                    winner_max=wmax,
+                    candidate_min=cmin,
+                    candidate_max=cmax,
                     winner_counts=wset,
-                    candidate_counts=sets.support(sets.sid[i, j]) if counts else None,
+                    candidate_counts=cset,
                     distinct=distinct,
                 )
             )
@@ -415,18 +427,20 @@ def _support(key):
 def _run(inst: ClusteringInstance, rule: MergeRule, collector=None) -> MergeTree:
     """The merge loop behind build_tree and the sweeps.
 
-    minD, maxD and the comparison keys V are (2n-1)^2 matrices over node
-    ids.  Families that read whole multisets keep them in a PairMultisets
-    store, with no count work for power_average at alpha = +-inf, which
-    needs only minD / maxD.  Before each merge, ``collector`` (when given)
-    is called as collector(step, winner, ids, None, minD, maxD, sets,
-    distinct): the candidates are the pairs of the active nodes ids (a
-    collector that lists them builds np.triu_indices(ids.size, 1) itself),
-    sets is the interned pair store (a PairMultisets, or for the families
-    read through minD / maxD a PairKeys of (min, max) keys) and distinct
-    its distinct distances, None for the latter families.  Each merge
-    updates the store through the O(m) pairs it retires and creates; a
-    plain build interns nothing.
+    The comparison keys V are a (2n-1)^2 matrix over node ids.  Families
+    that read whole multisets keep them in a PairMultisets store, with no
+    count work for power_average at alpha = +-inf, which needs only the
+    pairwise (min, max) distances: the (2n-1)^2 matrices minD and maxD,
+    kept for the min/max families alone.  Before each merge, ``collector``
+    (when given) is called as collector(step, winner, ids, None, minD,
+    maxD, sets, distinct): the candidates are the pairs of the active nodes
+    ids (a collector that lists them builds np.triu_indices(ids.size, 1)
+    itself), sets is the interned pair store (a PairMultisets, or for the
+    min/max families a PairKeys of (min, max) keys) and distinct its
+    distinct distances.  The count families get None for minD and maxD
+    (a multiset's ends are its min and max), the min/max families None
+    for distinct.  Each merge updates the store through the O(m) pairs it
+    retires and creates; a plain build interns nothing.
 
     rowmin[u] is the exact minimum of row u of V (Muellner's generic
     linkage, arXiv:1109.2378), so a step costs O(m) on m active nodes.
@@ -441,14 +455,16 @@ def _run(inst: ClusteringInstance, rule: MergeRule, collector=None) -> MergeTree
     n = inst.n
     total = 2 * n - 1
     big = np.inf
-    minD = np.full((total, total), big)
-    maxD = np.full((total, total), -big)
     D = inst.dist
-    minD[:n, :n] = D
-    maxD[:n, :n] = D
+    counts = _counts_needed(rule)
+    minD = maxD = None
+    if not counts:
+        minD = np.full((total, total), big)
+        maxD = np.full((total, total), -big)
+        minD[:n, :n] = D
+        maxD[:n, :n] = D
 
     V = np.full((total, total), big)
-    counts = _counts_needed(rule)
     if counts:
         sets = PairMultisets(D, interned=collector is not None)
         distinct = sets.distinct
@@ -500,15 +516,15 @@ def _run(inst: ClusteringInstance, rule: MergeRule, collector=None) -> MergeTree
         rest = np.flatnonzero(active_mask)
         active_mask[new] = True
         if rest.size:
-            mn = np.minimum(minD[wi, rest], minD[wj, rest])
-            mx = np.maximum(maxD[wi, rest], maxD[wj, rest])
-            minD[new, rest] = mn
-            minD[rest, new] = mn
-            maxD[new, rest] = mx
-            maxD[rest, new] = mx
             if counts:
                 key = _count_keys(rule, *sets.merge(new, wi, wj, leaf_sets[new], rest), logd)
             else:
+                mn = np.minimum(minD[wi, rest], minD[wj, rest])
+                mx = np.maximum(maxD[wi, rest], maxD[wj, rest])
+                minD[new, rest] = mn
+                minD[rest, new] = mn
+                maxD[new, rest] = mx
+                maxD[rest, new] = mx
                 key = _minmax_keys(rule, mn, mx)
                 if sets is not None:
                     sets.replace(wi, wj, new, rest, list(zip(mn.tolist(), mx.tolist())))

@@ -333,7 +333,8 @@ class ErmResult:
     instances_evaluated counts the pipeline runs the search made, one per
     instance per probe: tree builds for the alpha searches, and for
     erm_joint the pruning DP runs actually made, none for a tree tuple whose
-    exponent sweep was already done.
+    exponent sweep was already done.  A cell that a probe's run certifies
+    (see _lazy_sweep) costs no run of its own.
     """
 
     best_param: object
@@ -348,12 +349,31 @@ def _values_close(x: float, y: float) -> bool:
     return x == y or abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y))
 
 
+def _strict_sign(f: ExpSum, x: float):
+    """The sign of f(x) (True if positive), or None unless |f(x)| clears
+    1e-12 of its local scale, the solver's own zero threshold."""
+    v = f(x)
+    if math.isfinite(v) and abs(v) > 1e-12 * _local_scale(f, x):
+        return v > 0
+    return None
+
+
 def _lazy_sweep(lo, hi, run, solve):
     """Refine [lo, hi] into cells on which run's fingerprint is constant.
 
-    run(x) -> (fingerprint, value, equation_keys); solve(key) -> roots over
-    the whole sweep domain (cached by the caller).  Adjacent cells that agree
-    in fingerprint and value are merged back together.
+    run(x) -> (fingerprint, value, equation_keys); solve(key) -> (ExpSum,
+    roots over the whole sweep domain), cached by the caller.  Adjacent
+    cells that agree in fingerprint and value are merged back together.
+
+    The run at a probe certifies the piece around it.  When the roots split
+    [a, b], the piece [lo, hi] whose interior holds the probe becomes a cell
+    without a run if no root lies inside it and every executed equation
+    that is not identically zero has one strict sign at the probe and at
+    c = (lo + hi) / 2.  A run at c then makes the same decisions step by
+    step (each step's candidates follow from the merges already made, and
+    every comparison keeps its sign), so the cell [lo, hi, c, fp, val] is
+    the one a run at c would append.  A piece that fails the certificate is
+    refined by a run, so SweepDiverged can only come from such pieces.
     """
     cells = []
 
@@ -362,15 +382,10 @@ def _lazy_sweep(lo, hi, run, solve):
             raise SweepDiverged("sweep refinement failed to converge")
         mid = 0.5 * (a + b)
         fp, val, eqs = run(mid)
+        solved = [solve(key) for key in eqs]
+        roots = [x for _, rs in solved if rs is not IDENTICALLY_ZERO for x in rs]
         guard = 1e-12 * max(1.0, abs(a), abs(b))
-        found = set()
-        for key in eqs:
-            roots = solve(key)
-            if roots is IDENTICALLY_ZERO:
-                continue
-            for x in roots:
-                if a + guard < x < b - guard:
-                    found.add(x)
+        found = {x for x in roots if a + guard < x < b - guard}
         if not found:
             cells.append([a, b, mid, fp, val])
             return
@@ -380,8 +395,24 @@ def _lazy_sweep(lo, hi, run, solve):
             if x - merged[-1] > BREAK_MERGE_TOL:
                 merged.append(x)
         bounds = [a] + merged + [b]
-        for i in range(len(bounds) - 1):
-            refine(bounds[i], bounds[i + 1], depth + 1)
+        for p, q in zip(bounds, bounds[1:]):
+            if p < mid < q and certified(p, q, mid, solved, roots):
+                cells.append([p, q, 0.5 * (p + q), fp, val])
+            else:
+                refine(p, q, depth + 1)
+
+    def certified(lo, hi, mid, solved, roots):
+        guard = 1e-12 * max(1.0, abs(lo), abs(hi))
+        if any(lo + guard < x < hi - guard for x in roots):
+            return False
+        c = 0.5 * (lo + hi)
+        for f, _ in solved:
+            if f.is_zero():
+                continue
+            s = _strict_sign(f, mid)
+            if s is None or _strict_sign(f, c) is not s:
+                return False
+        return True
 
     refine(float(lo), float(hi), 0)
     out = [cells[0]]
@@ -409,13 +440,17 @@ def _terms_from_key(key):
 
 
 def _solver(lo, hi, tol=ROOT_TOL):
-    """find_roots on [lo, hi] of canonical equation keys, each solved once."""
+    """solve(key) -> (ExpSum, find_roots on [lo, hi]) of a canonical
+    equation key, built and solved once: one dict holds both, so a probe
+    hashes each key once for its roots and its certificate."""
     cache = {}
 
     def solve(key):
-        if key not in cache:
-            cache[key] = find_roots(ExpSum(_terms_from_key(key)), lo, hi, tol)
-        return cache[key]
+        hit = cache.get(key)
+        if hit is None:
+            f = ExpSum(_terms_from_key(key))
+            hit = cache[key] = (f, find_roots(f, lo, hi, tol))
+        return hit
 
     return solve
 

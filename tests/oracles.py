@@ -400,6 +400,60 @@ def _ref_roots_rec(f, lo, hi, tol):
 
 
 # ---------------------------------------------------------------------------
+# the sweep driver before it certified the probe's own cell
+
+
+def reference_lazy_sweep(lo, hi, run, solve):
+    """param_search._lazy_sweep as it was: every piece between the roots is
+    refined by a run at its midpoint, the probe's own piece included.
+
+    solve(key) -> (ExpSum, roots), as the package's solver returns them;
+    only the roots are read.
+    """
+    from partition_tuner.errors import SweepDiverged
+    from partition_tuner.param_search import BREAK_MERGE_TOL, IDENTICALLY_ZERO
+
+    cells = []
+
+    def refine(a, b, depth):
+        if depth > 80:
+            raise SweepDiverged("sweep refinement failed to converge")
+        mid = 0.5 * (a + b)
+        fp, val, eqs = run(mid)
+        guard = 1e-12 * max(1.0, abs(a), abs(b))
+        found = set()
+        for key in eqs:
+            roots = solve(key)[1]
+            if roots is IDENTICALLY_ZERO:
+                continue
+            for x in roots:
+                if a + guard < x < b - guard:
+                    found.add(x)
+        if not found:
+            cells.append([a, b, mid, fp, val])
+            return
+        pts = sorted(found)
+        merged = [pts[0]]
+        for x in pts[1:]:
+            if x - merged[-1] > BREAK_MERGE_TOL:
+                merged.append(x)
+        bounds = [a] + merged + [b]
+        for i in range(len(bounds) - 1):
+            refine(bounds[i], bounds[i + 1], depth + 1)
+
+    refine(float(lo), float(hi), 0)
+    out = [cells[0]]
+    for c in cells[1:]:
+        prev = out[-1]
+        if c[3] == prev[3] and (c[4] == prev[4]
+                                or abs(c[4] - prev[4]) <= 1e-12 * max(1.0, abs(c[4]), abs(prev[4]))):
+            prev[1] = c[1]
+        else:
+            out.append(c)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # minmax comparison collector
 
 

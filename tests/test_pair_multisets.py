@@ -342,5 +342,28 @@ def test_power_average_build_at_n200_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the dense tensor would need (2n-1)^2 * n(n-1)/2 * 8 bytes, about 24 GiB
-    assert peak < 64 * 2 ** 20
+    # the dense tensor would need (2n-1)^2 * n(n-1)/2 * 8 bytes, about 24 GiB,
+    # and two (2n-1)^2 float matrices of pairwise minima and maxima, which
+    # the count families do not keep, would add 2.4 MiB to about 3.2 MiB
+    assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("rule", [MergeRule("power_average", 1.3),
+                                  MergeRule("sigma_power", -0.7, sigma=2),
+                                  MergeRule("sigma_linear", weights=(0.3, 0.7), sigma=2)])
+def test_recorded_count_comparisons_take_min_and_max_from_the_multisets(rule):
+    rng = np.random.default_rng(18)
+    for inst in (euclidean_instance(rng, 9), _integer_instance(rng, 9, 3)):
+        want = []
+
+        def listing(step, winner, ids, tri, minD, maxD, cnt, distinct):
+            for i, j in zip(ids[tri[0]], ids[tri[1]]):
+                if {i, j} != set(winner):
+                    want.append((step, winner, (i, j), minD[winner], maxD[winner],
+                                 minD[i, j], maxD[i, j]))
+
+        reference_run(inst, rule, listing)
+        tree, comps = record_comparisons(inst, rule)
+        assert tree.merges == build_tree(inst, rule).merges
+        assert [(c.step, c.winner, c.candidate, c.winner_min, c.winner_max, c.candidate_min,
+                 c.candidate_max) for c in comps] == want

@@ -29,6 +29,7 @@ from partition_tuner import (
     find_roots,
     gen_general_lb,
     gen_oscillation,
+    gen_two_gadget,
     objective_value,
     pdim_table,
     sample_size,
@@ -38,7 +39,8 @@ from partition_tuner import (
 from partition_tuner import param_search
 from partition_tuner.param_search import BREAK_MERGE_TOL
 from conftest import euclidean_instance
-from oracles import REF_ZERO, grid_joint_min, random_instance, reference_find_roots
+from oracles import (REF_ZERO, grid_joint_min, random_instance, reference_find_roots,
+                     reference_lazy_sweep)
 
 
 def _pipeline_cost(instances, family, alpha, k, rule, obj, sigma=None, weights=None):
@@ -734,7 +736,9 @@ def test_general_lb_sweep_keeps_every_cell_above_merge_tolerance(rounds, cells):
 
 def test_sweep_that_never_settles_raises_typed_error():
     # every run reports a root near the right end of its own cell, so the
-    # left piece is refined again and again
+    # left piece is refined again and again: its equation changes sign
+    # between the probe and the piece's midpoint, so the probe's run does
+    # not certify the piece
     bounds = [0.0, 1.0]
 
     def run(mid):
@@ -744,7 +748,112 @@ def test_sweep_that_never_settles_raises_typed_error():
         a = max(x for x in bounds if x < mid)
         b = min(x for x in bounds if x > mid)
         bounds.append(a + 0.9 * (b - a))
-        return [bounds[-1]]
+        c = 0.5 * (a + bounds[-1])
+        return ExpSum([(1.0, 1.0, 1), (-0.5 * (mid + c), 1.0, 0)]), [bounds[-1]]
 
     with pytest.raises(SweepDiverged):
         param_search._lazy_sweep(0.0, 1.0, run, solve)
+
+
+@pytest.mark.parametrize("cross,runs", [(0.6, [0.5, 0.875]), (0.45, [0.5, 0.375, 0.875]),
+                                        (0.5 + 1e-13, [0.5, 0.375, 0.875])])
+def test_probe_certifies_its_own_piece_or_falls_back_to_a_run(cross, runs):
+    # one equation with its root at 0.75 splits [0, 1]; the probe 0.5 and the
+    # left piece's midpoint 0.375 lie on one side of x = cross or on both.
+    # At 0.5 + 1e-13 the probe is within the solver's zero threshold: a tie
+    # there, though the value keeps its sign at 0.375
+    probes = []
+
+    def run(x):
+        probes.append(x)
+        return x < 0.75, 1.0 if x < 0.75 else 2.0, ["e"]
+
+    def solve(key):
+        return ExpSum([(1.0, 1.0, 1), (-cross, 1.0, 0)]), [0.75]
+
+    cells = param_search._lazy_sweep(0.0, 1.0, run, solve)
+    assert probes == runs
+    assert cells == [[0.0, 0.75, 0.375, True, 1.0], [0.75, 1.0, 0.875, False, 2.0]]
+
+
+def test_probe_does_not_certify_a_piece_with_an_unmerged_root_inside():
+    # the root 0.25 + 5e-10 merges into 0.25 when [0, 1] is split, but lies
+    # inside the probe's piece [0.25, 1], so that piece is run again
+    close = 0.25 + 5e-10
+    probes = []
+
+    def run(x):
+        probes.append(x)
+        return x, 0.0, ["e"]
+
+    def solve(key):
+        return ExpSum([(1.0, 1.0, 1), (1.0, 1.0, 0)]), [0.25, close]
+
+    cells = param_search._lazy_sweep(0.0, 1.0, run, solve)
+    assert probes == [0.5, 0.125, 0.625, 0.5 * (0.25 + close)]
+    assert [c[:3] for c in cells] == [[0.0, 0.25, 0.125], [0.25, close, 0.5 * (0.25 + close)],
+                                      [close, 1.0, 0.5 * (close + 1.0)]]
+
+
+def _profile_repr(prof):
+    return repr((prof.breakpoints, prof.values, prof.representatives, prof.payloads,
+                 prof.hard_boundaries))
+
+
+def _result_repr(res):
+    return repr((res.best_param, res.best_interval, res.best_cost)) + _profile_repr(res.profile)
+
+
+def test_certified_sweeps_equal_the_reference_driver(monkeypatch):
+    rng = np.random.default_rng(41)
+    obj = Objective(kind="phi_p", p=2.0)
+    rule = PruningRule(p=2.0)
+    p_cells = param_search._sweep_p_cells
+    searches = []
+    for _ in range(3):
+        insts = [random_instance(rng, n=int(rng.integers(6, 9))) for _ in range(2)]
+        trees = [build_tree(i, MergeRule("power_average", float(rng.uniform(0.5, 2.0))))
+                 for i in insts]
+        domain = param_search._p_domain((0.5, 4.0))
+
+        def p_sweep(insts=insts, trees=trees, domain=domain):
+            cells, runs = p_cells(insts, trees, 3, domain, obj, "fixed",
+                                  param_search._solver(*domain))
+            return _profile_repr(param_search.PiecewiseProfile.from_cells("p", cells)), runs
+
+        searches += [
+            lambda insts=insts: erm_alpha(insts, "convex_minmax", (0.0, 1.0), 2, rule, obj),
+            lambda insts=insts: erm_alpha(insts, "power_minmax", (-3.0, 3.0), 3, rule, obj),
+            lambda insts=insts: erm_alpha(insts, "power_average", (0.5, 2.5), 2, rule, obj,
+                                          variant="voronoi"),
+            p_sweep,
+            lambda insts=insts: erm_joint(insts, "power_minmax", (0.5, 2.0), (0.5, 3.0), 2, obj),
+            lambda insts=insts: erm_sigma_linear(insts, 2, [(0.1, 1.0), (0.1, 1.0)], 2, rule, obj),
+        ]
+
+    def outcome(search):
+        res = search()
+        if isinstance(res, tuple):
+            return res
+        return _result_repr(res), res.instances_evaluated
+
+    got = [outcome(search) for search in searches]
+    monkeypatch.setattr(param_search, "_lazy_sweep", reference_lazy_sweep)
+    want = [outcome(search) for search in searches]
+    assert [g[0] for g in got] == [w[0] for w in want]
+    assert all(g[1] <= w[1] for g, w in zip(got, want))
+    # the probe's own cell needs no second run on most inputs
+    assert sum(g[1] < w[1] for g, w in zip(got, want)) >= len(searches) // 2
+
+
+def test_gadget_erm_runs_the_pipeline_twice():
+    # the planted window of the benchmark's gadget_erm workload, seed 1: the
+    # probe certifies the planted cell, and only the other side is run
+    alpha_star = float(np.random.default_rng([1, 0]).uniform(0.35, 0.48))
+    inst, _ = gen_two_gadget(alpha_star, "convex_minmax")
+    res = erm_alpha([inst], "convex_minmax", (alpha_star - 0.1, alpha_star + 0.05), 4,
+                    PruningRule(p=1.0), Objective(kind="psi_pow", p=1.0))
+    assert len(res.profile) == 2
+    assert res.instances_evaluated == 2
+    lo, hi = res.best_interval
+    assert lo - 1e-8 <= alpha_star <= hi + 1e-8
