@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, UnknownFamily
+from .errors import DomainError, NonFiniteDistance, NonPositiveDistance, UnknownFamily
 from .instances import ClusteringInstance
 
 FAMILIES = (
@@ -87,49 +87,43 @@ def selector_indices(length, sigma: int) -> np.ndarray:
     return np.rint(j * (np.asarray(length)[..., None] - 1) / (sigma - 1)).astype(int)
 
 
+def _selected(support, distinct, sigma):
+    """The sigma selected order statistics of a sparse multiset (idx, cnt)."""
+    idx, cnt = support
+    pos = selector_indices(int(cnt.sum()), sigma)
+    return distinct[idx[np.searchsorted(np.cumsum(cnt), pos + 1)]]
+
+
 def rule_value(rule: MergeRule, dists) -> float:
-    """Merge value of one candidate pair given its full inter-set distance multiset."""
-    d = np.asarray(dists, dtype=float)
-    key = _value_key(rule, d)
+    """Merge value of one candidate pair given its full inter-set distance
+    multiset.  It runs the merge loop's own keys on the multiset as one
+    sparse support, so it equals build_tree's value for a merge with these
+    cross distances bit for bit.  Like ClusteringInstance, it refuses no
+    distances (DomainError), NaN or inf (NonFiniteDistance) and distances
+    <= 0 (NonPositiveDistance)."""
+    d = np.asarray(dists, dtype=float).ravel()
+    if d.size == 0:
+        raise DomainError("a merge value needs at least one distance")
+    if not np.isfinite(d).all():
+        raise NonFiniteDistance("distances hold NaN or infinite entries")
+    if d.min() <= 0.0:
+        raise NonPositiveDistance("distances must be strictly positive")
+    if _counts_needed(rule):
+        distinct, cnt = np.unique(d, return_counts=True)
+        start = np.zeros(1, dtype=np.int64)
+        key = _count_keys(rule, np.arange(distinct.size), cnt, start, np.log(distinct))
+    else:
+        key = _minmax_keys(rule, d.min(keepdims=True), d.max(keepdims=True))
+    return _key_value(rule, key[0])
+
+
+def _key_value(rule: MergeRule, key) -> float:
+    """A merge value from its comparison key, the log of the value for the
+    power forms (which may overflow to inf)."""
     if rule.family in ("convex_minmax", "sigma_linear"):
         return float(key)
-    return float(np.exp(key))
-
-
-def _value_key(rule: MergeRule, d: np.ndarray) -> float:
-    """Order-isomorphic comparison key (log of the value for power forms)."""
-    fam = rule.family
-    if fam == "convex_minmax":
-        return rule.alpha * d.min() + (1.0 - rule.alpha) * d.max()
-    if fam == "power_minmax":
-        a = rule.alpha
-        if np.isinf(a):
-            return float(np.log(d.max() if a > 0 else d.min()))
-        ld = np.log([d.min(), d.max()])
-        return _logsumexp(a * ld) / a
-    if fam == "power_average":
-        a = rule.alpha
-        if np.isinf(a):
-            return float(np.log(d.max() if a > 0 else d.min()))
-        ld = np.log(d)
-        if a == 0.0:
-            return float(np.mean(ld))
-        return (_logsumexp(a * ld) - np.log(d.size)) / a
-    sel = np.sort(d)[selector_indices(d.size, rule.sigma)]
-    if fam == "sigma_linear":
-        return float(np.dot(rule.weights, sel))
-    a = rule.alpha
-    if np.isinf(a):
-        return float(np.log(sel.max() if a > 0 else sel.min()))
-    return _logsumexp(a * np.log(sel)) / a
-
-
-def _logsumexp(x):
-    x = np.asarray(x, dtype=float)
-    m = np.max(x)
-    if np.isinf(m):
-        return m
-    return m + np.log(np.sum(np.exp(x - m)))
+    with np.errstate(over="ignore"):
+        return float(np.exp(key))
 
 
 @dataclass
@@ -167,7 +161,7 @@ class Comparison:
     Each side is summarized by the data its family's value depends on: the
     (min, max) of the inter-set distances plus, when needed, the multiset as
     a sparse support (idx, cnt): indices into the instance's sorted distinct
-    distances and their counts.
+    distances and their counts.  ``terms`` encodes it for every family.
     """
 
     step: int
@@ -182,47 +176,50 @@ class Comparison:
     distinct: Optional[np.ndarray] = None
 
     def terms(self, rule: MergeRule):
-        """Coefficient triples (coeff, base, degree) of the winner-minus-candidate
-        equation as a function of the family parameter; the equation's sign is
-        scale-free (cross-multiplied where the family normalizes by count)."""
+        """The comparison's equation in the rule's family parameter, as
+        comparison_terms gives it (sigma_linear's in theta, at sigma = 2)."""
         return comparison_terms(
-            rule.family,
-            self.winner_min,
-            self.winner_max,
-            self.candidate_min,
-            self.candidate_max,
-            self.winner_counts,
-            self.candidate_counts,
-            self.distinct,
-        )
+            rule.family, self.winner_min, self.winner_max, self.candidate_min,
+            self.candidate_max, self.winner_counts, self.candidate_counts, self.distinct,
+            rule.sigma)
 
 
-def comparison_terms(
-    family,
-    wmin,
-    wmax,
-    cmin,
-    cmax,
-    wcounts=None,
-    ccounts=None,
-    distinct=None,
-):
+def comparison_terms(family, wmin, wmax, cmin, cmax, wcounts=None, ccounts=None,
+                     distinct=None, sigma=None):
+    """Coefficient triples (coeff, base, degree) of the winner-minus-candidate
+    equation of one comparison in the family parameter; [] is identically zero.
+    The min/max families read (min, max) distances, the others sparse
+    multisets (idx, cnt) into distinct.  power_average is cross-multiplied by
+    the counts; power_minmax and sigma_power sum +-1 powers, with the
+    comparison's sign for alpha > 0; sigma_linear is affine in theta, the
+    first of the weights (theta, 1 - theta), and needs sigma = 2."""
     if family == "convex_minmax":
         # (a*wmin + (1-a)*wmax) - (a*cmin + (1-a)*cmax), affine in a
         slope = (wmin - wmax) - (cmin - cmax)
         const = wmax - cmax
         return [(slope, 1.0, 1), (const, 1.0, 0)]
     if family == "power_minmax":
-        # sign matches for alpha > 0; the sweep handles each sign side separately
-        out = []
-        for b, s in ((wmin, 1.0), (wmax, 1.0), (cmin, -1.0), (cmax, -1.0)):
-            out.append((s, float(b), 0))
-        return _combine(out)
+        ends = ((wmin, 1.0), (wmax, 1.0), (cmin, -1.0), (cmax, -1.0))
+        return _combine([(s, float(b), 0) for b, s in ends])
+    if family not in _NEEDS_COUNTS:
+        raise UnknownFamily(f"no comparison encoding for family {family!r}")
+    if wcounts is None or ccounts is None or distinct is None:
+        raise DomainError(f"{family} comparisons need distance counts")
     if family == "power_average":
-        if wcounts is None or ccounts is None or distinct is None:
-            raise DomainError("power_average comparisons need distance counts")
         return average_terms(wcounts, ccounts, distinct)
-    raise UnknownFamily(f"no comparison encoding for family {family!r}")
+    if family == "sigma_linear" and sigma != 2:
+        raise DomainError("sigma_linear comparisons are equations in theta at sigma = 2 only")
+    if sigma is None:
+        raise DomainError("sigma_power comparisons need sigma")
+    wsel = _selected(wcounts, distinct, sigma)
+    csel = _selected(ccounts, distinct, sigma)
+    if family == "sigma_power":
+        # not combined: ExpSum combines like terms, and sweeps key equations as listed
+        return [(1.0, b, 0) for b in wsel] + [(-1.0, b, 0) for b in csel]
+    d1, d2 = wsel - csel
+    if d1 == 0.0 and d2 == 0.0:
+        return []
+    return [(d1 - d2, 1.0, 1), (d2, 1.0, 0)]
 
 
 def average_terms(wset, cset, distinct):
@@ -259,7 +256,9 @@ def build_tree(inst: ClusteringInstance, rule: MergeRule) -> MergeTree:
 
 def record_comparisons(inst: ClusteringInstance, rule: MergeRule):
     """Like build_tree but also returns every executed winner-vs-candidate
-    comparison (one Comparison per losing candidate pair per step).
+    comparison (one Comparison per losing candidate pair per step), whose
+    ``terms`` give its equation for every family (sigma_linear's in theta,
+    at sigma = 2).
 
     The count families' builds keep no min/max matrices, so their pairs'
     min and max are the ends of their multisets, distinct[idx[0]] and
@@ -503,11 +502,7 @@ def _run(inst: ClusteringInstance, rule: MergeRule, collector=None) -> MergeTree
             collector(step, (wi, wj), ids, None, minD, maxD, sets, distinct)
 
         new = n + step
-        if rule.family in ("convex_minmax", "sigma_linear"):
-            values.append(float(g))
-        else:
-            with np.errstate(over="ignore"):
-                values.append(float(np.exp(g)))
+        values.append(_key_value(rule, g))
         merges.append((wi, wj))
         leaf_sets[new] = sorted(leaf_sets[wi] + leaf_sets[wj])
         minleaf[new] = minleaf[wi]

@@ -23,9 +23,8 @@ from .linkage import (
     MergeRule,
     MergeTree,
     _run,
-    average_terms,
+    _selected,
     comparison_terms,
-    selector_indices,
 )
 from .pruning_dp import (
     Objective,
@@ -487,9 +486,9 @@ def _make_collector(family, sigma, eqs):
     """Collector for linkage._run: canonical equations of every executed
     winner-vs-candidate comparison at the evaluation point.  A step's
     distinct candidates are the live keys of the run's interned pair store,
-    so no step scans its O(m^2) candidate pairs.  For sigma_linear the
-    equations are affine in theta, the first of the weights (theta,
-    1 - theta) of the exact sigma = 2 sweep."""
+    so no step scans its O(m^2) candidate pairs.  Every equation comes from
+    linkage.comparison_terms; sigma_linear's (sigma = 2) are affine in theta,
+    the first of the weights (theta, 1 - theta)."""
 
     if family in ("convex_minmax", "power_minmax"):
         # winner key -> candidate keys already compared with it; (min, max) keys
@@ -504,39 +503,15 @@ def _make_collector(family, sigma, eqs):
             for ckey in fresh:
                 eqs.add(_canon_terms(comparison_terms(family, *wkey, *ckey)))
 
-    elif family == "power_average":
+    elif family in ("power_average", "sigma_power", "sigma_linear"):
 
         def cb(step, winner, ids, _, minD, maxD, sets, distinct):
             wset, cands = sets.candidates(winner)
             for cset in cands:
-                terms = average_terms(wset, cset, distinct)
+                terms = comparison_terms(family, None, None, None, None,
+                                         wset, cset, distinct, sigma)
                 if terms:
                     eqs.add(_canon_terms(terms))
-
-    elif family == "sigma_power":
-
-        def cb(step, winner, ids, _, minD, maxD, sets, distinct):
-            wset, cands = sets.candidates(winner)
-            wsel = _selected(wset, distinct, sigma)
-            for cset in cands:
-                csel = _selected(cset, distinct, sigma)
-                terms = [(1.0, b, 0) for b in wsel] + [(-1.0, b, 0) for b in csel]
-                key = _canon_terms(terms)
-                if key:
-                    eqs.add(key)
-
-    elif family == "sigma_linear":
-
-        def cb(step, winner, ids, _, minD, maxD, sets, distinct):
-            wset, cands = sets.candidates(winner)
-            wsel = _selected(wset, distinct, 2)
-            for cset in cands:
-                csel = _selected(cset, distinct, 2)
-                d1 = wsel[0] - csel[0]
-                d2 = wsel[1] - csel[1]
-                if d1 == 0.0 and d2 == 0.0:
-                    continue
-                eqs.add(_canon_terms([(d1 - d2, 1.0, 1), (d2, 1.0, 0)]))
 
     else:
         raise UnknownFamily(f"no sweep collector for {family!r}")
@@ -558,12 +533,6 @@ def _margin_collector(sigma, w, margins):
                 margins.append((float(np.dot(w, dv)), tuple(dv)))
 
     return cb
-
-
-def _selected(support, distinct, sigma):
-    idx, cnt = support
-    pos = selector_indices(int(cnt.sum()), sigma)
-    return distinct[idx[np.searchsorted(np.cumsum(cnt), pos + 1)]]
 
 
 def _dense_order(support):

@@ -11,6 +11,8 @@ from partition_tuner import (
     ClusteringInstance,
     DomainError,
     MergeRule,
+    NonFiniteDistance,
+    NonPositiveDistance,
     UnknownFamily,
     build_tree,
     gen_two_gadget,
@@ -142,6 +144,53 @@ def test_infinite_alpha_is_exact_min_max():
 def test_geometric_mean_at_zero():
     d = [1.0, 2.0, 4.0]
     assert rule_value(MergeRule("power_average", 0.0), d) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("rule", [
+    MergeRule("convex_minmax", 0.3),
+    MergeRule("power_minmax", 1.7),
+    MergeRule("power_minmax", -0.8),
+    MergeRule("power_minmax", math.inf),
+    MergeRule("power_average", 1.3),
+    MergeRule("power_average", -0.7),
+    MergeRule("power_average", 0.0),
+    MergeRule("power_average", math.inf),
+    MergeRule("power_average", -math.inf),
+    MergeRule("sigma_linear", weights=(0.35, 0.65), sigma=2),
+    MergeRule("sigma_linear", weights=(0.2, 1.0, 0.7), sigma=3),
+    MergeRule("sigma_power", 0.8, sigma=3),
+    MergeRule("sigma_power", -1.3, sigma=3),
+], ids=repr)
+def test_rule_value_is_the_merge_loops_value(rule):
+    # rule_value runs the merge loop's own keys, so the cross distances of
+    # merge t give back values[t] bit for bit
+    rng = np.random.default_rng(12)
+    for trial in range(8):
+        n = int(rng.integers(4, 20))
+        inst = _integer_instance(rng, n, 3) if trial % 2 else euclidean_instance(rng, n)
+        tree = build_tree(inst, rule)
+        for t, (a, b) in enumerate(tree.merges):
+            d = inst.dist[np.ix_(tree.leaf_sets[a], tree.leaf_sets[b])].ravel().tolist()
+            assert rule_value(rule, d) == tree.values[t], (trial, t)
+
+
+def test_rule_value_refuses_no_distances():
+    with pytest.raises(DomainError):
+        rule_value(MergeRule("power_average", 1.0), [])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rule_value_refuses_non_finite_distances(bad):
+    for rule in (MergeRule("power_average", 1.0), MergeRule("convex_minmax", 0.5)):
+        with pytest.raises(NonFiniteDistance):
+            rule_value(rule, [1.0, bad])
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_rule_value_refuses_non_positive_distances(bad):
+    for rule in (MergeRule("power_average", 1.0), MergeRule("convex_minmax", 0.5)):
+        with pytest.raises(NonPositiveDistance):
+            rule_value(rule, [bad, 2.0])
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from partition_tuner import (
     ClusteringInstance,
+    DomainError,
     MergeRule,
     build_tree,
     gen_general_lb,
@@ -320,18 +321,29 @@ def test_plain_builds_intern_nothing(monkeypatch):
         _run(inst, MergeRule("convex_minmax", 0.5), lambda *args: None)
 
 
-def test_recorded_power_average_comparisons_favor_the_winner():
+@pytest.mark.parametrize("rule", [
+    MergeRule("power_average", 1.4),
+    MergeRule("sigma_power", 0.9, sigma=2),
+    MergeRule("sigma_power", 1.6, sigma=3),
+    MergeRule("sigma_linear", weights=(0.35, 0.65), sigma=2),
+], ids=["power_average", "sigma_power2", "sigma_power3", "sigma_linear"])
+def test_recorded_comparisons_favor_the_winner(rule):
     rng = np.random.default_rng(17)
     inst = euclidean_instance(rng, 9)
-    rule = MergeRule("power_average", 1.4)
     tree, comps = record_comparisons(inst, rule)
     assert tree.fingerprint() == build_tree(inst, rule).fingerprint()
     assert comps
+    # sigma_linear's equation is in theta, the first of the weights (theta, 1 - theta)
+    x = rule.weights[0] / sum(rule.weights) if rule.family == "sigma_linear" else rule.alpha
     for cmp_ in comps:
         terms = cmp_.terms(rule)
-        val = sum(c * b ** rule.alpha for c, b, _ in terms)
-        scale = sum(abs(c) * b ** rule.alpha for c, b, _ in terms)
+        val = sum(c * x ** j * b ** x for c, b, j in terms)
+        scale = sum(abs(c) * x ** j * b ** x for c, b, j in terms)
         assert val <= 1e-12 * scale
+    if rule.family == "sigma_linear":
+        wide = MergeRule("sigma_linear", weights=(0.2, 1.0, 0.7), sigma=3)
+        with pytest.raises(DomainError):
+            record_comparisons(inst, wide)[1][0].terms(wide)
 
 
 def test_power_average_build_at_n200_stays_small():
