@@ -111,7 +111,7 @@ def rule_value(rule: MergeRule, dists) -> float:
     if _counts_needed(rule):
         distinct, cnt = np.unique(d, return_counts=True)
         start = np.zeros(1, dtype=np.int64)
-        key = _count_keys(rule, np.arange(distinct.size), cnt, start, np.log(distinct))
+        key = _count_keys(rule, np.arange(distinct.size), cnt, start, np.log(distinct), distinct)
     else:
         key = _minmax_keys(rule, d.min(keepdims=True), d.max(keepdims=True))
     return _key_value(rule, key[0])
@@ -469,7 +469,7 @@ def _run(inst: ClusteringInstance, rule: MergeRule, collector=None) -> MergeTree
         distinct = sets.distinct
         logd = np.log(distinct)
         t = np.arange(sets.beta)
-        single = _count_keys(rule, t, np.ones_like(t), t, logd)
+        single = _count_keys(rule, t, np.ones_like(t), t, logd, distinct)
     else:
         sets = None if collector is None else PairKeys(D)
         distinct = None
@@ -512,7 +512,8 @@ def _run(inst: ClusteringInstance, rule: MergeRule, collector=None) -> MergeTree
         active_mask[new] = True
         if rest.size:
             if counts:
-                key = _count_keys(rule, *sets.merge(new, wi, wj, leaf_sets[new], rest), logd)
+                key = _count_keys(rule, *sets.merge(new, wi, wj, leaf_sets[new], rest), logd,
+                                  distinct)
             else:
                 mn = np.minimum(minD[wi, rest], minD[wj, rest])
                 mx = np.maximum(maxD[wi, rest], maxD[wj, rest])
@@ -551,13 +552,14 @@ def _minmax_keys(rule, mn, mx):
     return np.logaddexp(a * np.log(mn), a * np.log(mx)) / a
 
 
-def _count_keys(rule, idx, cnt, starts, logd):
+def _count_keys(rule, idx, cnt, starts, logd, distinct):
     """Comparison keys of a batch of sparse multisets, multiset p being
-    (idx, cnt)[starts[p]:starts[p+1]].  Every reduction runs within one
-    multiset, so equal multisets get bit-equal keys wherever they sit."""
+    (idx, cnt)[starts[p]:starts[p+1]], of indices into distinct (whose
+    logs are logd).  Every reduction runs within one multiset, so equal
+    multisets get bit-equal keys wherever they sit."""
     tot = np.add.reduceat(cnt, starts)
     if rule.family != "power_average":
-        return _selector_keys(rule, idx, cnt, starts, tot, logd)
+        return _selector_keys(rule, idx, cnt, starts, tot, logd, distinct)
     a = rule.alpha
     if a == 0.0:
         return np.add.reduceat(cnt * logd[idx], starts) / tot
@@ -567,14 +569,15 @@ def _count_keys(rule, idx, cnt, starts, logd):
     return (top + np.log(np.add.reduceat(spread, starts)) - np.log(tot)) / a
 
 
-def _selector_keys(rule, idx, cnt, starts, tot, logd):
+def _selector_keys(rule, idx, cnt, starts, tot, logd, distinct):
     # the selected order statistics are exact: cumulative counts are integers
     cum = np.cumsum(cnt)
     before = cum[starts] - cnt[starts]
     at = np.searchsorted(cum, before[:, None] + selector_indices(tot, rule.sigma) + 1)
-    sel = np.exp(logd[idx[at]])
     if rule.family == "sigma_linear":
-        return np.array([np.dot(rule.weights, row) for row in sel])
+        # the exact values, which the sweep equations weigh too
+        return np.array([np.dot(rule.weights, row) for row in distinct[idx[at]]])
+    sel = np.exp(logd[idx[at]])
     a = rule.alpha
     if np.isinf(a):
         return np.log(sel.max(axis=1) if a > 0 else sel.min(axis=1))

@@ -135,77 +135,36 @@ def _merge_sorted(vals) -> List[float]:
 
 
 # ---------------------------------------------------------------------------
-# the piece-walker shared by the exact ERMs
+# the prefix forms shared by the exact ERMs
 
 
 class _Block:
     """The samples of an ERM that share one instance object.
 
     The instance's matrix M (off-diagonal weights for max-cut, the
-    coefficient matrix otherwise) is built once for all of them, and their
-    per-sample arrays are stacked into the rows of data.  For each tracked
-    assignment X (one row per sample) the block keeps the product X @ M and,
-    for each registered pair (t, s), the row forms x_t M x_s.  Consecutive
-    pieces differ in few coordinates, so change() updates a product only
-    through the entries it sets.
+    coefficient matrix otherwise) is built once for all of them as S =
+    (M + M^T)/2, which has M's quadratic form; a symmetric M is S already.
+    The per-sample arrays are stacked into the rows of data.
     """
 
     def __init__(self, inst: MaxQPInstance):
         A = inst.matrix
         self.maxcut = inst.origin == "maxcut"
         # the cut form ignores the diagonal; most graphs have none to drop
-        self.M = A - np.diag(np.diag(A)) if self.maxcut and np.diag(A).any() else A
-        self.weight = float(self.M.sum()) if self.maxcut else 0.0
+        M = A - np.diag(np.diag(A)) if self.maxcut and np.diag(A).any() else A
+        self.weight = float(M.sum()) if self.maxcut else 0.0
+        self.S = M if np.array_equal(M, M.T) else (M + M.T) / 2
+        self.inst = inst
         self.data: list = []
 
-    def track(self, count: int, pairs) -> None:
-        shape = self.data[0].shape
-        self.X = [np.zeros(shape) for _ in range(count)]
-        self.P = [np.zeros(shape) for _ in range(count)]
-        self.forms = {pair: np.zeros(shape[0]) for pair in pairs}
-
-    def change(self, t: int, rows: np.ndarray, cols: np.ndarray, values) -> np.ndarray:
-        """Set X[t][rows, cols] = values; returns the rows touched.
-
-        The product follows entry by entry through the matching rows of M,
-        in batches of as many entries as the block has samples, so the
-        scratch never outgrows a (samples, n) array.
-        """
-        X, P = self.X[t], self.P[t]
-        delta = values - X[rows, cols]
-        X[rows, cols] = values
-        step = len(X)
-        for lo in range(0, rows.size, step):
-            part = slice(lo, lo + step)
-            np.add.at(P, rows[part], delta[part, None] * self.M[cols[part]])
-        return rows
-
-    def move(self, t: int, X: np.ndarray) -> np.ndarray:
-        """Make assignment t equal X; returns the rows touched."""
-        rows, cols = np.nonzero(X != self.X[t])
-        return self.change(t, rows, cols, X[rows, cols])
-
-    def refresh(self, rows: np.ndarray) -> None:
-        """Recompute the registered row forms on the given rows."""
-        if rows.size >= len(self.X[0]):  # as cheap, and no repeated rows
-            rows = slice(None)
-        for (t, s), form in self.forms.items():
-            # not einsum: its kernels page in 0.1 MiB of otherwise unused code
-            form[rows] = (self.P[t][rows] * self.X[s][rows]).sum(axis=1)
-
-    def form(self, t: int, s: int) -> float:
-        """Sum over the block's samples of x_t M x_s."""
-        return float(self.forms[(t, s)].sum())
-
-    def value(self) -> float:
-        """Summed value of the block's samples at assignment 0."""
-        q = self.form(0, 0)
+    def value(self, q):
+        """Summed value of the block's samples from their summed forms q."""
         if self.maxcut:
-            return (len(self.X[0]) * self.weight - q) / 4.0
+            return (len(self.data[0]) * self.weight - q) / 4.0
         return q
 
 
-def _blocks(samples: Sequence[tuple], arrays, tracks: int, pairs) -> dict:
+def _blocks(samples: Sequence[tuple], arrays) -> dict:
     """Group samples by instance object and stack arrays(sample) per block.
 
     arrays returns one or more equal-length vectors per sample; a block's
@@ -218,9 +177,7 @@ def _blocks(samples: Sequence[tuple], arrays, tracks: int, pairs) -> dict:
     for sample in samples:
         inst, emb = sample[0], sample[1]
         if emb.n != inst.n:
-            raise DimensionMismatch(
-                f"embedding has {emb.n} points, instance has {inst.n}"
-            )
+            raise DimensionMismatch(f"embedding has {emb.n} points, instance has {inst.n}")
         blk = blocks.get(id(inst))
         if blk is None:
             blk = blocks[id(inst)] = _Block(inst)
@@ -229,19 +186,43 @@ def _blocks(samples: Sequence[tuple], arrays, tracks: int, pairs) -> dict:
         blk.data = [np.array(col) for col in zip(*blk.data)]
         if not all(np.isfinite(col).all() for col in blk.data):
             raise NonFiniteValue("projections hold NaN or infinite entries")
-        blk.track(tracks, pairs)
     return blocks
+
+
+def _piece_forms(S: np.ndarray, step: List[int], w, v, pieces: int):
+    """u S u, u S v and v S v of one sample on pieces 0..pieces-1.
+
+    Coordinate j belongs to v (with value v_j) on the pieces before
+    step[j] and to u (with value w_j) from piece step[j] on; S is
+    symmetric.  With the coordinates permuted by step, moving coordinate k
+    from v to u changes each form by sums over one row of S left and right
+    of the diagonal, so one permuted triangle, two products and a cumsum
+    give the forms after every prefix of moves in O(n^2).
+    """
+    # Python's sort: numpy's argsort pages in 0.1 MiB of code unused elsewhere
+    order = sorted(range(len(step)), key=step.__getitem__)
+    upper = S[np.ix_(order, order)]
+    upper[np.tri(len(order), dtype=bool)] = 0.0  # the strict upper triangle
+    d = S.diagonal()[order]
+    w, v = w[order], v[order]
+    right = upper @ v  # sum over later coordinates j of S_kj v_j
+    left = w @ upper  # sum over earlier coordinates i of w_i S_ik
+    uu = np.cumsum(np.concatenate(([0.0], w * (d * w + 2.0 * left))))
+    uv = np.cumsum(np.concatenate(([0.0], w * right - v * left)))
+    vv = np.cumsum(np.concatenate(([0.0], (v * (d * v + 2.0 * right))[::-1])))[::-1]
+    # piece i holds the first #{j : step[j] <= i} coordinates of order in u
+    moved = np.cumsum(np.bincount(step, minlength=pieces + 1)[:pieces])
+    return uu[moved], uv[moved], vv[moved]
 
 
 # ---------------------------------------------------------------------------
 # s-linear ERM
 
 
-def _slin_terms(blk: _Block, count: int, uu: float, uv: float, vv: float):
-    """Summed (a, b, c) of count samples of blk from their forms u M u,
-    u M v and v M v, where x = u / s + v."""
+def _slin_terms(blk: _Block, uu, uv, vv):
+    """(a, b, c) of one sample of blk from its u S u, u S v, v S v; x = u/s + v."""
     if blk.maxcut:
-        return -0.25 * uu, -0.5 * uv, count * blk.weight / 4.0 - 0.25 * vv
+        return -0.25 * uu, -0.5 * uv, blk.weight / 4.0 - 0.25 * vv
     return uu, 2.0 * uv, vv
 
 
@@ -255,8 +236,7 @@ def _direct_coeffs(samples: Sequence[tuple], blocks: dict, clamp_at: float):
         u = np.where(clamped, 0.0, y)
         v = np.where(clamped, np.sign(y), 0.0)
         blk = blocks[id(inst)]
-        W = blk.M
-        da, db, dc = _slin_terms(blk, 1, u @ W @ u, u @ W @ v, v @ W @ v)
+        da, db, dc = _slin_terms(blk, u @ blk.S @ u, u @ blk.S @ v, v @ blk.S @ v)
         a, b, c = a + da, b + db, c + dc
     m = len(samples)
     return float(a / m), float(b / m), float(c / m)
@@ -269,20 +249,14 @@ def slin_erm(samples: Sequence[tuple]) -> RoundingErmResult:
     an interval between consecutive pooled |<u_i, z>| magnitudes is exactly
     a/s^2 + b/s + c, so each piece is maximized in closed form (endpoints,
     plus the interior critical point s* = -2a/b when it lies inside).
-    From one piece to the next only the coordinates at the threshold change
-    between clamped and linear, so the coefficients come from kept products
-    of the linear part u and the clamped part v with the instance matrix.
+    Each coordinate turns from clamped to linear once, at a piece found by
+    one sorted search, so every piece's coefficients of a sample come from
+    prefix sums over its coordinates permuted in that order (_piece_forms).
     A winning interior critical point is recomputed from direct per-sample
-    sums, so it does not carry the rounding the kept products accumulate.
+    sums, so it does not carry the rounding of the prefix sums.
     """
-    def parts(sample):
-        y = _projections(sample[1], sample[2])
-        return y, np.sign(y)
-
-    # track 0 is the linear part u, track 1 the clamped part v
-    by_inst = _blocks(samples, parts, tracks=2, pairs=[(0, 0), (0, 1), (1, 1)])
-    blocks = list(by_inst.values())
-    thresholds = _merge_sorted(v for blk in blocks for v in np.abs(blk.data[0]).ravel())
+    by_inst = _blocks(samples, lambda s: (_projections(s[1], s[2]),))
+    thresholds = _merge_sorted(v for b in by_inst.values() for v in np.abs(b.data[0]).ravel())
     m = len(samples)
 
     if not thresholds:
@@ -290,47 +264,23 @@ def slin_erm(samples: Sequence[tuple]) -> RoundingErmResult:
         return RoundingErmResult(1.0, val, [], [val])
 
     # On piece i a coordinate is clamped while |y| >= thresholds[i], so it
-    # turns linear at piece k = #{t in thresholds : t <= |y|}; one sorted
-    # search schedules every coordinate's change.  Only y = 0 has k = 0.
-    # Python's bisect and sort take about 2 ms longer than numpy's
-    # searchsorted and stable argsort for 2000 entries, 1-2% of a slin
-    # call; the numpy kernels would page in about 0.2 MiB of library code
-    # that nothing else on the rounding path uses, which counts in the
-    # process's peak resident memory.
-    schedule = []
-    for blk in blocks:
-        y, sign = blk.data
-        k = [bisect.bisect_right(thresholds, a) for a in np.abs(y).ravel().tolist()]
-        order = sorted(range(len(k)), key=k.__getitem__)
-        k.sort()
-        starts = [bisect.bisect_left(k, i) for i in range(len(thresholds) + 2)]
-        rows, cols = np.divmod(np.array(order, dtype=np.intp), y.shape[1])
-        clamped = slice(starts[1], None)
-        blk.refresh(blk.change(1, rows[clamped], cols[clamped],
-                               sign[rows[clamped], cols[clamped]]))
-        schedule.append((rows, cols, starts))
-
-    def coeffs(i: int):
-        """Mean-value coefficients (a, b, c) on piece i, whose upper bound
-        leaves {|y| < bounds[i + 1]} unclamped."""
-        a = b = c = 0.0
-        for blk, (rows, cols, starts) in zip(blocks, schedule):
-            r, cc = rows[starts[i] : starts[i + 1]], cols[starts[i] : starts[i + 1]]
-            if i > 0 and r.size:
-                blk.change(0, r, cc, blk.data[0][r, cc])
-                blk.refresh(blk.change(1, r, cc, 0.0))
-            da, db, dc = _slin_terms(
-                blk, len(blk.X[0]), blk.form(0, 0), blk.form(0, 1), blk.form(1, 1)
-            )
-            a, b, c = a + da, b + db, c + dc
-        return a / m, b / m, c / m
+    # turns linear at piece k = #{t in thresholds : t <= |y|}.  Only y = 0
+    # has k = 0.
+    pieces = len(thresholds) + 1
+    A = B = C = 0.0
+    for blk in by_inst.values():
+        for y in blk.data[0]:
+            k = [bisect.bisect_right(thresholds, a) for a in np.abs(y).tolist()]
+            forms = _piece_forms(blk.S, k, y, np.sign(y), pieces)
+            da, db, dc = _slin_terms(blk, *forms)
+            A, B, C = A + da, B + db, C + dc
+    coeffs = zip((A / m).tolist(), (B / m).tolist(), (C / m).tolist())
 
     best_s, best_v, best_i = math.nan, -math.inf, 0
     interval_values: List[float] = []
     bounds = [0.0] + thresholds + [math.inf]
-    for i in range(len(bounds) - 1):
+    for i, (a, b, c) in enumerate(coeffs):
         lo, hi = bounds[i], bounds[i + 1]
-        a, b, c = coeffs(i)
 
         def val(s):
             return a / (s * s) + b / s + c
@@ -359,6 +309,47 @@ def slin_erm(samples: Sequence[tuple]) -> RoundingErmResult:
             best_s = -2.0 * a / b
             best_v = a / (best_s * best_s) + b / best_s + c
     return RoundingErmResult(best_s, best_v, thresholds, interval_values)
+
+
+# ---------------------------------------------------------------------------
+# sign roundings with at most one flip per coordinate
+
+
+def _sign_values(blocks: Iterable[_Block], m: int, probes: int, positive) -> List[float]:
+    """Mean value at each of `probes` sorted probes of the +-1 assignments
+    given by positive(blk, t): for every entry of the block's data, whether
+    it is +1 at the probe of index t[entry].
+
+    positive must change at most once per entry along the probes.  A
+    vectorized bisection then finds each entry's first flipping probe from
+    the very predicate, and Q_t = Q_0 - 4 sum_{a flipped, b not} S_ab x_a x_b,
+    from the prefix forms of the flip order, gives every probe's value.
+    """
+    total = np.zeros(probes)
+    for blk in blocks:
+        first = positive(blk, 0)
+        lo = np.zeros(first.shape, dtype=np.intp)
+        hi = np.full(first.shape, probes)
+        for _ in range(probes.bit_length()):
+            mid = (lo + hi) // 2
+            moved = positive(blk, mid) != first
+            hi = np.where(moved, mid, hi)
+            lo = np.where(moved, lo, mid)
+        q = 0.0
+        for x, step in zip(np.where(first, 1.0, -1.0), hi):
+            # u = -x on the flipped entries: uv is minus the sum, vv[0] is Q_0
+            _, uv, vv = _piece_forms(blk.S, step.tolist(), -x, x, probes)
+            q = q + (vv[0] + 4.0 * uv)
+        total += blk.value(q)
+    return (total / m).tolist()
+
+
+def _best_probe(probes, values) -> Tuple[float, float]:
+    best = None
+    for p, v in zip(probes, values):
+        if best is None or v > best[1] + 1e-15:
+            best = (p, v)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +382,12 @@ def owr_value(inst: MaxQPInstance, emb: Embedding, z2: np.ndarray, gamma: float)
     return _value(inst, x)
 
 
-def _mean_sign_value(blocks: Iterable[_Block], m: int, assign) -> float:
-    """Mean value over all samples of the +-1 assignment assign(block)."""
-    total = 0.0
-    for blk in blocks:
-        blk.refresh(blk.move(0, np.where(assign(blk) >= 0.0, 1.0, -1.0)))
-        total += blk.value()
-    return total / m
+def _rotation_monotone(cos: np.ndarray, sin: np.ndarray) -> bool:
+    """Whether cos never rises and sin never falls along the probes, so
+    that cos*head + sin*tail >= 0 changes at most once: IEEE products and
+    sums are monotone in each argument when head and tail differ in sign,
+    and two strict negatives both round to zero only if cos, sin <= 1/2."""
+    return bool(np.all(cos[1:] <= cos[:-1]) and np.all(sin[1:] >= sin[:-1]))
 
 
 def owr_erm(samples: Sequence[tuple]) -> RoundingErmResult:
@@ -406,10 +396,14 @@ def owr_erm(samples: Sequence[tuple]) -> RoundingErmResult:
     samples: (instance, embedding, z2) triples.  Each coordinate's sign
     flips at most once, at gamma = arctan(-head_i / tail_i) when the two
     parts disagree in sign, so the mean value is piecewise constant; one
-    midpoint per interval plus the right endpoint covers all pieces.  Each
-    probe's value comes from kept products updated through the flipped signs.
+    midpoint per interval plus the right endpoint covers all pieces.  The
+    probe at which each sign flips comes from a bisection over the probes
+    with the very sign test of owr_value, and every probe's value from
+    prefix sums over the flip order (_sign_values).  Should math.cos or
+    math.sin not be monotone along the probes, each probe's assignments
+    are evaluated in full instead.
     """
-    blocks = _blocks(samples, lambda s: _rotation_parts(*s[1:]), 1, [(0, 0)]).values()
+    blocks = _blocks(samples, lambda s: _rotation_parts(*s[1:])).values()
     cuts = set()
     for blk in blocks:
         for head, tail in zip(*blk.data):
@@ -423,15 +417,17 @@ def owr_erm(samples: Sequence[tuple]) -> RoundingErmResult:
     probes.append(math.pi / 2)
 
     m = len(samples)
-    interval_values = []
-    best = None
-    for g in probes:
-        cg, sg = math.cos(g), math.sin(g)
-        v = _mean_sign_value(blocks, m, lambda blk: cg * blk.data[0] + sg * blk.data[1])
-        interval_values.append(v)
-        if best is None or v > best[1] + 1e-15:
-            best = (g, v)
-    return RoundingErmResult(best[0], best[1], thresholds, interval_values)
+    cos = np.array([math.cos(g) for g in probes])
+    sin = np.array([math.sin(g) for g in probes])
+    if _rotation_monotone(cos, sin):
+        values = _sign_values(blocks, m, len(probes), lambda blk, t:
+                              cos[t] * blk.data[0] + sin[t] * blk.data[1] >= 0.0)
+    else:
+        values = [sum(_value(blk.inst, np.where(cg * hd + sg * tl >= 0.0, 1.0, -1.0))
+                      for blk in blocks for hd, tl in zip(*blk.data)) / m
+                  for cg, sg in zip(cos.tolist(), sin.tolist())]
+    best = _best_probe(probes, values)
+    return RoundingErmResult(best[0], best[1], thresholds, values)
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +478,12 @@ def rprt_erm(samples: Sequence[tuple]) -> RoundingErmResult:
     j flips exactly at s = q_i / <u_i, z> when that ratio is positive, so
     the mean of the binary values is piecewise constant with at most one
     threshold per coordinate; midpoints of the gaps (and one probe past the
-    last threshold) cover every piece.  Each probe's value comes from kept
-    products updated through the flipped signs.
+    last threshold) cover every piece.  The probe at which each sign flips
+    comes from a bisection over the probes with the very test of
+    rprt_assign, and every probe's value from prefix sums over the flip
+    order (_sign_values).
     """
-    blocks = _blocks(samples, lambda s: _threshold_parts(*s[1:]), 1, [(0, 0)]).values()
+    blocks = _blocks(samples, lambda s: _threshold_parts(*s[1:])).values()
     ratios = []
     for blk in blocks:
         y, q = blk.data
@@ -498,15 +496,13 @@ def rprt_erm(samples: Sequence[tuple]) -> RoundingErmResult:
     probes = [0.5 * (bounds[i] + bounds[i + 1]) for i in range(len(bounds) - 1)]
     probes.append(bounds[-1] + 1.0)
 
-    m = len(samples)
-    interval_values = []
-    best = None
-    for s in probes:
-        v = _mean_sign_value(blocks, m, lambda blk: blk.data[1] - s * blk.data[0])
-        interval_values.append(v)
-        if best is None or v > best[1] + 1e-15:
-            best = (s, v)
-    return RoundingErmResult(best[0], best[1], thresholds, interval_values)
+    # q - s*y is monotone in s >= 0 under IEEE rounding, so each sign flips
+    # at most once along the increasing probes
+    scale = np.array(probes)
+    values = _sign_values(blocks, len(samples), len(probes), lambda blk, t:
+                          blk.data[1] - scale[t] * blk.data[0] >= 0.0)
+    best = _best_probe(probes, values)
+    return RoundingErmResult(best[0], best[1], thresholds, values)
 
 
 # ---------------------------------------------------------------------------

@@ -513,7 +513,7 @@ def reference_run(inst: ClusteringInstance, rule: MergeRule, collector=None):
 
     V = np.full((total, total), big)
     act = list(range(n))
-    _ref_fill_rows(rule, V, minD, maxD, cnt, logd, act, act)
+    _ref_fill_rows(rule, V, minD, maxD, cnt, logd, distinct, act, act)
     minleaf = np.arange(total)
     leaf_sets = [[i] for i in range(n)] + [None] * (n - 1)
     merges = []
@@ -562,7 +562,7 @@ def reference_run(inst: ClusteringInstance, rule: MergeRule, collector=None):
             if cnt is not None:
                 cnt[new, rest] = cnt[wi, rest] + cnt[wj, rest]
                 cnt[rest, new] = cnt[new, rest]
-            _ref_fill_rows(rule, V, minD, maxD, cnt, logd, [new], list(rest))
+            _ref_fill_rows(rule, V, minD, maxD, cnt, logd, distinct, [new], list(rest))
         V[wi, :] = big
         V[:, wi] = big
         V[wj, :] = big
@@ -571,7 +571,7 @@ def reference_run(inst: ClusteringInstance, rule: MergeRule, collector=None):
     return MergeTree(n=n, merges=merges, values=values, leaf_sets=leaf_sets)
 
 
-def _ref_fill_rows(rule, V, minD, maxD, cnt, logd, rows, cols):
+def _ref_fill_rows(rule, V, minD, maxD, cnt, logd, distinct, rows, cols):
     fam = rule.family
     cols = np.asarray(cols)
     for r in rows:
@@ -599,12 +599,12 @@ def _ref_fill_rows(rule, V, minD, maxD, cnt, logd, rows, cols):
                 key = (mrow + np.log(np.sum(np.exp(terms - mrow[:, None]), axis=1))
                        - np.log(tot)) / a
         else:
-            key = _ref_selector_keys(rule, cnt[r, cc], logd)
+            key = _ref_selector_keys(rule, cnt[r, cc], logd, distinct)
         V[r, cc] = key
         V[cc, r] = key
 
 
-def _ref_selector_keys(rule, rowcnt, logd):
+def _ref_selector_keys(rule, rowcnt, logd, distinct):
     from partition_tuner.linkage import selector_indices
 
     out = np.empty(rowcnt.shape[0])
@@ -612,10 +612,12 @@ def _ref_selector_keys(rule, rowcnt, logd):
     for t in range(rowcnt.shape[0]):
         counts = rowcnt[t]
         pos = selector_indices(int(counts.sum()), rule.sigma)
-        sel = vals[np.searchsorted(np.cumsum(counts), pos + 1)]
+        at = np.searchsorted(np.cumsum(counts), pos + 1)
+        sel = vals[at]
         a = rule.alpha
         if rule.family == "sigma_linear":
-            out[t] = np.dot(rule.weights, sel)
+            # the distances themselves, as the sweep equations weigh them
+            out[t] = np.dot(rule.weights, distinct[at])
         elif np.isinf(a):
             out[t] = np.log(sel.max() if a > 0 else sel.min())
         else:
@@ -724,9 +726,12 @@ def reference_slin_erm(samples):
                 b += -0.5 * (u @ W @ v)
                 c += W.sum() / 4.0 - 0.25 * (v @ W @ v)
             else:
-                a += u @ A @ u
-                b += 2.0 * (u @ A @ v)
-                c += v @ A @ v
+                # x^T A x = x^T S x for the symmetric part S, which is A
+                # itself when A is symmetric; its cross term is 2 u S v
+                S = (A + A.T) / 2
+                a += u @ S @ u
+                b += 2.0 * (u @ S @ v)
+                c += v @ S @ v
         return a / m, b / m, c / m
 
     candidates = []

@@ -141,6 +141,16 @@ def test_infinite_alpha_is_exact_min_max():
     assert rule_value(MergeRule("sigma_power", -math.inf, sigma=2), d) == 0.7
 
 
+def test_sigma_linear_selects_the_distances_themselves():
+    # exp(log(d)) differs from d for about a third of uniform d, so a key
+    # built from the logs would not equal the selected distance
+    rng = np.random.default_rng(17)
+    rule = MergeRule("sigma_linear", weights=(1.0, 0.0), sigma=2)
+    for trial in range(2000):
+        d = rng.uniform(0.1, 10.0, int(rng.integers(1, 9)))
+        assert rule_value(rule, d) == d.min(), trial
+
+
 def test_geometric_mean_at_zero():
     d = [1.0, 2.0, 4.0]
     assert rule_value(MergeRule("power_average", 0.0), d) == pytest.approx(2.0)

@@ -167,7 +167,8 @@ _multiset = st.dictionaries(st.integers(0, 11), st.integers(1, 6), min_size=1, m
 )
 def test_equal_multisets_get_bit_equal_keys(target, others, where, alpha, sigma, seed):
     rng = np.random.default_rng(seed)
-    logd = np.log(np.sort(rng.uniform(0.1, 9.0, 12)))
+    distinct = np.sort(rng.uniform(0.1, 9.0, 12))
+    logd = np.log(distinct)
     batch = list(others)
     batch.insert(min(where, len(batch)), target)
     batch.append(target)
@@ -178,7 +179,7 @@ def test_equal_multisets_get_bit_equal_keys(target, others, where, alpha, sigma,
         cnt = np.concatenate([np.array([m[t] for t in sorted(m)], dtype=np.int64)
                               for m in multisets])
         starts = np.cumsum([0] + [len(m) for m in multisets[:-1]])
-        return _count_keys(rule, idx, cnt, starts, logd)
+        return _count_keys(rule, idx, cnt, starts, logd, distinct)
 
     weights = tuple(float(w) for w in rng.uniform(0.1, 2.0, sigma))
     for rule in (MergeRule("power_average", alpha), MergeRule("power_average", 0.0),

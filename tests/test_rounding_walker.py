@@ -1,6 +1,7 @@
 """The incremental rounding ERMs against their full-recompute references.
 
-slin_erm, owr_erm and rprt_erm walk the pieces with kept matrix products;
+slin_erm, owr_erm and rprt_erm read every piece from prefix sums over each
+sample's coordinates, permuted in the order they change;
 tests/oracles.py keeps the versions that recompute every sample's quadratic
 form at every piece.  Thresholds and best parameters must agree exactly,
 piece values up to float summation order.
