@@ -203,23 +203,36 @@ def comparison_terms(family, wmin, wmax, cmin, cmax, wcounts=None, ccounts=None,
         return _combine([(s, float(b), 0) for b, s in ends])
     if family not in _NEEDS_COUNTS:
         raise UnknownFamily(f"no comparison encoding for family {family!r}")
-    if wcounts is None or ccounts is None or distinct is None:
+    if ccounts is None:
+        raise DomainError(f"{family} comparisons need distance counts")
+    return multiset_terms(family, wcounts, distinct, sigma)(ccounts)
+
+
+def multiset_terms(family, wcounts, distinct, sigma=None):
+    """terms_of(ccounts), the comparison_terms of a count family's winner
+    multiset wcounts against a candidate multiset ccounts; the winner's
+    selected values are found once, for all its candidates."""
+    if wcounts is None or distinct is None:
         raise DomainError(f"{family} comparisons need distance counts")
     if family == "power_average":
-        return average_terms(wcounts, ccounts, distinct)
+        return lambda ccounts: average_terms(wcounts, ccounts, distinct)
     if family == "sigma_linear" and sigma != 2:
         raise DomainError("sigma_linear comparisons are equations in theta at sigma = 2 only")
     if sigma is None:
         raise DomainError("sigma_power comparisons need sigma")
     wsel = _selected(wcounts, distinct, sigma)
-    csel = _selected(ccounts, distinct, sigma)
-    if family == "sigma_power":
-        # not combined: ExpSum combines like terms, and sweeps key equations as listed
-        return [(1.0, b, 0) for b in wsel] + [(-1.0, b, 0) for b in csel]
-    d1, d2 = wsel - csel
-    if d1 == 0.0 and d2 == 0.0:
-        return []
-    return [(d1 - d2, 1.0, 1), (d2, 1.0, 0)]
+
+    def terms_of(ccounts):
+        csel = _selected(ccounts, distinct, sigma)
+        if family == "sigma_power":
+            # not combined: ExpSum combines like terms, and sweeps key equations as listed
+            return [(1.0, b, 0) for b in wsel] + [(-1.0, b, 0) for b in csel]
+        d1, d2 = wsel - csel
+        if d1 == 0.0 and d2 == 0.0:
+            return []
+        return [(d1 - d2, 1.0, 1), (d2, 1.0, 0)]
+
+    return terms_of
 
 
 def average_terms(wset, cset, distinct):
@@ -300,15 +313,18 @@ def record_comparisons(inst: ClusteringInstance, rule: MergeRule):
 
 
 class PairKeys:
-    """Interned keys of the active cluster pairs of one tree build.
+    """Counted integer keys of the active cluster pairs of one tree build.
 
-    Equal keys share one id, and ``sid[u, v]`` is the id of active pair
-    (u, v).  An id counts the active pairs that hold it and is dropped once
-    none does, so the live keys (``live``) are exactly the distinct keys
-    among the active pairs: one merge step's candidates.  ``_run`` keeps
-    them current through the O(m) pairs each merge retires and creates.
-    A pair's key is its (min, max) distances here, its distance multiset in
-    PairMultisets.  Without ``interned`` (a plain build) nothing is interned.
+    ``sid[u, v]`` is the key of active pair (u, v): here its code
+    i_min * beta + i_max, the indices of its (min, max) distances among the
+    beta sorted distinct upper-triangle distances ``distinct``, so a code is
+    its own id; PairMultisets interns its keys to ids.  ``_refs`` counts the
+    active pairs that hold each key and drops a key once none does, so the
+    live keys (``live()``) are exactly the distinct keys among the active
+    pairs: one merge step's candidates.  ``_run`` keeps them current
+    through the O(m) pairs each merge retires and creates.  ``compared``
+    holds a collector's memo of compared keys for this build.  Without
+    ``interned`` (a plain build) nothing is interned.
     """
 
     def __init__(self, D: np.ndarray, interned: bool = True):
@@ -323,42 +339,47 @@ class PairKeys:
         self.didx.T[upper] = inv
         self.sid = None
         if interned:
-            self.sid = np.zeros((2 * n - 1, 2 * n - 1), dtype=np.int32)  # ids stay below n^2
-            # a leaf pair's key is that of its one distance t, interned as id t
-            self.sid[:n, :n] = self.didx
-            self.keys = self._leaf_keys()
-            self._index = {key: t for t, key in enumerate(self.keys)}
-            self._refs = np.bincount(inv, minlength=self.beta).tolist()
+            leaf = self._leaf_keys()  # the key of a leaf pair at distance t
+            self.sid = np.zeros((2 * n - 1, 2 * n - 1), dtype=np.int64)
+            self.sid[:n, :n] = leaf[self.didx]
+            self._refs = dict(zip(leaf.tolist(), np.bincount(inv).tolist()))
+            self.compared = {}
+            self._values = self.distinct.tolist()
 
     def _leaf_keys(self):
-        return [(d, d) for d in self.distinct.tolist()]
+        return np.arange(self.beta, dtype=np.int64) * (self.beta + 1)
+
+    def codes(self, mn, mx):
+        """The codes of pairs whose (min, max) are mn, mx, distances of D."""
+        return self.distinct.searchsorted(mn) * self.beta + self.distinct.searchsorted(mx)
+
+    def ends(self, codes):
+        """The (min, max) distances of each code in codes."""
+        values, beta = self._values, self.beta
+        return [(values[c // beta], values[c % beta]) for c in codes]
 
     def live(self):
         """The distinct keys of the active pairs, as a set-like view."""
-        return self._index.keys()
+        return self._refs.keys()
 
-    def replace(self, wi, wj, new, rest, keys):
-        """Intern keys[r], the key of pair (new, rest[r]), then retire the
-        pairs of wi and wj.  Python-level work is per distinct key; the
-        per-pair counting and lookups run inside Counter and map."""
-        index, refs = self._index, self._refs
-        for key, c in Counter(keys).items():
-            s = index.get(key)
-            if s is None:
-                s = index[key] = len(self.keys)
-                self.keys.append(key)
-                refs.append(0)
-            refs[s] += c
-        sid = self.sid
-        new_ids = list(map(index.__getitem__, keys))
-        sid[new, rest] = new_ids
-        sid[rest, new] = new_ids
+    def replace(self, wi, wj, new, rest, ids):
+        """Give pair (new, rest[r]) the key ids[r], then retire the pairs of
+        wi and wj.  Python-level work is per distinct key; the per-pair
+        counting runs inside Counter."""
+        sid, refs = self.sid, self._refs
+        for s, c in Counter(ids.tolist()).items():
+            refs[s] = refs.get(s, 0) + c
+        sid[new, rest] = ids
+        sid[rest, new] = ids
         gone = np.concatenate(([sid[wi, wj]], sid[wi, rest], sid[wj, rest]))
         for s, c in Counter(gone.tolist()).items():
             refs[s] -= c
             if not refs[s]:
-                del index[self.keys[s]]
-                self.keys[s] = None
+                del refs[s]
+                self._drop(s)
+
+    def _drop(self, s):
+        """Forget key s, which no active pair holds any more."""
 
 
 class PairMultisets(PairKeys):
@@ -379,9 +400,12 @@ class PairMultisets(PairKeys):
         self._pos = np.zeros(2 * n - 1, dtype=np.int64)
 
     def _leaf_keys(self):
-        # a leaf pair's multiset is the singleton {t: 1}
+        # a leaf pair's multiset is the singleton {t: 1}, interned as id t
+        t = np.arange(self.beta, dtype=np.int64)
         one = np.ones(1, dtype=np.int64).tobytes()
-        return [t.tobytes() + one for t in np.arange(self.beta, dtype=np.int64)]
+        self.keys = [i.tobytes() + one for i in t]
+        self._index = {key: i for i, key in enumerate(self.keys)}
+        return t
 
     def support(self, s):
         """The multiset with id s as (idx, cnt)."""
@@ -390,7 +414,20 @@ class PairMultisets(PairKeys):
     def candidates(self, winner):
         """The winner's multiset and every distinct multiset among one
         step's candidate pairs (the winner's included), as (idx, cnt)."""
-        return self.support(self.sid[winner]), [_support(key) for key in self.live()]
+        return self.support(self.sid[winner]), [self.support(s) for s in self.live()]
+
+    def _intern(self, keys):
+        """The ids of keys, interning the keys not yet live."""
+        index = self._index
+        for key in dict.fromkeys(keys):
+            if key not in index:
+                index[key] = len(self.keys)
+                self.keys.append(key)
+        return np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
+
+    def _drop(self, s):
+        del self._index[self.keys[s]]
+        self.keys[s] = None
 
     def merge(self, new, wi, wj, members, rest):
         """Build the multisets of node new = wi + wj (the leaves in members)
@@ -413,7 +450,7 @@ class PairMultisets(PairKeys):
             bi, bc = idx.tobytes(), cnt.astype(np.int64).tobytes()
             bounds = (idx.itemsize * np.append(starts, idx.size)).tolist()
             keys = [bi[a:b] + bc[a:b] for a, b in zip(bounds, bounds[1:])]
-            self.replace(wi, wj, new, rest, keys)
+            self.replace(wi, wj, new, rest, self._intern(keys))
         return idx, cnt, starts
 
 
@@ -430,16 +467,18 @@ def _run(inst: ClusteringInstance, rule: MergeRule, collector=None) -> MergeTree
     that read whole multisets keep them in a PairMultisets store, with no
     count work for power_average at alpha = +-inf, which needs only the
     pairwise (min, max) distances: the (2n-1)^2 matrices minD and maxD,
-    kept for the min/max families alone.  Before each merge, ``collector``
-    (when given) is called as collector(step, winner, ids, None, minD,
-    maxD, sets, distinct): the candidates are the pairs of the active nodes
-    ids (a collector that lists them builds np.triu_indices(ids.size, 1)
-    itself), sets is the interned pair store (a PairMultisets, or for the
-    min/max families a PairKeys of (min, max) keys) and distinct its
-    distinct distances.  The count families get None for minD and maxD
-    (a multiset's ends are its min and max), the min/max families None
-    for distinct.  Each merge updates the store through the O(m) pairs it
-    retires and creates; a plain build interns nothing.
+    kept for the min/max families alone and seeded with each leaf pair's
+    upper-triangle distance in both orientations.  Before each merge,
+    ``collector`` (when given) is called as collector(step, winner, ids,
+    None, minD, maxD, sets, distinct): the candidates are the pairs of the
+    active nodes ids (a collector that lists them builds
+    np.triu_indices(ids.size, 1) itself) and sets is the pair store.  The
+    count families pass a PairMultisets, its distinct distances as distinct
+    and None for minD and maxD (a multiset's ends are its min and max).
+    The min/max families pass a PairKeys, which codes each new pair's
+    (min, max) through np.searchsorted into its distinct distances, and
+    None for distinct.  Each merge updates the store through the O(m)
+    pairs it retires and creates; a plain build interns nothing.
 
     rowmin[u] is the exact minimum of row u of V (Muellner's generic
     linkage, arXiv:1109.2378), so a step costs O(m) on m active nodes.
@@ -458,10 +497,12 @@ def _run(inst: ClusteringInstance, rule: MergeRule, collector=None) -> MergeTree
     counts = _counts_needed(rule)
     minD = maxD = None
     if not counts:
+        # each leaf pair's upper-triangle distance, in both orientations
+        upper = np.where(np.tri(n, k=-1, dtype=bool), D.T, D)
         minD = np.full((total, total), big)
         maxD = np.full((total, total), -big)
-        minD[:n, :n] = D
-        maxD[:n, :n] = D
+        minD[:n, :n] = upper
+        maxD[:n, :n] = upper
 
     V = np.full((total, total), big)
     if counts:
@@ -473,7 +514,7 @@ def _run(inst: ClusteringInstance, rule: MergeRule, collector=None) -> MergeTree
     else:
         sets = None if collector is None else PairKeys(D)
         distinct = None
-    # row by row, so that no temporary is quadratic in n
+    # row by row, so that the leaf keys make no temporary quadratic in n
     for r in range(n - 1):
         d = D[r, r + 1:]
         key = single[sets.didx[r, r + 1:]] if counts else _minmax_keys(rule, d, d)
@@ -523,7 +564,7 @@ def _run(inst: ClusteringInstance, rule: MergeRule, collector=None) -> MergeTree
                 maxD[rest, new] = mx
                 key = _minmax_keys(rule, mn, mx)
                 if sets is not None:
-                    sets.replace(wi, wj, new, rest, list(zip(mn.tolist(), mx.tolist())))
+                    sets.replace(wi, wj, new, rest, sets.codes(mn, mx))
             V[new, rest] = key
             V[rest, new] = key
             stale = rest[rowmin[rest] == np.minimum(V[wi, rest], V[wj, rest])]

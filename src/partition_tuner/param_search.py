@@ -25,6 +25,7 @@ from .linkage import (
     _run,
     _selected,
     comparison_terms,
+    multiset_terms,
 )
 from .pruning_dp import (
     Objective,
@@ -491,25 +492,26 @@ def _make_collector(family, sigma, eqs):
     the first of the weights (theta, 1 - theta)."""
 
     if family in ("convex_minmax", "power_minmax"):
-        # winner key -> candidate keys already compared with it; (min, max) keys
-        # are distances, so one cache serves every instance of the run
-        seen = {}
 
         def cb(step, winner, ids, _, minD, maxD, sets, distinct):
-            wkey = sets.keys[sets.sid[winner]]
-            done = seen.setdefault(wkey, {wkey})
+            # the store's codes index its build's distances, so it keeps the
+            # memo: winner code -> codes already compared with it
+            w = int(sets.sid[winner])
+            done = sets.compared.setdefault(w, {w})
             fresh = sets.live() - done
-            done |= fresh
-            for ckey in fresh:
-                eqs.add(_canon_terms(comparison_terms(family, *wkey, *ckey)))
+            if fresh:
+                done |= fresh
+                wends, *cands = sets.ends([w, *fresh])
+                for cends in cands:
+                    eqs.add(_canon_terms(comparison_terms(family, *wends, *cends)))
 
     elif family in ("power_average", "sigma_power", "sigma_linear"):
 
         def cb(step, winner, ids, _, minD, maxD, sets, distinct):
             wset, cands = sets.candidates(winner)
+            terms_of = multiset_terms(family, wset, distinct, sigma)
             for cset in cands:
-                terms = comparison_terms(family, None, None, None, None,
-                                         wset, cset, distinct, sigma)
+                terms = terms_of(cset)
                 if terms:
                     eqs.add(_canon_terms(terms))
 

@@ -73,11 +73,13 @@ def _first_min(costs):
     return costs.index(min(costs))
 
 
-def _prune(inst: ClusteringInstance, tree: MergeTree, k: int, center_costs, add, choose):
+def _prune(inst: ClusteringInstance, tree: MergeTree, k: int, zero, center_costs, add,
+           choose):
     """The pruning recurrence, once, over a cost algebra.
 
     The 1-pruning of a node is its best center: center_costs(leaves) lists
-    each member's cost as the center of the cluster `leaves`.  The
+    each member's cost as the center of the cluster `leaves`, an array of
+    two or more leaves; a leaf is its own center at cost zero.  The
     k'-pruning of an inner node is its best split into an i'-pruning of the
     left child and a (k' - i')-pruning of the right child, whose costs
     combine as add(left, right).  choose(costs) returns the index of the
@@ -93,12 +95,12 @@ def _prune(inst: ClusteringInstance, tree: MergeTree, k: int, center_costs, add,
     if not (1 <= k <= n):
         raise KTooLarge(f"k = {k} outside 1..{n}")
 
-    sig = []
-    cent = []
+    sig = [0] * n
+    cent = list(range(n))
     # table[v] maps k' -> (cost, left-side count of the split; None for k' = 1)
-    table = []
-    for leaves in tree.leaf_sets:
-        costs = center_costs(leaves)
+    table = [{1: (zero, None)} for _ in range(n)]
+    for leaves in tree.leaf_sets[n:]:
+        costs = center_costs(np.array(leaves))
         ci = choose(costs)
         sig.append(ci)
         cent.append(leaves[ci])
@@ -150,21 +152,24 @@ def best_k_pruning(
     p = rule.p
     D = inst.dist
     if math.isinf(p):
+        zero = (0.0,)
 
-        def center_costs(leaves):
-            return [(m,) for m in D[np.ix_(leaves, leaves)].max(axis=0).tolist()]
+        def center_costs(a):
+            return [(m,) for m in D[a[:, None], a].max(axis=0).tolist()]
 
         def add(a, b):
             return tuple(sorted(a + b, reverse=True))
 
     else:
+        zero = 0.0
+        Dp = D ** p
 
-        def center_costs(leaves):
-            return (D[np.ix_(leaves, leaves)] ** p).sum(axis=0).tolist()
+        def center_costs(a):
+            return Dp[a[:, None], a].sum(axis=0).tolist()
 
         add = operator.add
 
-    clusters, centers, _, _ = _prune(inst, tree, k, center_costs, add, _first_min)
+    clusters, centers, _, _ = _prune(inst, tree, k, zero, center_costs, add, _first_min)
     if variant == "voronoi":
         clusters, centers = voronoi_reassign(inst, clusters, centers)
 
@@ -296,11 +301,11 @@ def dp_with_comparisons(inst: ClusteringInstance, tree: MergeTree, k: int, p: fl
     idx = np.searchsorted(distinct, D)
     comparisons = []
 
-    def center_costs(leaves):
+    def center_costs(a):
         # row c counts the distances d(q, c) of the other members q
-        off = ~np.eye(len(leaves), dtype=bool)
-        vecs = np.zeros((len(leaves), distinct.size))
-        np.add.at(vecs, (np.nonzero(off)[1], idx[np.ix_(leaves, leaves)][off]), 1.0)
+        off = ~np.eye(a.size, dtype=bool)
+        vecs = np.zeros((a.size, distinct.size))
+        np.add.at(vecs, (np.nonzero(off)[1], idx[a[:, None], a][off]), 1.0)
         return list(vecs)
 
     def choose(vecs):
@@ -313,7 +318,8 @@ def dp_with_comparisons(inst: ClusteringInstance, tree: MergeTree, k: int, p: fl
                     comparisons.append((diff[nz], distinct[nz]))
         return best
 
-    clusters, centers, vec, sig = _prune(inst, tree, k, center_costs, operator.add, choose)
+    clusters, centers, vec, sig = _prune(inst, tree, k, np.zeros(distinct.size), center_costs,
+                                         operator.add, choose)
     power_sum = float(vec @ pw)
     result = PruningResult(
         clusters=clusters,

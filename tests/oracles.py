@@ -499,6 +499,9 @@ def reference_run(inst: ClusteringInstance, rule: MergeRule, collector=None):
     D = inst.dist
     minD[:n, :n] = D
     maxD[:n, :n] = D
+    # each leaf pair's upper-triangle distance, in both orientations
+    iu = np.triu_indices(n, k=1)
+    minD[iu[::-1]] = maxD[iu[::-1]] = D[iu]
 
     if rule.family in ("power_average", "sigma_linear", "sigma_power"):
         iu = np.triu_indices(n, k=1)

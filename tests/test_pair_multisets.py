@@ -30,6 +30,7 @@ from oracles import (
     merge_value,
     reference_count_collector,
     reference_grid_collector,
+    reference_minmax_collector,
     reference_run,
     tree_merge_sequence,
 )
@@ -221,14 +222,50 @@ def test_count_collectors_match_dense_reference(family, sigma, rule):
 
 
 @pytest.mark.parametrize("family,sigma,rule", [
+    ("sigma_power", 3, MergeRule("sigma_power", 0.8, sigma=3)),
+    ("sigma_linear", 2, MergeRule("sigma_linear", weights=(0.35, 0.65), sigma=2)),
+])
+def test_selector_collectors_select_the_winners_values_once_per_step(monkeypatch, family,
+                                                                    sigma, rule):
+    calls = []
+    selected = linkage._selected
+
+    def counted(*args):
+        calls.append(args)
+        return selected(*args)
+
+    monkeypatch.setattr(linkage, "_selected", counted)
+    rng = np.random.default_rng(6)
+    for inst in (euclidean_instance(rng, 11), _integer_instance(rng, 11, 3)):
+        eqs = set()
+        cb = _make_collector(family, sigma, eqs)
+        steps = []
+
+        def check(step, winner, ids, _, minD, maxD, sets, distinct):
+            calls.clear()
+            cb(step, winner, ids, _, minD, maxD, sets, distinct)
+            # one selection per distinct candidate (the winner's included)
+            # and one for the winner
+            assert len(calls) <= len(sets.live()) + 1
+            steps.append(len(calls))
+
+        _run(inst, rule, check)
+        assert eqs and max(steps) > 2
+
+
+@pytest.mark.parametrize("family,sigma,rule", [
     ("power_average", None, MergeRule("power_average", 1.3)),
     ("power_average", None, MergeRule("power_average", 0.0)),
     ("sigma_power", 3, MergeRule("sigma_power", 0.8, sigma=3)),
     ("sigma_linear", 2, MergeRule("sigma_linear", weights=(0.35, 0.65), sigma=2)),
+    ("convex_minmax", None, MergeRule("convex_minmax", 0.4)),
+    ("power_minmax", None, MergeRule("power_minmax", 1.3)),
 ])
 def test_builds_read_the_upper_distance_of_a_slightly_asymmetric_metric(family, sigma, rule):
     # ClusteringInstance accepts asymmetry within 1e-12 of the largest entry;
     # both orientations of a leaf pair must count its upper-triangle distance
+    reference = (reference_count_collector if _counts_needed(rule)
+                 else lambda family, sigma, eqs: reference_minmax_collector(family, eqs))
     rng = np.random.default_rng(41)
     compared = 0
     for trial in range(12):
@@ -239,13 +276,20 @@ def test_builds_read_the_upper_distance_of_a_slightly_asymmetric_metric(family, 
         inst = ClusteringInstance(n=n, dist=D)
         if trial % 2 == 0:
             _assert_same_build(inst, rule)
+        # the build equals the one on the upper triangle, mirrored: base
+        tree, upper = build_tree(inst, rule), build_tree(base, rule)
+        assert (tree.merges, tree.values) == (upper.merges, upper.values), rule
         same, got, want = _collected(
             inst, rule,
             lambda eqs: _make_collector(family, sigma, eqs),
-            lambda eqs: reference_count_collector(family, sigma, eqs),
+            lambda eqs: reference(family, sigma, eqs),
         )
         if same:
             assert got == want
+            _, on_base, _ = _collected(base, rule,
+                                       lambda eqs: _make_collector(family, sigma, eqs),
+                                       lambda eqs: reference(family, sigma, eqs))
+            assert got == on_base
             compared += 1
     assert compared >= 9
 
@@ -295,11 +339,17 @@ def test_live_ids_are_each_steps_distinct_candidate_keys(n, top, seed, pick):
         ii, jj = ids[ii], ids[jj]
         sids = sets.sid[ii, jj]
         # the live ids are np.unique(sids), each counting its active pairs
-        assert sorted(sets._index.values()) == np.unique(sids).tolist()
-        assert all(sets._refs[s] == c for s, c in zip(*np.unique(sids, return_counts=True)))
-        if not _counts_needed(rule):
-            keys = list(zip(minD[ii, jj].tolist(), maxD[ii, jj].tolist()))
-            assert [sets.keys[s] for s in sids.tolist()] == keys
+        held, count = np.unique(sids, return_counts=True)
+        assert sorted(sets.live()) == held.tolist()
+        assert sets._refs == dict(zip(held.tolist(), count.tolist()))
+        if _counts_needed(rule):
+            # an interned multiset's id is its index in the interned keys
+            assert sorted(sets._index.values()) == held.tolist()
+        else:
+            # a code is its own id and decodes to the pair's (min, max)
+            lo, hi = np.divmod(sids, sets.beta)
+            assert sets.distinct[lo].tolist() == minD[ii, jj].tolist()
+            assert sets.distinct[hi].tolist() == maxD[ii, jj].tolist()
         steps.append(step)
 
     tree = _run(inst, rule, check)
@@ -313,13 +363,15 @@ def test_plain_builds_intern_nothing(monkeypatch):
 
     for cls in (linkage.PairKeys, linkage.PairMultisets):
         monkeypatch.setattr(cls, "_leaf_keys", refuse)
-    monkeypatch.setattr(linkage.PairKeys, "replace", refuse)
+        monkeypatch.setattr(cls, "replace", refuse)
+    monkeypatch.setattr(linkage.PairKeys, "codes", refuse)
     rng = np.random.default_rng(4)
     inst = _integer_instance(rng, 12, 3)
     for rule in _rules(rng):
         build_tree(inst, rule)
-    with pytest.raises(AssertionError):
-        _run(inst, MergeRule("convex_minmax", 0.5), lambda *args: None)
+    for rule in (MergeRule("convex_minmax", 0.5), MergeRule("power_average", 0.5)):
+        with pytest.raises(AssertionError):
+            _run(inst, rule, lambda *args: None)
 
 
 @pytest.mark.parametrize("rule", [

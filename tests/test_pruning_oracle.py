@@ -18,6 +18,7 @@ from partition_tuner import (
     PruningRule,
     best_k_pruning,
     build_tree,
+    gen_two_gadget,
 )
 from partition_tuner.pruning_dp import dp_with_comparisons
 from oracles import random_instance, reference_best_k_pruning, reference_dp_with_comparisons
@@ -83,6 +84,25 @@ def test_dp_with_comparisons_is_bit_identical_to_the_frozen_dp():
                 assert _terms(comps) == _terms(ref_comps)
                 # the package emits only the distances whose counts differ
                 assert all(np.all(coeffs != 0.0) for coeffs, _ in comps)
+
+
+@pytest.mark.parametrize("alpha_star,family", [(0.4, "convex_minmax"), (1.5, "power_average")])
+def test_two_gadget_prunings_are_bit_identical_to_the_frozen_dps(alpha_star, family):
+    # n=210: 209 inner nodes, whose center costs tie often
+    inst, _ = gen_two_gadget(alpha_star, family)
+    tree = build_tree(inst, MergeRule(family, alpha_star))
+    for p in (0.5, 1.0, 2.0, math.inf):
+        for variant in ("fixed", "voronoi"):
+            got = best_k_pruning(inst, tree, 4, PruningRule(p=p), variant)
+            want = reference_best_k_pruning(inst, tree, 4, PruningRule(p=p), variant)
+            assert _bits(got) == _bits(want), (p, variant)
+        if math.isinf(p):
+            continue
+        res, comps, sig = dp_with_comparisons(inst, tree, 4, p)
+        ref, ref_comps, ref_sig = reference_dp_with_comparisons(inst, tree, 4, p)
+        assert _bits(res) == _bits(ref), p
+        assert sig == ref_sig
+        assert _terms(comps) == _terms(ref_comps)
 
 
 def test_pruning_refuses_a_tree_built_for_another_instance():
