@@ -312,6 +312,18 @@ def record_comparisons(inst: ClusteringInstance, rule: MergeRule):
     return _run(inst, rule, record), comparisons
 
 
+def distance_table(D: np.ndarray):
+    """The sorted distinct upper-triangle distances of D, each upper entry's index
+    among them, and each leaf pair's, mirrored (D may be symmetric only to rounding)."""
+    n = D.shape[0]
+    upper = ~np.tri(n, dtype=bool)
+    distinct, inv = np.unique(D[upper], return_inverse=True)
+    didx = np.zeros((n, n), dtype=np.int64)
+    didx[upper] = inv
+    didx.T[upper] = inv
+    return distinct, inv, didx
+
+
 class PairKeys:
     """Counted integer keys of the active cluster pairs of one tree build.
 
@@ -327,16 +339,10 @@ class PairKeys:
     ``interned`` (a plain build) nothing is interned.
     """
 
-    def __init__(self, D: np.ndarray, interned: bool = True):
+    def __init__(self, D: np.ndarray, interned: bool = True, table=None):
         n = D.shape[0]
-        upper = ~np.tri(n, dtype=bool)
-        self.distinct, inv = np.unique(D[upper], return_inverse=True)
+        self.distinct, inv, self.didx = distance_table(D) if table is None else table
         self.beta = self.distinct.size
-        # leaf pair -> distinct index of its upper-triangle distance, mirrored,
-        # so that both orientations agree when D is symmetric only to rounding
-        self.didx = np.zeros((n, n), dtype=np.int64)
-        self.didx[upper] = inv
-        self.didx.T[upper] = inv
         self.sid = None
         if interned:
             leaf = self._leaf_keys()  # the key of a leaf pair at distance t
@@ -393,8 +399,8 @@ class PairMultisets(PairKeys):
     all a plain build reads.
     """
 
-    def __init__(self, D: np.ndarray, interned: bool):
-        super().__init__(D, interned)
+    def __init__(self, D: np.ndarray, interned: bool, table=None):
+        super().__init__(D, interned, table)
         n = D.shape[0]
         self.label = np.arange(n)  # leaf -> active node holding it
         self._pos = np.zeros(2 * n - 1, dtype=np.int64)
@@ -460,7 +466,7 @@ def _support(key):
     return both[:half], both[half:]
 
 
-def _run(inst: ClusteringInstance, rule: MergeRule, collector=None) -> MergeTree:
+def _run(inst: ClusteringInstance, rule: MergeRule, collector=None, table=None) -> MergeTree:
     """The merge loop behind build_tree and the sweeps.
 
     The comparison keys V are a (2n-1)^2 matrix over node ids.  Families
@@ -478,7 +484,8 @@ def _run(inst: ClusteringInstance, rule: MergeRule, collector=None) -> MergeTree
     The min/max families pass a PairKeys, which codes each new pair's
     (min, max) through np.searchsorted into its distinct distances, and
     None for distinct.  Each merge updates the store through the O(m)
-    pairs it retires and creates; a plain build interns nothing.
+    pairs it retires and creates; a plain build interns nothing.  A sweep
+    passes each instance's distance_table(inst.dist), made once, as table.
 
     rowmin[u] is the exact minimum of row u of V (Muellner's generic
     linkage, arXiv:1109.2378), so a step costs O(m) on m active nodes.
@@ -506,13 +513,13 @@ def _run(inst: ClusteringInstance, rule: MergeRule, collector=None) -> MergeTree
 
     V = np.full((total, total), big)
     if counts:
-        sets = PairMultisets(D, interned=collector is not None)
+        sets = PairMultisets(D, interned=collector is not None, table=table)
         distinct = sets.distinct
         logd = np.log(distinct)
         t = np.arange(sets.beta)
         single = _count_keys(rule, t, np.ones_like(t), t, logd, distinct)
     else:
-        sets = None if collector is None else PairKeys(D)
+        sets = None if collector is None else PairKeys(D, table=table)
         distinct = None
     # row by row, so that the leaf keys make no temporary quadratic in n
     for r in range(n - 1):

@@ -25,6 +25,7 @@ from .linkage import (
     _run,
     _selected,
     comparison_terms,
+    distance_table,
     multiset_terms,
 )
 from .pruning_dp import (
@@ -227,9 +228,8 @@ def find_roots(f: ExpSum, lo: float, hi: float, tol: float = ROOT_TOL):
     return out
 
 
-def _keeps_sign(f: ExpSum, lo: float, hi: float) -> bool:
-    """The screen of find_roots: True only if f provably keeps one strict sign on [lo, hi]."""
-    terms = f.terms
+def _keeps_sign(terms, lo: float, hi: float) -> bool:
+    """find_roots' screen: True only if ExpSum terms provably keep one strict sign on [lo, hi]."""
     if any(j for _, _, j in terms):
         return False
     pos = terms[0][0] > 0
@@ -254,7 +254,7 @@ def _keeps_sign(f: ExpSum, lo: float, hi: float) -> bool:
 def _roots_rec(f: ExpSum, lo: float, hi: float, tol: float):
     if f.is_zero():
         return IDENTICALLY_ZERO
-    if _keeps_sign(f, lo, hi):
+    if _keeps_sign(f.terms, lo, hi):
         return []
     g = f._scaled()
     if g.is_zero():
@@ -362,8 +362,10 @@ def _lazy_sweep(lo, hi, run, solve):
     """Refine [lo, hi] into cells on which run's fingerprint is constant.
 
     run(x) -> (fingerprint, value, equation_keys); solve(key) -> (ExpSum,
-    roots over the whole sweep domain), cached by the caller.  Adjacent
-    cells that agree in fingerprint and value are merged back together.
+    roots over the whole sweep domain), cached by the caller, or (None, [])
+    for an equation of one strict sign on the whole domain, which has no
+    root and passes the certificate below anywhere, so it is left out.
+    Adjacent cells that agree in fingerprint and value are merged back.
 
     The run at a probe certifies the piece around it.  When the roots split
     [a, b], the piece [lo, hi] whose interior holds the probe becomes a cell
@@ -382,7 +384,7 @@ def _lazy_sweep(lo, hi, run, solve):
             raise SweepDiverged("sweep refinement failed to converge")
         mid = 0.5 * (a + b)
         fp, val, eqs = run(mid)
-        solved = [solve(key) for key in eqs]
+        solved = [s for s in map(solve, eqs) if s[0] is not None]
         roots = [x for _, rs in solved if rs is not IDENTICALLY_ZERO for x in rs]
         guard = 1e-12 * max(1.0, abs(a), abs(b))
         found = {x for x in roots if a + guard < x < b - guard}
@@ -415,6 +417,7 @@ def _lazy_sweep(lo, hi, run, solve):
         return True
 
     refine(float(lo), float(hi), 0)
+    del refine  # a self-referring closure: free run's state now, not at a later gc
     out = [cells[0]]
     for c in cells[1:]:
         prev = out[-1]
@@ -439,17 +442,34 @@ def _terms_from_key(key):
     return [(a, b, j) for b, j, a in key]
 
 
+def _combined(key) -> bool:
+    """True if key's terms are ExpSum's own: strictly ascending bases and no
+    zero coefficient.  Refuses the terms ExpSum refuses."""
+    prev = 0.0
+    for b, _, a in key:
+        if not (0.0 < b < math.inf and -math.inf < a < math.inf):
+            raise DomainError("coefficients must be finite, bases positive and finite")
+        if not a or b <= prev:
+            return False
+        prev = b
+    return bool(key)
+
+
 def _solver(lo, hi, tol=ROOT_TOL):
     """solve(key) -> (ExpSum, find_roots on [lo, hi]) of a canonical
     equation key, built and solved once: one dict holds both, so a probe
-    hashes each key once for its roots and its certificate."""
+    hashes each key once for its roots and its certificate.  A combined key
+    is first screened on the finite [lo, hi] from its terms, as find_roots
+    screens its ExpSum; one it proves one-signed maps to (None, []), unbuilt."""
     cache = {}
+    screened = (None, [])
 
     def solve(key):
         hit = cache.get(key)
         if hit is None:
-            f = ExpSum(_terms_from_key(key))
-            hit = cache[key] = (f, find_roots(f, lo, hi, tol))
+            terms = _terms_from_key(key)
+            f = None if _combined(key) and _keeps_sign(terms, lo, hi) else ExpSum(terms)
+            hit = cache[key] = screened if f is None else (f, find_roots(f, lo, hi, tol))
         return hit
 
     return solve
@@ -477,19 +497,15 @@ def _alpha_segments(family, alpha_range):
     raise UnknownFamily(f"family {family!r} has no alpha sweep")
 
 
-def _sweep_segments(segments, run, tol):
-    """_lazy_sweep over each piece of _alpha_segments, with one root cache."""
-    solve = _solver(segments[0][0], segments[-1][1], tol)
-    return [cell for a, b in segments for cell in _lazy_sweep(a, b, run, solve)]
-
-
-def _make_collector(family, sigma, eqs):
+def _make_collector(family, sigma, eqs, memo=None, solve=None):
     """Collector for linkage._run: canonical equations of every executed
     winner-vs-candidate comparison at the evaluation point.  A step's
     distinct candidates are the live keys of the run's interned pair store,
     so no step scans its O(m^2) candidate pairs.  Every equation comes from
     linkage.comparison_terms; sigma_linear's (sigma = 2) are affine in theta,
-    the first of the weights (theta, 1 - theta)."""
+    the first of the weights (theta, 1 - theta).  A count family's memo maps
+    (winner, candidate) multiset keys to the canonical key, or to () if the
+    equation is zero or solve screens it; without one, all are added."""
 
     if family in ("convex_minmax", "power_minmax"):
 
@@ -508,12 +524,20 @@ def _make_collector(family, sigma, eqs):
     elif family in ("power_average", "sigma_power", "sigma_linear"):
 
         def cb(step, winner, ids, _, minD, maxD, sets, distinct):
-            wset, cands = sets.candidates(winner)
-            terms_of = multiset_terms(family, wset, distinct, sigma)
-            for cset in cands:
-                terms = terms_of(cset)
-                if terms:
-                    eqs.add(_canon_terms(terms))
+            seen = {} if memo is None else memo
+            w, terms_of = sets.sid[winner], None
+            for s in sets.live():
+                pair = (sets.keys[w], sets.keys[s])
+                key = seen.get(pair)
+                if key is None:
+                    if terms_of is None:
+                        terms_of = multiset_terms(family, sets.support(w), distinct, sigma)
+                    key = _canon_terms(terms_of(sets.support(s)))
+                    if key and solve is not None and solve(key)[0] is None:
+                        key = ()
+                    seen[pair] = key
+                if key:
+                    eqs.add(key)
 
     else:
         raise UnknownFamily(f"no sweep collector for {family!r}")
@@ -567,34 +591,47 @@ def sweep_alpha(
     return profile
 
 
-def _evaluate(instances, mrule, collector, k, rule, obj, variant):
-    """Build, prune and score each instance's tree under one merge rule:
-    (tree fingerprints, summed objective)."""
+def _evaluate(instances, mrule, collectors, tables, k, rule, obj, variant):
+    """Build, prune and score each instance's tree under one merge rule, with
+    its own collector and distance table: (tree fingerprints, summed objective)."""
     fps = []
     total = 0.0
-    for inst in instances:
-        tree = _run(inst, mrule, collector=collector)
+    for inst, collector, table in zip(instances, collectors, tables):
+        tree = _run(inst, mrule, collector=collector, table=table)
         res = best_k_pruning(inst, tree, k, rule, variant)
         total += objective_value(inst, obj, res.clusters, res.centers)
         fps.append(tree.fingerprint())
     return tuple(fps), total
 
 
-def _sweep_alpha_counted(instances, family, alpha_range, k, rule, obj,
-                         variant="fixed", sigma=None, tol=ROOT_TOL):
-    segments, hard = _alpha_segments(family, alpha_range)
+def _collected_sweep(instances, family, sigma, rule_at, segments, k, rule, obj, variant, tol):
+    """Cells of _lazy_sweep over each piece of segments, with one root cache,
+    of the merge rule rule_at(x), and the pipeline runs made.  Each instance
+    keeps its own distance table and collector memo, whose multiset keys
+    index its distances, for the whole sweep."""
+    solve = _solver(segments[0][0], segments[-1][1], tol)
+    tables = [distance_table(inst.dist) for inst in instances]
+    memos = [{} for _ in instances]
     counter = [0]
 
-    def run(alpha):
+    def run(x):
         eqs = set()
-        mrule = MergeRule(family=family, alpha=alpha, sigma=sigma)
-        fps, total = _evaluate(instances, mrule, _make_collector(family, sigma, eqs),
-                               k, rule, obj, variant)
+        collectors = [_make_collector(family, sigma, eqs, memo, solve) for memo in memos]
+        fps, total = _evaluate(instances, rule_at(x), collectors, tables, k, rule, obj, variant)
         counter[0] += len(instances)
         return fps, total, eqs
 
-    cells = _sweep_segments(segments, run, tol)
-    return PiecewiseProfile.from_cells("alpha", cells, hard), counter[0]
+    cells = [cell for a, b in segments for cell in _lazy_sweep(a, b, run, solve)]
+    return cells, counter[0]
+
+
+def _sweep_alpha_counted(instances, family, alpha_range, k, rule, obj,
+                         variant="fixed", sigma=None, tol=ROOT_TOL):
+    segments, hard = _alpha_segments(family, alpha_range)
+    cells, evals = _collected_sweep(
+        instances, family, sigma, lambda alpha: MergeRule(family=family, alpha=alpha, sigma=sigma),
+        segments, k, rule, obj, variant, tol)
+    return PiecewiseProfile.from_cells("alpha", cells, hard), evals
 
 
 def _best_run(profile: PiecewiseProfile):
@@ -762,7 +799,8 @@ def erm_joint(
         fps = tuple(t.fingerprint() for t in trees)
         return fps, val, eqs
 
-    cells = _sweep_segments(segments, run, tol)
+    solve = _solver(segments[0][0], segments[-1][1], tol)
+    cells = [cell for a, b in segments for cell in _lazy_sweep(a, b, run, solve)]
     profile = PiecewiseProfile.from_cells("alpha", cells, hard)
     alo, ahi, cost, arep = _best_run(profile)
     plo, phi, _, prep = _best_run(PiecewiseProfile.from_cells("p", p_cells(trees_at(arep))))
@@ -824,18 +862,10 @@ def erm_sigma_linear(
         if not tlo < thi:
             raise DomainError("weight box admits no weight rays")
 
-        solve = _solver(tlo, thi)
-        counter = [0]
-
-        def run(theta):
-            eqs = set()
-            mrule = MergeRule(family="sigma_linear", weights=(theta, 1.0 - theta), sigma=2)
-            fps, total = _evaluate(instances, mrule, _make_collector("sigma_linear", 2, eqs),
-                                   k, rule, obj, variant)
-            counter[0] += len(instances)
-            return fps, total, eqs
-
-        cells = _lazy_sweep(tlo, thi, run, solve)
+        cells, evals = _collected_sweep(
+            instances, "sigma_linear", 2,
+            lambda t: MergeRule(family="sigma_linear", weights=(t, 1.0 - t), sigma=2),
+            [(tlo, thi)], k, rule, obj, variant, ROOT_TOL)
         profile = PiecewiseProfile.from_cells("theta", cells)
         lo_t, hi_t, cost, rep = _best_run(profile)
         # scale the normalized ray back into the box
@@ -849,7 +879,7 @@ def erm_sigma_linear(
             best_interval=(lo_t, hi_t),
             best_cost=cost,
             profile=profile,
-            instances_evaluated=counter[0],
+            instances_evaluated=evals,
         )
 
     # randomized multi-start grid
@@ -868,13 +898,14 @@ def erm_sigma_linear(
     )
     best = None
     count = 0
+    tables = [distance_table(inst.dist) for inst in instances]
     for w in pts:
         if not np.any(w > 0):
             continue
         mrule = MergeRule(family="sigma_linear", weights=tuple(w), sigma=sigma)
         margins = []
-        _, total = _evaluate(instances, mrule, _margin_collector(sigma, w, margins),
-                             k, rule, obj, variant)
+        collectors = itertools.repeat(_margin_collector(sigma, w, margins))
+        _, total = _evaluate(instances, mrule, collectors, tables, k, rule, obj, variant)
         count += len(instances)
         if best is None or total < best[0]:
             cert = [dv for m, dv in margins if abs(m) <= 1e-9]

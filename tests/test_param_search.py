@@ -1,7 +1,9 @@
 """Root finding, parameter sweeps, and sample-complexity helpers."""
 
+import gc
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -36,11 +38,11 @@ from partition_tuner import (
     sweep_alpha,
     sweep_p,
 )
-from partition_tuner import param_search
+from partition_tuner import ClusteringInstance, linkage, param_search
 from partition_tuner.param_search import BREAK_MERGE_TOL
 from conftest import euclidean_instance
-from oracles import (REF_ZERO, grid_joint_min, random_instance, reference_find_roots,
-                     reference_lazy_sweep)
+from oracles import (REF_ZERO, grid_joint_min, random_instance, reference_count_collector,
+                     reference_find_roots, reference_lazy_sweep, reference_run)
 
 
 def _pipeline_cost(instances, family, alpha, k, rule, obj, sigma=None, weights=None):
@@ -269,7 +271,7 @@ def _screen_agrees(coeffs, logs, lo, hi, plant, depth, pivot):
     with np.errstate(over="ignore", invalid="ignore"):
         _same_roots(terms, lo, hi)
         f = ExpSum(terms)
-        screened = not f.is_zero() and param_search._keeps_sign(f, lo, hi)
+        screened = not f.is_zero() and param_search._keeps_sign(f.terms, lo, hi)
         if screened:
             assert reference_find_roots(terms, lo, hi) == []
     return screened
@@ -311,18 +313,32 @@ def test_partial_sum_screen_matches_reference_on_drawn_sums():
 
 
 def _recorded_solves(monkeypatch, sweep):
-    """Every (terms, lo, hi, roots) that `sweep` solved."""
-    solves = []
+    """Every (terms, lo, hi, roots) that `sweep` solved with find_roots, and
+    every (key, lo, hi) whose key its solver screened without solving."""
+    solves, screened = [], set()
+    solver = param_search._solver
 
     def recording(f, lo, hi, tol=param_search.ROOT_TOL):
         roots = find_roots(f, lo, hi, tol)
         solves.append((list(f.terms), lo, hi, roots))
         return roots
 
+    def recording_solver(lo, hi, tol=param_search.ROOT_TOL):
+        solve = solver(lo, hi, tol)
+
+        def recorded(key):
+            hit = solve(key)
+            if hit[0] is None:
+                screened.add((key, lo, hi))
+            return hit
+
+        return recorded
+
     monkeypatch.setattr(param_search, "find_roots", recording)
+    monkeypatch.setattr(param_search, "_solver", recording_solver)
     sweep()
     monkeypatch.undo()
-    return solves
+    return solves, screened
 
 
 def test_sweep_equations_solve_exactly_as_the_reference(monkeypatch):
@@ -337,10 +353,13 @@ def test_sweep_equations_solve_exactly_as_the_reference(monkeypatch):
         # equations of dp_with_comparisons at every point the sweep runs
         lambda: sweep_p(mm, trees, 3, (0.5, 6.0), obj),
     ):
-        solves = _recorded_solves(monkeypatch, sweep)
-        assert len(solves) >= 20
+        solves, screened = _recorded_solves(monkeypatch, sweep)
+        # the solver screens a key once, from its terms, and solves the rest
+        assert solves and screened and len(solves) + len(screened) >= 20
         for terms, lo, hi, roots in solves:
             assert roots == reference_find_roots(terms, lo, hi)
+        for key, lo, hi in screened:
+            assert reference_find_roots(param_search._terms_from_key(key), lo, hi) == []
 
 
 @given(terms=st.lists(st.tuples(_coeff, _base, st.integers(0, 3)), min_size=1, max_size=6),
@@ -844,6 +863,88 @@ def test_certified_sweeps_equal_the_reference_driver(monkeypatch):
     assert all(g[1] <= w[1] for g, w in zip(got, want))
     # the probe's own cell needs no second run on most inputs
     assert sum(g[1] < w[1] for g, w in zip(got, want)) >= len(searches) // 2
+
+
+def test_count_memos_stay_with_their_instance(monkeypatch):
+    # D and D**1.7 order their distances alike, so their multisets have the
+    # same key bytes, but not the same equations: a memo shared by the two
+    # instances would hand the second the first one's equations
+    rng = np.random.default_rng(43)
+    rule, obj = PruningRule(p=2.0), Objective(kind="phi_p", p=2.0)
+    searches = []
+    for n in (8, 9, 10):
+        base = euclidean_instance(rng, n)
+        bent = ClusteringInstance(n=n, dist=base.dist ** 1.7)
+        for insts in ([base, bent], [bent, base]):
+            searches.append(lambda insts=insts: erm_alpha(insts, "power_average", (0.5, 3.0),
+                                                          3, rule, obj))
+
+    def outcome(search):
+        res = search()
+        return _result_repr(res), res.instances_evaluated
+
+    got = [outcome(search) for search in searches]
+    # the dense reference collector returns every equation of every probe
+    monkeypatch.setattr(param_search, "_run", lambda inst, mrule, collector=None, table=None:
+                        reference_run(inst, mrule, collector))
+    monkeypatch.setattr(param_search, "_make_collector",
+                        lambda family, sigma, eqs, memo=None, solve=None:
+                        reference_count_collector(family, sigma, eqs))
+    assert [outcome(search) for search in searches] == got
+    # and the uncertified driver splits at the same roots
+    monkeypatch.setattr(param_search, "_lazy_sweep", reference_lazy_sweep)
+    assert [outcome(search)[0] for search in searches] == [g[0] for g in got]
+
+
+def test_count_sweeps_encode_and_build_each_equation_once(monkeypatch):
+    encoded, built = [], []
+    average_terms = linkage.average_terms
+
+    def counted_terms(wset, cset, distinct):
+        encoded.append(tuple(a.tobytes() for a in (distinct, *wset, *cset)))
+        return average_terms(wset, cset, distinct)
+
+    class CountedSum(ExpSum):
+        __slots__ = ()
+
+        def __init__(self, terms):
+            super().__init__(terms)
+            built.append(self.terms)
+
+    monkeypatch.setattr(linkage, "average_terms", counted_terms)
+    monkeypatch.setattr(param_search, "ExpSum", CountedSum)
+    rng = np.random.default_rng(45)
+    insts = [euclidean_instance(rng, 10) for _ in range(2)]
+    res = erm_alpha(insts, "power_average", (0.5, 3.0), 3, PruningRule(p=2.0),
+                    Objective(kind="phi_p", p=2.0))
+    assert res.instances_evaluated >= 3 * len(insts)
+    # one encoding per (instance, winner multiset, candidate multiset) ...
+    assert encoded and len(set(encoded)) == len(encoded)
+    # ... and one ExpSum per unscreened equation, none for a screened one
+    assert built and len(set(built)) == len(built)
+    assert not any(param_search._keeps_sign(terms, 0.5, 3.0) for terms in built)
+
+
+def test_sweeps_free_their_state_without_the_garbage_collector(monkeypatch):
+    # a sweep's distance tables and memos live in its closures; they must
+    # go when the search returns, not wait for a full collection
+    made = []
+    table = param_search.distance_table
+
+    def recorded(D):
+        out = table(D)
+        made.append(weakref.ref(out[2]))
+        return out
+
+    monkeypatch.setattr(param_search, "distance_table", recorded)
+    insts = [euclidean_instance(np.random.default_rng(45), 10)]
+    gc.disable()
+    try:
+        erm_alpha(insts, "power_average", (0.5, 3.0), 3, PruningRule(p=2.0),
+                  Objective(kind="phi_p", p=2.0))
+        assert made and all(ref() is None for ref in made)
+    finally:
+        gc.enable()
 
 
 def test_gadget_erm_runs_the_pipeline_twice():
