@@ -68,8 +68,7 @@ class ExpSum:
             else:
                 a, b, j = t
             a, b, j = float(a), float(b), int(j)
-            if not (0.0 < b < math.inf and -math.inf < a < math.inf):
-                raise DomainError("coefficients must be finite, bases positive and finite")
+            _check_term(a, b)
             if j < 0:
                 raise DomainError("degrees must be nonnegative")
             _add_term(acc, a, b, j)
@@ -146,6 +145,11 @@ class ExpSum:
 
     def __repr__(self):
         return f"ExpSum({list(self.terms)})"
+
+
+def _check_term(a, b):
+    if not (0.0 < b < math.inf and -math.inf < a < math.inf):
+        raise DomainError("coefficients must be finite, bases positive and finite")
 
 
 def _add_term(acc, a, b, j):
@@ -363,8 +367,9 @@ def _lazy_sweep(lo, hi, run, solve):
 
     run(x) -> (fingerprint, value, equation_keys); solve(key) -> (ExpSum,
     roots over the whole sweep domain), cached by the caller, or (None, [])
-    for an equation of one strict sign on the whole domain, which has no
-    root and passes the certificate below anywhere, so it is left out.
+    for an equation proven one-signed on the whole domain.  That one has no
+    root and, in exact arithmetic, passes the certificate below anywhere
+    (where its terms overflow, _strict_sign cannot tell), so it is left out.
     Adjacent cells that agree in fingerprint and value are merged back.
 
     The run at a probe certifies the piece around it.  When the roots split
@@ -442,13 +447,12 @@ def _terms_from_key(key):
     return [(a, b, j) for b, j, a in key]
 
 
-def _combined(key) -> bool:
+def _is_combined_key(key) -> bool:
     """True if key's terms are ExpSum's own: strictly ascending bases and no
     zero coefficient.  Refuses the terms ExpSum refuses."""
     prev = 0.0
     for b, _, a in key:
-        if not (0.0 < b < math.inf and -math.inf < a < math.inf):
-            raise DomainError("coefficients must be finite, bases positive and finite")
+        _check_term(a, b)
         if not a or b <= prev:
             return False
         prev = b
@@ -458,17 +462,15 @@ def _combined(key) -> bool:
 def _solver(lo, hi, tol=ROOT_TOL):
     """solve(key) -> (ExpSum, find_roots on [lo, hi]) of a canonical
     equation key, built and solved once: one dict holds both, so a probe
-    hashes each key once for its roots and its certificate.  A combined key
-    is first screened on the finite [lo, hi] from its terms, as find_roots
-    screens its ExpSum; one it proves one-signed maps to (None, []), unbuilt."""
-    cache = {}
-    screened = (None, [])
+    hashes each key once.  A combined key that _keeps_sign proves one-signed
+    on the finite [lo, hi], as find_roots would, maps to (None, []), unbuilt."""
+    cache, screened = {}, (None, [])
 
     def solve(key):
         hit = cache.get(key)
         if hit is None:
             terms = _terms_from_key(key)
-            f = None if _combined(key) and _keeps_sign(terms, lo, hi) else ExpSum(terms)
+            f = None if _is_combined_key(key) and _keeps_sign(terms, lo, hi) else ExpSum(terms)
             hit = cache[key] = screened if f is None else (f, find_roots(f, lo, hi, tol))
         return hit
 
@@ -504,8 +506,7 @@ def _make_collector(family, sigma, eqs, memo=None, solve=None):
     so no step scans its O(m^2) candidate pairs.  Every equation comes from
     linkage.comparison_terms; sigma_linear's (sigma = 2) are affine in theta,
     the first of the weights (theta, 1 - theta).  A count family's memo maps
-    (winner, candidate) multiset keys to the canonical key, or to () if the
-    equation is zero or solve screens it; without one, all are added."""
+    (winner, candidate) multiset keys to the key, () if zero or screened."""
 
     if family in ("convex_minmax", "power_minmax"):
 
@@ -604,11 +605,14 @@ def _evaluate(instances, mrule, collectors, tables, k, rule, obj, variant):
     return tuple(fps), total
 
 
+def _sweep_segments(segments, run, solve):
+    """_lazy_sweep over each piece of segments, with the one root cache solve."""
+    return [cell for a, b in segments for cell in _lazy_sweep(a, b, run, solve)]
+
+
 def _collected_sweep(instances, family, sigma, rule_at, segments, k, rule, obj, variant, tol):
-    """Cells of _lazy_sweep over each piece of segments, with one root cache,
-    of the merge rule rule_at(x), and the pipeline runs made.  Each instance
-    keeps its own distance table and collector memo, whose multiset keys
-    index its distances, for the whole sweep."""
+    """Cells of _sweep_segments under the merge rule rule_at(x), and the runs
+    made; each instance keeps its own distance table and memo for the sweep."""
     solve = _solver(segments[0][0], segments[-1][1], tol)
     tables = [distance_table(inst.dist) for inst in instances]
     memos = [{} for _ in instances]
@@ -621,8 +625,7 @@ def _collected_sweep(instances, family, sigma, rule_at, segments, k, rule, obj, 
         counter[0] += len(instances)
         return fps, total, eqs
 
-    cells = [cell for a, b in segments for cell in _lazy_sweep(a, b, run, solve)]
-    return cells, counter[0]
+    return _sweep_segments(segments, run, solve), counter[0]
 
 
 def _sweep_alpha_counted(instances, family, alpha_range, k, rule, obj,
@@ -799,8 +802,7 @@ def erm_joint(
         fps = tuple(t.fingerprint() for t in trees)
         return fps, val, eqs
 
-    solve = _solver(segments[0][0], segments[-1][1], tol)
-    cells = [cell for a, b in segments for cell in _lazy_sweep(a, b, run, solve)]
+    cells = _sweep_segments(segments, run, _solver(segments[0][0], segments[-1][1], tol))
     profile = PiecewiseProfile.from_cells("alpha", cells, hard)
     alo, ahi, cost, arep = _best_run(profile)
     plo, phi, _, prep = _best_run(PiecewiseProfile.from_cells("p", p_cells(trees_at(arep))))

@@ -925,6 +925,30 @@ def test_count_sweeps_encode_and_build_each_equation_once(monkeypatch):
     assert not any(param_search._keeps_sign(terms, 0.5, 3.0) for terms in built)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_screened_equations_certify_where_their_values_overflow(monkeypatch):
+    # distances up to e^30 overflow d^alpha past alpha ~ 23.6: the screen
+    # proves those equations one-signed from scaled terms, but _strict_sign
+    # reads inf - inf and cannot, so certifying with them re-runs a piece
+    # that leaving them out certifies; the cells do not change
+    rng = np.random.default_rng(1)
+    A = np.exp(rng.uniform(0.0, 30.0, size=(7, 7)))
+    inst = ClusteringInstance(n=7, dist=np.triu(A, 1) + np.triu(A, 1).T)
+
+    def search():
+        res = erm_alpha([inst], "power_average", (0.5, 64.0), 3, PruningRule(p=2.0),
+                        Objective(kind="phi_p", p=2.0))
+        return _result_repr(res), res.instances_evaluated
+
+    screened, runs = search()
+    assert runs == 2
+    monkeypatch.setattr(param_search, "_is_combined_key", lambda key: False)
+    assert search() == (screened, 3)
+    monkeypatch.setattr(param_search, "_lazy_sweep", reference_lazy_sweep)
+    assert search() == (screened, 3)
+
+
 def test_sweeps_free_their_state_without_the_garbage_collector(monkeypatch):
     # a sweep's distance tables and memos live in its closures; they must
     # go when the search returns, not wait for a full collection

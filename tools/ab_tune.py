@@ -60,7 +60,6 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=12)
     ap.add_argument("--calls", type=int, default=20)
-    ap.add_argument("--small", action="store_true", help="the workloads' reduced inputs")
     args = ap.parse_args(argv)
 
     # the workloads import partition_tuner for their input types
@@ -71,7 +70,7 @@ def main(argv=None):
     cls = workloads.WORKLOADS[args.workload]
     sides = {}
     for side, lib in libs.items():
-        sides[side] = cls(args.seed, small=args.small, lib=lib)
+        sides[side] = cls(args.seed, lib=lib)
         sides[side].setup()
 
     ratios, won, same, calls = [], 0, True, 0
