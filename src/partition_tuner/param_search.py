@@ -9,8 +9,10 @@ away from the evaluation point must flip one of the executed comparisons.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -334,11 +336,10 @@ class PiecewiseProfile:
 class ErmResult:
     """Best parameter, its closed interval and cost, and the swept profile.
 
-    instances_evaluated counts the pipeline runs the search made, one per
-    instance per probe: tree builds for the alpha searches, and for
-    erm_joint the pruning DP runs actually made, none for a tree tuple whose
-    exponent sweep was already done.  A cell that a probe's run certifies
-    (see _lazy_sweep) costs no run of its own.
+    instances_evaluated counts the pipeline runs the search actually made:
+    tree builds for the alpha searches, and for erm_joint pruning DP runs,
+    none for a tree tuple whose exponent sweep was already done.  An
+    instance whose result a probe reuses (see _lazy_sweep) costs no run.
     """
 
     best_param: object
@@ -362,75 +363,98 @@ def _strict_sign(f: ExpSum, x: float):
     return None
 
 
-def _lazy_sweep(lo, hi, run, solve):
-    """Refine [lo, hi] into cells on which run's fingerprint is constant.
+def _lazy_sweep(segments, runs, combine, solve):
+    """Refine each (lo, hi) of segments into cells on which every instance's
+    run is constant: (cells [lo, hi, rep, fingerprints, value], runs made).
 
-    run(x) -> (fingerprint, value, equation_keys); solve(key) -> (ExpSum,
+    runs[i](x) -> (fingerprint, payload, equation_keys) runs instance i at
+    x, and combine(payloads) is a cell's value.  solve(key) -> (ExpSum,
     roots over the whole sweep domain), cached by the caller, or (None, [])
     for an equation proven one-signed on the whole domain.  That one has no
-    root and, in exact arithmetic, passes the certificate below anywhere
-    (where its terms overflow, _strict_sign cannot tell), so it is left out.
-    Adjacent cells that agree in fingerprint and value are merged back.
+    root and, in exact arithmetic, passes the test of _holds anywhere (where
+    its terms overflow, _strict_sign cannot tell), so it is left out.
+    Adjacent cells of one segment that agree in fingerprints and value are
+    merged back.
 
-    The run at a probe certifies the piece around it.  When the roots split
-    [a, b], the piece [lo, hi] whose interior holds the probe becomes a cell
-    without a run if no root lies inside it and every executed equation
-    that is not identically zero has one strict sign at the probe and at
-    c = (lo + hi) / 2.  A run at c then makes the same decisions step by
-    step (each step's candidates follow from the merges already made, and
-    every comparison keeps its sign), so the cell [lo, hi, c, fp, val] is
-    the one a run at c would append.  A piece that fails the certificate is
-    refined by a run, so SweepDiverged can only come from such pieces.
+    A probe splits [a, b] at the roots of every instance's equations and
+    refines each piece at its midpoint.  There an instance reuses its result
+    from the probe above, or else its latest run, when _holds shows that a
+    run would return it, so only the instances whose own comparisons change
+    sign are run again; a piece where every instance reuses its result and
+    no root lies inside is a cell without a run.
     """
-    cells = []
+    cells, starts, made = [], {a for a, _ in segments}, 0
 
-    def refine(a, b, depth):
+    def refine(a, b, held, depth):
         if depth > 80:
             raise SweepDiverged("sweep refinement failed to converge")
         mid = 0.5 * (a + b)
-        fp, val, eqs = run(mid)
-        solved = [s for s in map(solve, eqs) if s[0] is not None]
-        roots = [x for _, rs in solved if rs is not IDENTICALLY_ZERO for x in rs]
+        now, runs_made = [], 0
+        for i, run in enumerate(runs):
+            tried = dict.fromkeys((held[i], last[i]))  # the probe above's, then the latest
+            r = next((r for r in tried if r and _holds(r, mid)), None)
+            if r is None:
+                r = last[i] = _Run(mid, run, solve)
+                runs_made += 1
+            now.append(r)
         guard = 1e-12 * max(1.0, abs(a), abs(b))
-        found = {x for x in roots if a + guard < x < b - guard}
+        found = {x for r in now for x in r.roots if a + guard < x < b - guard}
         if not found:
-            cells.append([a, b, mid, fp, val])
-            return
+            fps, payloads, _ = zip(*(r.result for r in now))
+            cells.append([a, b, mid, fps, combine(payloads)])
+            return runs_made
         pts = sorted(found)
         merged = [pts[0]]
         for x in pts[1:]:
             if x - merged[-1] > BREAK_MERGE_TOL:
                 merged.append(x)
         bounds = [a] + merged + [b]
-        for p, q in zip(bounds, bounds[1:]):
-            if p < mid < q and certified(p, q, mid, solved, roots):
-                cells.append([p, q, 0.5 * (p + q), fp, val])
-            else:
-                refine(p, q, depth + 1)
+        return runs_made + sum(refine(p, q, now, depth + 1) for p, q in zip(bounds, bounds[1:]))
 
-    def certified(lo, hi, mid, solved, roots):
-        guard = 1e-12 * max(1.0, abs(lo), abs(hi))
-        if any(lo + guard < x < hi - guard for x in roots):
-            return False
-        c = 0.5 * (lo + hi)
-        for f, _ in solved:
-            if f.is_zero():
-                continue
-            s = _strict_sign(f, mid)
-            if s is None or _strict_sign(f, c) is not s:
-                return False
-        return True
-
-    refine(float(lo), float(hi), 0)
-    del refine  # a self-referring closure: free run's state now, not at a later gc
+    for a, b in segments:
+        last = [None] * len(runs)  # each instance's latest run; none crosses a segment end
+        made += refine(float(a), float(b), [None] * len(runs), 0)
+    del refine  # a self-referring closure: free the runs' state now, not at a later gc
     out = [cells[0]]
     for c in cells[1:]:
         prev = out[-1]
-        if c[3] == prev[3] and _values_close(c[4], prev[4]):
+        if c[0] not in starts and c[3] == prev[3] and _values_close(c[4], prev[4]):
             prev[1] = c[1]
         else:
             out.append(c)
-    return out
+    return out, made
+
+
+class _Run:
+    """One instance's run at x: its result (fingerprint, payload, keys), the
+    equations it executed that solve did not screen and that are not
+    identically zero, and their roots."""
+
+    __slots__ = ("x", "result", "eqs", "roots", "signs")
+
+    def __init__(self, x, run, solve):
+        self.x, self.result = x, run(x)
+        solved = [s for s in map(solve, self.result[2]) if s[0] is not None]
+        self.eqs = [f for f, _ in solved if not f.is_zero()]
+        self.roots = [r for _, rs in solved if rs is not IDENTICALLY_ZERO for r in rs]
+        self.signs = None  # each equation's _strict_sign at x, once asked for
+
+
+def _holds(rec, x):
+    """True if a run at x returns rec's result: no root of rec's equations
+    lies in the closed interval between rec.x and x, widened by a guard, and
+    each equation has one strict sign at both points.  A run at x then makes
+    the same decisions step by step: each step's candidates follow from the
+    merges already made, and every comparison it executes keeps its sign.
+    The root test is the cheap one, and rejects a probe across the
+    instance's own roots; the sign test catches a root the solver missed."""
+    lo, hi = min(rec.x, x), max(rec.x, x)
+    guard = 1e-12 * max(1.0, abs(lo), abs(hi))
+    if any(lo - guard <= r <= hi + guard for r in rec.roots):
+        return False
+    if rec.signs is None:
+        rec.signs = [_strict_sign(f, rec.x) for f in rec.eqs]
+    return all(s is not None and _strict_sign(f, x) is s for f, s in zip(rec.eqs, rec.signs))
 
 
 def _canon_terms(terms):
@@ -586,55 +610,38 @@ def sweep_alpha(
     the pipeline output, which is constant there.  Power families exclude
     alpha = 0: a range straddling it is split and 0 becomes a hard boundary.
     """
-    profile, _ = _sweep_alpha_counted(
-        instances, family, alpha_range, k, rule, obj, variant, sigma, tol
-    )
-    return profile
+    return erm_alpha(instances, family, alpha_range, k, rule, obj, variant, sigma, tol).profile
 
 
-def _evaluate(instances, mrule, collectors, tables, k, rule, obj, variant):
-    """Build, prune and score each instance's tree under one merge rule, with
-    its own collector and distance table: (tree fingerprints, summed objective)."""
-    fps = []
-    total = 0.0
-    for inst, collector, table in zip(instances, collectors, tables):
-        tree = _run(inst, mrule, collector=collector, table=table)
-        res = best_k_pruning(inst, tree, k, rule, variant)
-        total += objective_value(inst, obj, res.clusters, res.centers)
-        fps.append(tree.fingerprint())
-    return tuple(fps), total
+def _cost(inst, tree, k, rule, obj, variant):
+    """The objective of tree's best k-pruning under rule."""
+    res = best_k_pruning(inst, tree, k, rule, variant)
+    return objective_value(inst, obj, res.clusters, res.centers)
 
 
-def _sweep_segments(segments, run, solve):
-    """_lazy_sweep over each piece of segments, with the one root cache solve."""
-    return [cell for a, b in segments for cell in _lazy_sweep(a, b, run, solve)]
+def _total(values):
+    """The values added in order, as the pipeline's own loops add them."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
-def _collected_sweep(instances, family, sigma, rule_at, segments, k, rule, obj, variant, tol):
-    """Cells of _sweep_segments under the merge rule rule_at(x), and the runs
-    made; each instance keeps its own distance table and memo for the sweep."""
+def _collected_sweep(instances, family, sigma, rule_at, segments, score, combine, tol):
+    """_lazy_sweep of combine over each instance's score(inst, tree), for its
+    tree under the merge rule rule_at(x); each instance keeps its own
+    distance table and memo for the sweep."""
     solve = _solver(segments[0][0], segments[-1][1], tol)
-    tables = [distance_table(inst.dist) for inst in instances]
-    memos = [{} for _ in instances]
-    counter = [0]
 
-    def run(x):
-        eqs = set()
-        collectors = [_make_collector(family, sigma, eqs, memo, solve) for memo in memos]
-        fps, total = _evaluate(instances, rule_at(x), collectors, tables, k, rule, obj, variant)
-        counter[0] += len(instances)
-        return fps, total, eqs
+    def runner(inst):
+        table, memo = distance_table(inst.dist), {}
 
-    return _sweep_segments(segments, run, solve), counter[0]
+        def run(x):
+            eqs = set()
+            collector = _make_collector(family, sigma, eqs, memo, solve)
+            tree = _run(inst, rule_at(x), collector=collector, table=table)
+            return tree.fingerprint(), score(inst, tree), eqs
 
+        return run
 
-def _sweep_alpha_counted(instances, family, alpha_range, k, rule, obj,
-                         variant="fixed", sigma=None, tol=ROOT_TOL):
-    segments, hard = _alpha_segments(family, alpha_range)
-    cells, evals = _collected_sweep(
-        instances, family, sigma, lambda alpha: MergeRule(family=family, alpha=alpha, sigma=sigma),
-        segments, k, rule, obj, variant, tol)
-    return PiecewiseProfile.from_cells("alpha", cells, hard), evals
+    return _lazy_sweep(segments, [runner(inst) for inst in instances], combine, solve)
 
 
 def _best_run(profile: PiecewiseProfile):
@@ -686,9 +693,11 @@ def erm_alpha(
     cells containing the earliest one, closed at both ends, with the
     midpoint as the concrete parameter choice.
     """
-    profile, evals = _sweep_alpha_counted(
-        instances, family, alpha_range, k, rule, obj, variant, sigma, tol
-    )
+    segments, hard = _alpha_segments(family, alpha_range)
+    cells, evals = _collected_sweep(
+        instances, family, sigma, lambda alpha: MergeRule(family=family, alpha=alpha, sigma=sigma),
+        segments, lambda inst, tree: _cost(inst, tree, k, rule, obj, variant), _total, tol)
+    profile = PiecewiseProfile.from_cells("alpha", cells, hard)
     lo, hi, cost, rep = _best_run(profile)
     return ErmResult(
         best_param=rep,
@@ -725,26 +734,19 @@ def _sweep_p_cells(instances, trees, k, domain, obj, variant, solve):
     that domain, which every exponent sweep of a search may share."""
     if len(trees) != len(instances):
         raise DimensionMismatch(f"{len(trees)} trees for {len(instances)} instances")
-    counter = [0]
 
-    def run(p):
-        eqs = set()
-        sigs = []
-        total = 0.0
-        for inst, tree in zip(instances, trees):
+    def runner(inst, tree):
+        def run(p):
             res, comps, sig = dp_with_comparisons(inst, tree, k, p)
             clusters, centers = res.clusters, res.centers
             if variant == "voronoi":
                 clusters, centers = voronoi_reassign(inst, clusters, centers)
-            total += objective_value(inst, obj, clusters, centers)
-            sigs.append(sig)
-            counter[0] += 1
-            for coeffs, vals in comps:
-                eqs.add(_sparse_key(coeffs, vals))
-        return tuple(sigs), total, eqs
+            value = objective_value(inst, obj, clusters, centers)
+            return sig, value, {_sparse_key(coeffs, vals) for coeffs, vals in comps}
 
-    cells = _lazy_sweep(*domain, run, solve)
-    return cells, counter[0]
+        return run
+
+    return _lazy_sweep([domain], list(map(runner, instances, trees)), _total, solve)
 
 
 def sweep_p(
@@ -773,46 +775,35 @@ def erm_joint(
     cell the trees are fixed and an inner exponent sweep finds the best p.
     The reported cost is exact for the product range.  An exponent sweep
     depends on the trees only through their merge records, so each distinct
-    tuple of records is swept once, and every exponent sweep shares one root
-    cache.  instances_evaluated counts the DP runs actually made: a tree
-    tuple that was already swept costs none.
+    tuple of records is swept once, when a cell first needs its value, and
+    every exponent sweep shares one root cache.  instances_evaluated counts
+    the DP runs actually made: a tree tuple that was already swept costs none.
     """
     segments, hard = _alpha_segments(family, alpha_range)
     domain = _p_domain(p_range)
     psolve = _solver(*domain, tol)
-    swept = {}  # merge records of a tree tuple -> its exponent sweep's cells
-    evals = [0]
-
-    def trees_at(alpha, eqs=None):
-        cb = _make_collector(family, None, eqs) if eqs is not None else None
-        return [_run(inst, MergeRule(family=family, alpha=alpha), collector=cb)
-                for inst in instances]
+    swept = {}  # merge records of a tree tuple -> (its exponent sweep's cells, DP runs)
 
     def p_cells(trees):
         key = tuple(tuple(t.merges) for t in trees)
         if key not in swept:
-            swept[key], c = _sweep_p_cells(instances, trees, k, domain, obj, variant, psolve)
-            evals[0] += c
-        return swept[key]
+            swept[key] = _sweep_p_cells(instances, trees, k, domain, obj, variant, psolve)
+        return swept[key][0]
 
-    def run(alpha):
-        eqs = set()
-        trees = trees_at(alpha, eqs)
-        val = min(cell[4] for cell in p_cells(trees))
-        fps = tuple(t.fingerprint() for t in trees)
-        return fps, val, eqs
-
-    cells = _sweep_segments(segments, run, _solver(segments[0][0], segments[-1][1], tol))
+    cells, _ = _collected_sweep(
+        instances, family, None, lambda alpha: MergeRule(family=family, alpha=alpha), segments,
+        lambda inst, tree: tree, lambda trees: min(cell[4] for cell in p_cells(trees)), tol)
     profile = PiecewiseProfile.from_cells("alpha", cells, hard)
     alo, ahi, cost, arep = _best_run(profile)
-    plo, phi, _, prep = _best_run(PiecewiseProfile.from_cells("p", p_cells(trees_at(arep))))
+    trees = [_run(inst, MergeRule(family=family, alpha=arep)) for inst in instances]
+    plo, phi, _, prep = _best_run(PiecewiseProfile.from_cells("p", p_cells(trees)))
 
     return ErmResult(
         best_param=(arep, prep),
         best_interval=((alo, ahi), (plo, phi)),
         best_cost=cost,
         profile=profile,
-        instances_evaluated=evals[0],
+        instances_evaluated=sum(runs for _, runs in swept.values()),
     )
 
 
@@ -867,7 +858,8 @@ def erm_sigma_linear(
         cells, evals = _collected_sweep(
             instances, "sigma_linear", 2,
             lambda t: MergeRule(family="sigma_linear", weights=(t, 1.0 - t), sigma=2),
-            [(tlo, thi)], k, rule, obj, variant, ROOT_TOL)
+            [(tlo, thi)], lambda inst, tree: _cost(inst, tree, k, rule, obj, variant), _total,
+            ROOT_TOL)
         profile = PiecewiseProfile.from_cells("theta", cells)
         lo_t, hi_t, cost, rep = _best_run(profile)
         # scale the normalized ray back into the box
@@ -906,8 +898,9 @@ def erm_sigma_linear(
             continue
         mrule = MergeRule(family="sigma_linear", weights=tuple(w), sigma=sigma)
         margins = []
-        collectors = itertools.repeat(_margin_collector(sigma, w, margins))
-        _, total = _evaluate(instances, mrule, collectors, tables, k, rule, obj, variant)
+        cb = _margin_collector(sigma, w, margins)
+        total = _total(_cost(inst, _run(inst, mrule, collector=cb, table=table), k, rule, obj,
+                             variant) for inst, table in zip(instances, tables))
         count += len(instances)
         if best is None or total < best[0]:
             cert = [dv for m, dv in margins if abs(m) <= 1e-9]

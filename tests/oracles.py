@@ -400,26 +400,34 @@ def _ref_roots_rec(f, lo, hi, tol):
 
 
 # ---------------------------------------------------------------------------
-# the sweep driver before it certified the probe's own cell
+# the sweep driver before it reused any run
 
 
-def reference_lazy_sweep(lo, hi, run, solve):
+def reference_lazy_sweep(segments, runs, combine, solve):
     """param_search._lazy_sweep as it was: every piece between the roots is
-    refined by a run at its midpoint, the probe's own piece included.
+    refined by running every instance at its midpoint, the probe's own
+    piece included.  Each (lo, hi) of segments is swept on its own.
+    Returns (cells, runs made).
 
-    solve(key) -> (ExpSum, roots), as the package's solver returns them;
-    only the roots are read.
+    runs[i](x) -> (fingerprint, payload, equation_keys) and combine(payloads),
+    as the package's driver takes them; solve(key) -> (ExpSum, roots), as its
+    solver returns them, of which only the roots are read.
     """
     from partition_tuner.errors import SweepDiverged
     from partition_tuner.param_search import BREAK_MERGE_TOL, IDENTICALLY_ZERO
 
     cells = []
+    made = [0]
 
     def refine(a, b, depth):
         if depth > 80:
             raise SweepDiverged("sweep refinement failed to converge")
         mid = 0.5 * (a + b)
-        fp, val, eqs = run(mid)
+        results = [run(mid) for run in runs]
+        made[0] += len(runs)
+        fp = tuple(r[0] for r in results)
+        val = combine([r[1] for r in results])
+        eqs = set().union(*(r[2] for r in results))
         guard = 1e-12 * max(1.0, abs(a), abs(b))
         found = set()
         for key in eqs:
@@ -441,16 +449,19 @@ def reference_lazy_sweep(lo, hi, run, solve):
         for i in range(len(bounds) - 1):
             refine(bounds[i], bounds[i + 1], depth + 1)
 
-    refine(float(lo), float(hi), 0)
-    out = [cells[0]]
-    for c in cells[1:]:
-        prev = out[-1]
-        if c[3] == prev[3] and (c[4] == prev[4]
-                                or abs(c[4] - prev[4]) <= 1e-12 * max(1.0, abs(c[4]), abs(prev[4]))):
-            prev[1] = c[1]
-        else:
-            out.append(c)
-    return out
+    out = []
+    for lo, hi in segments:
+        cells.clear()
+        refine(float(lo), float(hi), 0)
+        out.append(cells[0])
+        for c in cells[1:]:
+            prev = out[-1]
+            if c[3] == prev[3] and (c[4] == prev[4] or abs(c[4] - prev[4])
+                                    <= 1e-12 * max(1.0, abs(c[4]), abs(prev[4]))):
+                prev[1] = c[1]
+            else:
+                out.append(c)
+    return out, made[0]
 
 
 # ---------------------------------------------------------------------------

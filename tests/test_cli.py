@@ -122,7 +122,7 @@ def test_broken_distance_contract_exits_two(tmp_path, capsys, where, value, says
 
 
 def test_diverging_sweep_exits_three(points_path, monkeypatch):
-    def diverge(lo, hi, run, solve):
+    def diverge(segments, runs, combine, solve):
         raise SweepDiverged("sweep refinement failed to converge")
 
     monkeypatch.setattr(param_search, "_lazy_sweep", diverge)

@@ -557,15 +557,20 @@ def test_erm_joint_sweeps_each_tree_tuple_once(monkeypatch):
     instances = [euclidean_instance(rng, 7) for _ in range(2)]
     obj = Objective(kind="phi_p", p=2.0)
     family, arange, prange, k = "power_minmax", (0.3, 2.5), (0.5, 3.0), 2
-    builds, dp_calls, solves = [], [], []
+    events, solves = [], []
     run, dp, roots = param_search._run, param_search.dp_with_comparisons, find_roots
+    p_cells = param_search._sweep_p_cells
 
-    def building(inst, mrule, collector=None):
-        builds.append(mrule.alpha)
-        return run(inst, mrule, collector=collector)
+    def building(inst, mrule, collector=None, table=None):
+        events.append(("build", mrule.alpha))
+        return run(inst, mrule, collector=collector, table=table)
+
+    def sweeping(insts, trees, *args):
+        events.append(("sweep", tuple(tuple(t.merges) for t in trees)))
+        return p_cells(insts, trees, *args)
 
     def dp_recording(inst, tree, kk, p):
-        dp_calls.append((tuple(tree.merges), p))
+        events.append(("dp", next(i for i, x in enumerate(instances) if x is inst), p))
         return dp(inst, tree, kk, p)
 
     def solving(f, lo, hi, tol=param_search.ROOT_TOL):
@@ -573,21 +578,25 @@ def test_erm_joint_sweeps_each_tree_tuple_once(monkeypatch):
         return roots(f, lo, hi, tol)
 
     monkeypatch.setattr(param_search, "_run", building)
+    monkeypatch.setattr(param_search, "_sweep_p_cells", sweeping)
     monkeypatch.setattr(param_search, "dp_with_comparisons", dp_recording)
     monkeypatch.setattr(param_search, "find_roots", solving)
     res = erm_joint(instances, family, arange, prange, k, obj)
     monkeypatch.undo()
 
     m = len(instances)
-    # one probe of an exponent sweep runs the DP on each instance in turn
-    groups = [dp_calls[i:i + m] for i in range(0, len(dp_calls), m)]
-    assert all(len({p for _, p in g}) == 1 for g in groups)
-    probes = [(tuple(rec for rec, _ in g), g[0][1]) for g in groups]
-    # a tuple swept twice would repeat its probes, the domain's midpoint first
-    assert len(set(probes)) == len(probes)
-    tuples = {recs for recs, _ in probes}
-    assert 2 <= len(tuples) < len(builds) // m
-    assert res.instances_evaluated == len(dp_calls)
+    # no tree tuple is swept twice
+    sweeps = [e[1] for e in events if e[0] == "sweep"]
+    assert 2 <= len(sweeps) == len(set(sweeps))
+    # within a sweep, no instance's DP runs twice at one exponent
+    runs, sweep = [], -1
+    for e in events:
+        sweep += e[0] == "sweep"
+        if e[0] == "dp":
+            runs.append((sweep, *e[1:]))
+    assert len(set(runs)) == len(runs) == res.instances_evaluated
+    # the best alpha's trees were swept already: looking them up sweeps none
+    assert events[-m:] == [("build", res.best_param[0])] * m
     # no equation is solved twice on one domain
     assert len(set(solves)) == len(solves)
     assert any((lo, hi) == prange for _, lo, hi in solves)
@@ -753,11 +762,17 @@ def test_general_lb_sweep_keeps_every_cell_above_merge_tolerance(rounds, cells):
     assert gaps.min() > BREAK_MERGE_TOL
 
 
+def _only(payloads):
+    """combine for a one-instance _lazy_sweep: the cell value is the payload."""
+    (value,) = payloads
+    return value
+
+
 def test_sweep_that_never_settles_raises_typed_error():
     # every run reports a root near the right end of its own cell, so the
     # left piece is refined again and again: its equation changes sign
     # between the probe and the piece's midpoint, so the probe's run does
-    # not certify the piece
+    # not carry over to that midpoint
     bounds = [0.0, 1.0]
 
     def run(mid):
@@ -771,7 +786,7 @@ def test_sweep_that_never_settles_raises_typed_error():
         return ExpSum([(1.0, 1.0, 1), (-0.5 * (mid + c), 1.0, 0)]), [bounds[-1]]
 
     with pytest.raises(SweepDiverged):
-        param_search._lazy_sweep(0.0, 1.0, run, solve)
+        param_search._lazy_sweep([(0.0, 1.0)], [run], _only, solve)
 
 
 @pytest.mark.parametrize("cross,runs", [(0.6, [0.5, 0.875]), (0.45, [0.5, 0.375, 0.875]),
@@ -790,14 +805,16 @@ def test_probe_certifies_its_own_piece_or_falls_back_to_a_run(cross, runs):
     def solve(key):
         return ExpSum([(1.0, 1.0, 1), (-cross, 1.0, 0)]), [0.75]
 
-    cells = param_search._lazy_sweep(0.0, 1.0, run, solve)
-    assert probes == runs
-    assert cells == [[0.0, 0.75, 0.375, True, 1.0], [0.75, 1.0, 0.875, False, 2.0]]
+    cells, made = param_search._lazy_sweep([(0.0, 1.0)], [run], _only, solve)
+    assert probes == runs and made == len(runs)
+    assert cells == [[0.0, 0.75, 0.375, (True,), 1.0], [0.75, 1.0, 0.875, (False,), 2.0]]
 
 
 def test_probe_does_not_certify_a_piece_with_an_unmerged_root_inside():
     # the root 0.25 + 5e-10 merges into 0.25 when [0, 1] is split, but lies
-    # inside the probe's piece [0.25, 1], so that piece is run again
+    # inside the probe's piece [0.25, 1]: the run at 0.5 carries over to its
+    # midpoint 0.625, where the piece is split again at 0.25 + 5e-10, and on
+    # to (close + 1) / 2, but not across that root to (0.25 + close) / 2
     close = 0.25 + 5e-10
     probes = []
 
@@ -808,8 +825,8 @@ def test_probe_does_not_certify_a_piece_with_an_unmerged_root_inside():
     def solve(key):
         return ExpSum([(1.0, 1.0, 1), (1.0, 1.0, 0)]), [0.25, close]
 
-    cells = param_search._lazy_sweep(0.0, 1.0, run, solve)
-    assert probes == [0.5, 0.125, 0.625, 0.5 * (0.25 + close)]
+    cells, made = param_search._lazy_sweep([(0.0, 1.0)], [run], _only, solve)
+    assert probes == [0.5, 0.125, 0.5 * (0.25 + close)] and made == 3
     assert [c[:3] for c in cells] == [[0.0, 0.25, 0.125], [0.25, close, 0.5 * (0.25 + close)],
                                       [close, 1.0, 0.5 * (close + 1.0)]]
 
@@ -861,8 +878,135 @@ def test_certified_sweeps_equal_the_reference_driver(monkeypatch):
     want = [outcome(search) for search in searches]
     assert [g[0] for g in got] == [w[0] for w in want]
     assert all(g[1] <= w[1] for g, w in zip(got, want))
-    # the probe's own cell needs no second run on most inputs
+    # reused runs make most of these searches cheaper than the reference
     assert sum(g[1] < w[1] for g, w in zip(got, want)) >= len(searches) // 2
+
+
+def test_voronoi_exponent_sweeps_equal_the_reference_driver(monkeypatch):
+    rng = np.random.default_rng(47)
+    obj = Objective(kind="phi_p", p=2.0)
+    searches, checks = [], []
+    for size in (2, 3):
+        insts = [random_instance(rng, n=int(rng.integers(6, 9))) for _ in range(size)]
+        trees = [build_tree(i, MergeRule("power_minmax", 1.2)) for i in insts]
+        searches += [
+            lambda insts=insts, trees=trees: sweep_p(insts, trees, 3, (0.5, 4.0), obj,
+                                                     variant="voronoi"),
+            lambda insts=insts: erm_joint(insts, "power_minmax", (0.5, 2.0), (0.5, 3.0), 2, obj,
+                                          variant="voronoi"),
+        ]
+        checks.append((insts, trees))
+
+    def outcome(search):
+        res = search()
+        if isinstance(res, param_search.PiecewiseProfile):
+            return _profile_repr(res), None
+        return _result_repr(res), res.instances_evaluated
+
+    got = [outcome(search) for search in searches]
+    # each cell of a voronoi exponent sweep is the reassigned pipeline's cost
+    for insts, trees in checks:
+        prof = sweep_p(insts, trees, 3, (0.5, 4.0), obj, variant="voronoi")
+        for rep, value in zip(prof.representatives, prof.values):
+            total = 0.0
+            for inst, tree in zip(insts, trees):
+                res = best_k_pruning(inst, tree, 3, PruningRule(p=rep), "voronoi")
+                total += objective_value(inst, obj, res.clusters, res.centers)
+            assert total == value
+    monkeypatch.setattr(param_search, "_lazy_sweep", reference_lazy_sweep)
+    want = [outcome(search) for search in searches]
+    assert [g[0] for g in got] == [w[0] for w in want]
+    assert all(g[1] <= w[1] for g, w in zip(got[1::2], want[1::2]))
+
+
+def _same_result(a, b):
+    """Equal (fingerprint, payload, keys) of one instance's run; a tree
+    payload is compared by its structure, the values of its merges are the
+    parameter's own."""
+    pa, pb = a[1], b[1]
+    if isinstance(pa, linkage.MergeTree):
+        pa, pb = (pa.merges, pa.leaf_sets), (pb.merges, pb.leaf_sets)
+    return a[0] == b[0] and pa == pb and set(a[2]) == set(b[2])
+
+
+def _checked_reuse(monkeypatch):
+    """Make _lazy_sweep check every result it reuses: where _holds carries a
+    run over to x, the instance is run afresh at x and must give the same
+    result.  Returns the list of the x each reuse was checked at."""
+    made, checked = {}, []
+    lazy_sweep, holds = param_search._lazy_sweep, param_search._holds
+
+    def recording(run):
+        def recorded(x):
+            res = run(x)
+            made[id(res)] = run, res
+            return res
+
+        return recorded
+
+    def sweep(segments, runs, combine, solve):
+        return lazy_sweep(segments, [recording(r) for r in runs], combine, solve)
+
+    def checked_holds(rec, x):
+        if not holds(rec, x):
+            return False
+        run, res = made[id(rec.result)]
+        assert res is rec.result and _same_result(run(x), res), (rec.x, x)
+        checked.append(x)
+        return True
+
+    monkeypatch.setattr(param_search, "_lazy_sweep", sweep)
+    monkeypatch.setattr(param_search, "_holds", checked_holds)
+    return checked
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_every_reused_run_equals_a_fresh_run(size, monkeypatch):
+    rng = np.random.default_rng(50 + size)
+    insts = [euclidean_instance(rng, int(rng.integers(6, 9))) for _ in range(size)]
+    trees = [build_tree(inst, MergeRule("power_average", 1.3)) for inst in insts]
+    rule, obj = PruningRule(p=2.0), Objective(kind="phi_p", p=2.0)
+    searches = [
+        lambda: erm_alpha(insts, "convex_minmax", (0.0, 1.0), 3, rule, obj),
+        lambda: erm_alpha(insts, "power_minmax", (-3.0, 3.0), 3, rule, obj),
+        lambda: erm_alpha(insts, "power_average", (-4.0, 4.0), 3, rule, obj),
+        lambda: erm_alpha(insts, "sigma_power", (0.1, 8.0), 3, rule, obj, sigma=2),
+        lambda: erm_sigma_linear(insts, 2, [(0.1, 1.0), (0.1, 1.0)], 3, rule, obj),
+        lambda: sweep_p(insts, trees, 3, (0.5, 4.0), obj),
+        lambda: erm_joint(insts, "power_minmax", (0.5, 2.0), (0.5, 3.0), 2, obj),
+    ]
+    checked = _checked_reuse(monkeypatch)
+    reused = []
+    for search in searches:
+        search()
+        reused.append(len(checked))
+        checked.clear()
+    # every search reuses some run, and each reuse was checked above
+    assert all(reused)
+
+
+@pytest.mark.parametrize("by_sign,f,roots", [
+    # the solver misses the root 0.45 at which the comparison changes sign:
+    # only the sign test keeps the run at 0.5 from carrying over to 0.375
+    (True, ExpSum([(1.0, 1.0, 1), (-0.45, 1.0, 0)]), [0.75]),
+    # (x - 0.3)(x - 0.4) is positive at 0.15 and at 0.5: only the root test
+    # keeps the run at 0.5 from carrying over across both roots
+    (False, ExpSum([(1.0, 1.0, 2), (-0.7, 1.0, 1), (0.12, 1.0, 0)]), [0.3, 0.4]),
+])
+def test_a_reuse_needs_both_the_root_and_the_sign_test(by_sign, f, roots, monkeypatch):
+    # the first synthetic instance's run compares f(x) with 0, or is constant
+    # between the roots the solver reports; the second one's changes at 0.9
+    def run(x):
+        return (f(x) > 0 if by_sign else sum(r < x for r in roots)), 1.0, ["f"]
+
+    def other(x):
+        return x < 0.9, 2.0, ["g"]
+
+    eqs = {"f": (f, roots), "g": (ExpSum([(1.0, 1.0, 1), (-0.9, 1.0, 0)]), [0.9])}
+    checked = _checked_reuse(monkeypatch)
+    param_search._lazy_sweep([(0.0, 1.0)], [run, other], sum, eqs.get)
+    # the second instance's run at 0.5 carries over left of 0.9
+    assert checked and min(checked) < 0.5
 
 
 def test_count_memos_stay_with_their_instance(monkeypatch):
@@ -891,7 +1035,7 @@ def test_count_memos_stay_with_their_instance(monkeypatch):
                         lambda family, sigma, eqs, memo=None, solve=None:
                         reference_count_collector(family, sigma, eqs))
     assert [outcome(search) for search in searches] == got
-    # and the uncertified driver splits at the same roots
+    # and the reference driver, which reuses no run, splits at the same roots
     monkeypatch.setattr(param_search, "_lazy_sweep", reference_lazy_sweep)
     assert [outcome(search)[0] for search in searches] == [g[0] for g in got]
 
@@ -930,8 +1074,8 @@ def test_count_sweeps_encode_and_build_each_equation_once(monkeypatch):
 def test_screened_equations_certify_where_their_values_overflow(monkeypatch):
     # distances up to e^30 overflow d^alpha past alpha ~ 23.6: the screen
     # proves those equations one-signed from scaled terms, but _strict_sign
-    # reads inf - inf and cannot, so certifying with them re-runs a piece
-    # that leaving them out certifies; the cells do not change
+    # reads inf - inf and cannot, so with them the probe's run does not carry
+    # over to a piece it carries over to without them; the cells do not change
     rng = np.random.default_rng(1)
     A = np.exp(rng.uniform(0.0, 30.0, size=(7, 7)))
     inst = ClusteringInstance(n=7, dist=np.triu(A, 1) + np.triu(A, 1).T)
@@ -973,7 +1117,8 @@ def test_sweeps_free_their_state_without_the_garbage_collector(monkeypatch):
 
 def test_gadget_erm_runs_the_pipeline_twice():
     # the planted window of the benchmark's gadget_erm workload, seed 1: the
-    # probe certifies the planted cell, and only the other side is run
+    # probe's run carries over to the planted cell, and only the other side
+    # is run
     alpha_star = float(np.random.default_rng([1, 0]).uniform(0.35, 0.48))
     inst, _ = gen_two_gadget(alpha_star, "convex_minmax")
     res = erm_alpha([inst], "convex_minmax", (alpha_star - 0.1, alpha_star + 0.05), 4,

@@ -11,9 +11,11 @@ workload of ``perfbench/workloads.py`` is set up once on each through its
 one input on both trees, one right after the other, and the side that goes
 first alternates from round to round.  The script prints each round's CPU
 seconds, the median over rounds of the change's time over the base's (with
-its quartiles), the rounds the change won, and whether every answer and
-``instances_evaluated`` were identical.  It exits with status 1 when they
-were not.
+its quartiles), the rounds the change won, whether every answer and profile
+(breakpoints, values, representatives and payloads) was identical, and each
+side's total ``instances_evaluated``.  It exits with status 1 when an answer
+or a profile differs, or when the change made more runs than the base on
+any call.
 
 Both sides of a call run at the same host speed, so the ratio does not
 follow a shared host's drift; perfbench's 30 s runs cannot resolve gains of
@@ -48,8 +50,12 @@ def load_tree(name, checkout):
 
 
 def outcome(workload, res):
-    """What must agree between the two trees: the answer and the run count."""
-    return repr((workload.answer(res), getattr(res, "instances_evaluated", None)))
+    """What must agree between the two trees: the answer and, for a search
+    that returns one, its profile."""
+    prof = getattr(res, "profile", None)
+    if prof is not None:
+        prof = (prof.breakpoints, prof.values, prof.representatives, prof.payloads)
+    return repr((workload.answer(res), prof))
 
 
 def main(argv=None):
@@ -74,6 +80,7 @@ def main(argv=None):
         sides[side].setup()
 
     ratios, won, same, calls = [], 0, True, 0
+    runs, more = {"base": 0, "change": 0}, 0
     print(f"{args.workload} seed {args.seed}: {args.rounds} rounds x {args.calls} calls")
     print("round  base_s  change_s  ratio")
     for r in range(args.rounds):
@@ -81,13 +88,16 @@ def main(argv=None):
         order = ("base", "change") if r % 2 == 0 else ("change", "base")
         for i in range(r * args.calls, (r + 1) * args.calls):
             x = sides["base"].inputs(i)
-            got = {}
+            got, made = {}, {}
             for side in order:
                 t0 = time.process_time()
                 res = sides[side].tune(x)
                 spent[side] += time.process_time() - t0
                 got[side] = outcome(sides[side], res)
+                made[side] = getattr(res, "instances_evaluated", 0)
+                runs[side] += made[side]
             same = same and got["base"] == got["change"]
+            more += made["change"] > made["base"]
             calls += 1
         ratio = spent["change"] / spent["base"]
         ratios.append(ratio)
@@ -97,9 +107,10 @@ def main(argv=None):
     q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
     print(f"median ratio change/base {med:.3f} [quartiles {q1:.3f}, {q3:.3f}]; "
           f"change faster in {won} of {args.rounds} rounds")
-    print(f"answers and instances_evaluated identical on all {calls} calls: "
-          f"{'yes' if same else 'NO'}")
-    return 0 if same else 1
+    print(f"answers and profiles identical on all {calls} calls: {'yes' if same else 'NO'}")
+    print(f"instances_evaluated: base {runs['base']}, change {runs['change']}; "
+          f"change made more runs on {more} calls")
+    return 0 if same and not more else 1
 
 
 if __name__ == "__main__":
