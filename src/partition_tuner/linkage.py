@@ -9,12 +9,16 @@ The families that read the whole multiset of cross-cluster distances
 (power_average and the selector families) keep each active pair's multiset
 sparse, as a support of indices into the instance's sorted distinct
 distances with integer counts.  Each leaf pair lies in at most one active
-pair's multiset, so all multisets together hold at most n(n-1)/2 counts and
-a build needs O(n^2) memory.
+pair's multiset, so all multisets together hold at most n(n-1)/2 counts.
+The merge loop keeps its matrices (keys, pairwise minima and maxima, pair
+keys) over the slots of the active clusters, n x n each, and a merge moves
+the last slot into a freed one, so a build needs O(n^2) memory and a step
+reads contiguous slices.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -259,53 +263,44 @@ def build_tree(inst: ClusteringInstance, rule: MergeRule) -> MergeTree:
 
     Ties on the merge value pick the pair whose (smaller side min leaf,
     other side min leaf) is lexicographically least, with the side holding
-    the globally smallest leaf listed first in the merge record.  Memory is
-    O(n^2) for every family (see ``_run``).  A merge step costs O(n), plus
-    O(n) per row whose minimum it retires: O(n^2) time per build on typical
-    inputs, O(n^3) at worst, plus the count families' multiset merges.
+    the globally smallest leaf listed first in the merge record.  The loop
+    keeps its matrices over the active clusters' slots, n x n each (see
+    ``_run``), so memory is O(n^2) for every family.  A step on m clusters
+    costs O(m), plus O(m) per row whose minimum it retires: O(n^2) time per
+    build on typical inputs, O(n^3) at worst, plus the count families'
+    multiset merges.
     """
     return _run(inst, rule)
 
 
 def record_comparisons(inst: ClusteringInstance, rule: MergeRule):
     """Like build_tree but also returns every executed winner-vs-candidate
-    comparison (one Comparison per losing candidate pair per step), whose
-    ``terms`` give its equation for every family (sigma_linear's in theta,
-    at sigma = 2).
-
-    The count families' builds keep no min/max matrices, so their pairs'
-    min and max are the ends of their multisets, distinct[idx[0]] and
-    distinct[idx[-1]]: the upper-triangle distances the multisets read."""
+    comparison (one Comparison per losing candidate pair per step, in order
+    of node ids), whose ``terms`` give its equation for every family
+    (sigma_linear's in theta, at sigma = 2).  Each pair's (min, max) and
+    multiset come from the build's pair store (see PairKeys.pair)."""
     comparisons = []
     counts = _counts_needed(rule)
 
-    def record(step, winner, ids, _, minD, maxD, sets, distinct):
-        def pair(u, v):
-            if not counts:
-                return minD[u, v], maxD[u, v], None
-            support = sets.support(sets.sid[u, v])
-            idx = support[0]
-            return distinct[idx[0]], distinct[idx[-1]], support
-
-        wi, wj = winner
-        wmin, wmax, wset = pair(wi, wj)
-        tri = np.triu_indices(ids.size, k=1)
-        for i, j in zip(ids[tri[0]], ids[tri[1]]):
-            if {i, j} == {wi, wj}:
+    def record(step, winner, ids, sets):
+        si, sj = winner
+        wmin, wmax, wset = sets.pair(sets.sid[si, sj])
+        for u, v in itertools.combinations(ids.argsort().tolist(), 2):
+            if {u, v} == {si, sj}:
                 continue
-            cmin, cmax, cset = pair(i, j)
+            cmin, cmax, cset = sets.pair(sets.sid[u, v])
             comparisons.append(
                 Comparison(
                     step=step,
-                    winner=(wi, wj),
-                    candidate=(i, j),
+                    winner=(ids[si], ids[sj]),
+                    candidate=(ids[u], ids[v]),
                     winner_min=wmin,
                     winner_max=wmax,
                     candidate_min=cmin,
                     candidate_max=cmax,
                     winner_counts=wset,
                     candidate_counts=cset,
-                    distinct=distinct,
+                    distinct=sets.distinct if counts else None,
                 )
             )
 
@@ -327,27 +322,27 @@ def distance_table(D: np.ndarray):
 class PairKeys:
     """Counted integer keys of the active cluster pairs of one tree build.
 
-    ``sid[u, v]`` is the key of active pair (u, v): here its code
-    i_min * beta + i_max, the indices of its (min, max) distances among the
-    beta sorted distinct upper-triangle distances ``distinct``, so a code is
-    its own id; PairMultisets interns its keys to ids.  ``_refs`` counts the
-    active pairs that hold each key and drops a key once none does, so the
-    live keys (``live()``) are exactly the distinct keys among the active
-    pairs: one merge step's candidates.  ``_run`` keeps them current
-    through the O(m) pairs each merge retires and creates.  ``compared``
-    holds a collector's memo of compared keys for this build.  Without
-    ``interned`` (a plain build) nothing is interned.
+    ``sid[u, v]`` is the key of the pair of active slots u and v (see
+    ``_run``): here its code i_min * beta + i_max, the indices of its
+    (min, max) distances among the beta sorted distinct upper-triangle
+    distances ``distinct``, so a code is its own id; PairMultisets interns
+    its keys to ids.  ``_refs`` counts the active pairs that hold each key
+    and drops a key once none does, so the live keys (``live()``) are
+    exactly the distinct keys among the active pairs: one merge step's
+    candidates.  ``_run`` keeps them current through the O(m) pairs each
+    merge retires and creates.  ``compared`` holds a collector's memo of
+    compared keys for this build.  Without ``interned`` (a plain build)
+    nothing is interned.
     """
 
     def __init__(self, D: np.ndarray, interned: bool = True, table=None):
-        n = D.shape[0]
         self.distinct, inv, self.didx = distance_table(D) if table is None else table
         self.beta = self.distinct.size
         self.sid = None
         if interned:
             leaf = self._leaf_keys()  # the key of a leaf pair at distance t
-            self.sid = np.zeros((2 * n - 1, 2 * n - 1), dtype=np.int64)
-            self.sid[:n, :n] = leaf[self.didx]
+            self.sid = leaf[self.didx]
+            np.fill_diagonal(self.sid, -1)
             self._refs = dict(zip(leaf.tolist(), np.bincount(inv).tolist()))
             self.compared = {}
             self._values = self.distinct.tolist()
@@ -364,21 +359,31 @@ class PairKeys:
         values, beta = self._values, self.beta
         return [(values[c // beta], values[c % beta]) for c in codes]
 
+    def pair(self, s):
+        """The (min, max) distances of the pairs with key s, and no multiset."""
+        return (*self.ends([s])[0], None)
+
     def live(self):
         """The distinct keys of the active pairs, as a set-like view."""
         return self._refs.keys()
 
-    def replace(self, wi, wj, new, rest, ids):
-        """Give pair (new, rest[r]) the key ids[r], then retire the pairs of
-        wi and wj.  Python-level work is per distinct key; the per-pair
-        counting runs inside Counter."""
+    def replace(self, si, sj, m, row):
+        """Retire the pairs of slots si and sj among the m active slots, move
+        slot m - 1 into max(si, sj), and give the pairs of the new cluster,
+        in slot a = min(si, sj), the keys row (by slot after the move).
+        The diagonal holds -1, which is no key.  Python-level work is per
+        distinct key; the per-pair counting runs inside Counter."""
         sid, refs = self.sid, self._refs
-        for s, c in Counter(ids.tolist()).items():
+        a = min(si, sj)
+        row[a] = -1
+        made = Counter(row.tolist())
+        gone = Counter(np.concatenate((sid[si, :m], sid[sj, :m])).tolist())
+        gone[int(sid[si, sj])] -= 1  # both rows hold the pair of si and sj
+        del made[-1], gone[-1]
+        for s, c in made.items():
             refs[s] = refs.get(s, 0) + c
-        sid[new, rest] = ids
-        sid[rest, new] = ids
-        gone = np.concatenate(([sid[wi, wj]], sid[wi, rest], sid[wj, rest]))
-        for s, c in Counter(gone.tolist()).items():
+        _place(sid, a, max(si, sj), m - 1, row)
+        for s, c in gone.items():
             refs[s] -= c
             if not refs[s]:
                 del refs[s]
@@ -401,9 +406,7 @@ class PairMultisets(PairKeys):
 
     def __init__(self, D: np.ndarray, interned: bool, table=None):
         super().__init__(D, interned, table)
-        n = D.shape[0]
-        self.label = np.arange(n)  # leaf -> active node holding it
-        self._pos = np.zeros(2 * n - 1, dtype=np.int64)
+        self.label = np.arange(D.shape[0])  # leaf -> slot of the cluster holding it
 
     def _leaf_keys(self):
         # a leaf pair's multiset is the singleton {t: 1}, interned as id t
@@ -415,12 +418,14 @@ class PairMultisets(PairKeys):
 
     def support(self, s):
         """The multiset with id s as (idx, cnt)."""
-        return _support(self.keys[s])
+        both = np.frombuffer(self.keys[s], dtype=np.int64)
+        return both[:both.size // 2], both[both.size // 2:]
 
-    def candidates(self, winner):
-        """The winner's multiset and every distinct multiset among one
-        step's candidate pairs (the winner's included), as (idx, cnt)."""
-        return self.support(self.sid[winner]), [self.support(s) for s in self.live()]
+    def pair(self, s):
+        """The (min, max) of the pairs with id s, the ends of their multiset
+        (the upper-triangle distances it counts), and the multiset."""
+        idx, _ = support = self.support(s)
+        return self.distinct[idx[0]], self.distinct[idx[-1]], support
 
     def _intern(self, keys):
         """The ids of keys, interning the keys not yet live."""
@@ -435,19 +440,21 @@ class PairMultisets(PairKeys):
         del self._index[self.keys[s]]
         self.keys[s] = None
 
-    def merge(self, new, wi, wj, members, rest):
-        """Build the multisets of node new = wi + wj (the leaves in members)
-        against each node of rest, in one pass over the new cluster's
-        leaves x the other leaves, and retire the pairs of wi and wj.
+    def merge(self, si, sj, m, members):
+        """Build the multisets of the cluster of slots si and sj (the leaves
+        in members) against each other active cluster, in one pass over the
+        new cluster's leaves x the other leaves, after slot m - 1 moves into
+        max(si, sj) and the new cluster takes slot a = min(si, sj).  Retire
+        the pairs of si and sj.
 
-        Returns them as one support sorted by (position in rest, distinct
-        index): idx, cnt and the start of each node's segment.
+        Returns them as one support sorted by (slot, distinct index): idx,
+        cnt and the start of each slot's segment, slot a's left out.
         """
-        label = self.label
-        label[members] = new
-        others = np.flatnonzero(label != new)
-        self._pos[rest] = np.arange(rest.size)
-        code = self._pos[label[others]] * self.beta + self.didx[np.ix_(members, others)]
+        a, label = min(si, sj), self.label
+        label[label == m - 1] = max(si, sj)
+        label[members] = a
+        others = np.flatnonzero(label != a)
+        code = label[others] * self.beta + self.didx[np.ix_(members, others)]
         code, cnt = np.unique(code, return_counts=True)
         seg = code // self.beta
         idx = code - seg * self.beta
@@ -455,63 +462,59 @@ class PairMultisets(PairKeys):
         if self.sid is not None:
             bi, bc = idx.tobytes(), cnt.astype(np.int64).tobytes()
             bounds = (idx.itemsize * np.append(starts, idx.size)).tolist()
-            keys = [bi[a:b] + bc[a:b] for a, b in zip(bounds, bounds[1:])]
-            self.replace(wi, wj, new, rest, self._intern(keys))
+            keys = [bi[lo:hi] + bc[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+            self.replace(si, sj, m, _widen(self._intern(keys), a, -1))
         return idx, cnt, starts
 
 
-def _support(key):
-    both = np.frombuffer(key, dtype=np.int64)
-    half = both.size // 2
-    return both[:half], both[half:]
+def _widen(vec, a, x):
+    """vec with x inserted at position a."""
+    return np.concatenate((vec[:a], [x], vec[a:]))
+
+
+def _place(M, a, b, last, row):
+    """Move slot last of the square matrix M into slot b, then give slot a
+    the entries row, in its row and its column."""
+    M[b, :last + 1] = M[last, :last + 1]
+    M[:last + 1, b] = M[:last + 1, last]
+    M[a, :last] = row
+    M[:last, a] = row
 
 
 def _run(inst: ClusteringInstance, rule: MergeRule, collector=None, table=None) -> MergeTree:
     """The merge loop behind build_tree and the sweeps.
 
-    The comparison keys V are a (2n-1)^2 matrix over node ids.  Families
-    that read whole multisets keep them in a PairMultisets store, with no
-    count work for power_average at alpha = +-inf, which needs only the
-    pairwise (min, max) distances: the (2n-1)^2 matrices minD and maxD,
-    kept for the min/max families alone and seeded with each leaf pair's
-    upper-triangle distance in both orientations.  Before each merge,
-    ``collector`` (when given) is called as collector(step, winner, ids,
-    None, minD, maxD, sets, distinct): the candidates are the pairs of the
-    active nodes ids (a collector that lists them builds
-    np.triu_indices(ids.size, 1) itself) and sets is the pair store.  The
-    count families pass a PairMultisets, its distinct distances as distinct
-    and None for minD and maxD (a multiset's ends are its min and max).
-    The min/max families pass a PairKeys, which codes each new pair's
-    (min, max) through np.searchsorted into its distinct distances, and
-    None for distinct.  Each merge updates the store through the O(m)
-    pairs it retires and creates; a plain build interns nothing.  A sweep
-    passes each instance's distance_table(inst.dist), made once, as table.
+    The m active clusters sit in slots 0..m-1, with node[s] the node id of
+    slot s and minleaf[s] its least leaf.  Merging slots si and sj puts the
+    new node in slot a = min(si, sj) and moves slot m - 1 into max(si, sj),
+    so each matrix is n x n and a step reads and writes the slices [:m] of
+    its rows and columns.  V holds the comparison keys.  Families that read
+    whole multisets keep them in a PairMultisets store, with no count work
+    for power_average at alpha = +-inf, which needs only the pairwise
+    (min, max) distances: the matrices minD and maxD, kept for the min/max
+    families alone and seeded with each leaf pair's upper-triangle distance
+    in both orientations.  Before each merge, ``collector`` (when given) is
+    called as collector(step, (si, sj), node[:m], sets), where sets is the
+    pair store, whose ``sid`` holds the key of each pair of slots: a
+    PairMultisets, or for the min/max families a PairKeys, which codes each
+    new pair's (min, max) through np.searchsorted into its distinct
+    distances.  Each merge updates the store through the O(m) pairs it
+    retires and creates; a plain build interns nothing.  A sweep passes
+    each instance's distance_table(inst.dist), made once, as table.
 
-    rowmin[u] is the exact minimum of row u of V (Muellner's generic
-    linkage, arXiv:1109.2378), so a step costs O(m) on m active nodes.
-    Every pair of least value g joins two active rows with rowmin g: the
-    tie rule takes the tied row wi of least minleaf, then its partner of
-    value g with least minleaf.  V holds +inf on the diagonal and at
-    retired and unborn nodes, and a real key may be +inf, so both searches
-    stay on the active ids.  A merge lowers rowmin to the new keys and
-    rescans only the rows whose minimum sat in the cleared columns of wi
-    and wj.  Retired rows are never read again, so they are not cleared.
+    rowmin[s] is the exact minimum of row s of V (Muellner's generic
+    linkage, arXiv:1109.2378), so a step costs O(m).  Every pair of least
+    value g joins two rows with rowmin g: the tie rule takes the tied row si
+    of least minleaf, then its partner of value g with least minleaf.  V
+    holds +inf on the diagonal, where minD and maxD hold 1, so the unread
+    key of a merged slot's own entry stays finite.  A merge lowers rowmin to
+    the new keys and rescans slots a and b and the rows whose minimum sat in
+    the columns of si or sj, m entries each.
     """
     n = inst.n
-    total = 2 * n - 1
     big = np.inf
     D = inst.dist
     counts = _counts_needed(rule)
-    minD = maxD = None
-    if not counts:
-        # each leaf pair's upper-triangle distance, in both orientations
-        upper = np.where(np.tri(n, k=-1, dtype=bool), D.T, D)
-        minD = np.full((total, total), big)
-        maxD = np.full((total, total), -big)
-        minD[:n, :n] = upper
-        maxD[:n, :n] = upper
-
-    V = np.full((total, total), big)
     if counts:
         sets = PairMultisets(D, interned=collector is not None, table=table)
         distinct = sets.distinct
@@ -520,65 +523,69 @@ def _run(inst: ClusteringInstance, rule: MergeRule, collector=None, table=None) 
         single = _count_keys(rule, t, np.ones_like(t), t, logd, distinct)
     else:
         sets = None if collector is None else PairKeys(D, table=table)
-        distinct = None
+        # each leaf pair's upper-triangle distance, in both orientations
+        minD = np.where(np.tri(n, k=-1, dtype=bool), D.T, D)
+        np.fill_diagonal(minD, 1.0)
+        maxD = minD.copy()
+
+    V = np.full((n, n), big)
     # row by row, so that the leaf keys make no temporary quadratic in n
     for r in range(n - 1):
         d = D[r, r + 1:]
         key = single[sets.didx[r, r + 1:]] if counts else _minmax_keys(rule, d, d)
-        V[r, r + 1:n] = key
-        V[r + 1:n, r] = key
+        V[r, r + 1:] = key
+        V[r + 1:, r] = key
     rowmin = V.min(axis=1)
-    minleaf = np.arange(total)
+    node = np.arange(n)
+    minleaf = np.arange(n)
     leaf_sets = [[i] for i in range(n)] + [None] * (n - 1)
 
     merges = []
     values = []
 
-    active_mask = np.zeros(total, dtype=bool)
-    active_mask[:n] = True
-
     for step in range(n - 1):
-        ids = np.flatnonzero(active_mask)
-        low = rowmin[ids]
+        m = n - step
+        low = rowmin[:m]
         g = low.min()
-        tied = ids[low == g]
+        tied = np.flatnonzero(low == g)
         tied = tied[minleaf[tied].argsort()]
-        wi, others = tied[0], tied[1:]
-        wj = others[V[wi, others] == g][0]
+        si, others = tied[0], tied[1:]
+        sj = others[V[si, others] == g][0]
 
         if collector is not None:
-            collector(step, (wi, wj), ids, None, minD, maxD, sets, distinct)
+            collector(step, (si, sj), node[:m], sets)
 
         new = n + step
+        wi, wj = node[si], node[sj]
         values.append(_key_value(rule, g))
         merges.append((wi, wj))
         leaf_sets[new] = sorted(leaf_sets[wi] + leaf_sets[wj])
-        minleaf[new] = minleaf[wi]
-        active_mask[wi] = False
-        active_mask[wj] = False
-        rest = np.flatnonzero(active_mask)
-        active_mask[new] = True
-        if rest.size:
-            if counts:
-                key = _count_keys(rule, *sets.merge(new, wi, wj, leaf_sets[new], rest), logd,
-                                  distinct)
-            else:
-                mn = np.minimum(minD[wi, rest], minD[wj, rest])
-                mx = np.maximum(maxD[wi, rest], maxD[wj, rest])
-                minD[new, rest] = mn
-                minD[rest, new] = mn
-                maxD[new, rest] = mx
-                maxD[rest, new] = mx
-                key = _minmax_keys(rule, mn, mx)
-                if sets is not None:
-                    sets.replace(wi, wj, new, rest, sets.codes(mn, mx))
-            V[new, rest] = key
-            V[rest, new] = key
-            stale = rest[rowmin[rest] == np.minimum(V[wi, rest], V[wj, rest])]
-            rowmin[rest] = np.minimum(rowmin[rest], key)
-            rowmin[new] = key.min()
-            V[:, [wi, wj]] = big
-            rowmin[stale] = V[stale].min(axis=1)
+        if m == 2:
+            break
+        a, b, last = min(si, sj), max(si, sj), m - 1
+        stale = rowmin[:m] == np.minimum(V[si, :m], V[sj, :m])
+        if counts:
+            key = _widen(_count_keys(rule, *sets.merge(si, sj, m, leaf_sets[new]), logd,
+                                     distinct), a, big)
+        else:
+            mn = np.minimum(minD[si, :m], minD[sj, :m])
+            mx = np.maximum(maxD[si, :m], maxD[sj, :m])
+            mn[b], mx[b] = mn[last], mx[last]
+            mn, mx = mn[:last], mx[:last]
+            if sets is not None:
+                sets.replace(si, sj, m, sets.codes(mn, mx))
+            _place(minD, a, b, last, mn)
+            _place(maxD, a, b, last, mx)
+            key = _minmax_keys(rule, mn, mx)
+            key[a] = big
+        minleaf[a] = minleaf[si]
+        node[b], minleaf[b] = node[last], minleaf[last]
+        node[a] = new
+        _place(V, a, b, last, key)
+        np.minimum(rowmin[:last], key, out=rowmin[:last])
+        # rows a and b among them, as rowmin[si] = rowmin[sj] = g
+        rows = np.flatnonzero(stale[:last])
+        rowmin[rows] = V[rows, :last].min(axis=1)
 
     return MergeTree(n=n, merges=merges, values=values, leaf_sets=leaf_sets)
 

@@ -365,7 +365,8 @@ def _strict_sign(f: ExpSum, x: float):
 
 def _lazy_sweep(segments, runs, combine, solve):
     """Refine each (lo, hi) of segments into cells on which every instance's
-    run is constant: (cells [lo, hi, rep, fingerprints, value], runs made).
+    run is constant: (cells [lo, hi, rep, fingerprints, value, parts], runs
+    made), where parts lists (lo, hi, payloads) for each cell merged into it.
 
     runs[i](x) -> (fingerprint, payload, equation_keys) runs instance i at
     x, and combine(payloads) is a cell's value.  solve(key) -> (ExpSum,
@@ -401,7 +402,7 @@ def _lazy_sweep(segments, runs, combine, solve):
         found = {x for r in now for x in r.roots if a + guard < x < b - guard}
         if not found:
             fps, payloads, _ = zip(*(r.result for r in now))
-            cells.append([a, b, mid, fps, combine(payloads)])
+            cells.append([a, b, mid, fps, combine(payloads), [(a, b, payloads)]])
             return runs_made
         pts = sorted(found)
         merged = [pts[0]]
@@ -420,6 +421,7 @@ def _lazy_sweep(segments, runs, combine, solve):
         prev = out[-1]
         if c[0] not in starts and c[3] == prev[3] and _values_close(c[4], prev[4]):
             prev[1] = c[1]
+            prev[5] += c[5]
         else:
             out.append(c)
     return out, made
@@ -534,7 +536,7 @@ def _make_collector(family, sigma, eqs, memo=None, solve=None):
 
     if family in ("convex_minmax", "power_minmax"):
 
-        def cb(step, winner, ids, _, minD, maxD, sets, distinct):
+        def cb(step, winner, ids, sets):
             # the store's codes index its build's distances, so it keeps the
             # memo: winner code -> codes already compared with it
             w = int(sets.sid[winner])
@@ -548,7 +550,7 @@ def _make_collector(family, sigma, eqs, memo=None, solve=None):
 
     elif family in ("power_average", "sigma_power", "sigma_linear"):
 
-        def cb(step, winner, ids, _, minD, maxD, sets, distinct):
+        def cb(step, winner, ids, sets):
             seen = {} if memo is None else memo
             w, terms_of = sets.sid[winner], None
             for s in sets.live():
@@ -556,7 +558,7 @@ def _make_collector(family, sigma, eqs, memo=None, solve=None):
                 key = seen.get(pair)
                 if key is None:
                     if terms_of is None:
-                        terms_of = multiset_terms(family, sets.support(w), distinct, sigma)
+                        terms_of = multiset_terms(family, sets.support(w), sets.distinct, sigma)
                     key = _canon_terms(terms_of(sets.support(s)))
                     if key and solve is not None and solve(key)[0] is None:
                         key = ()
@@ -575,11 +577,11 @@ def _margin_collector(sigma, w, margins):
     selected-value difference) for each distinct candidate multiset whose
     selected values differ from the winner's."""
 
-    def cb(step, winner, ids, _, minD, maxD, sets, distinct):
-        wset, cands = sets.candidates(winner)
-        wsel = _selected(wset, distinct, sigma)
+    def cb(step, winner, ids, sets):
+        wset, cands = sets.support(sets.sid[winner]), map(sets.support, sets.live())
+        wsel = _selected(wset, sets.distinct, sigma)
         for cset in sorted(cands, key=_dense_order):
-            dv = wsel - _selected(cset, distinct, sigma)
+            dv = wsel - _selected(cset, sets.distinct, sigma)
             if np.any(dv):
                 margins.append((float(np.dot(w, dv)), tuple(dv)))
 
@@ -776,8 +778,9 @@ def erm_joint(
     The reported cost is exact for the product range.  An exponent sweep
     depends on the trees only through their merge records, so each distinct
     tuple of records is swept once, when a cell first needs its value, and
-    every exponent sweep shares one root cache.  instances_evaluated counts
-    the DP runs actually made: a tree tuple that was already swept costs none.
+    every exponent sweep shares one root cache.  The best alpha's trees are
+    those of the swept cell around it.  instances_evaluated counts the DP
+    runs actually made: a tree tuple that was already swept costs none.
     """
     segments, hard = _alpha_segments(family, alpha_range)
     domain = _p_domain(p_range)
@@ -795,7 +798,10 @@ def erm_joint(
         lambda inst, tree: tree, lambda trees: min(cell[4] for cell in p_cells(trees)), tol)
     profile = PiecewiseProfile.from_cells("alpha", cells, hard)
     alo, ahi, cost, arep = _best_run(profile)
-    trees = [_run(inst, MergeRule(family=family, alpha=arep)) for inst in instances]
+    # the trees of the swept cell holding arep; at a cell end merges may tie, so build there
+    trees = next((t for c in cells for lo, hi, t in c[5] if lo < arep < hi), None)
+    if trees is None:
+        trees = [_run(inst, MergeRule(family=family, alpha=arep)) for inst in instances]
     plo, phi, _, prep = _best_run(PiecewiseProfile.from_cells("p", p_cells(trees)))
 
     return ErmResult(

@@ -407,7 +407,8 @@ def reference_lazy_sweep(segments, runs, combine, solve):
     """param_search._lazy_sweep as it was: every piece between the roots is
     refined by running every instance at its midpoint, the probe's own
     piece included.  Each (lo, hi) of segments is swept on its own.
-    Returns (cells, runs made).
+    Returns (cells, runs made), each cell listing the (lo, hi, payloads) of
+    the cells merged into it, as param_search._lazy_sweep does.
 
     runs[i](x) -> (fingerprint, payload, equation_keys) and combine(payloads),
     as the package's driver takes them; solve(key) -> (ExpSum, roots), as its
@@ -426,7 +427,8 @@ def reference_lazy_sweep(segments, runs, combine, solve):
         results = [run(mid) for run in runs]
         made[0] += len(runs)
         fp = tuple(r[0] for r in results)
-        val = combine([r[1] for r in results])
+        payloads = tuple(r[1] for r in results)
+        val = combine(payloads)
         eqs = set().union(*(r[2] for r in results))
         guard = 1e-12 * max(1.0, abs(a), abs(b))
         found = set()
@@ -438,7 +440,7 @@ def reference_lazy_sweep(segments, runs, combine, solve):
                 if a + guard < x < b - guard:
                     found.add(x)
         if not found:
-            cells.append([a, b, mid, fp, val])
+            cells.append([a, b, mid, fp, val, [(a, b, payloads)]])
             return
         pts = sorted(found)
         merged = [pts[0]]
@@ -459,6 +461,7 @@ def reference_lazy_sweep(segments, runs, combine, solve):
             if c[3] == prev[3] and (c[4] == prev[4] or abs(c[4] - prev[4])
                                     <= 1e-12 * max(1.0, abs(c[4]), abs(prev[4]))):
                 prev[1] = c[1]
+                prev[5] += c[5]
             else:
                 out.append(c)
     return out, made[0]

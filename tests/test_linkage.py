@@ -28,6 +28,7 @@ from oracles import (
     naive_linkage,
     naive_linkage_sequence,
     reference_minmax_collector,
+    reference_run,
     tree_merge_sequence,
 )
 
@@ -333,14 +334,10 @@ def test_tie_heavy_merge_sequence_matches_naive_scan(alpha):
 
 def _collected_pair(inst, rule):
     got, want = set(), set()
-    cb = _make_collector(rule.family, None, got)
-    ref = reference_minmax_collector(rule.family, want)
-
-    def both(*args):
-        cb(*args)
-        ref(*args)
-
-    _run(inst, rule, collector=both)
+    tree = _run(inst, rule, collector=_make_collector(rule.family, None, got))
+    ref = reference_run(inst, rule, reference_minmax_collector(rule.family, want))
+    # the same steps, so the collectors saw the same candidates
+    assert tree_merge_sequence(tree) == tree_merge_sequence(ref), rule
     return got, want
 
 
@@ -381,7 +378,7 @@ def test_minmax_collector_equations_are_shared_across_one_run():
     cb = _make_collector(rule.family, None, got)
     for inst in insts:
         _run(inst, rule, collector=cb)
-        _run(inst, rule, collector=reference_minmax_collector(rule.family, want))
+        reference_run(inst, rule, reference_minmax_collector(rule.family, want))
     assert got == want
 
 
@@ -392,14 +389,13 @@ def test_recorded_minmax_comparisons_list_every_candidate_pair(rule):
     inst = _integer_instance(rng, 10, 3)
     want = []
 
-    def listing(step, winner, ids, _, minD, maxD, sets, distinct):
-        tri = np.triu_indices(ids.size, k=1)
+    def listing(step, winner, ids, tri, minD, maxD, cnt, distinct):
         for i, j in zip(ids[tri[0]], ids[tri[1]]):
             if {i, j} != set(winner):
                 want.append((step, winner, (i, j), minD[winner], maxD[winner],
                              minD[i, j], maxD[i, j]))
 
-    _run(inst, rule, listing)
+    reference_run(inst, rule, listing)
     tree, comps = record_comparisons(inst, rule)
     assert tree.merges == build_tree(inst, rule).merges
     assert [(c.step, c.winner, c.candidate, c.winner_min, c.winner_max, c.candidate_min,

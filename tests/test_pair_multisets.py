@@ -125,14 +125,20 @@ def test_minmax_builds_match_dense_reference_on_120_gaussian_points():
         _assert_same_build(inst, rule)
 
 
-def _collector_inputs(run, inst, rule):
-    seen = []
+def _collector_inputs(inst, rule):
+    """Each step, its winner and its active nodes, as _run's collectors see
+    them (in slots) and as reference_run's do (in node ids)."""
+    got, want = [], []
 
-    def record(step, winner, ids, *_):
-        seen.append((step, tuple(map(int, winner)), ids.tolist()))
+    def record(step, winner, ids, sets):
+        got.append((step, tuple(int(ids[s]) for s in winner), sorted(ids.tolist())))
 
-    run(inst, rule, record)
-    return seen
+    def record_reference(step, winner, ids, *_):
+        want.append((step, tuple(map(int, winner)), ids.tolist()))
+
+    _run(inst, rule, record)
+    reference_run(inst, rule, record_reference)
+    return got, want
 
 
 def test_collectors_see_the_reference_steps_winners_and_candidates():
@@ -146,11 +152,12 @@ def test_collectors_see_the_reference_steps_winners_and_candidates():
     for _ in range(10):
         inst = _integer_instance(rng, int(rng.integers(3, 16)), int(rng.integers(1, 4)))
         for rule in rules:
-            assert _collector_inputs(_run, inst, rule) == _collector_inputs(
-                reference_run, inst, rule), rule
+            got, want = _collector_inputs(inst, rule)
+            assert got == want, rule
     inst, _ = gen_two_gadget(0.4, "convex_minmax")
     for rule in (MergeRule("convex_minmax", 0.4), MergeRule("power_minmax", 1.7)):
-        assert _collector_inputs(_run, inst, rule) == _collector_inputs(reference_run, inst, rule)
+        got, want = _collector_inputs(inst, rule)
+        assert got == want
 
 
 _multiset = st.dictionaries(st.integers(0, 11), st.integers(1, 6), min_size=1, max_size=8)
@@ -241,9 +248,9 @@ def test_selector_collectors_select_the_winners_values_once_per_step(monkeypatch
         cb = _make_collector(family, sigma, eqs)
         steps = []
 
-        def check(step, winner, ids, _, minD, maxD, sets, distinct):
+        def check(step, winner, ids, sets):
             calls.clear()
-            cb(step, winner, ids, _, minD, maxD, sets, distinct)
+            cb(step, winner, ids, sets)
             # one selection per distinct candidate (the winner's included)
             # and one for the winner
             assert len(calls) <= len(sets.live()) + 1
@@ -313,9 +320,8 @@ def test_store_holds_only_the_active_pairs():
     inst = _integer_instance(rng, 14, 3)
     n = inst.n
 
-    def check(step, winner, ids, _, minD, maxD, sets, distinct):
-        tri = np.triu_indices(ids.size, k=1)
-        sids = sets.sid[ids[tri[0]], ids[tri[1]]]
+    def check(step, winner, ids, sets):
+        sids = sets.sid[np.triu_indices(ids.size, k=1)]
         # the active pairs partition the leaf pairs across clusters
         sizes = np.bincount(sets.label)
         cross = (n * n - int(np.sum(sizes * sizes))) // 2
@@ -332,11 +338,10 @@ def test_live_ids_are_each_steps_distinct_candidate_keys(n, top, seed, pick):
     rng = np.random.default_rng(seed)
     inst = _integer_instance(rng, n, top) if seed % 2 else euclidean_instance(rng, n)
     rule = list(_rules(rng))[pick]
-    steps = []
+    steps, ends = [], []
 
-    def check(step, winner, ids, _, minD, maxD, sets, distinct):
+    def check(step, winner, ids, sets):
         ii, jj = np.triu_indices(ids.size, k=1)
-        ii, jj = ids[ii], ids[jj]
         sids = sets.sid[ii, jj]
         # the live ids are np.unique(sids), each counting its active pairs
         held, count = np.unique(sids, return_counts=True)
@@ -348,13 +353,137 @@ def test_live_ids_are_each_steps_distinct_candidate_keys(n, top, seed, pick):
         else:
             # a code is its own id and decodes to the pair's (min, max)
             lo, hi = np.divmod(sids, sets.beta)
-            assert sets.distinct[lo].tolist() == minD[ii, jj].tolist()
-            assert sets.distinct[hi].tolist() == maxD[ii, jj].tolist()
+            ends.extend(zip(ids[ii], ids[jj], sets.distinct[lo], sets.distinct[hi]))
         steps.append(step)
 
     tree = _run(inst, rule, check)
     assert tree.merges == build_tree(inst, rule).merges
     assert steps == list(range(n - 1))
+    upper = np.where(np.tri(n, k=-1, dtype=bool), inst.dist.T, inst.dist)
+    for u, v, lo, hi in ends:
+        d = upper[np.ix_(tree.leaf_sets[u], tree.leaf_sets[v])]
+        assert (lo, hi) == (d.min(), d.max())
+
+
+_PROPERTY_RULES = [
+    MergeRule("convex_minmax", 0.0), MergeRule("convex_minmax", 0.35),
+    MergeRule("convex_minmax", 1.0), MergeRule("power_minmax", 1.7),
+    MergeRule("power_minmax", -0.8), MergeRule("power_minmax", math.inf),
+    MergeRule("power_average", 1.3), MergeRule("power_average", 0.0),
+    MergeRule("power_average", -math.inf),
+    MergeRule("sigma_linear", weights=(0.35, 0.65), sigma=2),
+    MergeRule("sigma_linear", weights=(0.2, 1.0, 0.7), sigma=3),
+    MergeRule("sigma_power", 0.8, sigma=3), MergeRule("sigma_power", -1.3, sigma=2),
+]
+
+
+def _sweep_collectors(rule):
+    """The package's sweep collector for rule and the reference's, each a
+    factory over the container it fills; None where no sweep collects."""
+    if rule.family == "sigma_linear" and rule.sigma != 2:
+        w = np.array(rule.weights)
+        return (lambda out: _margin_collector(rule.sigma, w, out),
+                lambda out: reference_grid_collector(rule.sigma, w, out))
+    if rule.family in ("convex_minmax", "power_minmax"):
+        return (lambda out: _make_collector(rule.family, None, out),
+                lambda out: reference_minmax_collector(rule.family, out))
+    if not _counts_needed(rule):
+        return None
+    return (lambda out: _make_collector(rule.family, rule.sigma, out),
+            lambda out: reference_count_collector(rule.family, rule.sigma, out))
+
+
+def _listed_comparisons(comparisons, beta):
+    def dense(support):
+        return None if support is None else tuple(np.bincount(*support, minlength=beta))
+
+    return [(c.step, c.winner, c.candidate, c.winner_min, c.winner_max, c.candidate_min,
+             c.candidate_max, dense(c.winner_counts), dense(c.candidate_counts))
+            for c in comparisons]
+
+
+def _check_against_reference(inst, rule):
+    """Check build_tree, record_comparisons (in order) and the rule's sweep
+    collector against reference_run.  Returns the slot cases the build's
+    steps met: the winner (or its partner) in the last slot, or neither,
+    with m > 2 active clusters, and m = 2."""
+    beta = np.unique(inst.dist[np.triu_indices(inst.n, k=1)]).size
+    counts = _counts_needed(rule)
+    want = []
+
+    def listing(step, winner, ids, tri, minD, maxD, cnt, distinct):
+        def dense(u, v):
+            return tuple(cnt[u, v].astype(int)) if counts else None
+
+        for i, j in zip(ids[tri[0]], ids[tri[1]]):
+            if {i, j} != set(winner):
+                want.append((step, winner, (i, j), minD[winner], maxD[winner], minD[i, j],
+                             maxD[i, j], dense(*winner), dense(i, j)))
+
+    ref = reference_run(inst, rule, listing)
+    tree, comps = record_comparisons(inst, rule)
+    plain = build_tree(inst, rule)
+    assert (plain.merges, plain.values, plain.leaf_sets) == (
+        tree.merges, tree.values, tree.leaf_sets), rule
+    got, expected = tree_merge_sequence(tree), tree_merge_sequence(ref)
+    if rule.family == "power_average" and not math.isinf(rule.alpha) and got != expected:
+        # its keys may differ from the reference's in rounding: the first
+        # different merge must tie
+        g, w = next((g, w) for g, w in zip(got, expected) if g != w)
+        vals = [merge_value([inst.dist[p, q] for p in a for q in b], rule) for a, b in (g, w)]
+        assert abs(vals[0] - vals[1]) <= 1e-12 * max(1.0, *map(abs, vals)), (rule, g, w)
+        return set()
+    assert got == expected, rule
+    assert (tree.merges, tree.leaf_sets) == (ref.merges, ref.leaf_sets), rule
+    if not (rule.family == "power_average" and not math.isinf(rule.alpha)):
+        assert tree.values == ref.values, rule
+    assert _listed_comparisons(comps, beta) == want, rule
+
+    cases = set()
+
+    def slots(step, winner, ids, sets):
+        m, (si, sj) = ids.size, winner
+        cases.add("m = 2" if m == 2 else "winner last" if si == m - 1
+                  else "partner last" if sj == m - 1 else "moved")
+
+    collectors = _sweep_collectors(rule)
+    if collectors is None:
+        _run(inst, rule, slots)
+        return cases
+    make, make_reference = collectors
+    out, out_reference = (([], []) if rule.family == "sigma_linear" and rule.sigma != 2
+                          else (set(), set()))
+    collect = make(out)
+
+    def collecting(*args):
+        slots(*args)
+        collect(*args)
+
+    _run(inst, rule, collecting)
+    reference_run(inst, rule, make_reference(out_reference))
+    assert out == out_reference, rule
+    return cases
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 11), top=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+def test_slot_builds_match_the_reference_on_tie_heavy_integer_instances(n, top, seed):
+    inst = _integer_instance(np.random.default_rng(seed), n, top)
+    for rule in _PROPERTY_RULES:
+        _check_against_reference(inst, rule)
+
+
+def test_reference_checks_meet_every_slot_case():
+    # the property above draws from these instances; between them they
+    # merge the last slot as the winner and as its partner, move it into a
+    # freed slot, and reach m = 2
+    rng = np.random.default_rng(7)
+    cases = set()
+    for _ in range(6):
+        inst = _integer_instance(rng, int(rng.integers(2, 12)), int(rng.integers(1, 5)))
+        for rule in _PROPERTY_RULES:
+            cases |= _check_against_reference(inst, rule)
+    assert cases == {"m = 2", "winner last", "partner last", "moved"}
 
 
 def test_plain_builds_intern_nothing(monkeypatch):
@@ -408,9 +537,27 @@ def test_power_average_build_at_n200_stays_small():
     finally:
         tracemalloc.stop()
     # the dense tensor would need (2n-1)^2 * n(n-1)/2 * 8 bytes, about 24 GiB,
-    # and two (2n-1)^2 float matrices of pairwise minima and maxima, which
-    # the count families do not keep, would add 2.4 MiB to about 3.2 MiB
+    # and two n x n float matrices of pairwise minima and maxima, which the
+    # count families do not keep, would add 0.6 MiB to about 2.0 MiB
     assert peak < 4 * 2 ** 20
+
+
+def test_collected_minmax_build_at_n300_keeps_slot_matrices():
+    # the keys, minima, maxima and pair keys are n x n matrices over the
+    # active slots; kept over node ids, (2n-1) x (2n-1) each, the same
+    # build peaked at 13.35 MiB.  Few distinct distances keep the collector's
+    # memo small, so the matrices dominate the peak
+    rng = np.random.default_rng(300)
+    inst = _integer_instance(rng, 300, 9)
+    eqs = set()
+    tracemalloc.start()
+    try:
+        _run(inst, MergeRule("convex_minmax", 0.4), _make_collector("convex_minmax", None, eqs))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eqs
+    assert peak < 13.35 / 2 * 2 ** 20
 
 
 @pytest.mark.parametrize("rule", [MergeRule("power_average", 1.3),

@@ -559,7 +559,7 @@ def test_erm_joint_sweeps_each_tree_tuple_once(monkeypatch):
     family, arange, prange, k = "power_minmax", (0.3, 2.5), (0.5, 3.0), 2
     events, solves = [], []
     run, dp, roots = param_search._run, param_search.dp_with_comparisons, find_roots
-    p_cells = param_search._sweep_p_cells
+    p_cells, alpha_sweep = param_search._sweep_p_cells, param_search._collected_sweep
 
     def building(inst, mrule, collector=None, table=None):
         events.append(("build", mrule.alpha))
@@ -577,14 +577,19 @@ def test_erm_joint_sweeps_each_tree_tuple_once(monkeypatch):
         solves.append((f.terms, lo, hi))
         return roots(f, lo, hi, tol)
 
+    def marked(*args):
+        out = alpha_sweep(*args)
+        events.append(("alpha swept",))
+        return out
+
     monkeypatch.setattr(param_search, "_run", building)
+    monkeypatch.setattr(param_search, "_collected_sweep", marked)
     monkeypatch.setattr(param_search, "_sweep_p_cells", sweeping)
     monkeypatch.setattr(param_search, "dp_with_comparisons", dp_recording)
     monkeypatch.setattr(param_search, "find_roots", solving)
     res = erm_joint(instances, family, arange, prange, k, obj)
     monkeypatch.undo()
 
-    m = len(instances)
     # no tree tuple is swept twice
     sweeps = [e[1] for e in events if e[0] == "sweep"]
     assert 2 <= len(sweeps) == len(set(sweeps))
@@ -595,17 +600,54 @@ def test_erm_joint_sweeps_each_tree_tuple_once(monkeypatch):
         if e[0] == "dp":
             runs.append((sweep, *e[1:]))
     assert len(set(runs)) == len(runs) == res.instances_evaluated
-    # the best alpha's trees were swept already: looking them up sweeps none
-    assert events[-m:] == [("build", res.best_param[0])] * m
+    # the best alpha's trees come from its swept cell, whose exponent sweep
+    # was done: looking them up builds and sweeps nothing
+    assert events[-1] == ("alpha swept",)
     # no equation is solved twice on one domain
     assert len(set(solves)) == len(solves)
     assert any((lo, hi) == prange for _, lo, hi in solves)
 
+    _assert_best_p_from_fresh_trees(res, instances, family, k, prange, obj)
+
+
+def _assert_best_p_from_fresh_trees(res, instances, family, k, prange, obj):
     arep, prep = res.best_param
     trees = [build_tree(inst, MergeRule(family, arep)) for inst in instances]
     plo, phi_, _, fresh_rep = param_search._best_run(sweep_p(instances, trees, k, prange, obj))
     assert res.best_interval[1] == (plo, phi_)
     assert prep == fresh_rep
+
+
+def test_erm_joint_builds_the_trees_at_a_best_alpha_on_a_cell_end(monkeypatch):
+    # where merges tie the trees may be neither side's, so a best alpha that
+    # falls on an end of a swept cell gets trees built there
+    rng = np.random.default_rng(35)
+    instances = [euclidean_instance(rng, 7) for _ in range(2)]
+    obj = Objective(kind="phi_p", p=2.0)
+    family, arange, prange, k = "power_minmax", (0.3, 2.5), (0.5, 3.0), 2
+    best_run, run, builds, ends = param_search._best_run, param_search._run, [], []
+
+    def on_a_cell_end(profile):
+        lo, hi, cost, rep = best_run(profile)
+        if profile.parameter == "alpha":
+            rep = profile.breakpoints[len(profile.breakpoints) // 2]
+            ends.append(rep)
+        return lo, hi, cost, rep
+
+    def building(inst, mrule, collector=None, table=None):
+        builds.append((collector is None, mrule.alpha))
+        return run(inst, mrule, collector=collector, table=table)
+
+    monkeypatch.setattr(param_search, "_best_run", on_a_cell_end)
+    monkeypatch.setattr(param_search, "_run", building)
+    res = erm_joint(instances, family, arange, prange, k, obj)
+    monkeypatch.undo()
+    (end,) = ends
+    assert arange[0] < end < arange[1] and res.best_param[0] == end
+    # the sweep's builds are collected; the last ones are plain, at the end
+    assert [alpha for plain, alpha in builds if plain] == [end] * len(instances)
+    assert builds[-len(instances):] == [(True, end)] * len(instances)
+    _assert_best_p_from_fresh_trees(res, instances, family, k, prange, obj)
 
 
 def test_erm_joint_matches_grid_oracle():
@@ -807,7 +849,8 @@ def test_probe_certifies_its_own_piece_or_falls_back_to_a_run(cross, runs):
 
     cells, made = param_search._lazy_sweep([(0.0, 1.0)], [run], _only, solve)
     assert probes == runs and made == len(runs)
-    assert cells == [[0.0, 0.75, 0.375, (True,), 1.0], [0.75, 1.0, 0.875, (False,), 2.0]]
+    assert cells == [[0.0, 0.75, 0.375, (True,), 1.0, [(0.0, 0.75, (1.0,))]],
+                     [0.75, 1.0, 0.875, (False,), 2.0, [(0.75, 1.0, (2.0,))]]]
 
 
 def test_probe_does_not_certify_a_piece_with_an_unmerged_root_inside():

@@ -2,7 +2,7 @@
 
 Usage, from the root of a source checkout:
 
-    python3 tools/ab_tune.py BASE CHANGE --workload avg_erm --seed 1 --rounds 12 --calls 20
+    python3 tools/ab_tune.py BASE CHANGE --workload avg_erm --seed 1 --rounds 12 --calls 20 [--apply]
 
 BASE and CHANGE are checkouts (directories holding ``src/partition_tuner``).
 Both are loaded into this one process as separately named packages, and the
@@ -13,9 +13,11 @@ first alternates from round to round.  The script prints each round's CPU
 seconds, the median over rounds of the change's time over the base's (with
 its quartiles), the rounds the change won, whether every answer and profile
 (breakpoints, values, representatives and payloads) was identical, and each
-side's total ``instances_evaluated``.  It exits with status 1 when an answer
-or a profile differs, or when the change made more runs than the base on
-any call.
+side's total ``instances_evaluated``.  With ``--apply``, each call's result is
+also applied to the call's held-out input (the workload's ``apply``) on both
+trees, timed the same way, and checked with the workload's ``check_apply``.
+It exits with status 1 when an answer, a profile or an applied output
+differs, or when the change made more runs than the base on any call.
 
 Both sides of a call run at the same host speed, so the ratio does not
 follow a shared host's drift; perfbench's 30 s runs cannot resolve gains of
@@ -58,6 +60,18 @@ def outcome(workload, res):
     return repr((workload.answer(res), prof))
 
 
+def applied(out, inp):
+    """What must agree between two applications: the output, with arrays as
+    lists and without the held-out input it carries."""
+
+    def plain(x):
+        if isinstance(x, (list, tuple)):
+            return [plain(v) for v in x if v is not inp]
+        return x.tolist() if hasattr(x, "tolist") else x
+
+    return repr(plain(out))
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base")
@@ -66,6 +80,8 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=12)
     ap.add_argument("--calls", type=int, default=20)
+    ap.add_argument("--apply", action="store_true",
+                    help="also time and compare each call's held-out application")
     args = ap.parse_args(argv)
 
     # the workloads import partition_tuner for their input types
@@ -79,38 +95,58 @@ def main(argv=None):
         sides[side] = cls(args.seed, lib=lib)
         sides[side].setup()
 
-    ratios, won, same, calls = [], 0, True, 0
+    ratios, apply_ratios, won, same, same_apply, calls = [], [], 0, True, True, 0
     runs, more = {"base": 0, "change": 0}, 0
     print(f"{args.workload} seed {args.seed}: {args.rounds} rounds x {args.calls} calls")
-    print("round  base_s  change_s  ratio")
+    print("round  base_s  change_s  ratio" + ("  apply_base_s  apply_change_s  ratio"
+                                              if args.apply else ""))
     for r in range(args.rounds):
         spent = {"base": 0.0, "change": 0.0}
+        apply_spent = {"base": 0.0, "change": 0.0}
         order = ("base", "change") if r % 2 == 0 else ("change", "base")
         for i in range(r * args.calls, (r + 1) * args.calls):
             x = sides["base"].inputs(i)
-            got, made = {}, {}
+            got, made, outs = {}, {}, {}
             for side in order:
+                wl = sides[side]
                 t0 = time.process_time()
-                res = sides[side].tune(x)
+                res = wl.tune(x)
                 spent[side] += time.process_time() - t0
-                got[side] = outcome(sides[side], res)
+                got[side] = outcome(wl, res)
                 made[side] = getattr(res, "instances_evaluated", 0)
                 runs[side] += made[side]
+                if args.apply:
+                    inp = wl.apply_input(i)
+                    t0 = time.process_time()
+                    out = wl.apply(res, inp)
+                    apply_spent[side] += time.process_time() - t0
+                    wl.check_apply(out)
+                    outs[side] = applied(out, inp)
             same = same and got["base"] == got["change"]
+            same_apply = same_apply and outs.get("base") == outs.get("change")
             more += made["change"] > made["base"]
             calls += 1
         ratio = spent["change"] / spent["base"]
         ratios.append(ratio)
         won += spent["change"] < spent["base"]
-        print(f"{r:5d}  {spent['base']:6.3f}  {spent['change']:8.3f}  {ratio:.3f}")
-    med = statistics.median(ratios)
-    q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
-    print(f"median ratio change/base {med:.3f} [quartiles {q1:.3f}, {q3:.3f}]; "
-          f"change faster in {won} of {args.rounds} rounds")
+        line = f"{r:5d}  {spent['base']:6.3f}  {spent['change']:8.3f}  {ratio:.3f}"
+        if args.apply:
+            apply_ratios.append(apply_spent["change"] / apply_spent["base"])
+            line += (f"  {apply_spent['base']:12.3f}  {apply_spent['change']:14.3f}"
+                     f"  {apply_ratios[-1]:.3f}")
+        print(line)
+    for label, values in (("", ratios), ("apply ", apply_ratios)):
+        if values:
+            med = statistics.median(values)
+            q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+            print(f"{label}median ratio change/base {med:.3f} [quartiles {q1:.3f}, {q3:.3f}]"
+                  + ("" if label else f"; change faster in {won} of {args.rounds} rounds"))
     print(f"answers and profiles identical on all {calls} calls: {'yes' if same else 'NO'}")
+    if args.apply:
+        print(f"applied outputs identical on all {calls} calls: {'yes' if same_apply else 'NO'}")
     print(f"instances_evaluated: base {runs['base']}, change {runs['change']}; "
           f"change made more runs on {more} calls")
-    return 0 if same and not more else 1
+    return 0 if same and same_apply and not more else 1
 
 
 if __name__ == "__main__":
