@@ -23,6 +23,8 @@ from .errors import DataError, DomainError, NumericError, ParseError
 from .instances import (
     ClusteringInstance,
     MaxQPInstance,
+    _read_doc,
+    _write_doc,
     fixture_path,
     gen_general_lb,
     gen_k4_shatter,
@@ -180,45 +182,30 @@ def cmd_gen(args):
     kind = args.kind
     if not args.out:
         raise DomainError("gen requires --out")
-    if kind == "two-gadget":
-        inst, fix = gen_two_gadget(args.alpha_star, _family(args.family), p=args.p)
-        save_instance(args.out, inst, fix)
-        extras = [fixture_path(args.out)]
-    elif kind == "oscillation":
-        if not args.alphas:
-            raise DomainError("gen oscillation requires --alphas")
-        alphas = _floats(args.alphas)
-        n = 6 * (len(alphas) + 1) + 2
-        inst, fix = gen_oscillation(n, alphas, _family(args.family), p=args.p)
-        save_instance(args.out, inst, fix)
-        extras = [fixture_path(args.out)]
-    elif kind == "general-lb":
-        offsets = _floats(args.offsets) if args.offsets else None
-        inst, fix = gen_general_lb(args.rounds, offsets)
-        save_instance(args.out, inst, fix)
-        extras = [fixture_path(args.out)]
-    elif kind == "k4":
+    fix_path = fixture_path(args.out)
+    if kind == "k4":
         inst, emb, z, witness = gen_k4_shatter(args.n, args.j)
         save_instance(args.out, inst)
         base = args.out[:-5] if args.out.endswith(".json") else args.out
         emb_path = base + ".embedding.json"
         save_embedding(emb_path, emb)
-        fix_path = fixture_path(args.out)
-        with open(fix_path, "w") as fh:
-            json.dump(
-                {
-                    "schema": "partition-tuner/1",
-                    "type": "fixture",
-                    "kind": "k4",
-                    "j": args.j,
-                    "z": z.tolist(),
-                    "expected_witness": witness,
-                },
-                fh,
-            )
+        _write_doc(fix_path, "fixture",
+                   {"kind": "k4", "j": args.j, "z": z, "expected_witness": witness})
         extras = [emb_path, fix_path]
     else:
-        raise DomainError(f"unknown generator {kind!r}")
+        if kind == "two-gadget":
+            inst, fix = gen_two_gadget(args.alpha_star, _family(args.family), p=args.p)
+        elif kind == "oscillation":
+            if not args.alphas:
+                raise DomainError("gen oscillation requires --alphas")
+            alphas = _floats(args.alphas)
+            n = 6 * (len(alphas) + 1) + 2
+            inst, fix = gen_oscillation(n, alphas, _family(args.family), p=args.p)
+        else:  # general-lb; the parser admits no other kind
+            offsets = _floats(args.offsets) if args.offsets else None
+            inst, fix = gen_general_lb(args.rounds, offsets)
+        save_instance(args.out, inst, fix)
+        extras = [fix_path]
     print(f"wrote {args.out} (n={inst.n}, kind={kind})")
     for p in extras:
         print(f"wrote {p}")
@@ -397,38 +384,26 @@ def _rounding_setup(args):
     return inst, emb
 
 
-def cmd_erm_slin(args):
+# command -> (ERM, projection dimension of an embedding, whether each sample
+# also draws thresholds, printed parameter name)
+_ROUNDING_ERM = {
+    "erm-slin": (slin_erm, lambda emb: emb.d, False, "s"),
+    "erm-owr": (owr_erm, lambda emb: emb.d + emb.n, False, "gamma"),
+    "erm-rprt": (rprt_erm, lambda emb: emb.d, True, "s"),
+}
+
+
+def cmd_erm_rounding(args):
+    erm, dim, thresholds, name = _ROUNDING_ERM[args.command]
     inst, emb = _rounding_setup(args)
-    Z = sample_z(emb.d, args.samples, args.seed)
-    res = slin_erm([(inst, emb, Z[i]) for i in range(args.samples)])
-    print(f"best s={res.best_param!r} value={res.best_value!r}")
-    return {
-        "best_param": res.best_param,
-        "best_value": res.best_value,
-        "thresholds": res.thresholds,
-        "interval_values": res.interval_values,
-    }
-
-
-def cmd_erm_owr(args):
-    inst, emb = _rounding_setup(args)
-    Z = sample_z(emb.d + emb.n, args.samples, args.seed)
-    res = owr_erm([(inst, emb, Z[i]) for i in range(args.samples)])
-    print(f"best gamma={res.best_param!r} value={res.best_value!r}")
-    return {
-        "best_param": res.best_param,
-        "best_value": res.best_value,
-        "thresholds": res.thresholds,
-        "interval_values": res.interval_values,
-    }
-
-
-def cmd_erm_rprt(args):
-    inst, emb = _rounding_setup(args)
-    Z = sample_z(emb.d, args.samples, args.seed)
-    Q = sample_q(inst.n, args.samples, args.seed)
-    res = rprt_erm([(inst, emb, Z[i], Q[i]) for i in range(args.samples)])
-    print(f"best s={res.best_param!r} value={res.best_value!r}")
+    Z = sample_z(dim(emb), args.samples, args.seed)
+    if thresholds:
+        Q = sample_q(inst.n, args.samples, args.seed)
+        samples = [(inst, emb, z, q) for z, q in zip(Z, Q)]
+    else:
+        samples = [(inst, emb, z) for z in Z]
+    res = erm(samples)
+    print(f"best {name}={res.best_param!r} value={res.best_value!r}")
     return {
         "best_param": res.best_param,
         "best_value": res.best_value,
@@ -560,21 +535,16 @@ def _build_parser():
     common(p, seeded=True)
     p.set_defaults(func=cmd_embed)
 
-    for name, fn, extra in [
-        ("erm-slin", cmd_erm_slin, None),
-        ("erm-owr", cmd_erm_owr, None),
-        ("erm-rprt", cmd_erm_rprt, None),
-        ("erm-disc", cmd_erm_disc, "disc"),
-    ]:
+    for name in [*_ROUNDING_ERM, "erm-disc"]:
         p = sub.add_parser(name, help=f"rounding parameter search ({name[4:]})")
         p.add_argument("--instances", required=True)
         p.add_argument("--embedding", help="embedding JSON (default: compute)")
         p.add_argument("--samples", type=int, default=5)
-        if extra == "disc":
+        if name == "erm-disc":
             p.add_argument("--eps", type=float, required=True)
             p.add_argument("--cap", type=int, default=10 ** 6)
         common(p, seeded=True)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_erm_disc if name == "erm-disc" else cmd_erm_rounding)
 
     p = sub.add_parser("sample-size", help="sample-complexity calculator")
     p.add_argument("--H", type=float, required=True)
@@ -605,27 +575,21 @@ def _apply_config(args, parser):
     checks."""
     if not getattr(args, "config", None):
         return args
-    try:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # undecodable bytes or invalid JSON
-        raise ParseError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError("config must be a JSON object")
+    doc = _read_doc(args.config, "config")
     if doc.get("command") != args.command:
         raise DataError(
             f"config is for {doc.get('command')!r}, not {args.command!r}"
         )
     merged = vars(args).copy()
     for key, val in doc.items():
-        if key in _CONFIG_SKIP or key == "command":
+        if key in _CONFIG_SKIP:
             continue
         if key not in merged:
             raise DataError(f"config has unknown field {key!r}")
         merged[key] = val
     argv = [args.command] + ([str(merged.pop("kind"))] if "kind" in merged else [])
     argv += [f"--{key.replace('_', '-')}={val}" for key, val in merged.items()
-             if key not in _CONFIG_SKIP and key != "command" and val is not None]
+             if key not in _CONFIG_SKIP and val is not None]
     try:
         replayed = parser.parse_args(argv)
     except SystemExit:

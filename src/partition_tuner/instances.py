@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -593,16 +593,58 @@ def gen_k4_shatter(n: int, j: int):
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization: every file is one JSON object tagged with SCHEMA and a type
 
-def _to_jsonable(obj):
-    if isinstance(obj, np.ndarray):
+
+def _jsonable(obj):
+    """json.dump fallback: numpy arrays and scalars become lists and numbers."""
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, tuple):
-        return list(obj)
-    return obj
+    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _write_doc(path, kind: str, body: dict) -> None:
+    """Write body's fields as one JSON object after the schema and type tags."""
+    with open(path, "w") as fh:
+        json.dump({"schema": SCHEMA, "type": kind, **body}, fh, default=_jsonable)
+
+
+def _read_doc(path, what: str, kinds: tuple = (), build=dict):
+    """Read the JSON object at path and return build(doc).
+
+    With kinds, the object must carry the schema tag and one of these type
+    tags.  Undecodable bytes, invalid JSON, a value that is not an object, a
+    wrong tag, and a field that build lacks (KeyError) or cannot convert
+    (TypeError, ValueError) raise ParseError; its message names the path
+    and `what` the file should hold.  A missing or unreadable file raises
+    its OSError.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # bad bytes, bad or too deep JSON
+        raise ParseError(f"{path}: {what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: {what} must be a JSON object")
+    if kinds and (doc.get("schema") != SCHEMA or doc.get("type") not in kinds):
+        raise ParseError(
+            f"{path}: expected schema {SCHEMA!r} and type {' or '.join(kinds)}, got "
+            f"{doc.get('schema')!r} and {doc.get('type')!r}"
+        )
+    try:
+        return build(doc)
+    except KeyError as exc:
+        raise ParseError(f"{path}: {what} lacks the field {exc}") from exc
+    except (TypeError, ValueError) as exc:  # entries that are not numbers
+        raise ParseError(f"{path}: {what} has an ill-typed field: {exc}") from exc
+
+
+def _int(doc: dict, key: str) -> int:
+    """doc[key], which must be a JSON integer (not a float or a bool)."""
+    val = doc[key]
+    if not isinstance(val, int) or isinstance(val, bool):
+        raise TypeError(f"{key!r} must be an integer, got {val!r}")
+    return val
 
 
 def fixture_path(path) -> str:
@@ -617,121 +659,56 @@ def save_instance(path, inst, fixture: Optional[FixtureSpec] = None) -> None:
     """Write an instance as JSON; a fixture, if given, goes to the sidecar
     path (foo.json -> foo.fixture.json)."""
     if isinstance(inst, ClusteringInstance):
-        doc = {
-            "schema": SCHEMA,
-            "type": "clustering",
-            "n": inst.n,
-            "dist": inst.dist.tolist(),
-            "ground_truth": None
-            if inst.ground_truth is None
-            else inst.ground_truth.tolist(),
-            "k_hint": inst.k_hint,
-        }
+        _write_doc(path, "clustering", {"n": inst.n, "dist": inst.dist,
+                                        "ground_truth": inst.ground_truth,
+                                        "k_hint": inst.k_hint})
     elif isinstance(inst, MaxQPInstance):
-        doc = {
-            "schema": SCHEMA,
-            "type": "maxqp",
-            "n": inst.n,
-            "matrix": inst.matrix.tolist(),
-            "origin": inst.origin,
-        }
+        _write_doc(path, "maxqp", {"n": inst.n, "matrix": inst.matrix, "origin": inst.origin})
     else:
         raise ParseError(f"cannot serialize object of type {type(inst).__name__}")
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
     if fixture is not None:
-        fdoc = {"schema": SCHEMA, "type": "fixture"}
-        for key, val in vars(fixture).items():
-            fdoc[key] = _to_jsonable(val)
-        with open(fixture_path(path), "w") as fh:
-            json.dump(fdoc, fh)
+        _write_doc(fixture_path(path), "fixture", vars(fixture))
 
 
 def load_instance(path):
     """Read an instance written by save_instance."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # undecodable bytes or invalid JSON
-        raise ParseError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
-        raise ParseError(f"missing or unknown schema tag, expected {SCHEMA!r}")
-    kind = doc.get("type")
-    if kind not in ("clustering", "maxqp"):
-        raise ParseError(f"unknown instance type {kind!r}")
-    n = doc.get("n")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ParseError(f"{kind} instance needs an integer field 'n', got {n!r}")
-    field = "dist" if kind == "clustering" else "matrix"
-    if field not in doc:
-        raise ParseError(f"{kind} instance lacks the field {field!r}")
-    try:
-        if kind == "clustering":
-            gt = doc.get("ground_truth")
-            return ClusteringInstance(
-                n=n,
-                dist=np.array(doc["dist"], dtype=float),
-                ground_truth=None if gt is None else np.array(gt, dtype=int),
-                k_hint=doc.get("k_hint"),
-            )
-        return MaxQPInstance(
-            n=n,
-            matrix=np.array(doc["matrix"], dtype=float),
-            origin=doc.get("origin", "generic"),
+
+    def build(doc):
+        if doc["type"] == "maxqp":
+            return MaxQPInstance(n=_int(doc, "n"), matrix=np.array(doc["matrix"], dtype=float),
+                                 origin=doc.get("origin", "generic"))
+        gt = doc.get("ground_truth")
+        return ClusteringInstance(
+            n=_int(doc, "n"),
+            dist=np.array(doc["dist"], dtype=float),
+            ground_truth=None if gt is None else np.array(gt, dtype=int),
+            k_hint=doc.get("k_hint"),
         )
-    except (TypeError, ValueError) as exc:  # entries that are not numbers
-        raise ParseError(f"{kind} instance has an ill-typed field: {exc}") from exc
+
+    return _read_doc(path, "instance", ("clustering", "maxqp"), build)
 
 
 def load_fixture(path) -> FixtureSpec:
-    """Read the fixture sidecar written next to an instance file."""
+    """Read the fixture sidecar written next to an instance file.  kind is
+    its one required field; lists come back as tuples."""
+
+    def build(doc):
+        vals = {f.name: doc.get(f.name) for f in fields(FixtureSpec)}
+        vals["kind"] = doc["kind"]
+        return FixtureSpec(**{k: tuple(v) if isinstance(v, list) else v
+                              for k, v in vals.items()})
+
     try:
-        with open(fixture_path(path)) as fh:
-            doc = json.load(fh)
+        return _read_doc(fixture_path(path), "fixture", ("fixture",), build)
     except FileNotFoundError:
-        raise ParseError(f"no fixture sidecar for {path}")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}") from exc
-    if doc.get("schema") != SCHEMA or doc.get("type") != "fixture":
-        raise ParseError("fixture sidecar has wrong schema or type")
-    kwargs = {}
-    for key in (
-        "kind",
-        "family",
-        "alphas",
-        "alpha_star",
-        "p",
-        "expected_witness",
-        "expected_profile",
-        "expected_breakpoints",
-    ):
-        val = doc.get(key)
-        if isinstance(val, list):
-            val = tuple(val)
-        kwargs[key] = val
-    return FixtureSpec(**kwargs)
+        raise ParseError(f"no fixture sidecar for {path}") from None
 
 
 def save_embedding(path, emb: Embedding) -> None:
-    doc = {
-        "schema": SCHEMA,
-        "type": "embedding",
-        "n": emb.n,
-        "d": emb.d,
-        "vectors": emb.vectors.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    _write_doc(path, "embedding", {"n": emb.n, "d": emb.d, "vectors": emb.vectors})
 
 
 def load_embedding(path) -> Embedding:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}") from exc
-    if doc.get("schema") != SCHEMA or doc.get("type") != "embedding":
-        raise ParseError("expected an embedding file")
-    return Embedding(
-        n=int(doc["n"]), d=int(doc["d"]), vectors=np.array(doc["vectors"], dtype=float)
-    )
+    """Read an embedding written by save_embedding."""
+    return _read_doc(path, "embedding", ("embedding",), lambda doc: Embedding(
+        n=_int(doc, "n"), d=_int(doc, "d"), vectors=np.array(doc["vectors"], dtype=float)))

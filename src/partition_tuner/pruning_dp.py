@@ -295,10 +295,13 @@ def dp_with_comparisons(inst: ClusteringInstance, tree: MergeTree, k: int, p: fl
     """
     if math.isinf(p):
         raise DomainError("comparison tracking needs finite p")
-    D = inst.dist
-    distinct = np.unique(D[np.triu_indices(inst.n, k=1)])
+    # Each off-diagonal entry gets its own exact index: a near-symmetric D
+    # may hold lower-triangle values found nowhere in the upper triangle.
+    off_diag = ~np.eye(inst.n, dtype=bool)
+    distinct, inverse = np.unique(inst.dist[off_diag], return_inverse=True)
     pw = distinct ** p
-    idx = np.searchsorted(distinct, D)
+    idx = np.zeros((inst.n, inst.n), dtype=np.intp)
+    idx[off_diag] = inverse
     comparisons = []
 
     def center_costs(a):

@@ -164,6 +164,11 @@ class _Block:
         return q
 
 
+def _check_fit(inst, emb) -> None:
+    if emb.n != inst.n:
+        raise DimensionMismatch(f"embedding has {emb.n} points, instance has {inst.n}")
+
+
 def _blocks(samples: Sequence[tuple], arrays) -> dict:
     """Group samples by instance object and stack arrays(sample) per block.
 
@@ -175,9 +180,8 @@ def _blocks(samples: Sequence[tuple], arrays) -> dict:
         raise DomainError("need at least one sample")
     blocks = {}
     for sample in samples:
-        inst, emb = sample[0], sample[1]
-        if emb.n != inst.n:
-            raise DimensionMismatch(f"embedding has {emb.n} points, instance has {inst.n}")
+        inst = sample[0]
+        _check_fit(inst, sample[1])
         blk = blocks.get(id(inst))
         if blk is None:
             blk = blocks[id(inst)] = _Block(inst)
@@ -595,6 +599,8 @@ def disc_best(
     """
     if not samples:
         raise DomainError("need at least one sample")
+    for inst, emb, _ in samples:
+        _check_fit(inst, emb)
     ys = [_projections(emb, z) for _, emb, z in samples]
     m = len(samples)
     best = None

@@ -9,16 +9,18 @@ import numpy as np
 import pytest
 
 from partition_tuner import (
+    Embedding,
     SweepDiverged,
     load_embedding,
     load_fixture,
     load_instance,
     param_search,
+    save_embedding,
     save_instance,
 )
 from partition_tuner.cli import main
 from partition_tuner.instances import MaxQPInstance
-from conftest import euclidean_instance
+from conftest import euclidean_instance, near_symmetric_instance
 
 
 @pytest.fixture()
@@ -48,6 +50,17 @@ def test_gen_oscillation_writes_instance_and_fixture(tmp_path, capsys):
     fix = load_fixture(str(out))
     assert fix.alphas == pytest.approx((0.1, 0.2, 0.3, 0.4))
     assert "wrote" in capsys.readouterr().out
+
+
+def test_gen_two_gadget_writes_instance_and_fixture(tmp_path):
+    out = tmp_path / "tg.json"
+    assert main(["gen", "two-gadget", "--alpha-star", "0.3", "--family", "convex",
+                 "--out", str(out)]) == 0
+    inst = load_instance(str(out))
+    assert inst.n == 210 and inst.k_hint == 4
+    fix = load_fixture(str(out))
+    assert fix.kind == "two_gadget" and fix.family == "convex_minmax"
+    assert fix.alpha_star == 0.3 and fix.expected_breakpoints == (0.3,)
 
 
 def test_gen_requires_out(tmp_path):
@@ -208,6 +221,10 @@ def test_erm_joint_cli(points_path, tmp_path):
     doc = json.loads(out.read_text())
     a, p = doc["best_param"]
     assert 0.5 <= a <= 2.0 and 0.5 <= p <= 3.0
+    near = tmp_path / "near.json"
+    save_instance(str(near), near_symmetric_instance())
+    assert main(["erm-joint", "--instances", str(near), "--family", "convex",
+                 "--range", "0,1", "--p-range", "1,3", "--k", "2"]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +401,21 @@ def test_clustering_commands_reject_a_maxqp_file(maxqp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("cmd", ["embed", "erm-slin", "erm-owr", "erm-rprt", "erm-disc"])
-def test_rounding_commands_take_one_maxqp_file(points_path, maxqp_path, capsys, cmd):
+def test_rounding_commands_take_one_maxqp_file(points_path, maxqp_path, tmp_path, capsys,
+                                               cmd):
     extra = ["--eps", "0.5"] if cmd == "erm-disc" else []
     assert main([cmd, "--instances", points_path] + extra) == 2
     assert "MaxQPInstance" in capsys.readouterr().err
     assert main([cmd, "--instances", f"{maxqp_path},{maxqp_path}"] + extra) == 2
     assert "one instance file" in capsys.readouterr().err
+    if cmd != "embed":
+        emb = tmp_path / "list.embedding.json"
+        emb.write_text("[1, 2]")
+        assert main([cmd, "--instances", maxqp_path, "--embedding", str(emb)] + extra) == 2
+        assert "embedding must be a JSON object" in capsys.readouterr().err
+        save_embedding(str(emb), Embedding(n=3, d=3, vectors=np.eye(3)))
+        assert main([cmd, "--instances", maxqp_path, "--embedding", str(emb)] + extra) == 2
+        assert "embedding has 3 points, instance has 5" in capsys.readouterr().err
     assert main(["tree", "--instances", f"{points_path},{points_path}", "--family", "convex",
                  "--alpha", "0.5"]) == 2
 

@@ -1,4 +1,5 @@
-"""Command-line fuzzing: malformed instance files, configs and flag values.
+"""Command-line fuzzing: malformed instance and embedding files, configs and
+flag values.
 
 Whatever the input, ``main`` must end in one of its documented exit codes
 (0 success, 1 usage, 2 bad data, 3 numeric failure) with a message, never
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partition_tuner import ClusteringInstance, save_instance
+from partition_tuner import ClusteringInstance, Embedding, save_embedding, save_instance
 from partition_tuner.cli import main
 from partition_tuner.instances import MaxQPInstance
 
@@ -50,6 +51,7 @@ COMMANDS = {
 }
 FILE_COMMANDS = {"tree", "prune", "sweep-alpha", "erm-alpha", "erm-joint", "validate",
                  "embed", "erm-slin", "erm-owr", "erm-rprt", "erm-disc"}
+EMBEDDING_COMMANDS = {"erm-slin", "erm-owr", "erm-rprt", "erm-disc"}
 
 _json = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from([0.5, -1.0, 1e308])
@@ -70,7 +72,23 @@ def files(tmp_path_factory):
     save_instance(str(root / "pair.json"), ClusteringInstance(n=2, dist=[[0, 1], [1, 0]]))
     W = np.triu(rng.uniform(0.1, 1.0, (5, 5)), 1)
     save_instance(str(root / "graph.json"), MaxQPInstance(n=5, matrix=W + W.T, origin="maxcut"))
+    U = rng.normal(size=(5, 3))
+    save_embedding(str(root / "emb.json"),
+                   Embedding(n=5, d=3, vectors=U / np.linalg.norm(U, axis=1, keepdims=True)))
+    (root / "bytes.json").write_bytes(b"\xff\xfe\x00")
+    (root / "list.json").write_text("[1, 2]")
     return root
+
+
+def _malformed(draw, path):
+    """The JSON document at path with one field deleted or replaced."""
+    doc = json.loads(path.read_text())
+    field = draw(st.sampled_from(sorted(doc)))
+    if draw(st.booleans()):
+        del doc[field]
+    else:
+        doc[field] = draw(_json)
+    return json.dumps(doc)
 
 
 @st.composite
@@ -82,18 +100,20 @@ def invocations(draw, root):
     for flag, kind in COMMANDS[cmd].items():
         if draw(st.booleans()):
             argv += [flag, draw(_value[kind])]
+    emb = None
+    if cmd in EMBEDDING_COMMANDS:
+        emb = draw(st.sampled_from([None, "emb", "missing", "bad_emb", "bytes", "list"]))
+        if emb == "bad_emb":
+            (root / "bad_emb.json").write_text(_malformed(draw, root / "emb.json"))
+        if emb:
+            argv += ["--embedding", str(root / f"{emb}.json")]
     if cmd in FILE_COMMANDS:
-        choice = draw(st.sampled_from(["points", "pair", "graph", "both", "dir", "missing",
-                                       "malformed"]))
+        # an embedding is read only after the one instance file that it fits
+        choice = "graph" if emb else draw(st.sampled_from(
+            ["points", "pair", "graph", "both", "dir", "missing", "malformed"]))
         if choice == "malformed":
-            doc = json.loads((root / draw(st.sampled_from(["points.json", "graph.json"])))
-                             .read_text())
-            field = draw(st.sampled_from(sorted(doc)))
-            if draw(st.booleans()):
-                del doc[field]
-            else:
-                doc[field] = draw(_json)
-            (root / "malformed.json").write_text(json.dumps(doc))
+            source = root / draw(st.sampled_from(["points.json", "graph.json"]))
+            (root / "malformed.json").write_text(_malformed(draw, source))
         paths = {"both": f"{root / 'points.json'},{root / 'graph.json'}", "dir": str(root),
                  "missing": str(root / "missing.json")}
         argv += ["--instances", paths.get(choice, str(root / f"{choice}.json"))]
@@ -112,7 +132,7 @@ def invocations(draw, root):
     return argv
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_cli_ends_in_a_documented_exit_code(files, data):
     argv = data.draw(invocations(files))

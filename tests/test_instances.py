@@ -298,6 +298,10 @@ def test_load_rejects_wrong_schema(tmp_path):
         load_instance(path)
 
 
+_EMBEDDING = {"type": "embedding", "n": 2, "d": 2, "vectors": [[1.0, 0.0], [0.0, 1.0]]}
+_LOADERS = (load_instance, load_fixture, load_embedding)
+
+
 @pytest.mark.parametrize("fields", [
     {"type": "clustering"},
     {"type": "clustering", "n": "x", "dist": [[0.0]]},
@@ -308,19 +312,36 @@ def test_load_rejects_wrong_schema(tmp_path):
     {"type": "clustering", "n": 2, "dist": [[0.0, 1.0], [1.0, 0.0]], "ground_truth": ["a", "b"]},
     {"type": "maxqp", "n": 2},
     {"type": "maxqp", "n": 2, "matrix": [[0.0, {}], [1.0, 0.0]]},
+    *[{**_EMBEDDING, key: val} for key in ("n", "d") for val in ("2", 2.0, True, 2.7, None)],
+    *[{k: v for k, v in _EMBEDDING.items() if k != key} for key in ("n", "d", "vectors")],
+    {**_EMBEDDING, "vectors": [[1.0, 0.0], [1.0]]},
+    {**_EMBEDDING, "vectors": [[1.0, 0.0], [0.0, "y"]]},
+    {**_EMBEDDING, "type": "fixture"},
+    {**_EMBEDDING, "type": "clustering"},
+    {"type": "fixture"},
+    {"type": "embedding", "kind": "k4"},
 ])
 def test_load_rejects_missing_or_ill_typed_fields(tmp_path, fields):
+    # each document is malformed for the loader of its type and wrongly
+    # tagged for the others, so every loader must refuse it
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"schema": "partition-tuner/1", **fields}))
-    with pytest.raises(ParseError):
-        load_instance(path)
+    text = json.dumps({"schema": "partition-tuner/1", **fields})
+    path.write_text(text)
+    (tmp_path / "bad.fixture.json").write_text(text)
+    for load in _LOADERS:
+        with pytest.raises(ParseError):
+            load(path)
 
 
 def test_load_rejects_undecodable_bytes(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_bytes(b"\xff\xfe\x00")
-    with pytest.raises(ParseError):
-        load_instance(path)
+    deep = b"[" * 10 ** 5 + b"]" * 10 ** 5  # nested past the decoder's recursion limit
+    for raw in (b"\xff\xfe\x00", b"{", b"[1, 2]", b"null", b"3", deep):
+        path.write_bytes(raw)
+        (tmp_path / "bad.fixture.json").write_bytes(raw)
+        for load in _LOADERS:
+            with pytest.raises(ParseError):
+                load(path)
 
 
 def test_embedding_shape_checked():

@@ -19,12 +19,13 @@ from partition_tuner import (
     best_k_pruning,
     build_tree,
     clusters_to_labels,
+    erm_joint,
     objective_value,
     pair_distance,
     voronoi_reassign,
 )
 from partition_tuner.pruning_dp import dp_with_comparisons
-from conftest import euclidean_instance
+from conftest import euclidean_instance, near_symmetric_instance
 from oracles import exhaustive_best_pruning, pair_counting_reference, random_instance
 
 
@@ -293,6 +294,18 @@ def test_dp_with_comparisons_matches_plain_dp():
         for coeffs, values in comps:
             delta = sum(c * v ** p for c, v in zip(coeffs, values))
             assert delta <= 1e-9
+
+
+def test_dp_with_comparisons_on_near_symmetric_distances():
+    inst = near_symmetric_instance()
+    tree = _tree(inst)
+    for p in (0.5, 1.0, 2.0, 7.0):
+        plain = best_k_pruning(inst, tree, 2, PruningRule(p=p))
+        res, _, _ = dp_with_comparisons(inst, tree, 2, p)
+        assert [c.tolist() for c in res.clusters] == [c.tolist() for c in plain.clusters]
+        assert res.centers == plain.centers
+    res = erm_joint([inst], "convex_minmax", (0.0, 1.0), (1.0, 3.0), 2, Objective("phi_p", 2.0))
+    assert res.instances_evaluated > 0
 
 
 def test_dp_with_comparisons_needs_finite_p():
