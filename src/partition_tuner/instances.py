@@ -639,11 +639,13 @@ def _read_doc(path, what: str, kinds: tuple = (), build=dict):
         raise ParseError(f"{path}: {what} has an ill-typed field: {exc}") from exc
 
 
-def _int(doc: dict, key: str) -> int:
-    """doc[key], which must be a JSON integer (not a float or a bool)."""
+def _int(doc: dict, key: str, each: bool = False):
+    """doc[key], a JSON integer (not a float or a bool), or with each a list of them."""
     val = doc[key]
-    if not isinstance(val, int) or isinstance(val, bool):
-        raise TypeError(f"{key!r} must be an integer, got {val!r}")
+    vals = val if each else [val]
+    if not (isinstance(vals, list) and all(type(v) is int for v in vals)):
+        raise TypeError(f"{key!r} must be {'a list of integers' if each else 'an integer'}, "
+                        f"got {val!r}")
     return val
 
 
@@ -677,12 +679,12 @@ def load_instance(path):
         if doc["type"] == "maxqp":
             return MaxQPInstance(n=_int(doc, "n"), matrix=np.array(doc["matrix"], dtype=float),
                                  origin=doc.get("origin", "generic"))
-        gt = doc.get("ground_truth")
+        gt, hint = (doc.get(key) is not None for key in ("ground_truth", "k_hint"))
         return ClusteringInstance(
             n=_int(doc, "n"),
             dist=np.array(doc["dist"], dtype=float),
-            ground_truth=None if gt is None else np.array(gt, dtype=int),
-            k_hint=doc.get("k_hint"),
+            ground_truth=np.array(_int(doc, "ground_truth", True), dtype=int) if gt else None,
+            k_hint=_int(doc, "k_hint") if hint else None,
         )
 
     return _read_doc(path, "instance", ("clustering", "maxqp"), build)

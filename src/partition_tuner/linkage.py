@@ -229,8 +229,7 @@ def multiset_terms(family, wcounts, distinct, sigma=None):
     def terms_of(ccounts):
         csel = _selected(ccounts, distinct, sigma)
         if family == "sigma_power":
-            # not combined: ExpSum combines like terms, and sweeps key equations as listed
-            return [(1.0, b, 0) for b in wsel] + [(-1.0, b, 0) for b in csel]
+            return _combine([(1.0, b, 0) for b in wsel] + [(-1.0, b, 0) for b in csel])
         d1, d2 = wsel - csel
         if d1 == 0.0 and d2 == 0.0:
             return []

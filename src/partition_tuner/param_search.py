@@ -192,7 +192,7 @@ def _poly_roots(terms, lo, hi):
     if deg == 0:
         return []
     if deg == 1:
-        r = [-coef[1] / coef[0]]
+        r = [float(-coef[1] / coef[0])]
     else:
         rr = np.roots(coef)
         r = [float(z.real) for z in rr if abs(z.imag) <= 1e-9 * (1.0 + abs(z.real))]
@@ -485,22 +485,67 @@ def _is_combined_key(key) -> bool:
     return bool(key)
 
 
-def _solver(lo, hi, tol=ROOT_TOL):
+def _one_signed(keys, lo, hi) -> np.ndarray:
+    """For each key (bases ascending), True if an interval enclosure (Moore,
+    Kearfott & Cloud 2009) proves its degree-0 sum f one-signed on [lo, hi].
+    On each of 64 pieces every term a b^x is monotone, so the sums of the
+    lesser and of the greater of its end values bound f from below
+    (P_lo - N_hi) and above (P_hi - N_lo).  One bound must keep its sign on
+    every piece, clear of 1e-9 of P_hi + N_hi and of the zero tests' scale
+    floor 1e-300, both for f, which _strict_sign reads, and for the
+    f / b_max^x that find_roots solves.  Non-finite bounds prove nothing."""
+    b, j, a = np.array([t for key in keys for t in key]).T
+    lengths = np.array([len(key) for key in keys])
+    ends = np.cumsum(lengths)
+    lb = np.log(b)
+    lb = np.concatenate((lb, lb - np.repeat(lb[ends - 1], lengths)))  # f, then f / b_max^x
+    starts = np.concatenate((ends - lengths, ends - lengths + len(a)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.concatenate((a, a))[:, None] * np.exp(lb[:, None] * np.linspace(lo, hi, 65))
+        low, high, size = (np.add.reduceat(op(w[:, :-1], w[:, 1:]), starts) for op, w in (
+            (np.minimum, v), (np.maximum, v), (np.maximum, np.abs(v))))
+        margin = 1e-9 * np.maximum(size, 1e-300)
+        proven = (low > margin).all(1) | (high < -margin).all(1)
+    return (np.add.reduceat(j, starts[: len(keys)]) == 0) & proven[: len(keys)] & proven[len(keys):]
+
+
+class _Solver:
     """solve(key) -> (ExpSum, find_roots on [lo, hi]) of a canonical
-    equation key, built and solved once: one dict holds both, so a probe
-    hashes each key once.  A combined key that _keeps_sign proves one-signed
-    on the finite [lo, hi], as find_roots would, maps to (None, []), unbuilt."""
-    cache, screened = {}, (None, [])
+    equation key, built and solved once; (None, []), unbuilt, if it is a
+    combined key that _keeps_sign, as find_roots would, or _one_signed proves
+    one-signed.  resolve(keys) settles a run's keys with one _one_signed pass."""
 
-    def solve(key):
-        hit = cache.get(key)
+    screened = (None, [])
+
+    def __init__(self, lo, hi, tol=ROOT_TOL):
+        self.lo, self.hi, self.tol, self.cache = lo, hi, tol, {}
+
+    def __call__(self, key):
+        if not self.cache.get(key):
+            self.resolve((key,))
+        return self.cache[key]
+
+    def screens(self, key) -> bool:
+        """True if key is proven one-signed.  A new combined key meets
+        _keeps_sign here and, unproven, waits as () for resolve; others are solved."""
+        hit = self.cache.get(key)
         if hit is None:
-            terms = _terms_from_key(key)
-            f = None if _is_combined_key(key) and _keeps_sign(terms, lo, hi) else ExpSum(terms)
-            hit = cache[key] = screened if f is None else (f, find_roots(f, lo, hi, tol))
-        return hit
+            hit = self.cache[key] = () if _is_combined_key(key) else self._solve(key)
+            if not hit and _keeps_sign(_terms_from_key(key), self.lo, self.hi):
+                hit = self.cache[key] = self.screened
+        return hit is self.screened
 
-    return solve
+    def resolve(self, keys):
+        new = [key for key in keys if not self.screens(key) and not self.cache[key]]
+        ends = itertools.accumulate(map(len, new))  # batches of about 1024 terms
+        for _, batch in itertools.groupby(zip(new, ends), lambda key_end: key_end[1] // 1024):
+            batch = [key for key, _ in batch]
+            for key, proven in zip(batch, _one_signed(batch, self.lo, self.hi)):
+                self.cache[key] = self.screened if proven else self._solve(key)
+
+    def _solve(self, key):
+        f = ExpSum(_terms_from_key(key))
+        return f, find_roots(f, self.lo, self.hi, self.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +570,15 @@ def _alpha_segments(family, alpha_range):
     raise UnknownFamily(f"family {family!r} has no alpha sweep")
 
 
-def _make_collector(family, sigma, eqs, memo=None, solve=None):
+def _make_collector(family, sigma, eqs, memo=None, solve=None, fresh=None):
     """Collector for linkage._run: canonical equations of every executed
     winner-vs-candidate comparison at the evaluation point.  A step's
     distinct candidates are the live keys of the run's interned pair store,
     so no step scans its O(m^2) candidate pairs.  Every equation comes from
     linkage.comparison_terms; sigma_linear's (sigma = 2) are affine in theta,
     the first of the weights (theta, 1 - theta).  A count family's memo maps
-    (winner, candidate) multiset keys to the key, () if zero or screened."""
+    (winner, candidate) multiset keys to the key, () if zero or screened by
+    solve; fresh gets the pairs whose new key solve did not screen."""
 
     if family in ("convex_minmax", "power_minmax"):
 
@@ -560,8 +606,10 @@ def _make_collector(family, sigma, eqs, memo=None, solve=None):
                     if terms_of is None:
                         terms_of = multiset_terms(family, sets.support(w), sets.distinct, sigma)
                     key = _canon_terms(terms_of(sets.support(s)))
-                    if key and solve is not None and solve(key)[0] is None:
+                    if key and solve is not None and solve.screens(key):
                         key = ()
+                    elif key and fresh is not None:
+                        fresh.append(pair)
                     seen[pair] = key
                 if key:
                     eqs.add(key)
@@ -630,15 +678,20 @@ def _collected_sweep(instances, family, sigma, rule_at, segments, score, combine
     """_lazy_sweep of combine over each instance's score(inst, tree), for its
     tree under the merge rule rule_at(x); each instance keeps its own
     distance table and memo for the sweep."""
-    solve = _solver(segments[0][0], segments[-1][1], tol)
+    solve = _Solver(segments[0][0], segments[-1][1], tol)
 
     def runner(inst):
         table, memo = distance_table(inst.dist), {}
 
         def run(x):
-            eqs = set()
-            collector = _make_collector(family, sigma, eqs, memo, solve)
+            eqs, fresh = set(), []
+            collector = _make_collector(family, sigma, eqs, memo, solve, fresh)
             tree = _run(inst, rule_at(x), collector=collector, table=table)
+            solve.resolve(eqs)
+            for pair in fresh:  # a key proven one-signed leaves the memo, as a screened one
+                if solve.screens(memo[pair]):
+                    eqs.discard(memo[pair])
+                    memo[pair] = ()
             return tree.fingerprint(), score(inst, tree), eqs
 
         return run
@@ -651,30 +704,13 @@ def _best_run(profile: PiecewiseProfile):
 
     Returns (lo, hi, cost, rep). Runs never cross hard boundaries.
     """
-    values = profile.values
+    values, bps, hard = profile.values, profile.breakpoints, set(profile.hard_boundaries)
     vmin = min(values)
-    hard = set(profile.hard_boundaries)
-    best = None
-    i = 0
-    while i < len(values):
-        if _values_close(values[i], vmin):
-            j = i
-            while (
-                j + 1 < len(values)
-                and _values_close(values[j + 1], vmin)
-                and profile.breakpoints[j + 1] not in hard
-            ):
-                j += 1
-            if best is None:
-                best = (i, j)
-            i = j + 1
-        else:
-            i += 1
-    i, j = best
-    lo = profile.breakpoints[i]
-    hi = profile.breakpoints[j + 1]
-    cost = min(values[i : j + 1])
-    return lo, hi, cost, 0.5 * (lo + hi)
+    i = j = next(i for i, v in enumerate(values) if _values_close(v, vmin))
+    while j + 1 < len(values) and _values_close(values[j + 1], vmin) and bps[j + 1] not in hard:
+        j += 1
+    lo, hi = bps[i], bps[j + 1]
+    return lo, hi, min(values[i : j + 1]), 0.5 * (lo + hi)
 
 
 def erm_alpha(
@@ -732,7 +768,7 @@ def _sparse_key(coeffs, bases):
 
 def _sweep_p_cells(instances, trees, k, domain, obj, variant, solve):
     """Cells of the summed objective over p in domain = _p_domain(...) for
-    fixed trees, and the number of DP runs made; solve is a _solver over
+    fixed trees, and the number of DP runs made; solve is a _Solver over
     that domain, which every exponent sweep of a search may share."""
     if len(trees) != len(instances):
         raise DimensionMismatch(f"{len(trees)} trees for {len(instances)} instances")
@@ -743,8 +779,9 @@ def _sweep_p_cells(instances, trees, k, domain, obj, variant, solve):
             clusters, centers = res.clusters, res.centers
             if variant == "voronoi":
                 clusters, centers = voronoi_reassign(inst, clusters, centers)
-            value = objective_value(inst, obj, clusters, centers)
-            return sig, value, {_sparse_key(coeffs, vals) for coeffs, vals in comps}
+            keys = {_sparse_key(coeffs, vals) for coeffs, vals in comps}
+            solve.resolve(keys)
+            return sig, objective_value(inst, obj, clusters, centers), keys
 
         return run
 
@@ -757,7 +794,7 @@ def sweep_p(
 ) -> PiecewiseProfile:
     """Cost profile over the pruning exponent for fixed merge trees."""
     domain = _p_domain(p_range)
-    cells, _ = _sweep_p_cells(instances, trees, k, domain, obj, variant, _solver(*domain, tol))
+    cells, _ = _sweep_p_cells(instances, trees, k, domain, obj, variant, _Solver(*domain, tol))
     return PiecewiseProfile.from_cells("p", cells)
 
 
@@ -784,7 +821,7 @@ def erm_joint(
     """
     segments, hard = _alpha_segments(family, alpha_range)
     domain = _p_domain(p_range)
-    psolve = _solver(*domain, tol)
+    psolve = _Solver(*domain, tol)
     swept = {}  # merge records of a tree tuple -> (its exponent sweep's cells, DP runs)
 
     def p_cells(trees):

@@ -671,7 +671,12 @@ def reference_count_collector(family, sigma, eqs):
             wsel = _ref_selected(wrow, distinct, sigma)
             csel = _ref_selected(crow, distinct, sigma)
             if family == "sigma_power":
-                key = _canon_terms([(1.0, b, 0) for b in wsel] + [(-1.0, b, 0) for b in csel])
+                # +1 per selected winner value, -1 per candidate one, like terms combined
+                coeff = {}
+                for sign, sel in ((1.0, wsel), (-1.0, csel)):
+                    for b in sel:
+                        coeff[b] = coeff.get(b, 0.0) + sign
+                key = _canon_terms([(a, b, 0) for b, a in coeff.items() if a])
                 if key:
                     eqs.add(key)
             else:

@@ -227,6 +227,21 @@ def test_erm_joint_cli(points_path, tmp_path):
                  "--range", "0,1", "--p-range", "1,3", "--k", "2"]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["erm-alpha", "--family", "convex", "--range", "0,1", "--k", "2"],
+    ["erm-alpha", "--family", "average-power", "--range", "0.5,3", "--k", "2"],
+    ["erm-joint", "--family", "convex", "--range", "0,1", "--p-range", "1,3", "--k", "2"],
+    ["erm-joint", "--family", "average-power", "--range", "0.5,2", "--p-range", "0.5,3",
+     "--k", "2"],
+])
+def test_erm_commands_print_plain_floats(points_path, capsys, argv):
+    # breakpoints and best parameters are Python floats, so no numpy repr
+    # reaches stdout (a convex sweep's roots come from the polynomial branch)
+    assert main([*argv, "--instances", points_path]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("best") and "np." not in out
+
+
 # ---------------------------------------------------------------------------
 # rounding commands
 

@@ -55,7 +55,7 @@ EMBEDDING_COMMANDS = {"erm-slin", "erm-owr", "erm-rprt", "erm-disc"}
 
 _json = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from([0.5, -1.0, 1e308])
-    | st.text(max_size=3),
+    | st.text(max_size=3) | st.sampled_from([[0.5, 1.7, 2.9], "many"]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
                                                                   max_size=3),
     max_leaves=8,
@@ -141,3 +141,19 @@ def test_cli_ends_in_a_documented_exit_code(files, data):
         rc = main(argv)
     assert rc in (0, 1, 2, 3), (argv, rc)
     assert "Traceback" not in err.getvalue(), argv
+
+
+@pytest.mark.parametrize("field,value", [("ground_truth", [0.5, 1.7, 2.9, 3.2, 4.6]),
+                                         ("ground_truth", [0, 1, 2, 3, 4.0]),
+                                         ("k_hint", "many"), ("k_hint", 2.5)])
+@pytest.mark.parametrize("argv", [["tree", "--family", "convex", "--alpha", "0.5"],
+                                  ["erm-alpha", "--family", "convex", "--range", "0,1", "--k", "2"],
+                                  ["validate"]])
+def test_ill_typed_labels_and_hints_exit_two(files, field, value, argv, capsys):
+    # labels and hints are checked as integers, not truncated or kept as given
+    doc = json.loads((files / "points.json").read_text())
+    doc[field] = value
+    path = files / "labels.json"
+    path.write_text(json.dumps(doc))
+    assert main([*argv, "--instances", str(path)]) == 2
+    assert field in capsys.readouterr().err

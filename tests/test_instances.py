@@ -310,6 +310,9 @@ _LOADERS = (load_instance, load_fixture, load_embedding)
     {"type": "clustering", "n": 2, "dist": "far"},
     {"type": "clustering", "n": 2, "dist": [[0.0, 1.0], [1.0]]},
     {"type": "clustering", "n": 2, "dist": [[0.0, 1.0], [1.0, 0.0]], "ground_truth": ["a", "b"]},
+    *[{"type": "clustering", "n": 3, "dist": [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
+       **bad} for bad in ({"ground_truth": [0.5, 1.7, 2.9]}, {"ground_truth": [0, True, 2]},
+                          {"ground_truth": 2}, {"k_hint": "many"}, {"k_hint": 2.0})],
     {"type": "maxqp", "n": 2},
     {"type": "maxqp", "n": 2, "matrix": [[0.0, {}], [1.0, 0.0]]},
     *[{**_EMBEDDING, key: val} for key in ("n", "d") for val in ("2", 2.0, True, 2.7, None)],

@@ -250,15 +250,14 @@ def test_screened_solver_matches_reference_on_drawn_sums():
 _ENDS = [(-64.0, 64.0), (-64.0, -63.0), (63.0, 64.0), (0.5, 3.0), (-2.0, 5.0)]
 
 
-def _screen_agrees(coeffs, logs, lo, hi, plant, depth, pivot):
-    """find_roots equals the unscreened reference on the sum, and whenever
-    the screen proves the sum empty the reference finds no root either.
-    With plant set, the coefficient at `pivot` is chosen so the sum vanishes
-    `depth` inside lo or hi (outside for a negative depth).  Returns the
-    screen's verdict."""
+def _planted(coeffs, logs, lo, hi, plant, depth, pivot):
+    """The terms (coeffs[i], e^logs[i]).  With plant set, the coefficient at
+    `pivot` is chosen so the sum vanishes `depth` inside lo or hi (outside
+    for a negative depth), or `depth` right of the middle; None if that
+    coefficient is zero or not finite."""
     terms = [(a, math.exp(lb)) for a, lb in zip(coeffs, logs)]
     if plant:
-        r = lo + depth if plant == "lo" else hi - depth
+        r = {"lo": lo + depth, "hi": hi - depth, "mid": 0.5 * (lo + hi) + depth}[plant]
         k = pivot % len(terms)
         bk = terms[k][1]
         try:
@@ -268,6 +267,16 @@ def _screen_agrees(coeffs, logs, lo, hi, plant, depth, pivot):
         if not ak or not math.isfinite(ak):
             return None
         terms[k] = (ak, bk)
+    return terms
+
+
+def _screen_agrees(coeffs, logs, lo, hi, plant, depth, pivot):
+    """find_roots equals the unscreened reference on the sum, and whenever
+    the screen proves the sum empty the reference finds no root either.
+    The sum is _planted's.  Returns the screen's verdict."""
+    terms = _planted(coeffs, logs, lo, hi, plant, depth, pivot)
+    if terms is None:
+        return None
     with np.errstate(over="ignore", invalid="ignore"):
         _same_roots(terms, lo, hi)
         f = ExpSum(terms)
@@ -312,33 +321,125 @@ def test_partial_sum_screen_matches_reference_on_drawn_sums():
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
 
 
+# the interval enclosure, on the same sums and on planted near-tangent and
+# overflowing ones: whatever it proves one-signed has no root and is not
+# identically zero under the unscreened reference
+
+
+def _key(terms):
+    return param_search._canon_terms([(a, b, 0) for a, b in terms])
+
+
+def _enclosure_sound(terms, lo, hi):
+    """_one_signed's verdict on the degree-0 sum terms; a sum it proves has
+    neither a root nor IDENTICALLY_ZERO under the reference."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        proven = bool(param_search._one_signed([_key(terms)], lo, hi)[0])
+        if proven:
+            assert reference_find_roots(terms, lo, hi) == []
+    return proven
+
+
+@given(coeffs=st.lists(_near_cancelling, min_size=1, max_size=40),
+       logs=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=40, unique=True),
+       ends=st.sampled_from(_ENDS), plant=st.sampled_from([None, "lo", "hi", "mid"]),
+       depth=st.floats(1e-13, 1e-6) | st.floats(-1e-6, -1e-13), pivot=st.integers(0, 39))
+@example(coeffs=[1.0, 1.0], logs=[6.0, 0.0], ends=(-64.0, 64.0), plant=None, depth=1e-6,
+         pivot=0)  # one-signed, but the terms overflow at the top
+@example(coeffs=[1.0, 1.0], logs=[-1.75, 9.5], ends=(-64.0, 64.0), plant="hi", depth=-1e-6,
+         pivot=1)  # f / b_max^x at 64 is below find_roots' scale floor, f is not
+@settings(max_examples=200, deadline=None)
+def test_interval_enclosure_proves_no_sum_with_a_root(coeffs, logs, ends, plant, depth, pivot):
+    terms = _planted(coeffs, logs, *ends, plant, depth, pivot)
+    if terms is not None:
+        _enclosure_sound(terms, *ends)
+
+
+def test_interval_enclosure_is_sound_on_drawn_sums_one_at_a_time_and_together():
+    rng = np.random.default_rng(19)
+    keys, verdicts = {}, []
+    for _ in range(300):
+        m = int(rng.integers(1, 30))
+        coeffs = rng.uniform(-2.0, 2.0, m)
+        coeffs[rng.random(m) < 0.3] = 0.05  # small terms of one sign
+        logs = rng.uniform(-2.0, 2.0, m)
+        lo, hi = _ENDS[int(rng.integers(3, len(_ENDS)))]
+        terms = _planted(coeffs.tolist(), logs.tolist(), lo, hi,
+                         [None, None, "lo", "hi", "mid"][int(rng.integers(5))],
+                         float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, -1.0)),
+                         int(rng.integers(m)))
+        if terms is not None and not param_search._keeps_sign(ExpSum(terms).terms, lo, hi):
+            verdicts.append(_enclosure_sound(terms, lo, hi))
+            keys.setdefault((lo, hi), []).append((_key(terms), verdicts[-1]))
+    # sums the partial-sum screen leaves open, proven and refused ...
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+    # ... and laid end to end, every sum gets its own verdict
+    for (lo, hi), pairs in keys.items():
+        together = param_search._one_signed([key for key, _ in pairs], lo, hi)
+        assert together.tolist() == [proven for _, proven in pairs]
+
+
+@pytest.mark.parametrize("lo,hi", [(0.5, 3.0), (-2.0, 5.0), (-64.0, 64.0)])
+@pytest.mark.parametrize("gap", [1e-10, 1e-11, 0.0])
+def test_interval_enclosure_refuses_near_tangent_sums(lo, hi, gap):
+    # (b^x - b^t)^2 + gap * 4 b^(2t) keeps one sign but comes within gap of
+    # its scale 4 b^(2t) at x = t: too close to zero for the 1e-9 margin
+    b, t = 1.5, 0.5 * (lo + hi) + 0.0123
+    terms = [(1.0, b * b), (-2.0 * b ** t, b), (b ** (2 * t) * (1.0 + 4.0 * gap), 1.0)]
+    far = [(1.0, b * b), (-2.0 * b ** t, b), (b ** (2 * t) * 10.0, 1.0)]  # 3/4 of its scale away
+    assert param_search._one_signed([_key(terms)], lo, hi).tolist() == [False]
+    assert param_search._one_signed([_key(far), _key(terms), _key(far)], lo, hi).tolist() == [
+        True, False, True]
+    # the solver then answers as the reference does
+    want = reference_find_roots(terms, lo, hi)
+    assert param_search._Solver(lo, hi)(_key(terms))[1] == want
+    assert (want == []) == (gap > 0.0)
+    # 1 - (1 - 2 gap) b^x with b one ulp above 1 is nearly flat, so its
+    # enclosure is tight and only the margin refuses it; 1e-8 of its scale
+    # away it is proven
+    flat, wide = ([(1.0, 1.0), (-(1.0 - 2.0 * g), 1.0 + 2.0 ** -52)] for g in (gap, 1e-8))
+    assert param_search._one_signed([_key(flat), _key(wide)], lo, hi).tolist() == [False, True]
+
+
+@pytest.mark.parametrize("terms,lo,hi", [
+    ([(2.0, math.exp(12.0)), (-1.0, math.exp(11.9))], 0.0, 64.0),  # b^x overflows
+    ([(1e300, math.e), (-1.0, 2.0)], 0.0, 64.0),  # a b^x overflows, b^x does not
+    ([(1.0, math.exp(20.0)), (1.0, math.exp(-20.0))], -64.0, 64.0),  # at both ends
+    ([(1e276, 0.82), (-1.0, 5000.0)], -64.0, 64.0),  # f is finite, f / b_max^x is not
+])
+def test_interval_enclosure_refuses_sums_whose_terms_overflow(terms, lo, hi):
+    # each sum keeps one sign on [lo, hi], and the enclosure proves it on
+    # [-1, 1], but on [lo, hi] the enclosure is not finite
+    assert param_search._one_signed([_key(terms)], lo, hi).tolist() == [False]
+    assert param_search._one_signed([_key(terms)], -1.0, 1.0).tolist() == [True]
+
+
 def _recorded_solves(monkeypatch, sweep):
     """Every (terms, lo, hi, roots) that `sweep` solved with find_roots, and
-    every (key, lo, hi) whose key its solver screened without solving."""
-    solves, screened = [], set()
-    solver = param_search._solver
+    every (key, lo, hi) whose key one of its solvers proved one-signed
+    without solving, by the partial-sum screen or the interval enclosure."""
+    solves, solvers = [], []
 
     def recording(f, lo, hi, tol=param_search.ROOT_TOL):
         roots = find_roots(f, lo, hi, tol)
         solves.append((list(f.terms), lo, hi, roots))
         return roots
 
-    def recording_solver(lo, hi, tol=param_search.ROOT_TOL):
-        solve = solver(lo, hi, tol)
+    class RecordingSolver(param_search._Solver):
+        __slots__ = ()
 
-        def recorded(key):
-            hit = solve(key)
-            if hit[0] is None:
-                screened.add((key, lo, hi))
-            return hit
-
-        return recorded
+        def __init__(self, *args):
+            super().__init__(*args)
+            solvers.append(self)
 
     monkeypatch.setattr(param_search, "find_roots", recording)
-    monkeypatch.setattr(param_search, "_solver", recording_solver)
+    monkeypatch.setattr(param_search, "_Solver", RecordingSolver)
     sweep()
     monkeypatch.undo()
-    return solves, screened
+    # every key a sweep met is settled: proven one-signed, or built and solved
+    hits = [(key, s.lo, s.hi, hit) for s in solvers for key, hit in s.cache.items()]
+    assert solvers and all(hit for *_, hit in hits)
+    return solves, {(key, lo, hi) for key, lo, hi, hit in hits if hit[0] is None}
 
 
 def test_sweep_equations_solve_exactly_as_the_reference(monkeypatch):
@@ -531,7 +632,7 @@ def test_sweep_p_refuses_unequal_tree_and_instance_counts():
             sweep_p(instances, trees, 2, (0.5, 2.0), obj)
         with pytest.raises(DimensionMismatch):
             param_search._sweep_p_cells(instances, trees, 2, (0.5, 2.0), obj, "fixed",
-                                        param_search._solver(0.5, 2.0))
+                                        param_search._Solver(0.5, 2.0))
 
 
 def test_sparse_keys_equal_canonical_terms_on_random_dps():
@@ -897,7 +998,7 @@ def test_certified_sweeps_equal_the_reference_driver(monkeypatch):
 
         def p_sweep(insts=insts, trees=trees, domain=domain):
             cells, runs = p_cells(insts, trees, 3, domain, obj, "fixed",
-                                  param_search._solver(*domain))
+                                  param_search._Solver(*domain))
             return _profile_repr(param_search.PiecewiseProfile.from_cells("p", cells)), runs
 
         searches += [
@@ -1075,7 +1176,7 @@ def test_count_memos_stay_with_their_instance(monkeypatch):
     monkeypatch.setattr(param_search, "_run", lambda inst, mrule, collector=None, table=None:
                         reference_run(inst, mrule, collector))
     monkeypatch.setattr(param_search, "_make_collector",
-                        lambda family, sigma, eqs, memo=None, solve=None:
+                        lambda family, sigma, eqs, memo=None, solve=None, fresh=None:
                         reference_count_collector(family, sigma, eqs))
     assert [outcome(search) for search in searches] == got
     # and the reference driver, which reuses no run, splits at the same roots
@@ -1084,8 +1185,9 @@ def test_count_memos_stay_with_their_instance(monkeypatch):
 
 
 def test_count_sweeps_encode_and_build_each_equation_once(monkeypatch):
-    encoded, built = [], []
-    average_terms = linkage.average_terms
+    encoded, built, enclosed, keyed = [], [], [], []
+    average_terms, one_signed = linkage.average_terms, param_search._one_signed
+    lazy_sweep = param_search._lazy_sweep
 
     def counted_terms(wset, cset, distinct):
         encoded.append(tuple(a.tobytes() for a in (distinct, *wset, *cset)))
@@ -1098,8 +1200,24 @@ def test_count_sweeps_encode_and_build_each_equation_once(monkeypatch):
             super().__init__(terms)
             built.append(self.terms)
 
+    def recorded_one_signed(keys, lo, hi):
+        proven = one_signed(keys, lo, hi)
+        enclosed.extend(key for key, p in zip(keys, proven) if p)
+        return proven
+
+    def keys_of(run):
+        def recorded(x):
+            res = run(x)
+            keyed.append(set(res[2]))
+            return res
+
+        return recorded
+
     monkeypatch.setattr(linkage, "average_terms", counted_terms)
     monkeypatch.setattr(param_search, "ExpSum", CountedSum)
+    monkeypatch.setattr(param_search, "_one_signed", recorded_one_signed)
+    monkeypatch.setattr(param_search, "_lazy_sweep", lambda segments, runs, *rest: lazy_sweep(
+        segments, list(map(keys_of, runs)), *rest))
     rng = np.random.default_rng(45)
     insts = [euclidean_instance(rng, 10) for _ in range(2)]
     res = erm_alpha(insts, "power_average", (0.5, 3.0), 3, PruningRule(p=2.0),
@@ -1108,8 +1226,16 @@ def test_count_sweeps_encode_and_build_each_equation_once(monkeypatch):
     # one encoding per (instance, winner multiset, candidate multiset) ...
     assert encoded and len(set(encoded)) == len(encoded)
     # ... and one ExpSum per unscreened equation, none for a screened one
+    # or for one the interval enclosure proved
     assert built and len(set(built)) == len(built)
     assert not any(param_search._keeps_sign(terms, 0.5, 3.0) for terms in built)
+    assert enclosed and not {tuple((b, j, a) for a, b, j in terms) for terms in built} & set(
+        enclosed)
+    assert not any(one_signed([tuple((b, j, a) for a, b, j in terms)], 0.5, 3.0)[0]
+                   for terms in built)
+    # a proven equation is in no run's keys, neither the run that proved it
+    # nor a later one, whose memo leaves it out
+    assert len(keyed) == res.instances_evaluated and not set(enclosed) & set().union(*keyed)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",

@@ -12,8 +12,9 @@ one input on both trees, one right after the other, and the side that goes
 first alternates from round to round.  The script prints each round's CPU
 seconds, the median over rounds of the change's time over the base's (with
 its quartiles), the rounds the change won, whether every answer and profile
-(breakpoints, values, representatives and payloads) was identical, and each
-side's total ``instances_evaluated``.  With ``--apply``, each call's result is
+(breakpoints, values, representatives and payloads) was identical, with
+floats compared bit for bit whether numpy's or Python's, and each side's
+total ``instances_evaluated``.  With ``--apply``, each call's result is
 also applied to the call's held-out input (the workload's ``apply``) on both
 trees, timed the same way, and checked with the workload's ``check_apply``.
 It exits with status 1 when an answer, a profile or an applied output
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import numbers
 import statistics
 import sys
 import time
@@ -51,25 +53,32 @@ def load_tree(name, checkout):
     return module
 
 
+def bits(x, skip=object()):
+    """x compared by value: each float, numpy's or Python's, as its
+    float.hex, each tuple or array as a list without the object skip, each
+    integer as itself and anything else as its repr."""
+    if isinstance(x, numbers.Real) and not isinstance(x, numbers.Integral):
+        return float(x).hex()
+    if hasattr(x, "tolist"):
+        x = x.tolist()
+    if isinstance(x, (list, tuple)):
+        return [bits(v, skip) for v in x if v is not skip]
+    return x if isinstance(x, numbers.Integral) else repr(x)
+
+
 def outcome(workload, res):
     """What must agree between the two trees: the answer and, for a search
     that returns one, its profile."""
     prof = getattr(res, "profile", None)
     if prof is not None:
         prof = (prof.breakpoints, prof.values, prof.representatives, prof.payloads)
-    return repr((workload.answer(res), prof))
+    return bits((workload.answer(res), prof))
 
 
 def applied(out, inp):
-    """What must agree between two applications: the output, with arrays as
-    lists and without the held-out input it carries."""
-
-    def plain(x):
-        if isinstance(x, (list, tuple)):
-            return [plain(v) for v in x if v is not inp]
-        return x.tolist() if hasattr(x, "tolist") else x
-
-    return repr(plain(out))
+    """What must agree between two applications: the output, without the
+    held-out input it carries."""
+    return bits(out, inp)
 
 
 def main(argv=None):
