@@ -329,9 +329,8 @@ class PairKeys:
     and drops a key once none does, so the live keys (``live()``) are
     exactly the distinct keys among the active pairs: one merge step's
     candidates.  ``_run`` keeps them current through the O(m) pairs each
-    merge retires and creates.  ``compared`` holds a collector's memo of
-    compared keys for this build.  Without ``interned`` (a plain build)
-    nothing is interned.
+    merge retires and creates.  ``memo`` holds a collector's memo for this
+    build.  Without ``interned`` (a plain build) nothing is interned.
     """
 
     def __init__(self, D: np.ndarray, interned: bool = True, table=None):
@@ -343,7 +342,7 @@ class PairKeys:
             self.sid = leaf[self.didx]
             np.fill_diagonal(self.sid, -1)
             self._refs = dict(zip(leaf.tolist(), np.bincount(inv).tolist()))
-            self.compared = {}
+            self.memo = {}, {}
             self._values = self.distinct.tolist()
 
     def _leaf_keys(self):
@@ -386,39 +385,53 @@ class PairKeys:
             refs[s] -= c
             if not refs[s]:
                 del refs[s]
-                self._drop(s)
 
-    def _drop(self, s):
-        """Forget key s, which no active pair holds any more."""
+
+class MultisetIds:
+    """One instance's multiset ids for a whole sweep: ``index`` maps a key
+    (idx bytes, then cnt bytes) to its id, ``keys`` an id to its key.  No id
+    is reused, and id t < beta is the leaf pairs' {t: 1}."""
+
+    def __init__(self, beta):
+        one = np.ones(1, dtype=np.int64).tobytes()
+        self.keys = [t.tobytes() + one for t in np.arange(beta, dtype=np.int64)]
+        self.index = dict(zip(self.keys, range(beta)))
 
 
 class PairMultisets(PairKeys):
     """Distance multisets of the active cluster pairs of one tree build.
 
     A multiset is a support sorted by distinct-distance index, with integer
-    counts: (idx, cnt).  Interned, its key is its idx bytes followed by its
-    cnt bytes, so ``sid[u, v]`` compares multisets by value, and the store
-    holds at most the n(n-1)/2 leaf-pair counts of the active pairs.
-    Without interning, merges only hand back the new multisets, which is
-    all a plain build reads.
+    counts: (idx, cnt).  Interned, ``sid[u, v]`` is its id in ``ids``, a
+    MultisetIds that a sweep keeps for the instance and a lone build makes
+    for itself, so ids compare multisets by value; the active pairs hold at
+    most the n(n-1)/2 leaf-pair counts.  Without interning, merges only
+    hand back the new multisets, which is all a plain build reads.
     """
 
-    def __init__(self, D: np.ndarray, interned: bool, table=None):
+    def __init__(self, D: np.ndarray, interned: bool, table=None, ids=None):
+        self.ids = ids
         super().__init__(D, interned, table)
         self.label = np.arange(D.shape[0])  # leaf -> slot of the cluster holding it
 
     def _leaf_keys(self):
-        # a leaf pair's multiset is the singleton {t: 1}, interned as id t
-        t = np.arange(self.beta, dtype=np.int64)
-        one = np.ones(1, dtype=np.int64).tobytes()
-        self.keys = [i.tobytes() + one for i in t]
-        self._index = {key: i for i, key in enumerate(self.keys)}
-        return t
+        if self.ids is None:
+            self.ids = MultisetIds(self.beta)
+        self.keys, self._index = self.ids.keys, self.ids.index
+        return np.arange(self.beta, dtype=np.int64)
 
     def support(self, s):
         """The multiset with id s as (idx, cnt)."""
         both = np.frombuffer(self.keys[s], dtype=np.int64)
         return both[:both.size // 2], both[both.size // 2:]
+
+    def supports(self, ids):
+        """The multisets with ids laid end to end: idx, cnt and their sizes."""
+        keys = [self.keys[s] for s in ids]
+        size = np.fromiter(map(len, keys), np.int64, len(keys)) // 16
+        both = np.frombuffer(b"".join(keys), dtype=np.int64)
+        first = np.repeat(np.tile([True, False], len(keys)), np.repeat(size, 2))
+        return both[first], both[~first], size
 
     def pair(self, s):
         """The (min, max) of the pairs with id s, the ends of their multiset
@@ -434,10 +447,6 @@ class PairMultisets(PairKeys):
                 index[key] = len(self.keys)
                 self.keys.append(key)
         return np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
-
-    def _drop(self, s):
-        del self._index[self.keys[s]]
-        self.keys[s] = None
 
     def merge(self, si, sj, m, members):
         """Build the multisets of the cluster of slots si and sj (the leaves
@@ -480,7 +489,8 @@ def _place(M, a, b, last, row):
     M[:last, a] = row
 
 
-def _run(inst: ClusteringInstance, rule: MergeRule, collector=None, table=None) -> MergeTree:
+def _run(inst: ClusteringInstance, rule: MergeRule, collector=None, table=None,
+         ids=None) -> MergeTree:
     """The merge loop behind build_tree and the sweeps.
 
     The m active clusters sit in slots 0..m-1, with node[s] the node id of
@@ -499,7 +509,8 @@ def _run(inst: ClusteringInstance, rule: MergeRule, collector=None, table=None) 
     new pair's (min, max) through np.searchsorted into its distinct
     distances.  Each merge updates the store through the O(m) pairs it
     retires and creates; a plain build interns nothing.  A sweep passes
-    each instance's distance_table(inst.dist), made once, as table.
+    each instance's distance_table(inst.dist), made once, as table, and
+    for the count families its MultisetIds as ids.
 
     rowmin[s] is the exact minimum of row s of V (Muellner's generic
     linkage, arXiv:1109.2378), so a step costs O(m).  Every pair of least
@@ -515,7 +526,7 @@ def _run(inst: ClusteringInstance, rule: MergeRule, collector=None, table=None) 
     D = inst.dist
     counts = _counts_needed(rule)
     if counts:
-        sets = PairMultisets(D, interned=collector is not None, table=table)
+        sets = PairMultisets(D, interned=collector is not None, table=table, ids=ids)
         distinct = sets.distinct
         logd = np.log(distinct)
         t = np.arange(sets.beta)

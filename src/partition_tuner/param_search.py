@@ -22,8 +22,10 @@ from .errors import (DimensionMismatch, DomainError, Overflow, RootNotConverged,
                      SigmaTooLargeForExact, SweepDiverged, UnknownFamily)
 from .instances import ClusteringInstance
 from .linkage import (
+    _NEEDS_COUNTS,
     MergeRule,
     MergeTree,
+    MultisetIds,
     _run,
     _selected,
     comparison_terms,
@@ -169,12 +171,25 @@ def _local_scale(f: ExpSum, x: float) -> float:
     return max(s, 1e-300)
 
 
-def _bisect(f, lo, hi, flo, tol):
+def _finite(f: ExpSum, x: float) -> float:
+    """f(x) divided by its largest term's magnitude, finite where f(x)
+    overflows (x != 0)."""
+    logs = [math.log(abs(a)) + x * lb + (j * math.log(abs(x)) if j else 0.0)
+            for (a, _, j), lb in zip(f.terms, f._logs)]
+    top = max(logs)
+    return math.fsum(math.copysign(math.exp(lg - top), a * x ** j)
+                     for lg, (a, _, j) in zip(logs, f.terms))
+
+
+def _bisect(g, f, lo, hi, flo, tol):
+    """A root of g = f / b_max^x in [lo, hi]; where g overflows, f gives its sign."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol or mid == lo or mid == hi:
             return mid
-        fm = f(mid)
+        fm = g(mid)
+        if not math.isfinite(fm):
+            fm = _finite(f, mid)
         if fm == 0.0:
             return mid
         if (fm > 0) == (flo > 0):
@@ -257,6 +272,57 @@ def _keeps_sign(terms, lo: float, hi: float) -> bool:
     return False
 
 
+_SCREEN_CELLS = 2 ** 16  # padded cells per numpy pass of _keeps_signs
+
+
+def _keeps_signs(a, b, lengths, lo, hi) -> np.ndarray:
+    """_keeps_sign of each degree-0 sum, sum i being the next lengths[i]
+    terms (a, b), bases ascending, its tests run in numpy on one zero-padded
+    row per sum: all rows in one pass while they fit in _SCREEN_CELLS cells,
+    else by power-of-two length bucket.  numpy rounds apart from math, so a
+    row is decided only where every test clears its threshold by a factor
+    of 4 and b^x and the magnitude sums stay below 1e300 on each side it
+    reads; _keeps_sign decides the rest."""
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    positive = np.add.reduceat(a > 0, starts, dtype=np.int64)
+    keeps = (positive == 0) | (positive == lengths)  # exact, as _keeps_sign's shortcut
+    decided = keeps.copy()
+    rows = np.flatnonzero(~decided)
+    groups = [rows]
+    if not 0 < rows.size * lengths.max(initial=0) <= _SCREEN_CELLS:
+        bucket, groups = np.frexp(lengths[rows])[1], []
+        for e in np.unique(bucket):
+            of = rows[bucket == e]
+            step = max(1, _SCREEN_CELLS // int(lengths[of].max()))
+            groups += [of[i:i + step] for i in range(0, of.size, step)]
+    for rows in groups:
+        size = lengths[rows][:, None]
+        col = np.arange(size.max())
+        valid = col < size
+        sides = []
+        for x, first in ((lo, size - 1), (hi, 0)):  # from the largest base down, then up
+            at = starts[rows][:, None] + np.where(valid, np.abs(first - col), first)
+            with np.errstate(over="ignore", invalid="ignore"):
+                r = (b[at] / b[at[:, :1]]) ** x
+                c = np.where(valid, a[at], 0.0) * r
+                s, mag = np.cumsum(c, axis=1), np.cumsum(np.abs(c), axis=1)
+                bound = (1e-12 + 2.3e-16 * (abs(x) + size)) * mag
+                sign = (s > 0) == (c[:, :1] > 0)
+                passes = sign & (np.abs(s) > 4.0 * bound) & (np.abs(c) > 4e-300)
+                fails = ~sign | (np.abs(s) < bound / 4.0) | (np.abs(c) < 2.5e-301)
+            safe = ((r < 1e300) & (mag < 1e300)).all(1)
+            sides.append((safe & (passes | ~valid).all(1), safe & (fails & valid).any(1)))
+        (keep_lo, fail_lo), (keep_hi, fail_hi) = sides
+        keeps[rows] = keep_lo | fail_lo & keep_hi
+        decided[rows] = keeps[rows] | fail_lo & fail_hi
+    for i in np.flatnonzero(~decided).tolist():
+        seg = slice(starts[i], ends[i])
+        keeps[i] = _keeps_sign(list(zip(a[seg].tolist(), b[seg].tolist(), itertools.repeat(0))),
+                               lo, hi)
+    return keeps
+
+
 def _roots_rec(f: ExpSum, lo: float, hi: float, tol: float):
     if f.is_zero():
         return IDENTICALLY_ZERO
@@ -279,8 +345,9 @@ def _roots_rec(f: ExpSum, lo: float, hi: float, tol: float):
     vals = [g(x) for x in pts]
     roots = []
     for i, (x, v) in enumerate(zip(pts, vals)):
-        # an overflowed value is no root, though inf <= 1e-12 * inf holds
-        if math.isfinite(v) and abs(v) <= 1e-12 * _local_scale(g, x):
+        if not math.isfinite(v):
+            vals[i] = _finite(f, x)  # no root, though inf <= 1e-12 * inf holds
+        elif abs(v) <= 1e-12 * _local_scale(g, x):
             roots.append(x)
             vals[i] = 0.0
     for i in range(len(pts) - 1):
@@ -289,7 +356,7 @@ def _roots_rec(f: ExpSum, lo: float, hi: float, tol: float):
         if fa == 0.0 or fb == 0.0:
             continue
         if (fa > 0) != (fb > 0):
-            roots.append(_bisect(g, a, b, fa, tol))
+            roots.append(_bisect(g, f, a, b, fa, tol))
     return roots
 
 
@@ -371,9 +438,10 @@ def _lazy_sweep(segments, runs, combine, solve):
     runs[i](x) -> (fingerprint, payload, equation_keys) runs instance i at
     x, and combine(payloads) is a cell's value.  solve(key) -> (ExpSum,
     roots over the whole sweep domain), cached by the caller, or (None, [])
-    for an equation proven one-signed on the whole domain.  That one has no
-    root and, in exact arithmetic, passes the test of _holds anywhere (where
-    its terms overflow, _strict_sign cannot tell), so it is left out.
+    for an equation proven one-signed on the whole domain or identically
+    zero.  That one has no root and, in exact arithmetic, passes the test
+    of _holds anywhere (where its terms overflow, _strict_sign cannot
+    tell), so it is left out.
     Adjacent cells of one segment that agree in fingerprints and value are
     merged back.
 
@@ -429,16 +497,15 @@ def _lazy_sweep(segments, runs, combine, solve):
 
 class _Run:
     """One instance's run at x: its result (fingerprint, payload, keys), the
-    equations it executed that solve did not screen and that are not
-    identically zero, and their roots."""
+    equations it executed that solve did not screen, and their roots."""
 
     __slots__ = ("x", "result", "eqs", "roots", "signs")
 
     def __init__(self, x, run, solve):
         self.x, self.result = x, run(x)
         solved = [s for s in map(solve, self.result[2]) if s[0] is not None]
-        self.eqs = [f for f, _ in solved if not f.is_zero()]
-        self.roots = [r for _, rs in solved if rs is not IDENTICALLY_ZERO for r in rs]
+        self.eqs = [f for f, _ in solved]
+        self.roots = [r for _, rs in solved for r in rs]
         self.signs = None  # each equation's _strict_sign at x, once asked for
 
 
@@ -474,12 +541,12 @@ def _terms_from_key(key):
 
 
 def _is_combined_key(key) -> bool:
-    """True if key's terms are ExpSum's own: strictly ascending bases and no
-    zero coefficient.  Refuses the terms ExpSum refuses."""
+    """True if key's terms are ExpSum's own and of degree 0: strictly
+    ascending bases, no zero coefficient.  Refuses the terms ExpSum refuses."""
     prev = 0.0
-    for b, _, a in key:
+    for b, j, a in key:
         _check_term(a, b)
-        if not a or b <= prev:
+        if not a or b <= prev or j:
             return False
         prev = b
     return bool(key)
@@ -511,9 +578,9 @@ def _one_signed(keys, lo, hi) -> np.ndarray:
 
 class _Solver:
     """solve(key) -> (ExpSum, find_roots on [lo, hi]) of a canonical
-    equation key, built and solved once; (None, []), unbuilt, if it is a
-    combined key that _keeps_sign, as find_roots would, or _one_signed proves
-    one-signed.  resolve(keys) settles a run's keys with one _one_signed pass."""
+    equation key, built and solved once, or the screened entry (None, []),
+    unbuilt, for an empty or identically zero key and a combined key that
+    _keeps_sign or _one_signed proves one-signed.  resolve(keys) batches."""
 
     screened = (None, [])
 
@@ -521,31 +588,39 @@ class _Solver:
         self.lo, self.hi, self.tol, self.cache = lo, hi, tol, {}
 
     def __call__(self, key):
-        if not self.cache.get(key):
+        if key not in self.cache:
             self.resolve((key,))
         return self.cache[key]
 
-    def screens(self, key) -> bool:
-        """True if key is proven one-signed.  A new combined key meets
-        _keeps_sign here and, unproven, waits as () for resolve; others are solved."""
-        hit = self.cache.get(key)
-        if hit is None:
-            hit = self.cache[key] = () if _is_combined_key(key) else self._solve(key)
-            if not hit and _keeps_sign(_terms_from_key(key), self.lo, self.hi):
-                hit = self.cache[key] = self.screened
-        return hit is self.screened
-
-    def resolve(self, keys):
-        new = [key for key in keys if not self.screens(key) and not self.cache[key]]
-        ends = itertools.accumulate(map(len, new))  # batches of about 1024 terms
-        for _, batch in itertools.groupby(zip(new, ends), lambda key_end: key_end[1] // 1024):
+    def resolve(self, keys, screened=False):
+        """Settle the new keys: the combined ones meet _keeps_signs in one
+        pass, unless screened says they did, and the unproven ones
+        _one_signed in batches of about 1024 terms; the others are solved."""
+        combined = []
+        for key in dict.fromkeys(keys):
+            if key in self.cache:
+                continue
+            if _is_combined_key(key):
+                combined.append(key)
+            else:
+                self.cache[key] = self._solve(key)
+        if combined and not screened:
+            b, _, a = np.array([t for key in combined for t in key]).T
+            lengths = np.fromiter(map(len, combined), np.int64, len(combined))
+            proven = _keeps_signs(a, b, lengths, self.lo, self.hi)
+            for key in itertools.compress(combined, proven):
+                self.cache[key] = self.screened
+            combined = list(itertools.compress(combined, ~proven))
+        ends = itertools.accumulate(map(len, combined))  # batches of about 1024 terms
+        for _, batch in itertools.groupby(zip(combined, ends), lambda key_end: key_end[1] // 1024):
             batch = [key for key, _ in batch]
             for key, proven in zip(batch, _one_signed(batch, self.lo, self.hi)):
                 self.cache[key] = self.screened if proven else self._solve(key)
 
     def _solve(self, key):
         f = ExpSum(_terms_from_key(key))
-        return f, find_roots(f, self.lo, self.hi, self.tol)
+        roots = find_roots(f, self.lo, self.hi, self.tol)
+        return self.screened if roots is IDENTICALLY_ZERO else (f, roots)
 
 
 # ---------------------------------------------------------------------------
@@ -570,54 +645,87 @@ def _alpha_segments(family, alpha_range):
     raise UnknownFamily(f"family {family!r} has no alpha sweep")
 
 
-def _make_collector(family, sigma, eqs, memo=None, solve=None, fresh=None):
-    """Collector for linkage._run: canonical equations of every executed
-    winner-vs-candidate comparison at the evaluation point.  A step's
-    distinct candidates are the live keys of the run's interned pair store,
-    so no step scans its O(m^2) candidate pairs.  Every equation comes from
-    linkage.comparison_terms; sigma_linear's (sigma = 2) are affine in theta,
-    the first of the weights (theta, 1 - theta).  A count family's memo maps
-    (winner, candidate) multiset keys to the key, () if zero or screened by
-    solve; fresh gets the pairs whose new key solve did not screen."""
-
-    if family in ("convex_minmax", "power_minmax"):
-
-        def cb(step, winner, ids, sets):
-            # the store's codes index its build's distances, so it keeps the
-            # memo: winner code -> codes already compared with it
-            w = int(sets.sid[winner])
-            done = sets.compared.setdefault(w, {w})
-            fresh = sets.live() - done
-            if fresh:
-                done |= fresh
-                wends, *cands = sets.ends([w, *fresh])
-                for cends in cands:
-                    eqs.add(_canon_terms(comparison_terms(family, *wends, *cends)))
-
-    elif family in ("power_average", "sigma_power", "sigma_linear"):
-
-        def cb(step, winner, ids, sets):
-            seen = {} if memo is None else memo
-            w, terms_of = sets.sid[winner], None
-            for s in sets.live():
-                pair = (sets.keys[w], sets.keys[s])
-                key = seen.get(pair)
-                if key is None:
-                    if terms_of is None:
-                        terms_of = multiset_terms(family, sets.support(w), sets.distinct, sigma)
-                    key = _canon_terms(terms_of(sets.support(s)))
-                    if key and solve is not None and solve.screens(key):
-                        key = ()
-                    elif key and fresh is not None:
-                        fresh.append(pair)
-                    seen[pair] = key
-                if key:
-                    eqs.add(key)
-
-    else:
+def _make_collector(family, sigma, eqs, memo=None, solve=None):
+    """Collector for linkage._run: adds to eqs the key (_canon_terms of
+    linkage.comparison_terms) of every winner-vs-candidate comparison the
+    run executes, but for identically zero ones and those solve, if given,
+    proves one-signed; sigma_linear's (sigma = 2) are affine in theta, the
+    first of the weights (theta, 1 - theta).  memo = (compared, open), an
+    instance's for a sweep (else the pair store's, for its build), maps a
+    winner id to the candidate ids compared with it, and to the keys of
+    those not proven.  A step's fresh pairs are one set difference with the
+    store's live ids and its open ones one intersection; the fresh ones
+    wait for the build's last step (m = 2), where _encode keys them."""
+    if family not in ("convex_minmax", "power_minmax", *_NEEDS_COUNTS):
         raise UnknownFamily(f"no sweep collector for {family!r}")
+    queue = []
+
+    def cb(step, winner, ids, sets):
+        compared, opened = memo or sets.memo
+        w, live = int(sets.sid[winner]), sets.live()
+        done = compared.setdefault(w, {w})
+        fresh = live - done
+        if fresh:
+            done |= fresh
+            queue.append((w, list(fresh)))
+        known = opened.get(w)
+        if known:
+            eqs.update(map(known.__getitem__, known.keys() & live))
+        if len(ids) == 2:
+            for w, s, key in _encode(family, sigma, queue, sets, solve):
+                opened.setdefault(w, {})[s] = key
+                eqs.add(key)
+            queue.clear()
 
     return cb
+
+
+def _encode(family, sigma, queue, sets, solve):
+    """(w, s, key) for each queued winner id w and fresh candidate id s whose
+    key is not empty and, with solve, stays open after solve.resolve."""
+    if family == "power_average":
+        out = _average_keys(queue, sets, solve)
+    else:
+        out = []
+        for w, fresh in queue:
+            if family in ("convex_minmax", "power_minmax"):
+                wends, *cands = sets.ends([w, *fresh])
+                terms = (comparison_terms(family, *wends, *cends) for cends in cands)
+            else:
+                terms = map(multiset_terms(family, sets.support(w), sets.distinct, sigma),
+                            map(sets.support, fresh))
+            out += [(w, s, key) for s, key in zip(fresh, map(_canon_terms, terms)) if key]
+    if solve is not None:
+        solve.resolve([key for *_, key in out], screened=family == "power_average")
+        out = [pair for pair in out if solve.cache[pair[2]] is not solve.screened]
+    return out
+
+
+def _average_keys(queue, sets, solve):
+    """power_average's pairs for _encode, in one numpy pass.  Coefficients
+    n_c w_t - n_w c_t over the union supports are exact integers, so a key
+    equals _canon_terms(average_terms(...)); only those that _keeps_signs
+    (with solve) leaves open are made as tuples."""
+    wins = [w for w, fresh in queue for _ in fresh]
+    cands = [s for _, fresh in queue for s in fresh]
+    (wi, wc, wn), (ci, cc, cn) = sets.supports(wins), sets.supports(cands)
+    nw, nc = (np.add.reduceat(cnt, np.cumsum(n) - n) for cnt, n in ((wc, wn), (cc, cn)))
+    pair, beta = np.arange(len(cands)), sets.beta
+    code = np.concatenate((np.repeat(pair, wn) * beta + wi, np.repeat(pair, cn) * beta + ci))
+    code, at = np.unique(code, return_inverse=True)
+    coef = np.bincount(at, np.concatenate((np.repeat(nc, wn) * wc, -np.repeat(nw, cn) * cc)))
+    code, coef = code[coef != 0], coef[coef != 0]
+    pair, t = np.divmod(code, beta)
+    size = np.bincount(pair, minlength=len(cands))
+    keep = size > 0
+    a = coef * np.repeat(np.sign(coef[(np.cumsum(size) - size)[keep]]), size[keep])
+    b = sets.distinct[t]
+    if solve is not None:
+        keep[keep] = ~_keeps_signs(a, b, size[keep], solve.lo, solve.hi)
+    chosen = np.repeat(keep, size)
+    a, b, ends = a[chosen].tolist(), b[chosen].tolist(), np.cumsum(size[keep]).tolist()
+    keys = [tuple(zip(b[i:j], itertools.repeat(0), a[i:j])) for i, j in zip([0] + ends, ends)]
+    return list(zip(itertools.compress(wins, keep), itertools.compress(cands, keep), keys))
 
 
 def _margin_collector(sigma, w, margins):
@@ -677,21 +785,17 @@ def _total(values):
 def _collected_sweep(instances, family, sigma, rule_at, segments, score, combine, tol):
     """_lazy_sweep of combine over each instance's score(inst, tree), for its
     tree under the merge rule rule_at(x); each instance keeps its own
-    distance table and memo for the sweep."""
+    distance table, multiset ids and memo for the sweep."""
     solve = _Solver(segments[0][0], segments[-1][1], tol)
 
     def runner(inst):
-        table, memo = distance_table(inst.dist), {}
+        table, memo = distance_table(inst.dist), ({}, {})
+        ids = MultisetIds(table[0].size) if family in _NEEDS_COUNTS else None
 
         def run(x):
-            eqs, fresh = set(), []
-            collector = _make_collector(family, sigma, eqs, memo, solve, fresh)
-            tree = _run(inst, rule_at(x), collector=collector, table=table)
-            solve.resolve(eqs)
-            for pair in fresh:  # a key proven one-signed leaves the memo, as a screened one
-                if solve.screens(memo[pair]):
-                    eqs.discard(memo[pair])
-                    memo[pair] = ()
+            eqs = set()
+            collector = _make_collector(family, sigma, eqs, memo, solve)
+            tree = _run(inst, rule_at(x), collector=collector, table=table, ids=ids)
             return tree.fingerprint(), score(inst, tree), eqs
 
         return run

@@ -318,12 +318,24 @@ def _ref_local_scale(f, x):
     return max(s, 1e-300)
 
 
-def _ref_bisect(f, lo, hi, flo, tol):
+def _ref_signed(g, f, x):
+    """g(x) for g = f / bmax^x, or where it is not finite f(x) over its
+    largest term's magnitude, which is finite and has g's sign."""
+    v = g(x)
+    if math.isfinite(v):
+        return v
+    logs = [math.log(abs(a)) + x * math.log(b) + (j * math.log(abs(x)) if j else 0.0)
+            for a, b, j in f.terms]
+    return math.fsum(math.copysign(math.exp(lg - max(logs)), a * x ** j)
+                     for lg, (a, _, j) in zip(logs, f.terms))
+
+
+def _ref_bisect(g, f, lo, hi, flo, tol):
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol:
             return mid
-        fm = f(mid)
+        fm = _ref_signed(g, f, mid)
         if fm == 0.0:
             return mid
         if (fm > 0) == (flo > 0):
@@ -351,7 +363,9 @@ def _ref_poly_roots(terms, lo, hi):
 def reference_find_roots(terms, lo, hi, tol=REF_ROOT_TOL):
     """Roots of sum a * x^j * b^x over [lo, hi] by plain derivative recursion:
     divide out the largest base, find the derivative's roots, bisect every
-    piece whose ends differ in sign.  Returns REF_ZERO for the zero sum."""
+    piece whose ends differ in sign, read where the scaled sum overflows
+    from the unscaled one, rescaled to stay finite.  Returns REF_ZERO for
+    the zero sum."""
     f = ReferenceExpSum(terms)
     if f.is_zero():
         return REF_ZERO
@@ -383,10 +397,10 @@ def _ref_roots_rec(f, lo, hi, tol):
             return REF_ZERO
         return []
     pts = [lo] + sorted(c for c in crit if lo < c < hi) + [hi]
-    vals = [g(x) for x in pts]
+    vals = [_ref_signed(g, f, x) for x in pts]
     roots = []
     for i, (x, v) in enumerate(zip(pts, vals)):
-        if math.isfinite(v) and abs(v) <= 1e-12 * _ref_local_scale(g, x):
+        if math.isfinite(g(x)) and abs(v) <= 1e-12 * _ref_local_scale(g, x):
             roots.append(x)
             vals[i] = 0.0
     for i in range(len(pts) - 1):
@@ -395,7 +409,7 @@ def _ref_roots_rec(f, lo, hi, tol):
         if fa == 0.0 or fb == 0.0:
             continue
         if (fa > 0) != (fb > 0):
-            roots.append(_ref_bisect(g, a, b, fa, tol))
+            roots.append(_ref_bisect(g, f, a, b, fa, tol))
     return roots
 
 

@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -134,6 +135,19 @@ def test_find_roots_identically_zero():
     f = ExpSum([(1.0, 2.0), (1.0, 2.0, 1)])
     g = ExpSum([(-1.0, 2.0), (-1.0, 2.0, 1)])
     assert find_roots(ExpSum(list(f.terms) + list(g.terms)), 0.0, 1.0) is IDENTICALLY_ZERO
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_find_roots_reads_the_sign_of_f_where_its_scaled_sum_overflows():
+    # f / 5000^x reads inf - inf near -64, where f itself is finite: f is
+    # positive on the whole range, so it has no root there
+    f = ExpSum([(1e276, 0.82), (-1.0, 1e-4), (1.0, 5000.0)])
+    grid = f(np.linspace(-64.0, 64.0, 4001))
+    assert np.isfinite(grid).all() and grid.min() > 0.0
+    assert find_roots(f, -64.0, 64.0) == []
+    # with the sign of f mirrored, the same
+    assert find_roots(ExpSum([(-a, b) for a, b, _ in f.terms]), -64.0, 64.0) == []
 
 
 def test_find_roots_rejects_empty_interval():
@@ -414,6 +428,130 @@ def test_interval_enclosure_refuses_sums_whose_terms_overflow(terms, lo, hi):
     assert param_search._one_signed([_key(terms)], -1.0, 1.0).tolist() == [True]
 
 
+# the batched partial-sum screen: wherever it decides, it decides as
+# _keeps_sign, also on sums laid end to end, near its thresholds and where
+# terms overflow; with the scalar fallback it always does
+
+
+def _screened_in_batch(sums, lo, hi):
+    """_keeps_signs on the degree-0 sums laid end to end, checked against
+    _keeps_sign on each; for each sum, True if the batch decided it
+    without falling back to _keeps_sign."""
+    terms = [ExpSum(t).terms for t in sums]
+    a, b = (np.array([term[i] for t in terms for term in t]) for i in (0, 1))
+    lengths = np.array([len(t) for t in terms])
+    want = [param_search._keeps_sign(t, lo, hi) for t in terms]
+    fell, keeps_sign = set(), param_search._keeps_sign
+
+    def fallback(t, lo, hi):
+        fell.add(tuple(t))
+        return keeps_sign(t, lo, hi)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(param_search, "_keeps_sign", fallback)
+        assert param_search._keeps_signs(a, b, lengths, lo, hi).tolist() == want
+    return np.array([t not in fell for t in terms])
+
+
+def _near_threshold(eps, lo, hi, ratio):
+    """1 - (1 - eps) (b / b0)^hi (b0 / b)^hi ...: two terms whose partial sum
+    at hi is eps of the first, about eps / 2 of their magnitude sum."""
+    b0, b1 = 1.0, ratio
+    return [(1.0, b0), (-(1.0 - eps) * (b0 / b1) ** hi, b1)]
+
+
+@given(sums=st.lists(st.tuples(
+           st.lists(_near_cancelling, min_size=2, max_size=12),
+           st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=12, unique=True),
+           st.sampled_from([None, "lo", "hi", "mid"]),
+           st.floats(1e-13, 1e-6) | st.floats(-1e-6, -1e-13), st.integers(0, 11)),
+           min_size=1, max_size=6),
+       ends=st.sampled_from(_ENDS), eps=st.lists(st.floats(1e-14, 1e-9), max_size=4),
+       ratio=st.floats(1.01, 3.0))
+@example(sums=[([1.0, 1.0], [6.0, 0.0], None, 1e-6, 0)], ends=(-64.0, 64.0), eps=[],
+         ratio=2.0)  # b^x overflows at both ends
+@example(sums=[([1e276 / 5000.0 ** 64, -1.0, 1.0], [-0.2, -9.2, 8.5], None, 1e-6, 0)],
+         ends=(-64.0, 64.0), eps=[2e-12, 8e-12], ratio=1.5)
+@settings(max_examples=150, deadline=None)
+def test_batched_screen_decides_as_keeps_sign(sums, ends, eps, ratio):
+    lo, hi = ends
+    laid = []
+    for coeffs, logs, plant, depth, pivot in sums:
+        m = min(len(coeffs), len(logs))
+        terms = _planted(coeffs[:m], logs[:m], lo, hi, plant, depth, pivot)
+        if terms is not None:
+            laid.append(terms)
+    laid += [_near_threshold(e, lo, hi, ratio) for e in eps]
+    laid = [t for t in laid if not ExpSum(t).is_zero()]
+    if laid:
+        with np.errstate(over="ignore", invalid="ignore"):
+            _screened_in_batch(laid, lo, hi)
+
+
+def test_batched_screen_decides_most_drawn_sums_in_length_buckets(monkeypatch):
+    rng = np.random.default_rng(20)
+    lo, hi = 0.5, 3.0
+    sums = []
+    for _ in range(400):
+        m = int(rng.integers(1, 40))
+        sums.append(list(zip(rng.integers(-9, 10, m).astype(float) + 0.5,
+                             np.sort(rng.choice(np.arange(1, 200), m, replace=False)) / 40.0)))
+    decided = _screened_in_batch(sums, lo, hi)
+    assert decided.mean() > 0.95
+    # in passes of a few cells each, by length bucket, the verdicts are the same
+    monkeypatch.setattr(param_search, "_SCREEN_CELLS", 64)
+    assert (_screened_in_batch(sums, lo, hi) == decided).all()
+
+
+def test_solver_answers_identically_zero_keys_with_the_screened_entry():
+    solve = param_search._Solver(0.5, 3.0)
+    cancel = ((2.0, 0, 1.0), (2.0, 0, -1.0))  # 2^x - 2^x
+    assert solve(()) is solve.screened and solve(cancel) is solve.screened
+    # so a run that executes them carries no equation and no root
+    rec = param_search._Run(1.0, lambda x: ("fp", 0.0, {(), cancel}), solve)
+    assert rec.eqs == [] and rec.roots == []
+
+
+class _Store:
+    """What _average_keys reads of a PairMultisets: its distances and
+    interned multisets."""
+
+    supports = linkage.PairMultisets.supports
+
+    def __init__(self, distinct, multisets):
+        self.distinct, self.beta = distinct, distinct.size
+        self.keys = [np.asarray(i, np.int64).tobytes() + np.asarray(c, np.int64).tobytes()
+                     for i, c in multisets]
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_batched_average_keys_equal_the_scalar_encoding(data):
+    beta = data.draw(st.integers(1, 12))
+    distinct = np.sort(data.draw(st.lists(st.floats(0.01, 100.0), min_size=beta,
+                                          max_size=beta, unique=True)))
+    multisets = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        idx = sorted(data.draw(st.sets(st.integers(0, beta - 1), min_size=1)))
+        cnt = data.draw(st.lists(st.integers(1, 10 ** 4), min_size=len(idx), max_size=len(idx)))
+        multisets.append((np.array(idx), np.array(cnt)))
+        if data.draw(st.booleans()):  # a proportional multiset: an identically zero equation
+            multisets.append((np.array(idx), 2 * np.array(cnt)))
+    ids = st.integers(0, len(multisets) - 1)
+    queue = data.draw(st.lists(st.tuples(ids, st.lists(ids, min_size=1, unique=True)),
+                               max_size=5))
+    store = _Store(distinct, multisets)
+    want = [(w, s, param_search._canon_terms(linkage.average_terms(
+        multisets[w], multisets[s], distinct))) for w, fresh in queue for s in fresh]
+    want = [pair for pair in want if pair[2]]
+    assert repr(param_search._encode("power_average", None, queue, store, None)) == repr(want)
+    # with a solver, the pairs whose keys it screens are left out
+    solve = param_search._Solver(*data.draw(st.sampled_from(_ENDS)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = param_search._encode("power_average", None, queue, store, solve)
+        assert got == [pair for pair in want if solve(pair[2]) is not solve.screened]
+
+
 def _recorded_solves(monkeypatch, sweep):
     """Every (terms, lo, hi, roots) that `sweep` solved with find_roots, and
     every (key, lo, hi) whose key one of its solvers proved one-signed
@@ -662,9 +800,9 @@ def test_erm_joint_sweeps_each_tree_tuple_once(monkeypatch):
     run, dp, roots = param_search._run, param_search.dp_with_comparisons, find_roots
     p_cells, alpha_sweep = param_search._sweep_p_cells, param_search._collected_sweep
 
-    def building(inst, mrule, collector=None, table=None):
+    def building(inst, mrule, collector=None, table=None, ids=None):
         events.append(("build", mrule.alpha))
-        return run(inst, mrule, collector=collector, table=table)
+        return run(inst, mrule, collector=collector, table=table, ids=ids)
 
     def sweeping(insts, trees, *args):
         events.append(("sweep", tuple(tuple(t.merges) for t in trees)))
@@ -735,9 +873,9 @@ def test_erm_joint_builds_the_trees_at_a_best_alpha_on_a_cell_end(monkeypatch):
             ends.append(rep)
         return lo, hi, cost, rep
 
-    def building(inst, mrule, collector=None, table=None):
+    def building(inst, mrule, collector=None, table=None, ids=None):
         builds.append((collector is None, mrule.alpha))
-        return run(inst, mrule, collector=collector, table=table)
+        return run(inst, mrule, collector=collector, table=table, ids=ids)
 
     monkeypatch.setattr(param_search, "_best_run", on_a_cell_end)
     monkeypatch.setattr(param_search, "_run", building)
@@ -1173,10 +1311,11 @@ def test_count_memos_stay_with_their_instance(monkeypatch):
 
     got = [outcome(search) for search in searches]
     # the dense reference collector returns every equation of every probe
-    monkeypatch.setattr(param_search, "_run", lambda inst, mrule, collector=None, table=None:
+    monkeypatch.setattr(param_search, "_run",
+                        lambda inst, mrule, collector=None, table=None, ids=None:
                         reference_run(inst, mrule, collector))
     monkeypatch.setattr(param_search, "_make_collector",
-                        lambda family, sigma, eqs, memo=None, solve=None, fresh=None:
+                        lambda family, sigma, eqs, memo=None, solve=None:
                         reference_count_collector(family, sigma, eqs))
     assert [outcome(search) for search in searches] == got
     # and the reference driver, which reuses no run, splits at the same roots
@@ -1186,12 +1325,13 @@ def test_count_memos_stay_with_their_instance(monkeypatch):
 
 def test_count_sweeps_encode_and_build_each_equation_once(monkeypatch):
     encoded, built, enclosed, keyed = [], [], [], []
-    average_terms, one_signed = linkage.average_terms, param_search._one_signed
+    average_keys, one_signed = param_search._average_keys, param_search._one_signed
     lazy_sweep = param_search._lazy_sweep
 
-    def counted_terms(wset, cset, distinct):
-        encoded.append(tuple(a.tobytes() for a in (distinct, *wset, *cset)))
-        return average_terms(wset, cset, distinct)
+    def counted_keys(queue, sets, solve):
+        encoded.extend((sets.distinct.tobytes(), sets.keys[w], sets.keys[s])
+                       for w, fresh in queue for s in fresh)
+        return average_keys(queue, sets, solve)
 
     class CountedSum(ExpSum):
         __slots__ = ()
@@ -1213,7 +1353,7 @@ def test_count_sweeps_encode_and_build_each_equation_once(monkeypatch):
 
         return recorded
 
-    monkeypatch.setattr(linkage, "average_terms", counted_terms)
+    monkeypatch.setattr(param_search, "_average_keys", counted_keys)
     monkeypatch.setattr(param_search, "ExpSum", CountedSum)
     monkeypatch.setattr(param_search, "_one_signed", recorded_one_signed)
     monkeypatch.setattr(param_search, "_lazy_sweep", lambda segments, runs, *rest: lazy_sweep(
@@ -1256,32 +1396,58 @@ def test_screened_equations_certify_where_their_values_overflow(monkeypatch):
 
     screened, runs = search()
     assert runs == 2
+    # unscreened: the collector's batch proves nothing, and every key is solved
     monkeypatch.setattr(param_search, "_is_combined_key", lambda key: False)
+    monkeypatch.setattr(param_search, "_keeps_signs",
+                        lambda a, b, lengths, lo, hi: np.zeros(len(lengths), dtype=bool))
     assert search() == (screened, 3)
     monkeypatch.setattr(param_search, "_lazy_sweep", reference_lazy_sweep)
     assert search() == (screened, 3)
 
 
 def test_sweeps_free_their_state_without_the_garbage_collector(monkeypatch):
-    # a sweep's distance tables and memos live in its closures; they must
-    # go when the search returns, not wait for a full collection
+    # a sweep's distance tables, multiset ids and memos live in its
+    # closures; they must go when the search returns, not wait for a full
+    # collection
     made = []
-    table = param_search.distance_table
+    table, ids = param_search.distance_table, param_search.MultisetIds
 
-    def recorded(D):
-        out = table(D)
-        made.append(weakref.ref(out[2]))
-        return out
+    def recorded(make, part):
+        def making(arg):
+            out = make(arg)
+            made.append(weakref.ref(part(out)))
+            return out
 
-    monkeypatch.setattr(param_search, "distance_table", recorded)
-    insts = [euclidean_instance(np.random.default_rng(45), 10)]
+        return making
+
+    monkeypatch.setattr(param_search, "distance_table", recorded(table, lambda out: out[2]))
+    monkeypatch.setattr(param_search, "MultisetIds", recorded(ids, lambda out: out))
+    insts = [euclidean_instance(np.random.default_rng(45), 10) for _ in range(2)]
     gc.disable()
     try:
         erm_alpha(insts, "power_average", (0.5, 3.0), 3, PruningRule(p=2.0),
                   Objective(kind="phi_p", p=2.0))
-        assert made and all(ref() is None for ref in made)
+        assert len(made) == 4 and all(ref() is None for ref in made)
     finally:
         gc.enable()
+
+
+def test_gaussian_power_average_sweep_at_n60_stays_small():
+    # the sweep of tools/ab_tune.py --gaussian 60; the memo of multiset
+    # bytes pairs, with its per-key encoding, peaked at 42.5 MiB here
+    pts = np.random.default_rng(60).standard_normal((60, 2))
+    D = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+    np.fill_diagonal(D, 0.0)
+    inst = ClusteringInstance(n=60, dist=D)
+    tracemalloc.start()
+    try:
+        res = erm_alpha([inst], "power_average", (0.5, 3.0), 3, PruningRule(p=2.0),
+                        Objective(kind="phi_p", p=2.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.profile) > 1
+    assert peak < 32 * 2 ** 20
 
 
 def test_gadget_erm_runs_the_pipeline_twice():

@@ -20,6 +20,15 @@ trees, timed the same way, and checked with the workload's ``check_apply``.
 It exits with status 1 when an answer, a profile or an applied output
 differs, or when the change made more runs than the base on any call.
 
+    python3 tools/ab_tune.py BASE CHANGE --gaussian N [--rounds R]
+
+times instead the large power_average sweep: ``erm_alpha`` over alpha in
+(0.5, 3) with k=3, p=2 and ``phi_p`` on one instance of N 2-d points drawn
+by ``numpy.random.default_rng(N).standard_normal``.  Each of R rounds
+(default 1) runs it once on each tree, alternating which goes first, and
+the script prints each side's CPU seconds and their ratio.  It exits with
+status 1 when the profiles (bit for bit) or ``instances_evaluated`` differ.
+
 Both sides of a call run at the same host speed, so the ratio does not
 follow a shared host's drift; perfbench's 30 s runs cannot resolve gains of
 a few percent.  The script only reads ``perfbench``: the workloads, their
@@ -81,16 +90,51 @@ def applied(out, inp):
     return bits(out, inp)
 
 
+def gaussian(libs, n, rounds):
+    """A/B-time the power_average sweep on n Gaussian points; 0 if both
+    trees gave the same profile and run count in every round."""
+    import numpy as np
+
+    pts = np.random.default_rng(n).standard_normal((n, 2))
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+    np.fill_diagonal(dist, 0.0)
+    same, ratios = True, []
+    print(f"gaussian power_average sweep, n={n}: {rounds} rounds")
+    print("round  base_s  change_s  ratio  runs  cells")
+    for r in range(rounds):
+        spent, got = {}, {}
+        for side in (("base", "change") if r % 2 == 0 else ("change", "base")):
+            lib = libs[side]
+            inst = lib.ClusteringInstance(n=n, dist=dist)
+            t0 = time.process_time()
+            res = lib.erm_alpha([inst], "power_average", (0.5, 3.0), 3, lib.PruningRule(p=2.0),
+                                lib.Objective(kind="phi_p", p=2.0))
+            spent[side] = time.process_time() - t0
+            prof = res.profile
+            got[side] = bits((prof.breakpoints, prof.values, prof.representatives,
+                              prof.payloads, res.instances_evaluated))
+        same = same and got["base"] == got["change"]
+        ratios.append(spent["change"] / spent["base"])
+        print(f"{r:5d}  {spent['base']:6.2f}  {spent['change']:8.2f}  {ratios[-1]:.3f}"
+              f"  {res.instances_evaluated:4d}  {len(prof):5d}")
+    print(f"median ratio change/base {statistics.median(ratios):.3f}")
+    print(f"profiles and instances_evaluated identical in all {rounds} rounds: "
+          f"{'yes' if same else 'NO'}")
+    return 0 if same else 1
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base")
     ap.add_argument("change")
     ap.add_argument("--workload", default="avg_erm")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--rounds", type=int, default=12)
+    ap.add_argument("--rounds", type=int, default=None, help="default 12, or 1 with --gaussian")
     ap.add_argument("--calls", type=int, default=20)
     ap.add_argument("--apply", action="store_true",
                     help="also time and compare each call's held-out application")
+    ap.add_argument("--gaussian", type=int, metavar="N",
+                    help="time the power_average sweep on N Gaussian points instead")
     args = ap.parse_args(argv)
 
     # the workloads import partition_tuner for their input types
@@ -98,6 +142,9 @@ def main(argv=None):
     import workloads
 
     libs = {"base": load_tree("ab_base", args.base), "change": load_tree("ab_change", args.change)}
+    if args.gaussian is not None:
+        return gaussian(libs, args.gaussian, args.rounds or 1)
+    args.rounds = args.rounds or 12
     cls = workloads.WORKLOADS[args.workload]
     sides = {}
     for side, lib in libs.items():
