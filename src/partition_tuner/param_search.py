@@ -273,22 +273,26 @@ def _keeps_sign(terms, lo: float, hi: float) -> bool:
 
 
 _SCREEN_CELLS = 2 ** 16  # padded cells per numpy pass of _keeps_signs
+_SCREEN_TERMS = 512  # fewer terms than this are screened one sum at a time
 
 
 def _keeps_signs(a, b, lengths, lo, hi) -> np.ndarray:
     """_keeps_sign of each degree-0 sum, sum i being the next lengths[i]
     terms (a, b), bases ascending, its tests run in numpy on one zero-padded
     row per sum: all rows in one pass while they fit in _SCREEN_CELLS cells,
-    else by power-of-two length bucket.  numpy rounds apart from math, so a
-    row is decided only where every test clears its threshold by a factor
-    of 4 and b^x and the magnitude sums stay below 1e300 on each side it
-    reads; _keeps_sign decides the rest."""
+    else by power-of-two length bucket.  numpy's powers may differ from
+    math's by a few ulps, and the partial sums then by err, so a row is
+    decided only where each test clears its threshold by a factor of 4 and
+    by err, and b^x and the magnitude sums stay below 1e300 on each side it
+    reads; _keeps_sign decides the rest, and every sum of a batch of fewer
+    than _SCREEN_TERMS terms, where numpy's fixed cost would dominate."""
     ends = np.cumsum(lengths)
     starts = ends - lengths
     positive = np.add.reduceat(a > 0, starts, dtype=np.int64)
     keeps = (positive == 0) | (positive == lengths)  # exact, as _keeps_sign's shortcut
-    decided = keeps.copy()
+    decided = keeps | (a.size < _SCREEN_TERMS)
     rows = np.flatnonzero(~decided)
+    decided = keeps.copy()
     groups = [rows]
     if not 0 < rows.size * lengths.max(initial=0) <= _SCREEN_CELLS:
         bucket, groups = np.frexp(lengths[rows])[1], []
@@ -308,9 +312,10 @@ def _keeps_signs(a, b, lengths, lo, hi) -> np.ndarray:
                 c = np.where(valid, a[at], 0.0) * r
                 s, mag = np.cumsum(c, axis=1), np.cumsum(np.abs(c), axis=1)
                 bound = (1e-12 + 2.3e-16 * (abs(x) + size)) * mag
-                sign = (s > 0) == (c[:, :1] > 0)
-                passes = sign & (np.abs(s) > 4.0 * bound) & (np.abs(c) > 4e-300)
-                fails = ~sign | (np.abs(s) < bound / 4.0) | (np.abs(c) < 2.5e-301)
+                err = 2.3e-16 * (size + 4) * mag
+                sign, s = (s > 0) == (c[:, :1] > 0), np.abs(s)
+                passes = sign & (s > 4.0 * bound) & (np.abs(c) > 4e-300)
+                fails = ~sign & (s > err) | (s < bound / 4.0 - err) | (np.abs(c) < 2.5e-301)
             safe = ((r < 1e300) & (mag < 1e300)).all(1)
             sides.append((safe & (passes | ~valid).all(1), safe & (fails & valid).any(1)))
         (keep_lo, fail_lo), (keep_hi, fail_hi) = sides
@@ -594,8 +599,9 @@ class _Solver:
 
     def resolve(self, keys, screened=False):
         """Settle the new keys: the combined ones meet _keeps_signs in one
-        pass, unless screened says they did, and the unproven ones
-        _one_signed in batches of about 1024 terms; the others are solved."""
+        pass (a few, _keeps_sign), unless screened says they did, and the
+        unproven ones _one_signed in batches of about 1024 terms; the others
+        are solved."""
         combined = []
         for key in dict.fromkeys(keys):
             if key in self.cache:
@@ -605,12 +611,15 @@ class _Solver:
             else:
                 self.cache[key] = self._solve(key)
         if combined and not screened:
-            b, _, a = np.array([t for key in combined for t in key]).T
-            lengths = np.fromiter(map(len, combined), np.int64, len(combined))
-            proven = _keeps_signs(a, b, lengths, self.lo, self.hi)
+            if sum(map(len, combined)) < _SCREEN_TERMS:  # numpy's fixed cost would dominate
+                proven = [_keeps_sign(_terms_from_key(key), self.lo, self.hi) for key in combined]
+            else:
+                b, _, a = np.array([t for key in combined for t in key]).T
+                proven = _keeps_signs(a, b, np.fromiter(map(len, combined), np.int64),
+                                      self.lo, self.hi)
             for key in itertools.compress(combined, proven):
                 self.cache[key] = self.screened
-            combined = list(itertools.compress(combined, ~proven))
+            combined = [key for key, p in zip(combined, proven) if not p]
         ends = itertools.accumulate(map(len, combined))  # batches of about 1024 terms
         for _, batch in itertools.groupby(zip(combined, ends), lambda key_end: key_end[1] // 1024):
             batch = [key for key, _ in batch]
