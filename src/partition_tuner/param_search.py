@@ -233,7 +233,9 @@ def find_roots(f: ExpSum, lo: float, hi: float, tol: float = ROOT_TOL):
     root there.  The mirror rule at hi covers (-inf, hi].  A partial sum
     counts only above 1e-12 of its magnitude sum, the solver's own zero
     threshold, plus rounding, so the recursion finds nothing in a screened
-    sum either.  Raises DomainError unless lo < hi are finite.
+    sum either.  Where f / b_max^x overflows, the sign of f over its
+    largest term stands in for it.  Raises DomainError unless lo < hi are
+    finite.
     """
     if f.is_zero():
         return IDENTICALLY_ZERO
@@ -290,9 +292,8 @@ def _keeps_signs(a, b, lengths, lo, hi) -> np.ndarray:
     starts = ends - lengths
     positive = np.add.reduceat(a > 0, starts, dtype=np.int64)
     keeps = (positive == 0) | (positive == lengths)  # exact, as _keeps_sign's shortcut
-    decided = keeps | (a.size < _SCREEN_TERMS)
-    rows = np.flatnonzero(~decided)
     decided = keeps.copy()
+    rows = np.flatnonzero(~keeps if a.size >= _SCREEN_TERMS else [])
     groups = [rows]
     if not 0 < rows.size * lengths.max(initial=0) <= _SCREEN_CELLS:
         bucket, groups = np.frexp(lengths[rows])[1], []

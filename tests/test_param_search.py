@@ -434,9 +434,9 @@ def test_interval_enclosure_refuses_sums_whose_terms_overflow(terms, lo, hi):
 
 
 def _screened_in_batch(sums, lo, hi):
-    """_keeps_signs on the degree-0 sums laid end to end, checked against
-    _keeps_sign on each; for each sum, True if the batch decided it
-    without falling back to _keeps_sign."""
+    """_keeps_signs on the degree-0 sums laid end to end, in numpy however
+    few their terms, checked against _keeps_sign on each; for each sum,
+    True if the batch decided it without falling back to _keeps_sign."""
     terms = [ExpSum(t).terms for t in sums]
     a, b = (np.array([term[i] for t in terms for term in t]) for i in (0, 1))
     lengths = np.array([len(t) for t in terms])
@@ -449,13 +449,14 @@ def _screened_in_batch(sums, lo, hi):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(param_search, "_keeps_sign", fallback)
+        patch.setattr(param_search, "_SCREEN_TERMS", 0)
         assert param_search._keeps_signs(a, b, lengths, lo, hi).tolist() == want
     return np.array([t not in fell for t in terms])
 
 
 def _near_threshold(eps, lo, hi, ratio):
-    """1 - (1 - eps) (b / b0)^hi (b0 / b)^hi ...: two terms whose partial sum
-    at hi is eps of the first, about eps / 2 of their magnitude sum."""
+    """1 - (1 - eps) (b1 / b0)^(x - hi), two terms whose partial sum at hi
+    is eps, about eps / 2 of their magnitude sum."""
     b0, b1 = 1.0, ratio
     return [(1.0, b0), (-(1.0 - eps) * (b0 / b1) ** hi, b1)]
 
@@ -545,9 +546,11 @@ def test_batched_average_keys_equal_the_scalar_encoding(data):
         multisets[w], multisets[s], distinct))) for w, fresh in queue for s in fresh]
     want = [pair for pair in want if pair[2]]
     assert repr(param_search._encode("power_average", None, queue, store, None)) == repr(want)
-    # with a solver, the pairs whose keys it screens are left out
+    # with a solver, the pairs whose keys it screens, in numpy however few
+    # their terms, are left out
     solve = param_search._Solver(*data.draw(st.sampled_from(_ENDS)))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(param_search, "_SCREEN_TERMS", 0)
         got = param_search._encode("power_average", None, queue, store, solve)
         assert got == [pair for pair in want if solve(pair[2]) is not solve.screened]
 
