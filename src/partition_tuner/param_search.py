@@ -682,8 +682,8 @@ def _make_collector(family, sigma, eqs, memo=None, solve=None):
         if known:
             eqs.update(map(known.__getitem__, known.keys() & live))
         if len(ids) == 2:
-            for w, s, key in _encode(family, sigma, queue, sets, solve):
-                opened.setdefault(w, {})[s] = key
+            for win, cand, key in _encode(family, sigma, queue, sets, solve):
+                opened.setdefault(win, {})[cand] = key
                 eqs.add(key)
             queue.clear()
 
