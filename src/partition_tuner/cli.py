@@ -37,13 +37,7 @@ from .instances import (
     validate,
 )
 from .linkage import MergeRule, build_tree
-from .param_search import (
-    erm_alpha,
-    erm_joint,
-    pdim_table,
-    sample_size,
-    sweep_alpha,
-)
+from .param_search import erm_alpha, erm_joint, pdim_table, sample_size
 from .pruning_dp import Objective, PruningRule, best_k_pruning, objective_value
 from .sdp_round import (
     disc_best,
@@ -282,77 +276,39 @@ def cmd_prune(args):
     }
 
 
-def cmd_sweep_alpha(args):
+def cmd_search(args):
+    """sweep-alpha, erm-alpha and erm-joint: one exact search, whose profile
+    sweep-alpha prints and whose best run the two ERM commands print."""
     insts = _instances(args)
-    profile = sweep_alpha(
-        insts,
-        _family(args.family),
-        _range(args.range),
-        args.k,
-        PruningRule(p=_pvalue(args.p)),
-        _objective(args),
-        variant=args.variant,
-        sigma=args.sigma,
-        tol=args.tol,
-    )
-    print(f"{len(profile)} intervals over {args.range}")
-    for i in range(len(profile)):
-        lo, hi = profile.interval(i)
-        print(f"  [{lo:.9g}, {hi:.9g}] cost={profile.values[i]!r}")
-    return {"profile": _profile_doc(profile)}
-
-
-def cmd_erm_alpha(args):
-    insts = _instances(args)
-    res = erm_alpha(
-        insts,
-        _family(args.family),
-        _range(args.range),
-        args.k,
-        PruningRule(p=_pvalue(args.p)),
-        _objective(args),
-        variant=args.variant,
-        sigma=args.sigma,
-        tol=args.tol,
-    )
-    lo, hi = res.best_interval
-    print(
-        f"best alpha {res.best_param!r} on [{lo!r}, {hi!r}] "
-        f"cost={res.best_cost!r} ({res.instances_evaluated} evaluations)"
-    )
-    return {
+    family, alpha_range = _family(args.family), _range(args.range)
+    joint = args.command == "erm-joint"
+    if joint:  # it accepts --p and --sigma, which saved configs carry, and ignores them
+        res = erm_joint(insts, family, alpha_range, _range(args.p_range), args.k,
+                        _objective(args), variant=args.variant, tol=args.tol)
+    else:
+        res = erm_alpha(insts, family, alpha_range, args.k, PruningRule(p=_pvalue(args.p)),
+                        _objective(args), variant=args.variant, sigma=args.sigma, tol=args.tol)
+    profile = _profile_doc(res.profile)
+    if args.command == "sweep-alpha":
+        print(f"{len(res.profile)} intervals over {args.range}")
+        for i, cost in enumerate(res.profile.values):
+            lo, hi = res.profile.interval(i)
+            print(f"  [{lo:.9g}, {hi:.9g}] cost={cost!r}")
+        return {"profile": profile}
+    if joint:
+        (alo, ahi), (plo, phi) = res.best_interval
+        print(f"best (alpha, p) = {res.best_param!r} on [{alo!r}, {ahi!r}] x "
+              f"[{plo!r}, {phi!r}] cost={res.best_cost!r}")
+    else:
+        lo, hi = res.best_interval
+        print(f"best alpha {res.best_param!r} on [{lo!r}, {hi!r}] "
+              f"cost={res.best_cost!r} ({res.instances_evaluated} evaluations)")
+    return {  # json writes the tuples of best_param and best_interval as lists
         "best_param": res.best_param,
-        "best_interval": [lo, hi],
+        "best_interval": res.best_interval,
         "best_cost": res.best_cost,
         "instances_evaluated": res.instances_evaluated,
-        "profile": _profile_doc(res.profile),
-    }
-
-
-def cmd_erm_joint(args):
-    insts = _instances(args)
-    res = erm_joint(
-        insts,
-        _family(args.family),
-        _range(args.range),
-        _range(args.p_range),
-        args.k,
-        _objective(args),
-        variant=args.variant,
-        tol=args.tol,
-    )
-    (alo, ahi), (plo, phi) = res.best_interval
-    arep, prep = res.best_param
-    print(
-        f"best (alpha, p) = ({arep!r}, {prep!r}) on [{alo!r}, {ahi!r}] x "
-        f"[{plo!r}, {phi!r}] cost={res.best_cost!r}"
-    )
-    return {
-        "best_param": [arep, prep],
-        "best_interval": [[alo, ahi], [plo, phi]],
-        "best_cost": res.best_cost,
-        "instances_evaluated": res.instances_evaluated,
-        "profile": _profile_doc(res.profile),
+        "profile": profile,
     }
 
 
@@ -464,7 +420,7 @@ def _build_parser():
         if profile:
             p.add_argument("--csv", help="write (parameter, cost) rows here")
 
-    def pipeline_flags(p, swept=False):
+    def pipeline_flags(p):
         p.add_argument("--instances", required=True, help="comma-separated paths")
         p.add_argument("--family", required=True)
         p.add_argument("--k", type=int, required=True)
@@ -473,8 +429,6 @@ def _build_parser():
         p.add_argument("--obj-p", dest="obj_p", type=float, default=2.0)
         p.add_argument("--variant", default="fixed", choices=["fixed", "voronoi"])
         p.add_argument("--sigma", type=int, default=None)
-        if swept:
-            p.add_argument("--range", required=True, help="lo,hi")
 
     p = sub.add_parser("gen", help="generate a benchmark instance")
     p.add_argument("kind", choices=["two-gadget", "oscillation", "general-lb", "k4"])
@@ -511,21 +465,16 @@ def _build_parser():
     common(p)
     p.set_defaults(func=cmd_prune)
 
-    p = sub.add_parser("sweep-alpha", help="exact cost profile over alpha")
-    pipeline_flags(p, swept=True)
-    common(p, profile=True)
-    p.set_defaults(func=cmd_sweep_alpha)
-
-    p = sub.add_parser("erm-alpha", help="pick the cost-minimizing alpha interval")
-    pipeline_flags(p, swept=True)
-    common(p, profile=True)
-    p.set_defaults(func=cmd_erm_alpha)
-
-    p = sub.add_parser("erm-joint", help="minimize over alpha and the exponent p")
-    pipeline_flags(p, swept=True)
-    p.add_argument("--p-range", dest="p_range", required=True, help="lo,hi")
-    common(p, profile=True)
-    p.set_defaults(func=cmd_erm_joint)
+    for name, text in (("sweep-alpha", "exact cost profile over alpha"),
+                       ("erm-alpha", "pick the cost-minimizing alpha interval"),
+                       ("erm-joint", "minimize over alpha and the exponent p")):
+        p = sub.add_parser(name, help=text)
+        pipeline_flags(p)
+        p.add_argument("--range", required=True, help="lo,hi")
+        if name == "erm-joint":
+            p.add_argument("--p-range", dest="p_range", required=True, help="lo,hi")
+        common(p, profile=True)
+        p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("embed", help="low-rank embedding of a quadratic program")
     p.add_argument("--instances", required=True)

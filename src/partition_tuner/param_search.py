@@ -77,6 +77,8 @@ class ExpSum:
                 raise DomainError("degrees must be nonnegative")
             _add_term(acc, a, b, j)
         self._set(acc)
+        if self.terms:
+            _check_spread(self.terms[0][1], self.terms[-1][1])
 
     @classmethod
     def _combined(cls, acc) -> "ExpSum":
@@ -156,6 +158,13 @@ def _check_term(a, b):
         raise DomainError("coefficients must be finite, bases positive and finite")
 
 
+def _check_spread(bmin, bmax):
+    """Refuse a sum whose largest base over its smallest overflows: scaling
+    by the largest base would underflow the smallest to 0."""
+    if not bmax / bmin < math.inf:
+        raise Overflow(f"base ratio {bmax:g} / {bmin:g} exceeds the float range")
+
+
 def _add_term(acc, a, b, j):
     if a != 0.0:
         acc[(b, j)] = acc.get((b, j), 0.0) + a
@@ -204,8 +213,6 @@ def _poly_roots(terms, lo, hi):
     coef = np.zeros(deg + 1)
     for a, _, j in terms:
         coef[deg - j] += a
-    if deg == 0:
-        return []
     if deg == 1:
         r = [float(-coef[1] / coef[0])]
     else:
@@ -330,19 +337,17 @@ def _keeps_signs(a, b, lengths, lo, hi) -> np.ndarray:
 
 
 def _roots_rec(f: ExpSum, lo: float, hi: float, tol: float):
-    if f.is_zero():
-        return IDENTICALLY_ZERO
+    """find_roots of a nonempty f."""
     if _keeps_sign(f.terms, lo, hi):
         return []
     g = f._scaled()
-    if g.is_zero():
-        return IDENTICALLY_ZERO
-    if all(b == 1.0 for _, b, j in g.terms):
+    dg = g.derivative()
+    if dg.terms and all(b == 1.0 for _, b, j in g.terms):
         return _poly_roots(g.terms, lo, hi)
-
-    crit = _roots_rec(g.derivative(), lo, hi, tol)
+    crit = _roots_rec(dg, lo, hi, tol) if dg.terms else IDENTICALLY_ZERO
     if crit is IDENTICALLY_ZERO:
-        # derivative vanishes identically: g is constant
+        # the derivative is empty or vanishes: g is constant, or empty where
+        # scaling cancelled every term
         mid = 0.5 * (lo + hi)
         if abs(g(mid)) <= 1e-12 * _local_scale(g, mid):
             return IDENTICALLY_ZERO
@@ -553,8 +558,10 @@ def _is_combined_key(key) -> bool:
     for b, j, a in key:
         _check_term(a, b)
         if not a or b <= prev or j:
-            return False
+            return False  # ExpSum checks the key
         prev = b
+    if key:
+        _check_spread(key[0][0], prev)
     return bool(key)
 
 
@@ -716,6 +723,7 @@ def _average_keys(queue, sets, solve):
     n_c w_t - n_w c_t over the union supports are exact integers, so a key
     equals _canon_terms(average_terms(...)); only those that _keeps_signs
     (with solve) leaves open are made as tuples."""
+    _check_spread(sets.distinct[0], sets.distinct[-1])
     wins = [w for w, fresh in queue for _ in fresh]
     cands = [s for _, fresh in queue for s in fresh]
     (wi, wc, wn), (ci, cc, cn) = sets.supports(wins), sets.supports(cands)

@@ -26,3 +26,10 @@ def near_symmetric_instance():
     i, j = sorted(np.unravel_index(np.argmax(D), D.shape))
     D[j, i] = D[i, j] * (1 + 1e-13)
     return ClusteringInstance(n=6, dist=D)
+
+
+def wide_ratio_instance():
+    """Four points whose largest distance over their smallest, 1e200 /
+    1e-200, overflows: scaled by the largest, the smallest would be 0."""
+    return ClusteringInstance(n=4, dist=[[0, 1e-200, 1e200, 1], [1e-200, 0, 1e200, 2],
+                                         [1e200, 1e200, 0, 1e199], [1, 2, 1e199, 0]])

@@ -20,7 +20,7 @@ from partition_tuner import (
 )
 from partition_tuner.cli import main
 from partition_tuner.instances import MaxQPInstance
-from conftest import euclidean_instance, near_symmetric_instance
+from conftest import euclidean_instance, near_symmetric_instance, wide_ratio_instance
 
 
 @pytest.fixture()
@@ -132,6 +132,16 @@ def test_broken_distance_contract_exits_two(tmp_path, capsys, where, value, says
     assert main(["erm-alpha", "--instances", str(path), "--family", "power_average",
                  "--range", "0.5,2", "--k", "2"]) == 2
     assert says in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_distances_whose_ratio_overflows_exit_three(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    save_instance(str(path), wide_ratio_instance())
+    rc = main(["erm-alpha", "--instances", str(path), "--family", "power", "--k", "2",
+               "--range", "0.5,3"])
+    assert rc == 3
+    assert "numeric error" in capsys.readouterr().err
 
 
 def test_diverging_sweep_exits_three(points_path, monkeypatch):
@@ -323,12 +333,14 @@ def test_usage_errors_exit_one():
     assert main(["--help"]) == 0
 
 
-def test_config_round_trip(points_path, tmp_path):
+@pytest.mark.parametrize("command,extra", [("sweep-alpha", []), ("erm-alpha", []),
+                                           ("erm-joint", ["--p-range", "1,3"])])
+def test_config_round_trip(points_path, tmp_path, command, extra):
     out = tmp_path / "run.json"
     cfg = tmp_path / "cfg.json"
     argv = [
-        "sweep-alpha", "--instances", points_path, "--family", "convex",
-        "--range", "0,1", "--k", "2", "--p", "1.5",
+        command, "--instances", points_path, "--family", "convex",
+        "--range", "0,1", "--k", "2", "--p", "1.5", *extra,
         "--out", str(out), "--save-config", str(cfg),
     ]
     assert main(argv) == 0
@@ -336,8 +348,8 @@ def test_config_round_trip(points_path, tmp_path):
     out.unlink()
     # replay: the config restores every parameter, including the out path
     assert main([
-        "sweep-alpha", "--instances", points_path, "--family", "convex",
-        "--range", "0,1", "--k", "2", "--config", str(cfg),
+        command, "--instances", points_path, "--family", "convex",
+        "--range", "0,1", "--k", "2", *extra, "--config", str(cfg),
     ]) == 0
     assert out.read_bytes() == blob
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from partition_tuner import ClusteringInstance, Embedding, save_embedding, save_instance
 from partition_tuner.cli import main
 from partition_tuner.instances import MaxQPInstance
+from conftest import wide_ratio_instance
 
 NUM = ["nan", "inf", "-inf", "-1", "0", "1", "2", "0.5", "-0.5", "1e308", "1e-300", "x"]
 INT = ["-1", "0", "1", "2", "3", "x"]
@@ -70,6 +71,7 @@ def files(tmp_path_factory):
     D = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
     save_instance(str(root / "points.json"), ClusteringInstance(n=5, dist=D))
     save_instance(str(root / "pair.json"), ClusteringInstance(n=2, dist=[[0, 1], [1, 0]]))
+    save_instance(str(root / "wide.json"), wide_ratio_instance())
     W = np.triu(rng.uniform(0.1, 1.0, (5, 5)), 1)
     save_instance(str(root / "graph.json"), MaxQPInstance(n=5, matrix=W + W.T, origin="maxcut"))
     U = rng.normal(size=(5, 3))
@@ -110,7 +112,7 @@ def invocations(draw, root):
     if cmd in FILE_COMMANDS:
         # an embedding is read only after the one instance file that it fits
         choice = "graph" if emb else draw(st.sampled_from(
-            ["points", "pair", "graph", "both", "dir", "missing", "malformed"]))
+            ["points", "pair", "wide", "graph", "both", "dir", "missing", "malformed"]))
         if choice == "malformed":
             source = root / draw(st.sampled_from(["points.json", "graph.json"]))
             (root / "malformed.json").write_text(_malformed(draw, source))

@@ -19,6 +19,7 @@ from partition_tuner import (
     IDENTICALLY_ZERO,
     MergeRule,
     Objective,
+    Overflow,
     PruningRule,
     RootNotConverged,
     SigmaTooLargeForExact,
@@ -41,7 +42,7 @@ from partition_tuner import (
 )
 from partition_tuner import ClusteringInstance, linkage, param_search
 from partition_tuner.param_search import BREAK_MERGE_TOL
-from conftest import euclidean_instance
+from conftest import euclidean_instance, wide_ratio_instance
 from oracles import (REF_ZERO, grid_joint_min, random_instance, reference_count_collector,
                      reference_find_roots, reference_lazy_sweep, reference_run)
 
@@ -184,6 +185,57 @@ def test_find_roots_takes_no_overflowed_endpoint_for_a_root():
 def test_find_roots_refuses_non_finite_endpoints(terms, lo, hi):
     with pytest.raises(DomainError):
         find_roots(ExpSum(terms), lo, hi)
+
+
+def test_find_roots_decides_a_sum_whose_derivative_underflows_as_a_constant():
+    # the base-1 term has no derivative, and the other term's, 5e-324 * -0.5,
+    # underflows to 0: the derivative is empty, so the sum is read as constant
+    tiny = (5e-324, math.exp(-0.5))
+    assert find_roots(ExpSum([(-1.0, 1.0), tiny]), -64.0, 64.0) == []
+    assert find_roots(ExpSum([tiny, (-5e-324, 1.0)]), -1.0, 1.0) is IDENTICALLY_ZERO
+
+
+@pytest.mark.parametrize("lo,hi", [(-1.0, 1.0), (0.5, 1.0)])
+def test_a_sum_whose_base_ratio_overflows_is_refused(lo, hi):
+    # scaled by its largest base, the smallest base would underflow to 0
+    terms = [(1.0, 1e-170), (-1.0, 1e170)]
+    with pytest.raises(Overflow):
+        find_roots(ExpSum(terms), lo, hi)
+    with pytest.raises(Overflow):
+        param_search._Solver(lo, hi).resolve([_key(terms)])
+    ExpSum([(1.0, 1e-150), (-1.0, 1e150)])  # a ratio of 1e300 stays in range
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("family,alpha_range,sigma", [
+    ("power_minmax", (0.5, 3.0), None), ("power_minmax", (-3.0, 3.0), None),
+    ("power_average", (-3.0, 3.0), None), ("sigma_power", (0.5, 3.0), 2)])
+def test_sweeps_refuse_distances_whose_ratio_overflows(family, alpha_range, sigma):
+    with pytest.raises(Overflow):
+        erm_alpha([wide_ratio_instance()], family, alpha_range, 2, PruningRule(p=2.0),
+                  Objective(kind="phi_p", p=2.0), sigma=sigma)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_exponent_sweeps_refuse_distances_whose_ratio_overflows():
+    inst, obj = wide_ratio_instance(), Objective(kind="phi_p", p=2.0)
+    with pytest.raises(Overflow):
+        erm_joint([inst], "convex_minmax", (0.0, 1.0), (0.5, 3.0), 2, obj)
+    tree = build_tree(inst, MergeRule("convex_minmax", alpha=0.5))
+    with pytest.raises(Overflow):
+        sweep_p([inst], [tree], 2, (0.5, 3.0), obj)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_convex_sweep_of_distances_whose_ratio_overflows_is_unchanged():
+    # its equations are affine in alpha, with base 1 only
+    res = erm_alpha([wide_ratio_instance()], "convex_minmax", (0.0, 1.0), 2,
+                    PruningRule(p=2.0), Objective(kind="phi_p", p=2.0))
+    assert (res.best_param, res.best_interval, res.best_cost) == (0.5, (0.0, 1.0), 1.0)
+    assert res.profile.breakpoints == [0.0, 1.0] and res.instances_evaluated == 1
+    assert res.profile.payloads == [(frozenset({(0, 1), (0, 1, 3), (0, 1, 2, 3)}),)]
 
 
 def test_find_roots_refuses_a_bracket_bisection_cannot_narrow():
