@@ -872,11 +872,18 @@ def erm_alpha(
 # exponent sweeps over a fixed tree, and the joint search
 
 
-def _p_domain(p_range):
-    """The exponent sweep's domain: p_range with its top clipped to SWEEP_CLIP."""
+def _p_domain(p_range, instances):
+    """The exponent sweep's domain: p_range with its top clipped to SWEEP_CLIP.
+
+    A top at which the instances' largest distance to the p-th power
+    overflows is refused up front: dp_with_comparisons refuses such a
+    probe, and the refusal should not depend on where the probes land."""
     lo, hi = float(p_range[0]), min(float(p_range[1]), SWEEP_CLIP)
     if not (0.0 < lo < hi):
         raise DomainError(f"p range must satisfy 0 < lo < hi, lo below {SWEEP_CLIP}")
+    with np.errstate(over="ignore"):
+        if np.isinf(np.max([inst.dist.max() for inst in instances], initial=0.0) ** hi):
+            raise Overflow(f"distances to the power {hi:g} exceed the float range")
     return lo, hi
 
 
@@ -915,7 +922,7 @@ def sweep_p(
     tol: float = ROOT_TOL,
 ) -> PiecewiseProfile:
     """Cost profile over the pruning exponent for fixed merge trees."""
-    domain = _p_domain(p_range)
+    domain = _p_domain(p_range, instances)
     cells, _ = _sweep_p_cells(instances, trees, k, domain, obj, variant, _Solver(*domain, tol))
     return PiecewiseProfile.from_cells("p", cells)
 
@@ -942,7 +949,7 @@ def erm_joint(
     runs actually made: a tree tuple that was already swept costs none.
     """
     segments, hard = _alpha_segments(family, alpha_range)
-    domain = _p_domain(p_range)
+    domain = _p_domain(p_range, instances)
     psolve = _Solver(*domain, tol)
     swept = {}  # merge records of a tree tuple -> (its exponent sweep's cells, DP runs)
 

@@ -21,6 +21,7 @@ from .errors import (
     DomainError,
     KTooLarge,
     MissingGroundTruth,
+    Overflow,
 )
 from .instances import ClusteringInstance
 from .linkage import MergeTree
@@ -162,7 +163,8 @@ def best_k_pruning(
 
     else:
         zero = 0.0
-        Dp = D ** p
+        with np.errstate(over="ignore"):  # a power past the float range is an infinite cost
+            Dp = D ** p
 
         def center_costs(a):
             return Dp[a[:, None], a].sum(axis=0).tolist()
@@ -190,8 +192,9 @@ def _power_sum(D, clusters, centers, p):
     if math.isinf(p):
         return max(float(D[cl, c].max()) for cl, c in zip(clusters, centers))
     total = 0.0
-    for cl, c in zip(clusters, centers):
-        total += float((D[cl, c] ** p).sum())
+    with np.errstate(over="ignore"):
+        for cl, c in zip(clusters, centers):
+            total += float((D[cl, c] ** p).sum())
     return total
 
 
@@ -272,8 +275,9 @@ def objective_value(
         if math.isinf(p):
             return float(sum(float(D[cl, c].max()) for cl, c in zip(clusters, centers)))
         total = 0.0
-        for cl, c in zip(clusters, centers):
-            total += float((D[cl, c] ** p).sum()) ** (1.0 / p)
+        with np.errstate(over="ignore"):
+            for cl, c in zip(clusters, centers):
+                total += float((D[cl, c] ** p).sum()) ** (1.0 / p)
         return total
     # psi_pow: raw power sum, or the largest center distance at p = inf
     return _power_sum(D, clusters, centers, p)
@@ -299,7 +303,10 @@ def dp_with_comparisons(inst: ClusteringInstance, tree: MergeTree, k: int, p: fl
     # may hold lower-triangle values found nowhere in the upper triangle.
     off_diag = ~np.eye(inst.n, dtype=bool)
     distinct, inverse = np.unique(inst.dist[off_diag], return_inverse=True)
-    pw = distinct ** p
+    with np.errstate(over="ignore"):
+        pw = distinct ** p
+    if pw.size and pw[-1] == math.inf:  # costs with an inf power compare as inf or NaN
+        raise Overflow(f"distance {distinct[-1]:g} to the power {p:g} exceeds the float range")
     idx = np.zeros((inst.n, inst.n), dtype=np.intp)
     idx[off_diag] = inverse
     comparisons = []

@@ -74,8 +74,9 @@ def cut_value(weights: np.ndarray, assignment: np.ndarray) -> float:
     """
     W = np.asarray(weights, dtype=float)
     h = np.asarray(assignment, dtype=float)
-    off = W - np.diag(np.diag(W))
-    return float((off.sum() - h @ off @ h) / 4.0)
+    if np.diag(W).any():  # max-cut graphs have no diagonal to drop
+        W = W - np.diag(np.diag(W))
+    return float((W.sum() - h @ W @ h) / 4.0)
 
 
 def qp_value(matrix: np.ndarray, x: np.ndarray) -> float:
@@ -656,16 +657,14 @@ def embed_bm(
     V = rng.standard_normal((n, rank))
     V /= np.linalg.norm(V, axis=1, keepdims=True)
 
-    def objective(U):
-        return float(np.sum(M * (U @ U.T)))
-
-    f = objective(V)
+    MV = M @ V  # f(V) = sum(V * MV), and an accepted trial's Mc is the next MV
+    f = float(np.sum(V * MV))
     history = [f]
     step = 1.0 / (1.0 + np.abs(M).sum(axis=1).max())
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
-        G = 2.0 * (M @ V)
+        G = 2.0 * MV
         P = G - (np.sum(G * V, axis=1, keepdims=True)) * V
         pn2 = float(np.sum(P * P))
         if math.sqrt(pn2) <= grad_tol * max(1.0, abs(f)):
@@ -675,9 +674,10 @@ def embed_bm(
         for _ in range(60):
             cand = V + step * P
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-            fc = objective(cand)
+            Mc = M @ cand
+            fc = float(np.sum(cand * Mc))
             if fc >= f + 1e-4 * step * pn2:
-                V, f = cand, fc
+                V, MV, f = cand, Mc, fc
                 history.append(f)
                 step *= 1.25
                 accepted = True

@@ -28,6 +28,14 @@ def near_symmetric_instance():
     return ClusteringInstance(n=6, dist=D)
 
 
+def power_overflow_instance():
+    """Four points whose largest distance, 1e150, overflows to the p-th
+    power for p above about 2.05; at p = 3 the best 2-pruning of their
+    convex tree (alpha 0.5) has centers [1, 2] and power sum 9."""
+    return ClusteringInstance(n=4, dist=[[0, 1, 1e150, 2.5], [1, 0, 1e150, 2],
+                                         [1e150, 1e150, 0, 1e150], [2.5, 2, 1e150, 0]])
+
+
 def wide_ratio_instance():
     """Four points whose largest distance over their smallest, 1e200 /
     1e-200, overflows: scaled by the largest, the smallest would be 0."""

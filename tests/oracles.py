@@ -13,11 +13,12 @@ import numpy as np
 
 from partition_tuner import (
     ClusteringInstance,
+    EmbedResult,
+    Embedding,
     MergeRule,
     Objective,
     PruningRule,
     RoundingErmResult,
-    cut_value,
     owr_value,
     qp_value,
     rprt_assign,
@@ -723,9 +724,18 @@ def reference_grid_collector(sigma, w, margins):
 REF_THRESH_MERGE = 1e-12
 
 
+def reference_cut_value(weights, assignment):
+    """Cut weight of a +-1 assignment from a fresh off-diagonal copy of the
+    weights, whatever their diagonal."""
+    W = np.asarray(weights, dtype=float)
+    h = np.asarray(assignment, dtype=float)
+    off = W - np.diag(np.diag(W))
+    return float((off.sum() - h @ off @ h) / 4.0)
+
+
 def _ref_value(inst, x):
     if inst.origin == "maxcut":
-        return cut_value(inst.matrix, x)
+        return reference_cut_value(inst.matrix, x)
     return qp_value(inst.matrix, x)
 
 
@@ -1091,3 +1101,61 @@ def reference_dp_with_comparisons(inst: ClusteringInstance, tree: MergeTree, k: 
         variant="fixed",
     )
     return result, comparisons, tuple(sig)
+
+
+# ---------------------------------------------------------------------------
+# the embedding heuristic, scoring each trial by its full n x n objective
+
+
+def reference_embed_bm(inst, rank=None, seed=0, max_iters=10 ** 4, grad_tol=1e-6):
+    """Projected gradient ascent with backtracking, as embed_bm runs it, but
+    with each candidate scored as sum(M * (U @ U^T)) and the gradient
+    recomputed from M @ V at every iteration."""
+    n = inst.n
+    if rank is None:
+        rank = max(2, math.ceil(math.sqrt(2.0 * n)))
+    if rank < 2:
+        raise DomainError("rank must be at least 2")
+    M = np.asarray(inst.matrix, dtype=float)
+    if inst.origin == "maxcut":
+        M = -(M - np.diag(np.diag(M)))
+    M = 0.5 * (M + M.T)
+
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    V = rng.standard_normal((n, rank))
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+
+    def objective(U):
+        return float(np.sum(M * (U @ U.T)))
+
+    f = objective(V)
+    history = [f]
+    step = 1.0 / (1.0 + np.abs(M).sum(axis=1).max())
+    converged = False
+    it = 0
+    for it in range(1, max_iters + 1):
+        G = 2.0 * (M @ V)
+        P = G - (np.sum(G * V, axis=1, keepdims=True)) * V
+        pn2 = float(np.sum(P * P))
+        if math.sqrt(pn2) <= grad_tol * max(1.0, abs(f)):
+            converged = True
+            break
+        accepted = False
+        for _ in range(60):
+            cand = V + step * P
+            cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+            fc = objective(cand)
+            if fc >= f + 1e-4 * step * pn2:
+                V, f = cand, fc
+                history.append(f)
+                step *= 1.25
+                accepted = True
+                break
+            step *= 0.5
+            if step < 1e-18:
+                break
+        if not accepted:
+            break
+
+    return EmbedResult(embedding=Embedding(n=n, d=rank, vectors=V), converged=converged,
+                       objective=f, iterations=it, history=history)

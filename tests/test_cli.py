@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import partition_tuner
 from partition_tuner import (
     Embedding,
     SweepDiverged,
@@ -142,6 +146,19 @@ def test_distances_whose_ratio_overflows_exit_three(tmp_path, capsys):
                "--range", "0.5,3"])
     assert rc == 3
     assert "numeric error" in capsys.readouterr().err
+
+
+def test_a_search_through_infinite_costs_writes_nothing_to_stderr(tmp_path):
+    # 1e200 ** 2 is an infinite pruning cost, which the DP means to compare
+    path = tmp_path / "wide.json"
+    save_instance(str(path), wide_ratio_instance())
+    env = {**os.environ, "PYTHONPATH": str(Path(partition_tuner.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "partition_tuner.cli", "erm-alpha", "--instances", str(path),
+         "--family", "convex", "--k", "2", "--range", "0,1"],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_diverging_sweep_exits_three(points_path, monkeypatch):

@@ -42,7 +42,7 @@ from partition_tuner import (
 )
 from partition_tuner import ClusteringInstance, linkage, param_search
 from partition_tuner.param_search import BREAK_MERGE_TOL
-from conftest import euclidean_instance, wide_ratio_instance
+from conftest import euclidean_instance, power_overflow_instance, wide_ratio_instance
 from oracles import (REF_ZERO, grid_joint_min, random_instance, reference_count_collector,
                      reference_find_roots, reference_lazy_sweep, reference_run)
 
@@ -226,6 +226,18 @@ def test_exponent_sweeps_refuse_distances_whose_ratio_overflows():
     tree = build_tree(inst, MergeRule("convex_minmax", alpha=0.5))
     with pytest.raises(Overflow):
         sweep_p([inst], [tree], 2, (0.5, 3.0), obj)
+
+
+def test_exponent_sweeps_refuse_a_range_whose_top_power_overflows():
+    # 1e150 ** p overflows above p = 2.05; the probes of (0.5, 3) stay below
+    # it, so the refusal is made up front rather than by a probe
+    inst, obj = power_overflow_instance(), Objective(kind="phi_p", p=2.0)
+    with pytest.raises(Overflow):
+        erm_joint([inst], "convex_minmax", (0.0, 1.0), (0.5, 3.0), 2, obj)
+    tree = build_tree(inst, MergeRule("convex_minmax", alpha=0.5))
+    with pytest.raises(Overflow):
+        sweep_p([inst], [tree], 2, (0.5, 3.0), obj)
+    assert sweep_p([inst], [tree], 2, (0.5, 2.0), obj).breakpoints == [0.5, 2.0]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -1187,7 +1199,7 @@ def test_certified_sweeps_equal_the_reference_driver(monkeypatch):
         insts = [random_instance(rng, n=int(rng.integers(6, 9))) for _ in range(2)]
         trees = [build_tree(i, MergeRule("power_average", float(rng.uniform(0.5, 2.0))))
                  for i in insts]
-        domain = param_search._p_domain((0.5, 4.0))
+        domain = param_search._p_domain((0.5, 4.0), insts)
 
         def p_sweep(insts=insts, trees=trees, domain=domain):
             cells, runs = p_cells(insts, trees, 3, domain, obj, "fixed",

@@ -15,6 +15,7 @@ from partition_tuner import (
     MergeRule,
     MissingGroundTruth,
     Objective,
+    Overflow,
     PruningRule,
     best_k_pruning,
     build_tree,
@@ -25,7 +26,7 @@ from partition_tuner import (
     voronoi_reassign,
 )
 from partition_tuner.pruning_dp import dp_with_comparisons
-from conftest import euclidean_instance, near_symmetric_instance
+from conftest import euclidean_instance, near_symmetric_instance, power_overflow_instance
 from oracles import exhaustive_best_pruning, pair_counting_reference, random_instance
 
 
@@ -306,6 +307,19 @@ def test_dp_with_comparisons_on_near_symmetric_distances():
         assert res.centers == plain.centers
     res = erm_joint([inst], "convex_minmax", (0.0, 1.0), (1.0, 3.0), 2, Objective("phi_p", 2.0))
     assert res.instances_evaluated > 0
+
+
+def test_dp_with_comparisons_refuses_a_power_that_overflows():
+    # 1e150 ** 3 is inf, so costs holding it compared as inf or NaN and the
+    # DP chose centers [0, 2] with power sum NaN
+    inst = power_overflow_instance()
+    tree = build_tree(inst, MergeRule("convex_minmax", alpha=0.5))
+    plain = best_k_pruning(inst, tree, 2, PruningRule(p=3.0))
+    assert (plain.centers, plain.power_sum) == ([1, 2], 9.0)
+    with pytest.raises(Overflow):
+        dp_with_comparisons(inst, tree, 2, 3.0)
+    res, _, _ = dp_with_comparisons(inst, tree, 2, 2.0)
+    assert res.centers == best_k_pruning(inst, tree, 2, PruningRule(p=2.0)).centers
 
 
 def test_dp_with_comparisons_needs_finite_p():

@@ -33,6 +33,8 @@ from partition_tuner import (
     slin_value,
 )
 
+from oracles import reference_cut_value, reference_embed_bm
+
 
 def _unit_rows(rng, n, d):
     V = rng.normal(size=(n, d))
@@ -99,6 +101,20 @@ def test_cut_value_sign_flip_invariant(n, seed):
     )
     W0 = W - np.diag(np.diag(W))
     assert cut_value(W, h) == pytest.approx(direct - np.diag(W0).sum(), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("diagonal", [0.0, 0.3])
+def test_cut_value_matches_the_off_diagonal_copy_bit_for_bit(diagonal):
+    # the copy is made only for a nonzero diagonal; either way the same
+    # matrix is summed, so the value keeps its last bit
+    rng = np.random.default_rng(5)
+    W = np.where(rng.random((40, 40)) < 0.2, rng.random((40, 40)), 0.0)
+    W = W + W.T
+    np.fill_diagonal(W, diagonal)
+    for _ in range(5):
+        x = rng.uniform(-1.0, 1.0, 40)  # slin and owr values are fractional
+        for h in (x, np.sign(x)):
+            assert cut_value(W, h) == reference_cut_value(W, h)
 
 
 def test_cut_value_ignores_diagonal():
@@ -411,3 +427,34 @@ def test_embed_bm_generic_alignment():
     res = embed_bm(inst, rank=2, seed=1)
     # maximum of 2 <u1, u2> over unit vectors is 2
     assert res.objective == pytest.approx(2.0, abs=1e-6)
+
+
+def _rounding_graph(seed, n=200):
+    """The weighted max-cut graph the rounding benchmark embeds for a seed."""
+    rng = np.random.default_rng([seed, 0])
+    adj = np.triu(rng.random((n, n)) < 0.1, 1)
+    w = np.where(adj, rng.random((n, n)), 0.0)
+    return MaxQPInstance(n=n, matrix=(w + w.T) / w.sum(), origin="maxcut")
+
+
+def _generic_instance():
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(30, 30))
+    np.fill_diagonal(A, np.abs(np.diag(A)))
+    return MaxQPInstance(n=30, matrix=A, origin="generic")
+
+
+@pytest.mark.parametrize("inst, seed, max_iters", [
+    *[(_rounding_graph(s), s, 500) for s in (1, 2, 3)],
+    (gen_k4_shatter(8, 1)[0], 0, 10 ** 4),
+    (_generic_instance(), 2, 10 ** 4),
+])
+def test_embed_bm_follows_the_full_objective_oracle(inst, seed, max_iters):
+    # scoring a trial as sum(U * (M @ U)) rounds differently from
+    # sum(M * (U @ U^T)), but it accepts the same trials
+    got = embed_bm(inst, seed=seed, max_iters=max_iters)
+    ref = reference_embed_bm(inst, seed=seed, max_iters=max_iters)
+    assert np.array_equal(got.embedding.vectors, ref.embedding.vectors)
+    assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
+    assert got.objective == pytest.approx(ref.objective, rel=1e-12, abs=0.0)
+    assert got.history == pytest.approx(ref.history, rel=1e-12, abs=0.0)

@@ -20,6 +20,16 @@ trees, timed the same way, and checked with the workload's ``check_apply``.
 It exits with status 1 when an answer, a profile or an applied output
 differs, or when the change made more runs than the base on any call.
 
+    python3 tools/ab_tune.py BASE CHANGE --workload rounding_erm --setup [--rounds R]
+
+times instead the workload's ``setup()``: each round (default 12) sets up a
+fresh workload on each tree, alternating which goes first, and the script
+prints each round's CPU seconds, the median ratio with its quartiles and the
+rounds the change won.  It exits with status 1 when the two set-ups leave
+different state for the timed calls (every attribute of the workload but
+its library, compared bit for bit; for rounding_erm, the instance, the
+embedding vectors and the draws).
+
     python3 tools/ab_tune.py BASE CHANGE --gaussian N [--rounds R]
 
 times instead the large power_average sweep: ``erm_alpha`` over alpha in
@@ -38,6 +48,7 @@ inputs and their answers are the benchmark's own.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.util
 import numbers
 import statistics
@@ -64,10 +75,15 @@ def load_tree(name, checkout):
 
 def bits(x, skip=object()):
     """x compared by value: each float, numpy's or Python's, as its
-    float.hex, each tuple or array as a list without the object skip, each
+    float.hex, each numeric array as its bytes, each tuple, list or
+    dataclass as a list (of its fields) without the object skip, each
     integer as itself and anything else as its repr."""
     if isinstance(x, numbers.Real) and not isinstance(x, numbers.Integral):
         return float(x).hex()
+    if hasattr(x, "tobytes") and x.dtype != object:
+        return x.dtype.str, x.shape, x.tobytes()
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        x = [getattr(x, f.name) for f in dataclasses.fields(x)]
     if hasattr(x, "tolist"):
         x = x.tolist()
     if isinstance(x, (list, tuple)):
@@ -88,6 +104,36 @@ def applied(out, inp):
     """What must agree between two applications: the output, without the
     held-out input it carries."""
     return bits(out, inp)
+
+
+def spread(ratios):
+    """The median of ratios with its quartiles."""
+    q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    return f"{statistics.median(ratios):.3f} [quartiles {q1:.3f}, {q3:.3f}]"
+
+
+def setups(cls, libs, seed, rounds):
+    """A/B-time the workload's set-up; 0 if both trees' set-ups left the
+    same state in every round."""
+    ratios, won, same = [], 0, True
+    print(f"{cls.name} seed {seed} set-up: {rounds} rounds")
+    print("round  base_s  change_s  ratio")
+    for r in range(rounds):
+        spent, left = {}, {}
+        for side in (("base", "change") if r % 2 == 0 else ("change", "base")):
+            wl = cls(seed, lib=libs[side])
+            t0 = time.process_time()
+            wl.setup()
+            spent[side] = time.process_time() - t0
+            left[side] = bits(sorted((k, v) for k, v in vars(wl).items()
+                                     if k not in ("lib", "span")))
+        same = same and left["base"] == left["change"]
+        ratios.append(spent["change"] / spent["base"])
+        won += spent["change"] < spent["base"]
+        print(f"{r:5d}  {spent['base']:6.3f}  {spent['change']:8.3f}  {ratios[-1]:.3f}")
+    print(f"median ratio change/base {spread(ratios)}; change faster in {won} of {rounds} rounds")
+    print(f"set-up state identical in all {rounds} rounds: {'yes' if same else 'NO'}")
+    return 0 if same else 1
 
 
 def gaussian(libs, n, rounds):
@@ -135,6 +181,8 @@ def main(argv=None):
                     help="also time and compare each call's held-out application")
     ap.add_argument("--gaussian", type=int, metavar="N",
                     help="time the power_average sweep on N Gaussian points instead")
+    ap.add_argument("--setup", action="store_true",
+                    help="time and compare the workload's set-up instead")
     args = ap.parse_args(argv)
 
     # the workloads import partition_tuner for their input types
@@ -146,6 +194,8 @@ def main(argv=None):
         return gaussian(libs, args.gaussian, args.rounds or 1)
     args.rounds = args.rounds or 12
     cls = workloads.WORKLOADS[args.workload]
+    if args.setup:
+        return setups(cls, libs, args.seed, args.rounds)
     sides = {}
     for side, lib in libs.items():
         sides[side] = cls(args.seed, lib=lib)
@@ -193,9 +243,7 @@ def main(argv=None):
         print(line)
     for label, values in (("", ratios), ("apply ", apply_ratios)):
         if values:
-            med = statistics.median(values)
-            q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-            print(f"{label}median ratio change/base {med:.3f} [quartiles {q1:.3f}, {q3:.3f}]"
+            print(f"{label}median ratio change/base {spread(values)}"
                   + ("" if label else f"; change faster in {won} of {args.rounds} rounds"))
     print(f"answers and profiles identical on all {calls} calls: {'yes' if same else 'NO'}")
     if args.apply:
