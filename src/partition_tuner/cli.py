@@ -267,7 +267,7 @@ def cmd_prune(args):
     cost = objective_value(inst, obj, res.clusters, res.centers)
     print(f"k={args.k} variant={args.variant} score={res.score!r} objective={cost!r}")
     for cl, c in zip(res.clusters, res.centers):
-        print(f"  center {c}: {sorted(cl)}")
+        print(f"  center {c}: {sorted(cl.tolist())}")
     return {
         "clusters": [[int(x) for x in sorted(c)] for c in res.clusters],
         "centers": [int(c) for c in res.centers],

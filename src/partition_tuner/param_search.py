@@ -249,10 +249,13 @@ def find_roots(f: ExpSum, lo: float, hi: float, tol: float = ROOT_TOL):
     if not -math.inf < lo < hi < math.inf:
         raise DomainError("need finite lo < hi")
     roots = _roots_rec(f, float(lo), float(hi), tol)
-    if roots is IDENTICALLY_ZERO:
-        return IDENTICALLY_ZERO
+    return IDENTICALLY_ZERO if roots is IDENTICALLY_ZERO else _merge_close(roots)
+
+
+def _merge_close(xs):
+    """xs sorted, without each point within BREAK_MERGE_TOL above the last one kept."""
     out = []
-    for x in sorted(roots):
+    for x in sorted(xs):
         if not out or x - out[-1] > BREAK_MERGE_TOL:
             out.append(x)
     return out
@@ -380,7 +383,9 @@ class PiecewiseProfile:
     """Cost of the pipeline as a piecewise-constant function of one parameter.
 
     breakpoints includes both domain endpoints, so values and
-    representatives have one entry less.  hard_boundaries marks interior
+    representatives have one entry less.  payloads holds each cell's tuple
+    of per-instance fingerprints: tree fingerprints, or the pruning DP's
+    choice signatures in an exponent sweep.  hard_boundaries marks interior
     breakpoints that exclude their own parameter value (domain splits).
     """
 
@@ -393,7 +398,7 @@ class PiecewiseProfile:
 
     @classmethod
     def from_cells(cls, parameter, cells, hard_boundaries=()):
-        """The profile of _lazy_sweep's cells [lo, hi, rep, payload, value]."""
+        """The profile of _lazy_sweep's cells [lo, hi, rep, fingerprints, value, parts]."""
         return cls(
             parameter=parameter,
             breakpoints=[cells[0][0]] + [c[1] for c in cells],
@@ -483,12 +488,7 @@ def _lazy_sweep(segments, runs, combine, solve):
             fps, payloads, _ = zip(*(r.result for r in now))
             cells.append([a, b, mid, fps, combine(payloads), [(a, b, payloads)]])
             return runs_made
-        pts = sorted(found)
-        merged = [pts[0]]
-        for x in pts[1:]:
-            if x - merged[-1] > BREAK_MERGE_TOL:
-                merged.append(x)
-        bounds = [a] + merged + [b]
+        bounds = [a] + _merge_close(found) + [b]
         return runs_made + sum(refine(p, q, now, depth + 1) for p, q in zip(bounds, bounds[1:]))
 
     for a, b in segments:
@@ -800,10 +800,12 @@ def _total(values):
     return functools.reduce(operator.add, values, 0.0)
 
 
-def _collected_sweep(instances, family, sigma, rule_at, segments, score, combine, tol):
-    """_lazy_sweep of combine over each instance's score(inst, tree), for its
-    tree under the merge rule rule_at(x); each instance keeps its own
-    distance table, multiset ids and memo for the sweep."""
+def _search(instances, family, sigma, rule_at, segments, hard, score, combine, tol,
+            parameter="alpha"):
+    """(ErmResult of the best run, cells) of the _lazy_sweep over segments
+    of combine over each instance's score(inst, tree), for its tree under
+    the merge rule rule_at(x); each instance keeps its own distance table,
+    multiset ids and memo for the sweep."""
     solve = _Solver(segments[0][0], segments[-1][1], tol)
 
     def runner(inst):
@@ -818,7 +820,11 @@ def _collected_sweep(instances, family, sigma, rule_at, segments, score, combine
 
         return run
 
-    return _lazy_sweep(segments, [runner(inst) for inst in instances], combine, solve)
+    cells, evals = _lazy_sweep(segments, [runner(inst) for inst in instances], combine, solve)
+    profile = PiecewiseProfile.from_cells(parameter, cells, hard)
+    lo, hi, cost, rep = _best_run(profile)
+    return ErmResult(best_param=rep, best_interval=(lo, hi), best_cost=cost, profile=profile,
+                     instances_evaluated=evals), cells
 
 
 def _best_run(profile: PiecewiseProfile):
@@ -854,18 +860,10 @@ def erm_alpha(
     midpoint as the concrete parameter choice.
     """
     segments, hard = _alpha_segments(family, alpha_range)
-    cells, evals = _collected_sweep(
+    return _search(
         instances, family, sigma, lambda alpha: MergeRule(family=family, alpha=alpha, sigma=sigma),
-        segments, lambda inst, tree: _cost(inst, tree, k, rule, obj, variant), _total, tol)
-    profile = PiecewiseProfile.from_cells("alpha", cells, hard)
-    lo, hi, cost, rep = _best_run(profile)
-    return ErmResult(
-        best_param=rep,
-        best_interval=(lo, hi),
-        best_cost=cost,
-        profile=profile,
-        instances_evaluated=evals,
-    )
+        segments, hard, lambda inst, tree: _cost(inst, tree, k, rule, obj, variant), _total,
+        tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -959,24 +957,18 @@ def erm_joint(
             swept[key] = _sweep_p_cells(instances, trees, k, domain, obj, variant, psolve)
         return swept[key][0]
 
-    cells, _ = _collected_sweep(
+    res, cells = _search(
         instances, family, None, lambda alpha: MergeRule(family=family, alpha=alpha), segments,
-        lambda inst, tree: tree, lambda trees: min(cell[4] for cell in p_cells(trees)), tol)
-    profile = PiecewiseProfile.from_cells("alpha", cells, hard)
-    alo, ahi, cost, arep = _best_run(profile)
+        hard, lambda inst, tree: tree, lambda trees: min(cell[4] for cell in p_cells(trees)), tol)
+    arep = res.best_param
     # the trees of the swept cell holding arep; at a cell end merges may tie, so build there
     trees = next((t for c in cells for lo, hi, t in c[5] if lo < arep < hi), None)
     if trees is None:
         trees = [_run(inst, MergeRule(family=family, alpha=arep)) for inst in instances]
     plo, phi, _, prep = _best_run(PiecewiseProfile.from_cells("p", p_cells(trees)))
-
-    return ErmResult(
-        best_param=(arep, prep),
-        best_interval=((alo, ahi), (plo, phi)),
-        best_cost=cost,
-        profile=profile,
-        instances_evaluated=sum(runs for _, runs in swept.values()),
-    )
+    res.best_param, res.best_interval = (arep, prep), (res.best_interval, (plo, phi))
+    res.instances_evaluated = sum(runs for _, runs in swept.values())
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -1019,34 +1011,23 @@ def erm_sigma_linear(
         raise SigmaTooLargeForExact("exact weight search available only for sigma = 2")
 
     if exact:
-        (l1, h1), (l2, h2) = box
-        tlo = l1 / (l1 + h2) if (l1 + h2) > 0 else 0.0
-        thi = h1 / (h1 + l2) if (h1 + l2) > 0 else 1.0
-        tlo = max(tlo, 1e-9)
-        thi = min(thi, 1.0 - 1e-9)
+        (l1, h1), (l2, h2) = box  # h1, h2 > 0, so theta's ends are defined
+        tlo = max(l1 / (l1 + h2), 1e-9)
+        thi = min(h1 / (h1 + l2), 1.0 - 1e-9)
         if not tlo < thi:
             raise DomainError("weight box admits no weight rays")
 
-        cells, evals = _collected_sweep(
+        res, _ = _search(
             instances, "sigma_linear", 2,
             lambda t: MergeRule(family="sigma_linear", weights=(t, 1.0 - t), sigma=2),
-            [(tlo, thi)], lambda inst, tree: _cost(inst, tree, k, rule, obj, variant), _total,
-            ROOT_TOL)
-        profile = PiecewiseProfile.from_cells("theta", cells)
-        lo_t, hi_t, cost, rep = _best_run(profile)
-        # scale the normalized ray back into the box
-        w1, w2 = rep, 1.0 - rep
-        t = max(l1 / w1 if w1 > 0 else 0.0, l2 / w2 if w2 > 0 else 0.0)
-        if t == 0.0:
-            t = min(h1 / w1, h2 / w2)
-        weights = (w1 * t, w2 * t)
-        return ErmResult(
-            best_param=weights,
-            best_interval=(lo_t, hi_t),
-            best_cost=cost,
-            profile=profile,
-            instances_evaluated=evals,
-        )
+            [(tlo, thi)], (), lambda inst, tree: _cost(inst, tree, k, rule, obj, variant), _total,
+            ROOT_TOL, "theta")
+        # scale the normalized ray (w1, w2 > 0: theta is inside (0, 1)) into the box: the least
+        # scale meeting its lower bounds or, where both are 0, the greatest within its upper ones
+        w1, w2 = res.best_param, 1.0 - res.best_param
+        t = max(l1 / w1, l2 / w2) or min(h1 / w1, h2 / w2)
+        res.best_param = (w1 * t, w2 * t)
+        return res
 
     # randomized multi-start grid
     total_pts = grid_density ** sigma
@@ -1056,12 +1037,8 @@ def erm_sigma_linear(
     axes = [np.linspace(a, b, grid_density) for a, b in box]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, sigma)
     jitter = rng.uniform(-0.5, 0.5, mesh.shape)
-    steps = np.array([(b - a) / max(grid_density - 1, 1) for a, b in box])
-    pts = np.clip(
-        mesh + jitter * steps,
-        [a for a, _ in box],
-        [b for _, b in box],
-    )
+    lows, highs = np.array(box).T
+    pts = np.clip(mesh + jitter * ((highs - lows) / max(grid_density - 1, 1)), lows, highs)
     best = None
     count = 0
     tables = [distance_table(inst.dist) for inst in instances]

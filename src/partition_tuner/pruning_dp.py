@@ -8,6 +8,7 @@ with ties resolved through the full sorted list of per-cluster maxima).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 from dataclasses import dataclass
@@ -171,7 +172,10 @@ def best_k_pruning(
 
         add = operator.add
 
-    clusters, centers, _, _ = _prune(inst, tree, k, zero, center_costs, add, _first_min)
+    # so is a cluster's sum of powers past it; set only then, as an error state slows every ufunc
+    over = math.isfinite(p) and not math.isfinite(float(Dp.max()) * inst.n)
+    with np.errstate(over="ignore") if over else contextlib.nullcontext():
+        clusters, centers, _, _ = _prune(inst, tree, k, zero, center_costs, add, _first_min)
     if variant == "voronoi":
         clusters, centers = voronoi_reassign(inst, clusters, centers)
 

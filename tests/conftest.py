@@ -36,6 +36,14 @@ def power_overflow_instance():
                                          [1e150, 1e150, 0, 1e150], [2.5, 2, 1e150, 0]])
 
 
+def power_sum_overflow_instance():
+    """Three points whose distances, about 1.2e154 to 1.3e154, square to
+    finite values whose sums overflow: the best 1-pruning of their convex
+    tree (alpha 0.5) costs inf at p = 2."""
+    return ClusteringInstance(n=3, dist=[[0, 1.2e154, 1.25e154], [1.2e154, 0, 1.3e154],
+                                         [1.25e154, 1.3e154, 0]])
+
+
 def wide_ratio_instance():
     """Four points whose largest distance over their smallest, 1e200 /
     1e-200, overflows: scaled by the largest, the smallest would be 0."""

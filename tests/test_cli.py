@@ -24,7 +24,8 @@ from partition_tuner import (
 )
 from partition_tuner.cli import main
 from partition_tuner.instances import MaxQPInstance
-from conftest import euclidean_instance, near_symmetric_instance, wide_ratio_instance
+from conftest import (euclidean_instance, near_symmetric_instance, power_sum_overflow_instance,
+                      wide_ratio_instance)
 
 
 @pytest.fixture()
@@ -159,6 +160,20 @@ def test_a_search_through_infinite_costs_writes_nothing_to_stderr(tmp_path):
         capture_output=True, text=True, env=env,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_prune_prints_plain_ints_and_nothing_to_stderr_at_an_infinite_cost(tmp_path):
+    # the cluster's sum of squared distances overflows to an intended inf
+    path = tmp_path / "big.json"
+    save_instance(str(path), power_sum_overflow_instance())
+    env = {**os.environ, "PYTHONPATH": str(Path(partition_tuner.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "partition_tuner.cli", "prune", "--instances", str(path),
+         "--family", "convex", "--alpha", "0.5", "--k", "1", "--p", "2"],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "k=1 variant=fixed score=inf objective=inf\n  center 0: [0, 1, 2]\n"
 
 
 def test_diverging_sweep_exits_three(points_path, monkeypatch):

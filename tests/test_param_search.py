@@ -1,5 +1,6 @@
 """Root finding, parameter sweeps, and sample-complexity helpers."""
 
+import dataclasses
 import gc
 import json
 import math
@@ -865,7 +866,7 @@ def test_erm_joint_sweeps_each_tree_tuple_once(monkeypatch):
     family, arange, prange, k = "power_minmax", (0.3, 2.5), (0.5, 3.0), 2
     events, solves = [], []
     run, dp, roots = param_search._run, param_search.dp_with_comparisons, find_roots
-    p_cells, alpha_sweep = param_search._sweep_p_cells, param_search._collected_sweep
+    p_cells, alpha_sweep = param_search._sweep_p_cells, param_search._search
 
     def building(inst, mrule, collector=None, table=None, ids=None):
         events.append(("build", mrule.alpha))
@@ -889,7 +890,7 @@ def test_erm_joint_sweeps_each_tree_tuple_once(monkeypatch):
         return out
 
     monkeypatch.setattr(param_search, "_run", building)
-    monkeypatch.setattr(param_search, "_collected_sweep", marked)
+    monkeypatch.setattr(param_search, "_search", marked)
     monkeypatch.setattr(param_search, "_sweep_p_cells", sweeping)
     monkeypatch.setattr(param_search, "dp_with_comparisons", dp_recording)
     monkeypatch.setattr(param_search, "find_roots", solving)
@@ -1189,7 +1190,10 @@ def _result_repr(res):
     return repr((res.best_param, res.best_interval, res.best_cost)) + _profile_repr(res.profile)
 
 
-def test_certified_sweeps_equal_the_reference_driver(monkeypatch):
+def _seed41_searches():
+    """Three rounds of searches on pairs of instances drawn from
+    default_rng(41): erm_alpha on three families, an exponent sweep
+    (its profile and run count), erm_joint and the exact erm_sigma_linear."""
     rng = np.random.default_rng(41)
     obj = Objective(kind="phi_p", p=2.0)
     rule = PruningRule(p=2.0)
@@ -1204,7 +1208,7 @@ def test_certified_sweeps_equal_the_reference_driver(monkeypatch):
         def p_sweep(insts=insts, trees=trees, domain=domain):
             cells, runs = p_cells(insts, trees, 3, domain, obj, "fixed",
                                   param_search._Solver(*domain))
-            return _profile_repr(param_search.PiecewiseProfile.from_cells("p", cells)), runs
+            return param_search.PiecewiseProfile.from_cells("p", cells), runs
 
         searches += [
             lambda insts=insts: erm_alpha(insts, "convex_minmax", (0.0, 1.0), 2, rule, obj),
@@ -1215,11 +1219,16 @@ def test_certified_sweeps_equal_the_reference_driver(monkeypatch):
             lambda insts=insts: erm_joint(insts, "power_minmax", (0.5, 2.0), (0.5, 3.0), 2, obj),
             lambda insts=insts: erm_sigma_linear(insts, 2, [(0.1, 1.0), (0.1, 1.0)], 2, rule, obj),
         ]
+    return searches
+
+
+def test_certified_sweeps_equal_the_reference_driver(monkeypatch):
+    searches = _seed41_searches()
 
     def outcome(search):
         res = search()
         if isinstance(res, tuple):
-            return res
+            return _profile_repr(res[0]), res[1]
         return _result_repr(res), res.instances_evaluated
 
     got = [outcome(search) for search in searches]
@@ -1229,6 +1238,46 @@ def test_certified_sweeps_equal_the_reference_driver(monkeypatch):
     assert all(g[1] <= w[1] for g, w in zip(got, want))
     # reused runs make most of these searches cheaper than the reference
     assert sum(g[1] < w[1] for g, w in zip(got, want)) >= len(searches) // 2
+
+
+def _golden(x):
+    """x as JSON: each float, numpy's or Python's, as its float.hex, each
+    dataclass as a dict of all its fields, each set sorted, each tuple as a
+    list."""
+    if isinstance(x, (float, np.floating)):
+        return float(x).hex()
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    if dataclasses.is_dataclass(x):
+        return {f.name: _golden(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, (set, frozenset)):
+        return sorted(map(_golden, x))
+    if isinstance(x, (list, tuple)):
+        return list(map(_golden, x))
+    return x
+
+
+def _golden_searches():
+    """The seed-41 searches and a sigma = 3 grid erm_sigma_linear on
+    distances in {1, 2, 3}, whose ties leave near-tie comparisons at the
+    best point (a nonempty certificate)."""
+    rng = np.random.default_rng(51)
+    uppers = [np.triu(rng.integers(1, 4, size=(7, 7)).astype(float), 1) for _ in range(2)]
+    insts = [ClusteringInstance(n=7, dist=u + u.T) for u in uppers]
+    rule, obj = PruningRule(p=1.0), Objective(kind="phi_p", p=1.0)
+    return _seed41_searches() + [
+        lambda: erm_sigma_linear(insts, 3, [(0.0, 1.0)] * 3, 2, rule, obj, grid_density=4,
+                                 seed=5)]
+
+
+def test_searches_equal_their_golden_results():
+    # search_golden.json holds [_golden(search()) for search in _golden_searches()]
+    # as computed at commit 4af559c, before the alpha-type searches shared one driver
+    want = json.loads((Path(__file__).parent / "search_golden.json").read_text())
+    got = [_golden(search()) for search in _golden_searches()]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w
 
 
 def test_voronoi_exponent_sweeps_equal_the_reference_driver(monkeypatch):

@@ -1,6 +1,7 @@
 """Tree pruning DP, objectives, and partition distances."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from partition_tuner import (
     voronoi_reassign,
 )
 from partition_tuner.pruning_dp import dp_with_comparisons
-from conftest import euclidean_instance, near_symmetric_instance, power_overflow_instance
+from conftest import (euclidean_instance, near_symmetric_instance, power_overflow_instance,
+                      power_sum_overflow_instance)
 from oracles import exhaustive_best_pruning, pair_counting_reference, random_instance
 
 
@@ -320,6 +322,16 @@ def test_dp_with_comparisons_refuses_a_power_that_overflows():
         dp_with_comparisons(inst, tree, 2, 3.0)
     res, _, _ = dp_with_comparisons(inst, tree, 2, 2.0)
     assert res.centers == best_k_pruning(inst, tree, 2, PruningRule(p=2.0)).centers
+
+
+def test_best_k_pruning_reaches_an_infinite_cost_without_a_warning():
+    # each power is finite, but a cluster's sum of them is an infinite cost
+    inst = power_sum_overflow_instance()
+    tree = build_tree(inst, MergeRule("convex_minmax", alpha=0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = best_k_pruning(inst, tree, 1, PruningRule(p=2.0))
+    assert (res.centers, res.power_sum, res.score) == ([0], math.inf, math.inf)
 
 
 def test_dp_with_comparisons_needs_finite_p():
