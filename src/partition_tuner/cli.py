@@ -409,9 +409,8 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True, seeded=False, profile=False):
-        if out:
-            p.add_argument("--out", help="write the JSON result here")
+    def common(p, seeded=False, profile=False):
+        p.add_argument("--out", help="write the JSON result here")
         p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--save-config", dest="save_config")
         p.add_argument("--config", help="replay a saved run config")

@@ -91,11 +91,13 @@ def selector_indices(length, sigma: int) -> np.ndarray:
     return np.rint(j * (np.asarray(length)[..., None] - 1) / (sigma - 1)).astype(int)
 
 
-def _selected(support, distinct, sigma):
-    """The sigma selected order statistics of a sparse multiset (idx, cnt)."""
-    idx, cnt = support
-    pos = selector_indices(int(cnt.sum()), sigma)
-    return distinct[idx[np.searchsorted(np.cumsum(cnt), pos + 1)]]
+def _selection(idx, cnt, starts, tot, sigma):
+    """Distinct-distance indices of the sigma selected order statistics of
+    each multiset p = (idx, cnt)[starts[p]:starts[p+1]], of tot[p] counts,
+    one row each; exact, as cumulative counts are integers."""
+    cum = np.cumsum(cnt)
+    before = cum[starts] - cnt[starts]
+    return idx[np.searchsorted(cum, before[:, None] + selector_indices(tot, sigma) + 1)]
 
 
 def rule_value(rule: MergeRule, dists) -> float:
@@ -192,69 +194,67 @@ def comparison_terms(family, wmin, wmax, cmin, cmax, wcounts=None, ccounts=None,
                      distinct=None, sigma=None):
     """Coefficient triples (coeff, base, degree) of the winner-minus-candidate
     equation of one comparison in the family parameter; [] is identically zero.
-    The min/max families read (min, max) distances, the others sparse
-    multisets (idx, cnt) into distinct.  power_average is cross-multiplied by
-    the counts; power_minmax and sigma_power sum +-1 powers, with the
-    comparison's sign for alpha > 0; sigma_linear is affine in theta, the
-    first of the weights (theta, 1 - theta), and needs sigma = 2."""
+    The min/max families read (min, max) distances; power_minmax sums +-1
+    powers, with the comparison's sign for alpha > 0.  The count families
+    read sparse multisets (idx, cnt) into distinct, and their terms are
+    count_terms', by ascending base."""
     if family == "convex_minmax":
         # (a*wmin + (1-a)*wmax) - (a*cmin + (1-a)*cmax), affine in a
         slope = (wmin - wmax) - (cmin - cmax)
         const = wmax - cmax
         return [(slope, 1.0, 1), (const, 1.0, 0)]
     if family == "power_minmax":
-        ends = ((wmin, 1.0), (wmax, 1.0), (cmin, -1.0), (cmax, -1.0))
-        return _combine([(s, float(b), 0) for b, s in ends])
+        acc = {}
+        for b, s in ((wmin, 1.0), (wmax, 1.0), (cmin, -1.0), (cmax, -1.0)):
+            b = float(b)
+            acc[b] = acc.get(b, 0.0) + s
+        return [(a, b, 0) for b, a in acc.items() if a != 0.0]
     if family not in _NEEDS_COUNTS:
         raise UnknownFamily(f"no comparison encoding for family {family!r}")
-    if ccounts is None:
+    if wcounts is None or ccounts is None or distinct is None:
         raise DomainError(f"{family} comparisons need distance counts")
-    return multiset_terms(family, wcounts, distinct, sigma)(ccounts)
+    _, *terms = count_terms(family, (*wcounts, [wcounts[0].size]),
+                            (*ccounts, [ccounts[0].size]), distinct, sigma)
+    return list(zip(*(t.tolist() for t in terms)))
 
 
-def multiset_terms(family, wcounts, distinct, sigma=None):
-    """terms_of(ccounts), the comparison_terms of a count family's winner
-    multiset wcounts against a candidate multiset ccounts; the winner's
-    selected values are found once, for all its candidates."""
-    if wcounts is None or distinct is None:
-        raise DomainError(f"{family} comparisons need distance counts")
-    if family == "power_average":
-        return lambda ccounts: average_terms(wcounts, ccounts, distinct)
+def count_terms(family, wsets, csets, distinct, sigma=None):
+    """Terms of count-family comparisons in one pass: pair p compares the
+    winner multiset p of wsets with the candidate multiset p of csets, both
+    laid end to end as (idx, cnt, sizes), as PairMultisets.supports gives
+    them.  Returns arrays (pair, coeff, base, degree) by pair, base, degree.
+    power_average's coefficients are n_c w_t - n_w c_t, sigma_power's +1 per
+    selected winner index and -1 per candidate one: exact integers, zeros
+    dropped.  sigma_linear (sigma = 2) is affine in theta, the first of the
+    weights (theta, 1 - theta): (d2, 1, 0) and (d1 - d2, 1, 1) for the
+    selected distances' differences d, none where d is 0."""
     if family == "sigma_linear" and sigma != 2:
         raise DomainError("sigma_linear comparisons are equations in theta at sigma = 2 only")
-    if sigma is None:
+    if family == "sigma_power" and sigma is None:
         raise DomainError("sigma_power comparisons need sigma")
-    wsel = _selected(wcounts, distinct, sigma)
-
-    def terms_of(ccounts):
-        csel = _selected(ccounts, distinct, sigma)
-        if family == "sigma_power":
-            return _combine([(1.0, b, 0) for b in wsel] + [(-1.0, b, 0) for b in csel])
-        d1, d2 = wsel - csel
-        if d1 == 0.0 and d2 == 0.0:
-            return []
-        return [(d1 - d2, 1.0, 1), (d2, 1.0, 0)]
-
-    return terms_of
-
-
-def average_terms(wset, cset, distinct):
-    """power_average comparison of two sparse multisets (idx, cnt), cross-
-    multiplied by the counts: sum_t (n_c w_t - n_w c_t) d_t^alpha."""
-    (wi, wc), (ci, cc) = wset, cset
-    wc, cc = wc.tolist(), cc.tolist()
-    nw, nc = float(sum(wc)), float(sum(cc))
-    acc = {t: nc * c for t, c in zip(wi.tolist(), wc)}
-    for t, c in zip(ci.tolist(), cc):
-        acc[t] = acc.get(t, 0.0) - nw * c
-    return [(a, float(distinct[t]), 0) for t, a in acc.items() if a != 0.0]
-
-
-def _combine(terms):
-    acc = {}
-    for a, b, j in terms:
-        acc[(b, j)] = acc.get((b, j), 0.0) + a
-    return [(a, b, j) for (b, j), a in acc.items() if a != 0.0]
+    (wi, wc, wn), (ci, cc, cn) = wsets, csets
+    ws, cs = np.cumsum(wn) - wn, np.cumsum(cn) - cn
+    nw, nc = np.add.reduceat(wc, ws), np.add.reduceat(cc, cs)
+    rows = np.arange(len(wn))
+    if family == "power_average":
+        pair = np.concatenate((np.repeat(rows, wn), np.repeat(rows, cn)))
+        t = np.concatenate((wi, ci))
+        coeff = np.concatenate((np.repeat(nc, wn) * wc, -np.repeat(nw, cn) * cc))
+    else:
+        wsel, csel = _selection(wi, wc, ws, nw, sigma), _selection(ci, cc, cs, nc, sigma)
+        if family == "sigma_linear":
+            d = distinct[wsel] - distinct[csel]
+            pair = np.flatnonzero(d.any(axis=1))
+            coeff = np.column_stack((d[pair, 1], d[pair, 0] - d[pair, 1])).ravel()
+            return np.repeat(pair, 2), coeff, np.ones(coeff.size), np.tile([0, 1], pair.size)
+        pair = np.tile(np.repeat(rows, sigma), 2)
+        t = np.concatenate((wsel.ravel(), csel.ravel()))
+        coeff = np.repeat([1.0, -1.0], wsel.size)
+    beta = distinct.size
+    code, at = np.unique(pair * beta + t, return_inverse=True)
+    coeff = np.bincount(at, coeff)
+    pair, t = np.divmod(code[coeff != 0], beta)
+    return pair, coeff[coeff != 0], distinct[t], np.zeros(pair.size, dtype=np.int64)
 
 
 def build_tree(inst: ClusteringInstance, rule: MergeRule) -> MergeTree:
@@ -635,14 +635,11 @@ def _count_keys(rule, idx, cnt, starts, logd, distinct):
 
 
 def _selector_keys(rule, idx, cnt, starts, tot, logd, distinct):
-    # the selected order statistics are exact: cumulative counts are integers
-    cum = np.cumsum(cnt)
-    before = cum[starts] - cnt[starts]
-    at = np.searchsorted(cum, before[:, None] + selector_indices(tot, rule.sigma) + 1)
+    at = _selection(idx, cnt, starts, tot, rule.sigma)
     if rule.family == "sigma_linear":
         # the exact values, which the sweep equations weigh too
-        return np.array([np.dot(rule.weights, row) for row in distinct[idx[at]]])
-    sel = np.exp(logd[idx[at]])
+        return np.array([np.dot(rule.weights, row) for row in distinct[at]])
+    sel = np.exp(logd[at])
     a = rule.alpha
     if np.isinf(a):
         return np.log(sel.max(axis=1) if a > 0 else sel.min(axis=1))

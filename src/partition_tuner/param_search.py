@@ -27,10 +27,10 @@ from .linkage import (
     MergeTree,
     MultisetIds,
     _run,
-    _selected,
+    _selection,
     comparison_terms,
+    count_terms,
     distance_table,
-    multiset_terms,
 )
 from .pruning_dp import (
     Objective,
@@ -664,15 +664,16 @@ def _alpha_segments(family, alpha_range):
 
 def _make_collector(family, sigma, eqs, memo=None, solve=None):
     """Collector for linkage._run: adds to eqs the key (_canon_terms of
-    linkage.comparison_terms) of every winner-vs-candidate comparison the
-    run executes, but for identically zero ones and those solve, if given,
-    proves one-signed; sigma_linear's (sigma = 2) are affine in theta, the
-    first of the weights (theta, 1 - theta).  memo = (compared, open), an
-    instance's for a sweep (else the pair store's, for its build), maps a
-    winner id to the candidate ids compared with it, and to the keys of
-    those not proven.  A step's fresh pairs are one set difference with the
-    store's live ids and its open ones one intersection; the fresh ones
-    wait for the build's last step (m = 2), where _encode keys them."""
+    linkage.comparison_terms, or count_terms) of every winner-vs-candidate
+    comparison the run executes, but for identically zero ones and those
+    solve, if given, proves one-signed; sigma_linear's (sigma = 2) are
+    affine in theta, the first of the weights (theta, 1 - theta).  memo =
+    (compared, open), an instance's for a sweep (else the pair store's, for
+    its build), maps a winner id to the candidate ids compared with it, and
+    to the keys of those not proven.  A step's fresh pairs are one set
+    difference with the store's live ids and its open ones one
+    intersection; the fresh ones wait for the build's last step (m = 2),
+    where _encode keys them."""
     if family not in ("convex_minmax", "power_minmax", *_NEEDS_COUNTS):
         raise UnknownFamily(f"no sweep collector for {family!r}")
     queue = []
@@ -700,49 +701,41 @@ def _make_collector(family, sigma, eqs, memo=None, solve=None):
 def _encode(family, sigma, queue, sets, solve):
     """(w, s, key) for each queued winner id w and fresh candidate id s whose
     key is not empty and, with solve, stays open after solve.resolve."""
-    if family == "power_average":
-        out = _average_keys(queue, sets, solve)
+    if family in _NEEDS_COUNTS:
+        out = _count_family_keys(family, sigma, queue, sets, solve)
     else:
         out = []
         for w, fresh in queue:
-            if family in ("convex_minmax", "power_minmax"):
-                wends, *cands = sets.ends([w, *fresh])
-                terms = (comparison_terms(family, *wends, *cends) for cends in cands)
-            else:
-                terms = map(multiset_terms(family, sets.support(w), sets.distinct, sigma),
-                            map(sets.support, fresh))
+            wends, *cands = sets.ends([w, *fresh])
+            terms = (comparison_terms(family, *wends, *cends) for cends in cands)
             out += [(w, s, key) for s, key in zip(fresh, map(_canon_terms, terms)) if key]
     if solve is not None:
-        solve.resolve([key for *_, key in out], screened=family == "power_average")
+        solve.resolve([key for *_, key in out], screened=family in ("power_average", "sigma_power"))
         out = [pair for pair in out if solve.cache[pair[2]] is not solve.screened]
     return out
 
 
-def _average_keys(queue, sets, solve):
-    """power_average's pairs for _encode, in one numpy pass.  Coefficients
-    n_c w_t - n_w c_t over the union supports are exact integers, so a key
-    equals _canon_terms(average_terms(...)); only those that _keeps_signs
-    (with solve) leaves open are made as tuples."""
-    _check_spread(sets.distinct[0], sets.distinct[-1])
+def _count_family_keys(family, sigma, queue, sets, solve):
+    """A count family's pairs for _encode, encoded by one count_terms pass.
+    Their terms come by ascending base, so a key is _canon_terms(terms): it
+    is negated where its first coefficient is negative (sigma_linear's may
+    be 0, and is then kept).  The degree-0 families' keys that _keeps_signs
+    (with solve) proves one-signed are never made as tuples."""
+    if family != "sigma_linear":
+        _check_spread(sets.distinct[0], sets.distinct[-1])
     wins = [w for w, fresh in queue for _ in fresh]
     cands = [s for _, fresh in queue for s in fresh]
-    (wi, wc, wn), (ci, cc, cn) = sets.supports(wins), sets.supports(cands)
-    nw, nc = (np.add.reduceat(cnt, np.cumsum(n) - n) for cnt, n in ((wc, wn), (cc, cn)))
-    pair, beta = np.arange(len(cands)), sets.beta
-    code = np.concatenate((np.repeat(pair, wn) * beta + wi, np.repeat(pair, cn) * beta + ci))
-    code, at = np.unique(code, return_inverse=True)
-    coef = np.bincount(at, np.concatenate((np.repeat(nc, wn) * wc, -np.repeat(nw, cn) * cc)))
-    code, coef = code[coef != 0], coef[coef != 0]
-    pair, t = np.divmod(code, beta)
+    pair, a, b, j = count_terms(family, sets.supports(wins), sets.supports(cands), sets.distinct,
+                                sigma)
     size = np.bincount(pair, minlength=len(cands))
     keep = size > 0
-    a = coef * np.repeat(np.sign(coef[(np.cumsum(size) - size)[keep]]), size[keep])
-    b = sets.distinct[t]
-    if solve is not None:
+    a = a * np.repeat(np.where(a[(np.cumsum(size) - size)[keep]] < 0, -1.0, 1.0), size[keep])
+    if solve is not None and family != "sigma_linear":
         keep[keep] = ~_keeps_signs(a, b, size[keep], solve.lo, solve.hi)
     chosen = np.repeat(keep, size)
-    a, b, ends = a[chosen].tolist(), b[chosen].tolist(), np.cumsum(size[keep]).tolist()
-    keys = [tuple(zip(b[i:j], itertools.repeat(0), a[i:j])) for i, j in zip([0] + ends, ends)]
+    a, b, j = a[chosen].tolist(), b[chosen].tolist(), j[chosen].tolist()
+    ends = np.cumsum(size[keep]).tolist()
+    keys = [tuple(zip(b[i:k], j[i:k], a[i:k])) for i, k in zip([0] + ends, ends)]
     return list(zip(itertools.compress(wins, keep), itertools.compress(cands, keep), keys))
 
 
@@ -752,10 +745,11 @@ def _margin_collector(sigma, w, margins):
     selected values differ from the winner's."""
 
     def cb(step, winner, ids, sets):
-        wset, cands = sets.support(sets.sid[winner]), map(sets.support, sets.live())
-        wsel = _selected(wset, sets.distinct, sigma)
-        for cset in sorted(cands, key=_dense_order):
-            dv = wsel - _selected(cset, sets.distinct, sigma)
+        cands = sorted(sets.live(), key=lambda s: _dense_order(sets.support(s)))
+        idx, cnt, size = sets.supports([sets.sid[winner], *cands])
+        starts = np.cumsum(size) - size
+        sel = sets.distinct[_selection(idx, cnt, starts, np.add.reduceat(cnt, starts), sigma)]
+        for dv in sel[0] - sel[1:]:
             if np.any(dv):
                 margins.append((float(np.dot(w, dv)), tuple(dv)))
 
@@ -873,15 +867,16 @@ def erm_alpha(
 def _p_domain(p_range, instances):
     """The exponent sweep's domain: p_range with its top clipped to SWEEP_CLIP.
 
-    A top at which the instances' largest distance to the p-th power
-    overflows is refused up front: dp_with_comparisons refuses such a
-    probe, and the refusal should not depend on where the probes land."""
+    A top at which an instance's largest power sum, (n - 1) dmax^p,
+    overflows is refused up front: the pruning DP would rank infinite
+    costs, and dp_with_comparisons refuses a probe whose distance powers
+    overflow, which should not depend on where the probes land."""
     lo, hi = float(p_range[0]), min(float(p_range[1]), SWEEP_CLIP)
     if not (0.0 < lo < hi):
         raise DomainError(f"p range must satisfy 0 < lo < hi, lo below {SWEEP_CLIP}")
     with np.errstate(over="ignore"):
-        if np.isinf(np.max([inst.dist.max() for inst in instances], initial=0.0) ** hi):
-            raise Overflow(f"distances to the power {hi:g} exceed the float range")
+        if not all(np.isfinite((inst.n - 1) * inst.dist.max() ** hi) for inst in instances):
+            raise Overflow(f"power sums of distances to the power {hi:g} exceed the float range")
     return lo, hi
 
 

@@ -666,6 +666,27 @@ def _ref_selected(counts, distinct, sigma):
     return distinct[np.searchsorted(np.cumsum(counts), pos + 1)]
 
 
+def reference_count_terms(family, wrow, crow, distinct, sigma):
+    """The (coeff, base, degree) terms of a count family's comparison of the
+    dense count rows wrow and crow, [] where it is identically zero.
+    sigma_linear's (sigma = 2) are in theta, the first of the weights."""
+    if family == "power_average":
+        diff = crow.sum() * wrow - wrow.sum() * crow
+        return [(diff[t], distinct[t], 0) for t in np.flatnonzero(diff)]
+    wsel = _ref_selected(wrow, distinct, sigma)
+    csel = _ref_selected(crow, distinct, sigma)
+    if family == "sigma_power":
+        # +1 per selected winner value, -1 per candidate one, like terms combined
+        coeff = {}
+        for sign, sel in ((1.0, wsel), (-1.0, csel)):
+            for b in sel:
+                coeff[b] = coeff.get(b, 0.0) + sign
+        return [(a, b, 0) for b, a in coeff.items() if a]
+    d1 = wsel[0] - csel[0]
+    d2 = wsel[1] - csel[1]
+    return [(d1 - d2, 1.0, 1), (d2, 1.0, 0)] if d1 != 0.0 or d2 != 0.0 else []
+
+
 def reference_count_collector(family, sigma, eqs):
     """The dense-tensor collectors of the count families, for reference_run:
     each step deduplicates the candidates' count rows with np.unique(axis=0).
@@ -673,32 +694,10 @@ def reference_count_collector(family, sigma, eqs):
     from partition_tuner.param_search import _canon_terms
 
     def cb(step, winner, ids, tri, minD, maxD, cnt, distinct):
-        wrow = cnt[winner]
-        nw = wrow.sum()
-        rows = np.unique(cnt[ids[tri[0]], ids[tri[1]]], axis=0)
-        for crow in rows:
-            if family == "power_average":
-                diff = crow.sum() * wrow - nw * crow
-                nz = np.flatnonzero(diff)
-                if nz.size:
-                    eqs.add(_canon_terms([(diff[t], distinct[t], 0) for t in nz]))
-                continue
-            wsel = _ref_selected(wrow, distinct, sigma)
-            csel = _ref_selected(crow, distinct, sigma)
-            if family == "sigma_power":
-                # +1 per selected winner value, -1 per candidate one, like terms combined
-                coeff = {}
-                for sign, sel in ((1.0, wsel), (-1.0, csel)):
-                    for b in sel:
-                        coeff[b] = coeff.get(b, 0.0) + sign
-                key = _canon_terms([(a, b, 0) for b, a in coeff.items() if a])
-                if key:
-                    eqs.add(key)
-            else:
-                d1 = wsel[0] - csel[0]
-                d2 = wsel[1] - csel[1]
-                if d1 != 0.0 or d2 != 0.0:
-                    eqs.add(_canon_terms([(d1 - d2, 1.0, 1), (d2, 1.0, 0)]))
+        for crow in np.unique(cnt[ids[tri[0]], ids[tri[1]]], axis=0):
+            key = _canon_terms(reference_count_terms(family, cnt[winner], crow, distinct, sigma))
+            if key:
+                eqs.add(key)
 
     return cb
 

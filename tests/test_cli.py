@@ -162,6 +162,34 @@ def test_a_search_through_infinite_costs_writes_nothing_to_stderr(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+def test_joint_search_refuses_a_top_exponent_whose_power_sums_overflow(tmp_path):
+    # 1.3e154 ** 2 is finite, but a cluster's sum of two such powers is not
+    path = tmp_path / "big.json"
+    save_instance(str(path), power_sum_overflow_instance())
+    env = {**os.environ, "PYTHONPATH": str(Path(partition_tuner.__file__).parents[1])}
+    argv = [sys.executable, "-m", "partition_tuner.cli", "erm-joint", "--instances", str(path),
+            "--family", "convex", "--range", "0,1", "--k", "1"]
+    proc = subprocess.run(argv + ["--p-range", "1.999,2"], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 3 and "Warning" not in proc.stderr
+    assert proc.stderr.startswith("numeric error")
+    out = tmp_path / "out.json"
+    proc = subprocess.run(argv + ["--p-range", "1.5,1.9", "--obj-p", "1", "--out", str(out)],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(out.read_text())["best_cost"] == 2.45e154
+
+
+def test_every_subcommand_takes_out_and_the_randomized_ones_take_seed():
+    from partition_tuner.cli import _build_parser
+
+    sub = next(a for a in _build_parser()._actions if a.choices and a.dest == "command")
+    flags = {name: set(p._option_string_actions) for name, p in sub.choices.items()}
+    assert all("--out" in f for f in flags.values())
+    assert {name for name, f in flags.items() if "--seed" in f} == {
+        "embed", "erm-slin", "erm-owr", "erm-rprt", "erm-disc"}
+
+
 def test_prune_prints_plain_ints_and_nothing_to_stderr_at_an_infinite_cost(tmp_path):
     # the cluster's sum of squared distances overflows to an intended inf
     path = tmp_path / "big.json"

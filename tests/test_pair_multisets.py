@@ -229,40 +229,6 @@ def test_count_collectors_match_dense_reference(family, sigma, rule):
 
 
 @pytest.mark.parametrize("family,sigma,rule", [
-    ("sigma_power", 3, MergeRule("sigma_power", 0.8, sigma=3)),
-    ("sigma_linear", 2, MergeRule("sigma_linear", weights=(0.35, 0.65), sigma=2)),
-])
-def test_selector_collectors_select_the_winners_values_once_per_step(monkeypatch, family,
-                                                                    sigma, rule):
-    calls = []
-    selected = linkage._selected
-
-    def counted(*args):
-        calls.append(args)
-        return selected(*args)
-
-    monkeypatch.setattr(linkage, "_selected", counted)
-    rng = np.random.default_rng(6)
-    for inst in (euclidean_instance(rng, 11), _integer_instance(rng, 11, 3)):
-        eqs = set()
-        cb = _make_collector(family, sigma, eqs)
-        steps, budget = [], []
-
-        def check(step, winner, ids, sets):
-            # at most one selection per distinct candidate (the winner's
-            # included) and one for the winner of each step so far: the
-            # build's last step selects for all of them
-            budget.append(len(sets.live()) + 1)
-            cb(step, winner, ids, sets)
-            assert len(calls) <= sum(budget)
-            steps.append(len(calls))
-
-        calls.clear()
-        _run(inst, rule, check)
-        assert eqs and max(steps) > 2
-
-
-@pytest.mark.parametrize("family,sigma,rule", [
     ("power_average", None, MergeRule("power_average", 1.3)),
     ("power_average", None, MergeRule("power_average", 0.0)),
     ("sigma_power", 3, MergeRule("sigma_power", 0.8, sigma=3)),

@@ -43,9 +43,11 @@ from partition_tuner import (
 )
 from partition_tuner import ClusteringInstance, linkage, param_search
 from partition_tuner.param_search import BREAK_MERGE_TOL
-from conftest import euclidean_instance, power_overflow_instance, wide_ratio_instance
+from conftest import (euclidean_instance, power_overflow_instance, power_sum_overflow_instance,
+                      wide_ratio_instance)
 from oracles import (REF_ZERO, grid_joint_min, random_instance, reference_count_collector,
-                     reference_find_roots, reference_lazy_sweep, reference_run)
+                     reference_count_terms, reference_find_roots, reference_lazy_sweep,
+                     reference_run)
 
 
 def _pipeline_cost(instances, family, alpha, k, rule, obj, sigma=None, weights=None):
@@ -239,6 +241,18 @@ def test_exponent_sweeps_refuse_a_range_whose_top_power_overflows():
     with pytest.raises(Overflow):
         sweep_p([inst], [tree], 2, (0.5, 3.0), obj)
     assert sweep_p([inst], [tree], 2, (0.5, 2.0), obj).breakpoints == [0.5, 2.0]
+
+
+def test_exponent_sweeps_refuse_a_top_exponent_whose_power_sums_overflow():
+    # each distance squared stays finite, a cluster's sum of two does not
+    inst, obj = power_sum_overflow_instance(), Objective(kind="phi_p", p=1.0)
+    with pytest.raises(Overflow):
+        erm_joint([inst], "convex_minmax", (0.0, 1.0), (1.999, 2.0), 1, obj)
+    tree = build_tree(inst, MergeRule("convex_minmax", alpha=0.5))
+    with pytest.raises(Overflow):
+        sweep_p([inst], [tree], 1, (1.999, 2.0), obj)
+    res = erm_joint([inst], "convex_minmax", (0.0, 1.0), (1.5, 1.9), 1, obj)
+    assert res.best_cost == 2.45e154
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -579,8 +593,8 @@ def test_solver_answers_identically_zero_keys_with_the_screened_entry():
 
 
 class _Store:
-    """What _average_keys reads of a PairMultisets: its distances and
-    interned multisets."""
+    """What the count families' encoding reads of a PairMultisets: its
+    distances and interned multisets."""
 
     supports = linkage.PairMultisets.supports
 
@@ -589,10 +603,16 @@ class _Store:
         self.keys = [np.asarray(i, np.int64).tobytes() + np.asarray(c, np.int64).tobytes()
                      for i, c in multisets]
 
+    def dense(self, s):
+        """Multiset s as a dense count row over the distinct distances."""
+        idx, cnt = self.supports([s])[:2]
+        return np.bincount(idx, cnt, minlength=self.beta)
 
-@given(data=st.data())
-@settings(max_examples=150, deadline=None)
-def test_batched_average_keys_equal_the_scalar_encoding(data):
+
+def _draw_store(data):
+    """A _Store of random sparse multisets over random distinct distances,
+    some proportional to another (an identically zero power_average
+    equation, and equal selected values)."""
     beta = data.draw(st.integers(1, 12))
     distinct = np.sort(data.draw(st.lists(st.floats(0.01, 100.0), min_size=beta,
                                           max_size=beta, unique=True)))
@@ -601,14 +621,22 @@ def test_batched_average_keys_equal_the_scalar_encoding(data):
         idx = sorted(data.draw(st.sets(st.integers(0, beta - 1), min_size=1)))
         cnt = data.draw(st.lists(st.integers(1, 10 ** 4), min_size=len(idx), max_size=len(idx)))
         multisets.append((np.array(idx), np.array(cnt)))
-        if data.draw(st.booleans()):  # a proportional multiset: an identically zero equation
+        if data.draw(st.booleans()):
             multisets.append((np.array(idx), 2 * np.array(cnt)))
-    ids = st.integers(0, len(multisets) - 1)
+    return _Store(distinct, multisets)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_batched_average_keys_equal_the_scalar_encoding(data):
+    store = _draw_store(data)
+    ids = st.integers(0, len(store.keys) - 1)
     queue = data.draw(st.lists(st.tuples(ids, st.lists(ids, min_size=1, unique=True)),
                                max_size=5))
-    store = _Store(distinct, multisets)
-    want = [(w, s, param_search._canon_terms(linkage.average_terms(
-        multisets[w], multisets[s], distinct))) for w, fresh in queue for s in fresh]
+    # the dense formula n_c w - n_w c over count rows
+    want = [(w, s, param_search._canon_terms(reference_count_terms(
+        "power_average", store.dense(w), store.dense(s), store.distinct, None)))
+        for w, fresh in queue for s in fresh]
     want = [pair for pair in want if pair[2]]
     assert repr(param_search._encode("power_average", None, queue, store, None)) == repr(want)
     # with a solver, the pairs whose keys it screens, in numpy however few
@@ -618,6 +646,31 @@ def test_batched_average_keys_equal_the_scalar_encoding(data):
         patch.setattr(param_search, "_SCREEN_TERMS", 0)
         got = param_search._encode("power_average", None, queue, store, solve)
         assert got == [pair for pair in want if solve(pair[2]) is not solve.screened]
+
+
+@given(data=st.data(), family=st.sampled_from(["power_average", "sigma_power", "sigma_linear"]),
+       sigma=st.sampled_from([2, 3]))
+@settings(max_examples=200, deadline=None)
+def test_count_terms_equal_the_dense_count_row_formula(data, family, sigma):
+    sigma = 2 if family == "sigma_linear" else sigma
+    store = _draw_store(data)
+    ids = st.integers(0, len(store.keys) - 1)
+    pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=6))
+    wins, cands = ([pair[side] for pair in pairs] for side in (0, 1))
+    got = linkage.count_terms(family, store.supports(wins), store.supports(cands),
+                              store.distinct, sigma)
+    # by pair, then base, then degree; exact integer coefficients, but
+    # sigma_linear's, which keep a zero term
+    want = [(p, float(a), float(b), j) for p, (w, s) in enumerate(pairs)
+            for a, b, j in sorted(reference_count_terms(
+                family, store.dense(w), store.dense(s), store.distinct, sigma),
+                key=lambda term: term[1:])]
+    assert list(zip(*(t.tolist() for t in got))) == want
+    # a single comparison lists the same terms
+    for p, (w, s) in enumerate(pairs):
+        one = linkage.comparison_terms(family, 0, 0, 0, 0, store.supports([w])[:2],
+                                       store.supports([s])[:2], store.distinct, sigma)
+        assert one == [term[1:] for term in want if term[0] == p]
 
 
 def _recorded_solves(monkeypatch, sweep):
@@ -1441,13 +1494,13 @@ def test_count_memos_stay_with_their_instance(monkeypatch):
 
 def test_count_sweeps_encode_and_build_each_equation_once(monkeypatch):
     encoded, built, enclosed, keyed = [], [], [], []
-    average_keys, one_signed = param_search._average_keys, param_search._one_signed
+    count_family_keys, one_signed = param_search._count_family_keys, param_search._one_signed
     lazy_sweep = param_search._lazy_sweep
 
-    def counted_keys(queue, sets, solve):
+    def counted_keys(family, sigma, queue, sets, solve):
         encoded.extend((sets.distinct.tobytes(), sets.keys[w], sets.keys[s])
                        for w, fresh in queue for s in fresh)
-        return average_keys(queue, sets, solve)
+        return count_family_keys(family, sigma, queue, sets, solve)
 
     class CountedSum(ExpSum):
         __slots__ = ()
@@ -1469,29 +1522,40 @@ def test_count_sweeps_encode_and_build_each_equation_once(monkeypatch):
 
         return recorded
 
-    monkeypatch.setattr(param_search, "_average_keys", counted_keys)
+    monkeypatch.setattr(param_search, "_count_family_keys", counted_keys)
     monkeypatch.setattr(param_search, "ExpSum", CountedSum)
     monkeypatch.setattr(param_search, "_one_signed", recorded_one_signed)
     monkeypatch.setattr(param_search, "_lazy_sweep", lambda segments, runs, *rest: lazy_sweep(
         segments, list(map(keys_of, runs)), *rest))
     rng = np.random.default_rng(45)
     insts = [euclidean_instance(rng, 10) for _ in range(2)]
-    res = erm_alpha(insts, "power_average", (0.5, 3.0), 3, PruningRule(p=2.0),
-                    Objective(kind="phi_p", p=2.0))
-    assert res.instances_evaluated >= 3 * len(insts)
-    # one encoding per (instance, winner multiset, candidate multiset) ...
-    assert encoded and len(set(encoded)) == len(encoded)
-    # ... and one ExpSum per unscreened equation, none for a screened one
-    # or for one the interval enclosure proved
-    assert built and len(set(built)) == len(built)
-    assert not any(param_search._keeps_sign(terms, 0.5, 3.0) for terms in built)
-    assert enclosed and not {tuple((b, j, a) for a, b, j in terms) for terms in built} & set(
-        enclosed)
-    assert not any(one_signed([tuple((b, j, a) for a, b, j in terms)], 0.5, 3.0)[0]
-                   for terms in built)
-    # a proven equation is in no run's keys, neither the run that proved it
-    # nor a later one, whose memo leaves it out
-    assert len(keyed) == res.instances_evaluated and not set(enclosed) & set().union(*keyed)
+    rule, obj = PruningRule(p=2.0), Objective(kind="phi_p", p=2.0)
+    for family, sigma in (("power_average", None), ("sigma_power", 3), ("sigma_linear", 2)):
+        for seen in (encoded, built, enclosed, keyed):
+            seen.clear()
+        if family == "sigma_linear":
+            res = erm_sigma_linear(insts, 2, [(0.0, 1.0), (0.0, 1.0)], 3, rule, obj)
+        else:
+            res = erm_alpha(insts, family, (0.5, 3.0), 3, rule, obj, sigma=sigma)
+        lo, hi = res.profile.breakpoints[0], res.profile.breakpoints[-1]
+        # some instance runs more than once, so the memo carries across runs
+        least = 3 * len(insts) if family == "power_average" else len(insts) + 1
+        assert res.instances_evaluated >= least, family
+        # one encoding per (instance, winner multiset, candidate multiset) ...
+        assert encoded and len(set(encoded)) == len(encoded), family
+        # ... and one ExpSum per unscreened equation
+        assert built and len(set(built)) == len(built), family
+        if family != "sigma_linear":
+            # none for a screened one or for one the interval enclosure
+            # proved; sigma_linear's, of degree 1, meet neither proof
+            assert not any(param_search._keeps_sign(terms, lo, hi) for terms in built)
+            assert enclosed and not {tuple((b, j, a) for a, b, j in terms)
+                                     for terms in built} & set(enclosed)
+            assert not any(one_signed([tuple((b, j, a) for a, b, j in terms)], lo, hi)[0]
+                           for terms in built)
+        # a proven equation is in no run's keys, neither the run that proved
+        # it nor a later one, whose memo leaves it out
+        assert len(keyed) == res.instances_evaluated and not set(enclosed) & set().union(*keyed)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",

@@ -22,7 +22,9 @@ differs, or when the change made more runs than the base on any call.
 
     python3 tools/ab_tune.py BASE CHANGE --workload rounding_erm --setup [--rounds R]
 
-times instead the workload's ``setup()``: each round (default 12) sets up a
+times instead the workload's ``setup()``: one untimed set-up on each tree
+first warms its caches, since a process's first set-up runs cold and would
+favour the side that goes second; then each round (default 12) sets up a
 fresh workload on each tree, alternating which goes first, and the script
 prints each round's CPU seconds, the median ratio with its quartiles and the
 rounds the change won.  It exits with status 1 when the two set-ups leave
@@ -116,6 +118,8 @@ def setups(cls, libs, seed, rounds):
     """A/B-time the workload's set-up; 0 if both trees' set-ups left the
     same state in every round."""
     ratios, won, same = [], 0, True
+    for lib in libs.values():  # untimed: each tree's first set-up runs cold
+        cls(seed, lib=lib).setup()
     print(f"{cls.name} seed {seed} set-up: {rounds} rounds")
     print("round  base_s  change_s  ratio")
     for r in range(rounds):
