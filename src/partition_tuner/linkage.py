@@ -120,16 +120,16 @@ def rule_value(rule: MergeRule, dists) -> float:
         key = _count_keys(rule, np.arange(distinct.size), cnt, start, np.log(distinct), distinct)
     else:
         key = _minmax_keys(rule, d.min(keepdims=True), d.max(keepdims=True))
-    return _key_value(rule, key[0])
+    return _key_values(rule, key)[0]
 
 
-def _key_value(rule: MergeRule, key) -> float:
-    """A merge value from its comparison key, the log of the value for the
-    power forms (which may overflow to inf)."""
+def _key_values(rule: MergeRule, keys) -> list:
+    """Merge values from their comparison keys, the logs of the values for
+    the power forms (which may overflow to inf), as floats."""
     if rule.family in ("convex_minmax", "sigma_linear"):
-        return float(key)
+        return np.asarray(keys, dtype=float).tolist()
     with np.errstate(over="ignore"):
-        return float(np.exp(key))
+        return np.exp(keys, dtype=float).tolist()
 
 
 @dataclass
@@ -244,7 +244,7 @@ def count_terms(family, wsets, csets, distinct, sigma=None):
         wsel, csel = _selection(wi, wc, ws, nw, sigma), _selection(ci, cc, cs, nc, sigma)
         if family == "sigma_linear":
             d = distinct[wsel] - distinct[csel]
-            pair = np.flatnonzero(d.any(axis=1))
+            pair = d.any(axis=1).nonzero()[0]
             coeff = np.column_stack((d[pair, 1], d[pair, 0] - d[pair, 1])).ravel()
             return np.repeat(pair, 2), coeff, np.ones(coeff.size), np.tile([0, 1], pair.size)
         pair = np.tile(np.repeat(rows, sigma), 2)
@@ -266,8 +266,8 @@ def build_tree(inst: ClusteringInstance, rule: MergeRule) -> MergeTree:
     keeps its matrices over the active clusters' slots, n x n each (see
     ``_run``), so memory is O(n^2) for every family.  A step on m clusters
     costs O(m), plus O(m) per row whose minimum it retires: O(n^2) time per
-    build on typical inputs, O(n^3) at worst, plus the count families'
-    multiset merges.
+    build on typical inputs, O(n^3) at worst.  A count-family merge that
+    makes a cluster of s leaves also recounts its s (n - s) leaf pairs.
     """
     return _run(inst, rule)
 
@@ -461,18 +461,31 @@ class PairMultisets(PairKeys):
         a, label = min(si, sj), self.label
         label[label == m - 1] = max(si, sj)
         label[members] = a
-        others = np.flatnonzero(label != a)
-        code = label[others] * self.beta + self.didx[np.ix_(members, others)]
-        code, cnt = np.unique(code, return_counts=True)
-        seg = code // self.beta
-        idx = code - seg * self.beta
-        starts = np.flatnonzero(np.diff(seg, prepend=-1))
+        others = (label != a).nonzero()[0]
+        code = (label[others] * self.beta + self.didx[np.asarray(members)[:, None], others]).ravel()
+        code.sort()
+        first = _run_starts(code)
+        cnt = _sizes(first, code.size)
+        seg, idx = np.divmod(code[first], self.beta)
+        starts = _run_starts(seg)
         if self.sid is not None:
             bi, bc = idx.tobytes(), cnt.astype(np.int64).tobytes()
             bounds = (idx.itemsize * np.append(starts, idx.size)).tolist()
             keys = [bi[lo:hi] + bc[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
             self.replace(si, sj, m, _widen(self._intern(keys), a, -1))
         return idx, cnt, starts
+
+
+def _run_starts(x):
+    """Where each run of equal entries of the nonempty sorted array x starts."""
+    new = np.ones(x.size, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=new[1:])
+    return new.nonzero()[0]
+
+
+def _sizes(starts, total):
+    """The lengths of the segments of an array of length total that begin at starts."""
+    return np.concatenate((starts[1:], [total])) - starts
 
 
 def _widen(vec, a, x):
@@ -521,14 +534,10 @@ def _run(inst: ClusteringInstance, rule: MergeRule, collector=None, table=None,
     the new keys and rescans slots a and b and the rows whose minimum sat in
     the columns of si or sj, m entries each.
     """
-    n = inst.n
-    big = np.inf
-    D = inst.dist
-    counts = _counts_needed(rule)
+    n, D, counts = inst.n, inst.dist, _counts_needed(rule)
     if counts:
         sets = PairMultisets(D, interned=collector is not None, table=table, ids=ids)
-        distinct = sets.distinct
-        logd = np.log(distinct)
+        distinct, logd = sets.distinct, np.log(sets.distinct)
         t = np.arange(sets.beta)
         single = _count_keys(rule, t, np.ones_like(t), t, logd, distinct)
     else:
@@ -538,36 +547,35 @@ def _run(inst: ClusteringInstance, rule: MergeRule, collector=None, table=None,
         np.fill_diagonal(minD, 1.0)
         maxD = minD.copy()
 
-    V = np.full((n, n), big)
+    V = np.full((n, n), np.inf)
     # row by row, so that the leaf keys make no temporary quadratic in n
     for r in range(n - 1):
         d = D[r, r + 1:]
         key = single[sets.didx[r, r + 1:]] if counts else _minmax_keys(rule, d, d)
-        V[r, r + 1:] = key
-        V[r + 1:, r] = key
+        V[r, r + 1:] = V[r + 1:, r] = key
     rowmin = V.min(axis=1)
-    node = np.arange(n)
-    minleaf = np.arange(n)
+    node, minleaf = np.arange(n), np.arange(n)
     leaf_sets = [[i] for i in range(n)] + [None] * (n - 1)
-
-    merges = []
-    values = []
+    merges, keys = [], []
 
     for step in range(n - 1):
         m = n - step
         low = rowmin[:m]
         g = low.min()
-        tied = np.flatnonzero(low == g)
-        tied = tied[minleaf[tied].argsort()]
-        si, others = tied[0], tied[1:]
-        sj = others[V[si, others] == g][0]
+        tied = (low == g).nonzero()[0]
+        if tied.size == 2:  # each row's minimum g sits in the other's column
+            si, sj = sorted(tied.tolist(), key=minleaf.__getitem__)
+        else:
+            tied = tied[minleaf[tied].argsort()]
+            si, others = tied[0], tied[1:]
+            sj = others[V[si, others] == g][0]
 
         if collector is not None:
             collector(step, (si, sj), node[:m], sets)
 
         new = n + step
         wi, wj = node[si], node[sj]
-        values.append(_key_value(rule, g))
+        keys.append(g)
         merges.append((wi, wj))
         leaf_sets[new] = sorted(leaf_sets[wi] + leaf_sets[wj])
         if m == 2:
@@ -576,7 +584,7 @@ def _run(inst: ClusteringInstance, rule: MergeRule, collector=None, table=None,
         stale = rowmin[:m] == np.minimum(V[si, :m], V[sj, :m])
         if counts:
             key = _widen(_count_keys(rule, *sets.merge(si, sj, m, leaf_sets[new]), logd,
-                                     distinct), a, big)
+                                     distinct), a, np.inf)
         else:
             mn = np.minimum(minD[si, :m], minD[sj, :m])
             mx = np.maximum(maxD[si, :m], maxD[sj, :m])
@@ -587,17 +595,17 @@ def _run(inst: ClusteringInstance, rule: MergeRule, collector=None, table=None,
             _place(minD, a, b, last, mn)
             _place(maxD, a, b, last, mx)
             key = _minmax_keys(rule, mn, mx)
-            key[a] = big
+            key[a] = np.inf
         minleaf[a] = minleaf[si]
         node[b], minleaf[b] = node[last], minleaf[last]
         node[a] = new
         _place(V, a, b, last, key)
         np.minimum(rowmin[:last], key, out=rowmin[:last])
         # rows a and b among them, as rowmin[si] = rowmin[sj] = g
-        rows = np.flatnonzero(stale[:last])
+        rows = stale[:last].nonzero()[0]
         rowmin[rows] = V[rows, :last].min(axis=1)
 
-    return MergeTree(n=n, merges=merges, values=values, leaf_sets=leaf_sets)
+    return MergeTree(n=n, merges=merges, values=_key_values(rule, keys), leaf_sets=leaf_sets)
 
 
 def _counts_needed(rule: MergeRule) -> bool:
@@ -630,7 +638,7 @@ def _count_keys(rule, idx, cnt, starts, logd, distinct):
         return np.add.reduceat(cnt * logd[idx], starts) / tot
     terms = a * logd[idx] + np.log(cnt)
     top = np.maximum.reduceat(terms, starts)
-    spread = np.exp(terms - np.repeat(top, np.diff(starts, append=terms.size)))
+    spread = np.exp(terms - top.repeat(_sizes(starts, terms.size)))
     return (top + np.log(np.add.reduceat(spread, starts)) - np.log(tot)) / a
 
 

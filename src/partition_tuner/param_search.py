@@ -590,10 +590,10 @@ def _one_signed(keys, lo, hi) -> np.ndarray:
 
 
 class _Solver:
-    """solve(key) -> (ExpSum, find_roots on [lo, hi]) of a canonical
-    equation key, built and solved once, or the screened entry (None, []),
-    unbuilt, for an empty or identically zero key and a combined key that
-    _keeps_sign or _one_signed proves one-signed.  resolve(keys) batches."""
+    """solve(key) -> (ExpSum, find_roots on [lo, hi]) of a canonical equation
+    key, built and solved once, or the screened entry (None, []): unbuilt for an
+    empty or identically zero key and a combined key that _keeps_sign or _one_signed
+    proves one-signed, unsolved for a sum a b^x of one term.  resolve(keys) batches."""
 
     screened = (None, [])
 
@@ -636,6 +636,8 @@ class _Solver:
 
     def _solve(self, key):
         f = ExpSum(_terms_from_key(key))
+        if len(f.terms) == 1 and not f.terms[0][2]:  # a b^x keeps the sign of a
+            return self.screened
         roots = find_roots(f, self.lo, self.hi, self.tol)
         return self.screened if roots is IDENTICALLY_ZERO else (f, roots)
 

@@ -1558,6 +1558,46 @@ def test_count_sweeps_encode_and_build_each_equation_once(monkeypatch):
         assert len(keyed) == res.instances_evaluated and not set(enclosed) & set().union(*keyed)
 
 
+def test_constant_sigma_linear_keys_are_never_solved(monkeypatch):
+    # a sigma_linear key of slope 0, such as ((1.0, 0, c), (1.0, 1, -0.0)),
+    # is a nonzero constant: screened, it reaches neither find_roots nor a
+    # run's equations
+    asked, solved, keyed = [], [], []
+    solve, find_roots, lazy_sweep = (param_search._Solver._solve, param_search.find_roots,
+                                     param_search._lazy_sweep)
+
+    def constant(key):
+        return len(ExpSum(param_search._terms_from_key(key)).terms) == 1
+
+    def recorded_solve(self, key):
+        asked.append(key)
+        return solve(self, key)
+
+    def recorded_find_roots(f, lo, hi, tol=param_search.ROOT_TOL):
+        solved.append(f.terms)
+        return find_roots(f, lo, hi, tol)
+
+    def keys_of(run):
+        def recorded(x):
+            res = run(x)
+            keyed.extend(res[2])
+            return res
+
+        return recorded
+
+    monkeypatch.setattr(param_search._Solver, "_solve", recorded_solve)
+    monkeypatch.setattr(param_search, "find_roots", recorded_find_roots)
+    monkeypatch.setattr(param_search, "_lazy_sweep", lambda segments, runs, *rest: lazy_sweep(
+        segments, list(map(keys_of, runs)), *rest))
+    rng = np.random.default_rng(45)
+    insts = [euclidean_instance(rng, 10) for _ in range(2)]
+    erm_sigma_linear(insts, 2, [(0.0, 1.0), (0.0, 1.0)], 3, PruningRule(p=2.0),
+                     Objective(kind="phi_p", p=2.0))
+    assert sum(map(constant, asked)) > 100
+    assert solved and not any(len(terms) == 1 for terms in solved)
+    assert keyed and not any(map(constant, keyed))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_screened_equations_certify_where_their_values_overflow(monkeypatch):

@@ -41,6 +41,20 @@ by ``numpy.random.default_rng(N).standard_normal``.  Each of R rounds
 the script prints each side's CPU seconds and their ratio.  It exits with
 status 1 when the profiles (bit for bit) or ``instances_evaluated`` differ.
 
+    python3 tools/ab_tune.py BASE CHANGE --builds [--rounds R]
+
+times instead one tree build, ``linkage._run``, on each input of the
+README's build tables: 3-d Gaussian points from ``numpy.random.default_rng(n)``
+at n=60 and n=200 under ``convex_minmax`` 0.4 and ``power_average`` 1.5,
+and ``gen_two_gadget(0.4, "convex_minmax")`` under ``convex_minmax`` 0.4,
+plain and with the sweep's collector attached.  Each of R rounds (default
+15) builds every input once on each tree, alternating which goes first.
+For each input the script prints each side's least CPU seconds, their
+ratio, the median of the rounds' ratios, the rounds the change won and each
+side's ``tracemalloc`` peak over one untimed build.  It exits with status 1
+when two builds differ in their merges, their values (bit for bit) or their
+leaf sets.
+
 Both sides of a call run at the same host speed, so the ratio does not
 follow a shared host's drift; perfbench's 30 s runs cannot resolve gains of
 a few percent.  The script only reads ``perfbench``: the workloads, their
@@ -56,6 +70,7 @@ import numbers
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -173,13 +188,75 @@ def gaussian(libs, n, rounds):
     return 0 if same else 1
 
 
+def build_inputs(lib):
+    """(label, instance, rule, collect) for each input of the README's build tables."""
+    import numpy as np
+
+    cases = []
+    for n in (60, 200):
+        pts = np.random.default_rng(n).standard_normal((n, 3))
+        dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+        np.fill_diagonal(dist, 0.0)
+        inst = lib.ClusteringInstance(n=n, dist=dist)
+        cases += [(f"gaussian n={n}", inst, lib.MergeRule(family, alpha), False)
+                  for family, alpha in (("convex_minmax", 0.4), ("power_average", 1.5))]
+    gadget = lib.gen_two_gadget(0.4, "convex_minmax")[0]
+    rule = lib.MergeRule("convex_minmax", 0.4)
+    return cases + [("gadget n=210", gadget, rule, False),
+                    ("gadget n=210 collected", gadget, rule, True)]
+
+
+def build(lib, inst, rule, collect):
+    """One tree build of inst under rule, with the sweep's collector if collect."""
+    cb = lib.param_search._make_collector(rule.family, None, set()) if collect else None
+    return lib.linkage._run(inst, rule, cb)
+
+
+def builds(libs, rounds):
+    """A/B-time one tree build per build-table input; 0 if both trees built
+    the same tree from every input in every round."""
+    cases = {side: build_inputs(lib) for side, lib in libs.items()}
+    same = True
+    print(f"tree builds: {rounds} rounds, CPU seconds (least over rounds)")
+    print(f"{'input':22s}  {'rule':17s}  {'base_s':>8s}  {'change_s':>8s}  ratio  "
+          f"{'median ratio [quartiles]':30s}  won  base_peak_mib  change_peak_mib")
+    for c, (label, _, rule, collect) in enumerate(cases["base"]):
+        spent, peak = {"base": [], "change": []}, {}
+        for side, lib in libs.items():  # untimed: the traced peak
+            inst = cases[side][c][1]
+            tracemalloc.start()
+            try:
+                build(lib, inst, cases[side][c][2], collect)
+                peak[side] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+            finally:
+                tracemalloc.stop()
+        for r in range(rounds):
+            trees = {}
+            for side in (("base", "change") if r % 2 == 0 else ("change", "base")):
+                _, inst, side_rule, _ = cases[side][c]
+                t0 = time.process_time()
+                tree = build(libs[side], inst, side_rule, collect)
+                spent[side].append(time.process_time() - t0)
+                trees[side] = bits(tree)
+            same = same and trees["base"] == trees["change"]
+        ratios = [ch / ba for ba, ch in zip(spent["base"], spent["change"])]
+        won = sum(ch < ba for ba, ch in zip(spent["base"], spent["change"]))
+        base, change = min(spent["base"]), min(spent["change"])
+        name = f"{rule.family} {rule.alpha}"
+        print(f"{label:22s}  {name:17s}  {base:8.5f}  {change:8.5f}  {change / base:.3f}  "
+              f"{spread(ratios):30s}  {won:3d}  {peak['base']:13.3f}  {peak['change']:15.3f}")
+    print(f"trees identical in all {rounds} rounds: {'yes' if same else 'NO'}")
+    return 0 if same else 1
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base")
     ap.add_argument("change")
     ap.add_argument("--workload", default="avg_erm")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--rounds", type=int, default=None, help="default 12, or 1 with --gaussian")
+    ap.add_argument("--rounds", type=int, default=None,
+                    help="default 12, or 1 with --gaussian, or 15 with --builds")
     ap.add_argument("--calls", type=int, default=20)
     ap.add_argument("--apply", action="store_true",
                     help="also time and compare each call's held-out application")
@@ -187,6 +264,8 @@ def main(argv=None):
                     help="time the power_average sweep on N Gaussian points instead")
     ap.add_argument("--setup", action="store_true",
                     help="time and compare the workload's set-up instead")
+    ap.add_argument("--builds", action="store_true",
+                    help="time and compare single tree builds instead")
     args = ap.parse_args(argv)
 
     # the workloads import partition_tuner for their input types
@@ -196,6 +275,8 @@ def main(argv=None):
     libs = {"base": load_tree("ab_base", args.base), "change": load_tree("ab_change", args.change)}
     if args.gaussian is not None:
         return gaussian(libs, args.gaussian, args.rounds or 1)
+    if args.builds:
+        return builds(libs, args.rounds or 15)
     args.rounds = args.rounds or 12
     cls = workloads.WORKLOADS[args.workload]
     if args.setup:
