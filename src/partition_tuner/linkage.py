@@ -193,25 +193,17 @@ class Comparison:
 def comparison_terms(family, wmin, wmax, cmin, cmax, wcounts=None, ccounts=None,
                      distinct=None, sigma=None):
     """Coefficient triples (coeff, base, degree) of the winner-minus-candidate
-    equation of one comparison in the family parameter; [] is identically zero.
-    The min/max families read (min, max) distances; power_minmax sums +-1
-    powers, with the comparison's sign for alpha > 0.  The count families
-    read sparse multisets (idx, cnt) into distinct, and their terms are
-    count_terms', by ascending base."""
-    if family == "convex_minmax":
-        # (a*wmin + (1-a)*wmax) - (a*cmin + (1-a)*cmax), affine in a
-        slope = (wmin - wmax) - (cmin - cmax)
-        const = wmax - cmax
-        return [(slope, 1.0, 1), (const, 1.0, 0)]
-    if family == "power_minmax":
-        acc = {}
-        for b, s in ((wmin, 1.0), (wmax, 1.0), (cmin, -1.0), (cmax, -1.0)):
-            b = float(b)
-            acc[b] = acc.get(b, 0.0) + s
-        return [(a, b, 0) for b, a in acc.items() if a != 0.0]
-    if family not in _NEEDS_COUNTS:
+    equation of one comparison in the family parameter, count_terms' by
+    ascending base, then degree; [] is identically zero.  The min/max
+    families read the (min, max) distances, the count families the sparse
+    multisets (idx, cnt) into distinct."""
+    if family in ("convex_minmax", "power_minmax"):
+        distinct, at = np.unique(np.array([wmin, wmax, cmin, cmax], dtype=float),
+                                 return_inverse=True)
+        wcounts, ccounts = (at[:2], np.ones(2)), (at[2:], np.ones(2))
+    elif family not in _NEEDS_COUNTS:
         raise UnknownFamily(f"no comparison encoding for family {family!r}")
-    if wcounts is None or ccounts is None or distinct is None:
+    elif wcounts is None or ccounts is None or distinct is None:
         raise DomainError(f"{family} comparisons need distance counts")
     _, *terms = count_terms(family, (*wcounts, [wcounts[0].size]),
                             (*ccounts, [ccounts[0].size]), distinct, sigma)
@@ -219,35 +211,45 @@ def comparison_terms(family, wmin, wmax, cmin, cmax, wcounts=None, ccounts=None,
 
 
 def count_terms(family, wsets, csets, distinct, sigma=None):
-    """Terms of count-family comparisons in one pass: pair p compares the
-    winner multiset p of wsets with the candidate multiset p of csets, both
-    laid end to end as (idx, cnt, sizes), as PairMultisets.supports gives
-    them.  Returns arrays (pair, coeff, base, degree) by pair, base, degree.
-    power_average's coefficients are n_c w_t - n_w c_t, sigma_power's +1 per
-    selected winner index and -1 per candidate one: exact integers, zeros
-    dropped.  sigma_linear (sigma = 2) is affine in theta, the first of the
-    weights (theta, 1 - theta): (d2, 1, 0) and (d1 - d2, 1, 1) for the
-    selected distances' differences d, none where d is 0."""
+    """Terms of comparisons in one pass: pair p compares the winner multiset
+    p of wsets with the candidate multiset p of csets, both laid end to end
+    as (idx, cnt, sizes), as PairMultisets.supports (or, for the min/max
+    families, PairKeys.supports) gives them.  Returns arrays (pair, coeff,
+    base, degree) by pair, base, degree.  power_average's coefficients are
+    n_c w_t - n_w c_t, sigma_power's (power_minmax's) +1 per selected winner
+    index (winner end) and -1 per candidate one: exact integers, zeros
+    dropped.  convex_minmax and sigma_linear (sigma = 2, in theta of the
+    weights (theta, 1 - theta)) are affine in the weight of the minimum:
+    (d2, 1, 0) and (slope, 1, 1) for the differences d1, d2 of the minima
+    and of the maxima, none where both are 0; the slope is d1 - d2, or
+    (wmin - wmax) - (cmin - cmax) for convex_minmax."""
     if family == "sigma_linear" and sigma != 2:
         raise DomainError("sigma_linear comparisons are equations in theta at sigma = 2 only")
     if family == "sigma_power" and sigma is None:
         raise DomainError("sigma_power comparisons need sigma")
     (wi, wc, wn), (ci, cc, cn) = wsets, csets
     ws, cs = np.cumsum(wn) - wn, np.cumsum(cn) - cn
-    nw, nc = np.add.reduceat(wc, ws), np.add.reduceat(cc, cs)
     rows = np.arange(len(wn))
     if family == "power_average":
+        nw, nc = np.add.reduceat(wc, ws), np.add.reduceat(cc, cs)
         pair = np.concatenate((np.repeat(rows, wn), np.repeat(rows, cn)))
         t = np.concatenate((wi, ci))
         coeff = np.concatenate((np.repeat(nc, wn) * wc, -np.repeat(nw, cn) * cc))
     else:
-        wsel, csel = _selection(wi, wc, ws, nw, sigma), _selection(ci, cc, cs, nc, sigma)
-        if family == "sigma_linear":
-            d = distinct[wsel] - distinct[csel]
-            pair = d.any(axis=1).nonzero()[0]
-            coeff = np.column_stack((d[pair, 1], d[pair, 0] - d[pair, 1])).ravel()
+        if family == "sigma_power":
+            wsel = _selection(wi, wc, ws, np.add.reduceat(wc, ws), sigma)
+            csel = _selection(ci, cc, cs, np.add.reduceat(cc, cs), sigma)
+        else:  # the minimum and the maximum, sigma_linear's two order statistics
+            wsel = np.column_stack((wi[ws], wi[ws + wn - 1]))
+            csel = np.column_stack((ci[cs], ci[cs + cn - 1]))
+        if family in ("convex_minmax", "sigma_linear"):
+            (wmin, wmax), (cmin, cmax) = distinct[wsel].T, distinct[csel].T
+            d1, d2 = wmin - cmin, wmax - cmax
+            slope = (wmin - wmax) - (cmin - cmax) if family == "convex_minmax" else d1 - d2
+            pair = ((d1 != 0) | (d2 != 0)).nonzero()[0]
+            coeff = np.column_stack((d2[pair], slope[pair])).ravel()
             return np.repeat(pair, 2), coeff, np.ones(coeff.size), np.tile([0, 1], pair.size)
-        pair = np.tile(np.repeat(rows, sigma), 2)
+        pair = np.tile(np.repeat(rows, wsel.shape[1]), 2)
         t = np.concatenate((wsel.ravel(), csel.ravel()))
         coeff = np.repeat([1.0, -1.0], wsel.size)
     beta = distinct.size
@@ -343,7 +345,6 @@ class PairKeys:
             np.fill_diagonal(self.sid, -1)
             self._refs = dict(zip(leaf.tolist(), np.bincount(inv).tolist()))
             self.memo = {}, {}
-            self._values = self.distinct.tolist()
 
     def _leaf_keys(self):
         return np.arange(self.beta, dtype=np.int64) * (self.beta + 1)
@@ -352,14 +353,16 @@ class PairKeys:
         """The codes of pairs whose (min, max) are mn, mx, distances of D."""
         return self.distinct.searchsorted(mn) * self.beta + self.distinct.searchsorted(mx)
 
-    def ends(self, codes):
-        """The (min, max) distances of each code in codes."""
-        values, beta = self._values, self.beta
-        return [(values[c // beta], values[c % beta]) for c in codes]
+    def supports(self, codes):
+        """The (min, max) of each pair with a key in codes as a two-point
+        support, laid end to end as PairMultisets.supports lays out
+        multisets: idx, cnt and their sizes."""
+        idx = np.column_stack(np.divmod(np.asarray(codes, dtype=np.int64), self.beta)).ravel()
+        return idx, np.ones(idx.size, dtype=np.int64), np.full(len(codes), 2)
 
     def pair(self, s):
         """The (min, max) distances of the pairs with key s, and no multiset."""
-        return (*self.ends([s])[0], None)
+        return (*self.distinct[list(divmod(s, self.beta))].tolist(), None)
 
     def live(self):
         """The distinct keys of the active pairs, as a set-like view."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
@@ -28,7 +29,6 @@ from .linkage import (
     MultisetIds,
     _run,
     _selection,
-    comparison_terms,
     count_terms,
     distance_table,
 )
@@ -72,7 +72,8 @@ class ExpSum:
             else:
                 a, b, j = t
             a, b, j = float(a), float(b), int(j)
-            _check_term(a, b)
+            if not (0.0 < b < math.inf and -math.inf < a < math.inf):
+                raise DomainError("coefficients must be finite, bases positive and finite")
             if j < 0:
                 raise DomainError("degrees must be nonnegative")
             _add_term(acc, a, b, j)
@@ -151,11 +152,6 @@ class ExpSum:
 
     def __repr__(self):
         return f"ExpSum({list(self.terms)})"
-
-
-def _check_term(a, b):
-    if not (0.0 < b < math.inf and -math.inf < a < math.inf):
-        raise DomainError("coefficients must be finite, bases positive and finite")
 
 
 def _check_spread(bmin, bmax):
@@ -300,10 +296,14 @@ def _keeps_signs(a, b, lengths, lo, hi) -> np.ndarray:
     than _SCREEN_TERMS terms, where numpy's fixed cost would dominate."""
     ends = np.cumsum(lengths)
     starts = ends - lengths
+    if a.size < _SCREEN_TERMS:
+        terms = list(zip(a.tolist(), b.tolist(), itertools.repeat(0)))
+        return np.array([_keeps_sign(terms[i:k], lo, hi)
+                         for i, k in zip(starts.tolist(), ends.tolist())], dtype=bool)
     positive = np.add.reduceat(a > 0, starts, dtype=np.int64)
     keeps = (positive == 0) | (positive == lengths)  # exact, as _keeps_sign's shortcut
     decided = keeps.copy()
-    rows = np.flatnonzero(~keeps if a.size >= _SCREEN_TERMS else [])
+    rows = np.flatnonzero(~keeps)
     groups = [rows]
     if not 0 < rows.size * lengths.max(initial=0) <= _SCREEN_CELLS:
         bucket, groups = np.frexp(lengths[rows])[1], []
@@ -453,11 +453,11 @@ def _lazy_sweep(segments, runs, combine, solve):
 
     runs[i](x) -> (fingerprint, payload, equation_keys) runs instance i at
     x, and combine(payloads) is a cell's value.  solve(key) -> (ExpSum,
-    roots over the whole sweep domain), cached by the caller, or (None, [])
-    for an equation proven one-signed on the whole domain or identically
-    zero.  That one has no root and, in exact arithmetic, passes the test
-    of _holds anywhere (where its terms overflow, _strict_sign cannot
-    tell), so it is left out.
+    roots over the whole sweep domain) of each key a run returns, which the
+    caller's _Solver left open.  An equation it settled with no root (proven
+    one-signed on the whole domain, or identically zero) passes the test of
+    _holds anywhere in exact arithmetic (where its terms overflow,
+    _strict_sign cannot tell), so runs leave it out.
     Adjacent cells of one segment that agree in fingerprints and value are
     merged back.
 
@@ -468,6 +468,8 @@ def _lazy_sweep(segments, runs, combine, solve):
     sign are run again; a piece where every instance reuses its result and
     no root lies inside is a cell without a run.
     """
+    if not runs:
+        raise DomainError("a sweep needs at least one instance")
     cells, starts, made = [], {a for a, _ in segments}, 0
 
     def refine(a, b, held, depth):
@@ -508,13 +510,13 @@ def _lazy_sweep(segments, runs, combine, solve):
 
 class _Run:
     """One instance's run at x: its result (fingerprint, payload, keys), the
-    equations it executed that solve did not screen, and their roots."""
+    equations of its keys and their roots."""
 
     __slots__ = ("x", "result", "eqs", "roots", "signs")
 
     def __init__(self, x, run, solve):
         self.x, self.result = x, run(x)
-        solved = [s for s in map(solve, self.result[2]) if s[0] is not None]
+        solved = list(map(solve, self.result[2]))
         self.eqs = [f for f, _ in solved]
         self.roots = [r for _, rs in solved for r in rs]
         self.signs = None  # each equation's _strict_sign at x, once asked for
@@ -537,44 +539,32 @@ def _holds(rec, x):
     return all(s is not None and _strict_sign(f, x) is s for f, s in zip(rec.eqs, rec.signs))
 
 
-def _canon_terms(terms):
-    """Hashable sign-canonical form of an equation's term list."""
-    terms = tuple(sorted((float(b), int(j), float(a)) for a, b, j in terms))
-    if not terms:
-        return terms
-    if terms[0][2] < 0:
-        terms = tuple((b, j, -a) for b, j, a in terms)
-    return terms
-
-
 def _terms_from_key(key):
     return [(a, b, j) for b, j, a in key]
 
 
-def _is_combined_key(key) -> bool:
-    """True if key's terms are ExpSum's own and of degree 0: strictly
-    ascending bases, no zero coefficient.  Refuses the terms ExpSum refuses."""
-    prev = 0.0
-    for b, j, a in key:
-        _check_term(a, b)
-        if not a or b <= prev or j:
-            return False  # ExpSum checks the key
-        prev = b
-    if key:
-        _check_spread(key[0][0], prev)
-    return bool(key)
+def _keys(a, b, j, sizes):
+    """The sign-canonical key of each sum laid end to end, sum i being the
+    next sizes[i] terms (coeff a, base b, degree j) by base, then degree:
+    the tuple of its (base, degree, coeff) terms, negated where its first
+    coefficient is negative (sigma_linear's may be 0, and is then kept);
+    None for an empty sum."""
+    a, b, j = a.tolist(), b.tolist(), j.tolist()
+    ends = list(itertools.accumulate(sizes.tolist()))
+    return [tuple(zip(b[i:k], j[i:k], a[i:k] if a[i] >= 0 else [-c for c in a[i:k]]))
+            if i < k else None for i, k in zip([0] + ends, ends)]
 
 
 def _one_signed(keys, lo, hi) -> np.ndarray:
-    """For each key (bases ascending), True if an interval enclosure (Moore,
-    Kearfott & Cloud 2009) proves its degree-0 sum f one-signed on [lo, hi].
-    On each of 64 pieces every term a b^x is monotone, so the sums of the
-    lesser and of the greater of its end values bound f from below
-    (P_lo - N_hi) and above (P_hi - N_lo).  One bound must keep its sign on
-    every piece, clear of 1e-9 of P_hi + N_hi and of the zero tests' scale
-    floor 1e-300, both for f, which _strict_sign reads, and for the
+    """For each key of a degree-0 sum f (bases ascending), True if an
+    interval enclosure (Moore, Kearfott & Cloud 2009) proves f one-signed
+    on [lo, hi].  On each of 64 pieces every term a b^x is monotone, so the
+    sums of the lesser and of the greater of its end values bound f from
+    below (P_lo - N_hi) and above (P_hi - N_lo).  One bound must keep its
+    sign on every piece, clear of 1e-9 of P_hi + N_hi and of the zero tests'
+    scale floor 1e-300, both for f, which _strict_sign reads, and for the
     f / b_max^x that find_roots solves.  Non-finite bounds prove nothing."""
-    b, j, a = np.array([t for key in keys for t in key]).T
+    b, _, a = np.array([t for key in keys for t in key]).T
     lengths = np.array([len(key) for key in keys])
     ends = np.cumsum(lengths)
     lb = np.log(b)
@@ -586,53 +576,50 @@ def _one_signed(keys, lo, hi) -> np.ndarray:
             (np.minimum, v), (np.maximum, v), (np.maximum, np.abs(v))))
         margin = 1e-9 * np.maximum(size, 1e-300)
         proven = (low > margin).all(1) | (high < -margin).all(1)
-    return (np.add.reduceat(j, starts[: len(keys)]) == 0) & proven[: len(keys)] & proven[len(keys):]
+    return proven[: len(keys)] & proven[len(keys):]
 
 
 class _Solver:
-    """solve(key) -> (ExpSum, find_roots on [lo, hi]) of a canonical equation
-    key, built and solved once, or the screened entry (None, []): unbuilt for an
-    empty or identically zero key and a combined key that _keeps_sign or _one_signed
-    proves one-signed, unsolved for a sum a b^x of one term.  resolve(keys) batches."""
+    """The equations of one sweep over [lo, hi], each settled once: cache
+    maps a key (see _keys) to its (ExpSum, find_roots on [lo, hi]), or to the
+    screened entry (None, []) where no root can lie: for a key _one_signed
+    proves one-signed, an identically zero one and a sum a b^x of one term."""
 
     screened = (None, [])
 
     def __init__(self, lo, hi, tol=ROOT_TOL):
         self.lo, self.hi, self.tol, self.cache = lo, hi, tol, {}
 
-    def __call__(self, key):
-        if key not in self.cache:
-            self.resolve((key,))
-        return self.cache[key]
-
-    def resolve(self, keys, screened=False):
-        """Settle the new keys: the combined ones meet _keeps_signs in one
-        pass (a few, _keeps_sign), unless screened says they did, and the
-        unproven ones _one_signed in batches of about 1024 terms; the others
-        are solved."""
-        combined = []
-        for key in dict.fromkeys(keys):
-            if key in self.cache:
-                continue
-            if _is_combined_key(key):
-                combined.append(key)
-            else:
-                self.cache[key] = self._solve(key)
-        if combined and not screened:
-            if sum(map(len, combined)) < _SCREEN_TERMS:  # numpy's fixed cost would dominate
-                proven = [_keeps_sign(_terms_from_key(key), self.lo, self.hi) for key in combined]
-            else:
-                b, _, a = np.array([t for key in combined for t in key]).T
-                proven = _keeps_signs(a, b, np.fromiter(map(len, combined), np.int64),
-                                      self.lo, self.hi)
-            for key in itertools.compress(combined, proven):
-                self.cache[key] = self.screened
-            combined = [key for key, p in zip(combined, proven) if not p]
-        ends = itertools.accumulate(map(len, combined))  # batches of about 1024 terms
-        for _, batch in itertools.groupby(zip(combined, ends), lambda key_end: key_end[1] // 1024):
+    def resolve(self, a, b, j, sizes):
+        """The open key (see _keys) of each sum laid end to end, sum i the
+        next sizes[i] terms (a, b, j) by base, then degree, or None for one
+        with no root.  Sums of degree-0 terms, whose bases ascend strictly
+        and whose coefficients are nonzero, meet _keeps_signs before any key
+        is made; the new keys left meet _one_signed in batches of about 1024
+        terms, and the rest are solved.  Refuses the terms ExpSum refuses."""
+        full = sizes > 0
+        if a.size:
+            bmin, bmax = float(b.min()), float(b.max())
+            if not (np.isfinite(a).all() and 0.0 < bmin and bmax < math.inf):
+                raise DomainError("coefficients must be finite, bases positive and finite")
+            if not bmax / bmin < math.inf:  # then some sum's own ratio may overflow
+                ends = np.cumsum(sizes)[full]
+                for bmin, bmax in zip(b[ends - sizes[full]].tolist(), b[ends - 1].tolist()):
+                    _check_spread(bmin, bmax)
+        degree0 = not j.any()
+        if degree0:
+            full[full] = ~_keeps_signs(a, b, sizes[full], self.lo, self.hi)
+        chosen = np.repeat(full, sizes)
+        keys = _keys(a[chosen], b[chosen], j[chosen], np.where(full, sizes, 0))
+        cache = self.cache
+        new = [key for key in dict.fromkeys(keys) if key and key not in cache]
+        ends = itertools.accumulate(map(len, new))  # batches of about 1024 terms
+        for _, batch in itertools.groupby(zip(new, ends), lambda key_end: key_end[1] // 1024):
             batch = [key for key, _ in batch]
-            for key, proven in zip(batch, _one_signed(batch, self.lo, self.hi)):
-                self.cache[key] = self.screened if proven else self._solve(key)
+            proven = _one_signed(batch, self.lo, self.hi) if degree0 else itertools.repeat(False)
+            for key, p in zip(batch, proven):
+                cache[key] = self.screened if p else self._solve(key)
+        return [key if key and cache[key] is not self.screened else None for key in keys]
 
     def _solve(self, key):
         f = ExpSum(_terms_from_key(key))
@@ -665,17 +652,16 @@ def _alpha_segments(family, alpha_range):
 
 
 def _make_collector(family, sigma, eqs, memo=None, solve=None):
-    """Collector for linkage._run: adds to eqs the key (_canon_terms of
-    linkage.comparison_terms, or count_terms) of every winner-vs-candidate
-    comparison the run executes, but for identically zero ones and those
-    solve, if given, proves one-signed; sigma_linear's (sigma = 2) are
-    affine in theta, the first of the weights (theta, 1 - theta).  memo =
-    (compared, open), an instance's for a sweep (else the pair store's, for
-    its build), maps a winner id to the candidate ids compared with it, and
-    to the keys of those not proven.  A step's fresh pairs are one set
-    difference with the store's live ids and its open ones one
-    intersection; the fresh ones wait for the build's last step (m = 2),
-    where _encode keys them."""
+    """Collector for linkage._run: adds to eqs the key (see _keys) of every
+    winner-vs-candidate comparison the run executes, but for identically
+    zero ones and, with solve, those solve.resolve settles with no root;
+    sigma_linear's (sigma = 2) are affine in theta, the first of the weights
+    (theta, 1 - theta).  memo = (compared, open), an instance's for a sweep
+    (else the pair store's, for its build), maps a winner id to the
+    candidate ids compared with it, and to the keys of those left open.  A
+    step's fresh pairs are one set difference with the store's live ids and
+    its open ones one intersection; the fresh ones wait for the build's last
+    step (m = 2), where _encode keys them."""
     if family not in ("convex_minmax", "power_minmax", *_NEEDS_COUNTS):
         raise UnknownFamily(f"no sweep collector for {family!r}")
     queue = []
@@ -700,45 +686,26 @@ def _make_collector(family, sigma, eqs, memo=None, solve=None):
     return cb
 
 
+_ENCODE_PAIRS = 2048  # fresh pairs per count_terms pass, which bounds its arrays
+
+
 def _encode(family, sigma, queue, sets, solve):
     """(w, s, key) for each queued winner id w and fresh candidate id s whose
-    key is not empty and, with solve, stays open after solve.resolve."""
-    if family in _NEEDS_COUNTS:
-        out = _count_family_keys(family, sigma, queue, sets, solve)
-    else:
-        out = []
-        for w, fresh in queue:
-            wends, *cands = sets.ends([w, *fresh])
-            terms = (comparison_terms(family, *wends, *cends) for cends in cands)
-            out += [(w, s, key) for s, key in zip(fresh, map(_canon_terms, terms)) if key]
-    if solve is not None:
-        solve.resolve([key for *_, key in out], screened=family in ("power_average", "sigma_power"))
-        out = [pair for pair in out if solve.cache[pair[2]] is not solve.screened]
-    return out
-
-
-def _count_family_keys(family, sigma, queue, sets, solve):
-    """A count family's pairs for _encode, encoded by one count_terms pass.
-    Their terms come by ascending base, so a key is _canon_terms(terms): it
-    is negated where its first coefficient is negative (sigma_linear's may
-    be 0, and is then kept).  The degree-0 families' keys that _keeps_signs
-    (with solve) proves one-signed are never made as tuples."""
-    if family != "sigma_linear":
-        _check_spread(sets.distinct[0], sets.distinct[-1])
+    key is not empty and, with solve, stays open after solve.resolve; the
+    pairs are encoded by count_terms, _ENCODE_PAIRS at a time."""
+    if family in ("power_average", "sigma_power"):
+        _check_spread(float(sets.distinct[0]), float(sets.distinct[-1]))
     wins = [w for w, fresh in queue for _ in fresh]
     cands = [s for _, fresh in queue for s in fresh]
-    pair, a, b, j = count_terms(family, sets.supports(wins), sets.supports(cands), sets.distinct,
-                                sigma)
-    size = np.bincount(pair, minlength=len(cands))
-    keep = size > 0
-    a = a * np.repeat(np.where(a[(np.cumsum(size) - size)[keep]] < 0, -1.0, 1.0), size[keep])
-    if solve is not None and family != "sigma_linear":
-        keep[keep] = ~_keeps_signs(a, b, size[keep], solve.lo, solve.hi)
-    chosen = np.repeat(keep, size)
-    a, b, j = a[chosen].tolist(), b[chosen].tolist(), j[chosen].tolist()
-    ends = np.cumsum(size[keep]).tolist()
-    keys = [tuple(zip(b[i:k], j[i:k], a[i:k])) for i, k in zip([0] + ends, ends)]
-    return list(zip(itertools.compress(wins, keep), itertools.compress(cands, keep), keys))
+    out = []
+    for at in range(0, len(cands), _ENCODE_PAIRS):
+        w, s = wins[at:at + _ENCODE_PAIRS], cands[at:at + _ENCODE_PAIRS]
+        pair, *terms = count_terms(family, sets.supports(w), sets.supports(s), sets.distinct,
+                                   sigma)
+        terms.append(np.bincount(pair, minlength=len(s)))
+        keys = solve.resolve(*terms) if solve else _keys(*terms)
+        out += [triple for triple in zip(w, s, keys) if triple[2]]
+    return out
 
 
 def _margin_collector(sigma, w, margins):
@@ -816,7 +783,8 @@ def _search(instances, family, sigma, rule_at, segments, hard, score, combine, t
 
         return run
 
-    cells, evals = _lazy_sweep(segments, [runner(inst) for inst in instances], combine, solve)
+    cells, evals = _lazy_sweep(segments, [runner(inst) for inst in instances], combine,
+                               solve.cache.__getitem__)
     profile = PiecewiseProfile.from_cells(parameter, cells, hard)
     lo, hi, cost, rep = _best_run(profile)
     return ErmResult(best_param=rep, best_interval=(lo, hi), best_cost=cost, profile=profile,
@@ -882,14 +850,6 @@ def _p_domain(p_range, instances):
     return lo, hi
 
 
-def _sparse_key(coeffs, bases):
-    """_canon_terms of the degree-0 terms coeffs[t] * bases[t]^x, for bases
-    that are already unique and ascending, as dp_with_comparisons returns them."""
-    if coeffs[0] < 0:
-        coeffs = -coeffs
-    return tuple(zip(bases.tolist(), itertools.repeat(0), coeffs.tolist()))
-
-
 def _sweep_p_cells(instances, trees, k, domain, obj, variant, solve):
     """Cells of the summed objective over p in domain = _p_domain(...) for
     fixed trees, and the number of DP runs made; solve is a _Solver over
@@ -903,13 +863,15 @@ def _sweep_p_cells(instances, trees, k, domain, obj, variant, solve):
             clusters, centers = res.clusters, res.centers
             if variant == "voronoi":
                 clusters, centers = voronoi_reassign(inst, clusters, centers)
-            keys = {_sparse_key(coeffs, vals) for coeffs, vals in comps}
-            solve.resolve(keys)
+            a, b = (np.concatenate([pair[i] for pair in comps] or [np.zeros(0)]) for i in (0, 1))
+            sizes = np.fromiter((pair[0].size for pair in comps), np.int64, len(comps))
+            keys = set(solve.resolve(a, b, np.zeros(a.size, dtype=np.int64), sizes)) - {None}
             return sig, objective_value(inst, obj, clusters, centers), keys
 
         return run
 
-    return _lazy_sweep([domain], list(map(runner, instances, trees)), _total, solve)
+    return _lazy_sweep([domain], list(map(runner, instances, trees)), _total,
+                       solve.cache.__getitem__)
 
 
 def sweep_p(
@@ -1027,8 +989,12 @@ def erm_sigma_linear(
         return res
 
     # randomized multi-start grid
-    total_pts = grid_density ** sigma
-    if total_pts > 200000:
+    if not instances:
+        raise DomainError("a grid search needs at least one instance")
+    integral = isinstance(grid_density, numbers.Integral) and not isinstance(grid_density, bool)
+    if not (integral and grid_density >= 1):
+        raise DomainError(f"grid_density = {grid_density!r} is not a positive integer")
+    if grid_density ** sigma > 200000:
         raise DomainError("grid too large; reduce grid_density")
     rng = np.random.Generator(np.random.Philox(seed))
     axes = [np.linspace(a, b, grid_density) for a, b in box]
@@ -1051,6 +1017,8 @@ def erm_sigma_linear(
         if best is None or total < best[0]:
             cert = [dv for m, dv in margins if abs(m) <= 1e-9]
             best = (total, tuple(float(x) for x in w), cert)
+    if best is None:
+        raise DomainError("no grid point has a positive weight")
     return ErmResult(
         best_param=best[1],
         best_interval=None,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import List, Optional
@@ -94,6 +95,8 @@ def _prune(inst: ClusteringInstance, tree: MergeTree, k: int, zero, center_costs
     n = tree.n
     if n != inst.n:
         raise DimensionMismatch(f"tree has {n} leaves but the instance has {inst.n} points")
+    if not isinstance(k, numbers.Integral) or isinstance(k, bool):
+        raise DomainError(f"k = {k!r} is not an integer")
     if not (1 <= k <= n):
         raise KTooLarge(f"k = {k} outside 1..{n}")
 

@@ -486,11 +486,36 @@ def reference_lazy_sweep(segments, runs, combine, solve):
 # minmax comparison collector
 
 
+def _canon_terms(terms):
+    """Hashable sign-canonical form of an equation's term list: its
+    (base, degree, coeff) triples sorted, negated where the first
+    coefficient is negative."""
+    terms = tuple(sorted((float(b), int(j), float(a)) for a, b, j in terms))
+    if terms and terms[0][2] < 0:
+        terms = tuple((b, j, -a) for b, j, a in terms)
+    return terms
+
+
+def reference_minmax_terms(family, wmin, wmax, cmin, cmax):
+    """The (coeff, base, degree) terms of a min/max family's comparison of a
+    winner and a candidate, each given by its (min, max) distances, one
+    scalar at a time."""
+    if family == "convex_minmax":
+        # (a*wmin + (1-a)*wmax) - (a*cmin + (1-a)*cmax), affine in a
+        slope = (wmin - wmax) - (cmin - cmax)
+        const = wmax - cmax
+        return [(slope, 1.0, 1), (const, 1.0, 0)]
+    # +1 per winner end, -1 per candidate end, like bases combined
+    acc = {}
+    for b, s in ((wmin, 1.0), (wmax, 1.0), (cmin, -1.0), (cmax, -1.0)):
+        b = float(b)
+        acc[b] = acc.get(b, 0.0) + s
+    return [(a, b, 0) for b, a in acc.items() if a != 0.0]
+
+
 def reference_minmax_collector(family, eqs):
     """Collector for linkage._run that deduplicates each step's candidate
     (min, max) rows with np.unique(axis=0), the way the sweep first did."""
-    from partition_tuner.linkage import comparison_terms
-    from partition_tuner.param_search import _canon_terms
 
     def cb(step, winner, ids, _, minD, maxD, cnt, distinct):
         wi, wj = winner
@@ -503,7 +528,7 @@ def reference_minmax_collector(family, eqs):
         for cmin, cmax in rows:
             if cmin == wmin and cmax == wmax:
                 continue
-            eqs.add(_canon_terms(comparison_terms(family, wmin, wmax, cmin, cmax)))
+            eqs.add(_canon_terms(reference_minmax_terms(family, wmin, wmax, cmin, cmax)))
 
     return cb
 
@@ -691,7 +716,6 @@ def reference_count_collector(family, sigma, eqs):
     """The dense-tensor collectors of the count families, for reference_run:
     each step deduplicates the candidates' count rows with np.unique(axis=0).
     sigma_linear is the exact sweep's (theta, 1 - theta) collector."""
-    from partition_tuner.param_search import _canon_terms
 
     def cb(step, winner, ids, tri, minD, maxD, cnt, distinct):
         for crow in np.unique(cnt[ids[tri[0]], ids[tri[1]]], axis=0):

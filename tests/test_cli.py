@@ -147,6 +147,32 @@ def test_distances_whose_ratio_overflows_exit_three(tmp_path, capsys):
                "--range", "0.5,3"])
     assert rc == 3
     assert "numeric error" in capsys.readouterr().err
+    # in a fresh process, where a numpy RuntimeWarning would reach stderr,
+    # the refusal is the only line there
+    env = {**os.environ, "PYTHONPATH": str(Path(partition_tuner.__file__).parents[1])}
+    for family in ("power", "power_average", "sigma_power"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "partition_tuner.cli", "erm-alpha", "--instances", str(path),
+             "--family", family, "--sigma", "3", "--k", "2", "--range", "0.5,3"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 3, family
+        assert len(proc.stderr.splitlines()) == 1, (family, proc.stderr)
+        assert proc.stderr.startswith("numeric error: base ratio 1e+"), family
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--range", "0.5", "expected lo,hi range, got '0.5'"),
+    ("--range", "a,b", "expected comma-separated numbers, got 'a,b'"),
+    ("--p", "two", "bad exponent 'two'"),
+])
+def test_malformed_numbers_exit_two_with_their_message(points_path, capsys, flag, value,
+                                                       message):
+    flags = {"--range": "0,1", "--p": "2", flag: value}
+    rc = main(["erm-alpha", "--instances", points_path, "--family", "convex", "--k", "2",
+               *(part for item in flags.items() for part in item)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_a_search_through_infinite_costs_writes_nothing_to_stderr(tmp_path):

@@ -45,9 +45,9 @@ from partition_tuner import ClusteringInstance, linkage, param_search
 from partition_tuner.param_search import BREAK_MERGE_TOL
 from conftest import (euclidean_instance, power_overflow_instance, power_sum_overflow_instance,
                       wide_ratio_instance)
-from oracles import (REF_ZERO, grid_joint_min, random_instance, reference_count_collector,
-                     reference_count_terms, reference_find_roots, reference_lazy_sweep,
-                     reference_run)
+from oracles import (REF_ZERO, _canon_terms, grid_joint_min, random_instance,
+                     reference_count_collector, reference_count_terms, reference_find_roots,
+                     reference_lazy_sweep, reference_minmax_terms, reference_run)
 
 
 def _pipeline_cost(instances, family, alpha, k, rule, obj, sigma=None, weights=None):
@@ -205,7 +205,7 @@ def test_a_sum_whose_base_ratio_overflows_is_refused(lo, hi):
     with pytest.raises(Overflow):
         find_roots(ExpSum(terms), lo, hi)
     with pytest.raises(Overflow):
-        param_search._Solver(lo, hi).resolve([_key(terms)])
+        _resolve(param_search._Solver(lo, hi), [_key(terms)])
     ExpSum([(1.0, 1e-150), (-1.0, 1e150)])  # a ratio of 1e300 stays in range
 
 
@@ -420,7 +420,15 @@ def test_partial_sum_screen_matches_reference_on_drawn_sums():
 
 
 def _key(terms):
-    return param_search._canon_terms([(a, b, 0) for a, b in terms])
+    return _canon_terms([(a, b, 0) for a, b in terms])
+
+
+def _resolve(solve, keys):
+    """solve.resolve on the sums of keys, laid end to end: each key's open
+    key, or None."""
+    b, j, a = np.array([t for key in keys for t in key] or np.zeros((0, 3))).T
+    sizes = np.array([len(key) for key in keys], dtype=np.int64)
+    return solve.resolve(a, b, j.astype(np.int64), sizes)
 
 
 def _enclosure_sound(terms, lo, hi):
@@ -485,7 +493,9 @@ def test_interval_enclosure_refuses_near_tangent_sums(lo, hi, gap):
         True, False, True]
     # the solver then answers as the reference does
     want = reference_find_roots(terms, lo, hi)
-    assert param_search._Solver(lo, hi)(_key(terms))[1] == want
+    solve = param_search._Solver(lo, hi)
+    key, = _resolve(solve, [_key(terms)])
+    assert (solve.cache[key][1] if key else []) == want
     assert (want == []) == (gap > 0.0)
     # 1 - (1 - 2 gap) b^x with b one ulp above 1 is nearly flat, so its
     # enclosure is tight and only the margin refuses it; 1e-8 of its scale
@@ -586,9 +596,11 @@ def test_batched_screen_decides_most_drawn_sums_in_length_buckets(monkeypatch):
 def test_solver_answers_identically_zero_keys_with_the_screened_entry():
     solve = param_search._Solver(0.5, 3.0)
     cancel = ((2.0, 0, 1.0), (2.0, 0, -1.0))  # 2^x - 2^x
-    assert solve(()) is solve.screened and solve(cancel) is solve.screened
+    # an empty sum gets no key, and 2^x - 2^x the screened entry: neither is open
+    assert _resolve(solve, [(), cancel]) == [None, None]
+    assert solve.cache == {cancel: solve.screened}
     # so a run that executes them carries no equation and no root
-    rec = param_search._Run(1.0, lambda x: ("fp", 0.0, {(), cancel}), solve)
+    rec = param_search._Run(1.0, lambda x: ("fp", 0.0, set()), solve.cache.__getitem__)
     assert rec.eqs == [] and rec.roots == []
 
 
@@ -634,7 +646,7 @@ def test_batched_average_keys_equal_the_scalar_encoding(data):
     queue = data.draw(st.lists(st.tuples(ids, st.lists(ids, min_size=1, unique=True)),
                                max_size=5))
     # the dense formula n_c w - n_w c over count rows
-    want = [(w, s, param_search._canon_terms(reference_count_terms(
+    want = [(w, s, _canon_terms(reference_count_terms(
         "power_average", store.dense(w), store.dense(s), store.distinct, None)))
         for w, fresh in queue for s in fresh]
     want = [pair for pair in want if pair[2]]
@@ -645,7 +657,8 @@ def test_batched_average_keys_equal_the_scalar_encoding(data):
     with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as patch:
         patch.setattr(param_search, "_SCREEN_TERMS", 0)
         got = param_search._encode("power_average", None, queue, store, solve)
-        assert got == [pair for pair in want if solve(pair[2]) is not solve.screened]
+        check = param_search._Solver(solve.lo, solve.hi)
+        assert got == [pair for pair in want if _resolve(check, [pair[2]]) != [None]]
 
 
 @given(data=st.data(), family=st.sampled_from(["power_average", "sigma_power", "sigma_linear"]),
@@ -673,16 +686,61 @@ def test_count_terms_equal_the_dense_count_row_formula(data, family, sigma):
         assert one == [term[1:] for term in want if term[0] == p]
 
 
+class _Codes:
+    """What the min/max families' encoding reads of a PairKeys: its
+    distances and each pair key's two-point (min, max) support."""
+
+    supports = linkage.PairKeys.supports
+
+    def __init__(self, distinct):
+        self.distinct, self.beta = distinct, distinct.size
+
+
+@given(data=st.data(), family=st.sampled_from(["convex_minmax", "power_minmax"]))
+@settings(max_examples=200, deadline=None)
+def test_count_terms_equal_the_scalar_minmax_formulas(data, family):
+    beta = data.draw(st.integers(1, 8))
+    store = _Codes(np.sort(data.draw(st.lists(st.floats(0.01, 100.0), min_size=beta,
+                                                max_size=beta, unique=True))))
+    ends = st.tuples(st.integers(0, beta - 1), st.integers(0, beta - 1)).map(sorted)
+    pairs = data.draw(st.lists(st.tuples(ends, ends), max_size=6))  # min == max included
+    wins, cands = ([lo * beta + hi for lo, hi in (pair[side] for pair in pairs)] for side in (0, 1))
+    got = linkage.count_terms(family, store.supports(wins), store.supports(cands),
+                              store.distinct)
+    # by pair, then base, then degree, bit for bit the scalar formulas' terms,
+    # but none for a pair of equal ends, whose equation is identically zero
+    d = store.distinct.tolist()
+    ends = [(d[w[0]], d[w[1]], d[c[0]], d[c[1]]) for w, c in pairs]
+    want = [(p, a, b, j) for p, (w, c) in enumerate(pairs) if w != c
+            for a, b, j in sorted(reference_minmax_terms(family, *ends[p]),
+                                  key=lambda term: term[1:])]
+    assert list(zip(*(t.tolist() for t in got))) == want
+    # a single comparison lists the same terms
+    for p in range(len(pairs)):
+        assert linkage.comparison_terms(family, *ends[p]) == [
+            term[1:] for term in want if term[0] == p]
+
+
 def _recorded_solves(monkeypatch, sweep):
     """Every (terms, lo, hi, roots) that `sweep` solved with find_roots, and
-    every (key, lo, hi) whose key one of its solvers proved one-signed
-    without solving, by the partial-sum screen or the interval enclosure."""
-    solves, solvers = [], []
+    every (key, lo, hi) whose sum one of its solvers proved one-signed
+    without solving, by the partial-sum screen (before a key is made) or
+    the interval enclosure."""
+    solves, solvers, proofs = [], [], set()
+    keeps_signs = param_search._keeps_signs
 
     def recording(f, lo, hi, tol=param_search.ROOT_TOL):
         roots = find_roots(f, lo, hi, tol)
         solves.append((list(f.terms), lo, hi, roots))
         return roots
+
+    def recording_screen(a, b, lengths, lo, hi):
+        keeps = keeps_signs(a, b, lengths, lo, hi)
+        ends = np.cumsum(lengths).tolist()
+        for i, k, kept in zip([0] + ends, ends, keeps):
+            if kept:
+                proofs.add((tuple(zip(b[i:k].tolist(), [0] * (k - i), a[i:k].tolist())), lo, hi))
+        return keeps
 
     class RecordingSolver(param_search._Solver):
         __slots__ = ()
@@ -693,12 +751,13 @@ def _recorded_solves(monkeypatch, sweep):
 
     monkeypatch.setattr(param_search, "find_roots", recording)
     monkeypatch.setattr(param_search, "_Solver", RecordingSolver)
+    monkeypatch.setattr(param_search, "_keeps_signs", recording_screen)
     sweep()
     monkeypatch.undo()
     # every key a sweep met is settled: proven one-signed, or built and solved
     hits = [(key, s.lo, s.hi, hit) for s in solvers for key, hit in s.cache.items()]
     assert solvers and all(hit for *_, hit in hits)
-    return solves, {(key, lo, hi) for key, lo, hi, hit in hits if hit[0] is None}
+    return solves, proofs | {(key, lo, hi) for key, lo, hi, hit in hits if hit[0] is None}
 
 
 def test_sweep_equations_solve_exactly_as_the_reference(monkeypatch):
@@ -903,10 +962,12 @@ def test_sparse_keys_equal_canonical_terms_on_random_dps():
         tree = build_tree(inst, MergeRule(family, float(rng.uniform(0.5, 3.0))))
         k = int(rng.integers(1, inst.n + 1))
         _, comps, _ = param_search.dp_with_comparisons(inst, tree, k, float(rng.uniform(0.5, 4.0)))
-        for coeffs, vals in comps:
-            key = param_search._sparse_key(coeffs, vals)
-            assert key == param_search._canon_terms(
-                [(a, b, 0) for a, b in zip(coeffs, vals)])
+        # the DP's comparisons laid end to end, as an exponent sweep keys them
+        sizes = np.array([coeffs.size for coeffs, _ in comps], dtype=np.int64)
+        a, b = (np.concatenate([pair[i] for pair in comps] or [np.zeros(0)]) for i in (0, 1))
+        keys = param_search._keys(a, b, np.zeros(a.size, dtype=np.int64), sizes)
+        for (coeffs, vals), key in zip(comps, keys, strict=True):
+            assert key == _canon_terms([(a, b, 0) for a, b in zip(coeffs, vals)])
             flips.add(bool(coeffs[0] < 0))
     # both signs of the leading coefficient occur
     assert flips == {False, True}
@@ -1097,6 +1158,51 @@ def test_erm_sigma_linear_domain_checks():
         erm_sigma_linear([inst], 2, [(0, 1), (1, 1)], 2, rule, obj)
     with pytest.raises(DomainError):
         erm_sigma_linear([inst], 2, [(0, 1), (-0.5, 1)], 2, rule, obj)
+
+
+_NO_INSTANCES = {
+    "erm_alpha": lambda rule, obj: erm_alpha([], "convex_minmax", (0.2, 0.8), 2, rule, obj),
+    "erm_joint": lambda rule, obj: erm_joint([], "power_minmax", (1.0, 2.0), (0.5, 2.0), 2, obj),
+    "sweep_p": lambda rule, obj: sweep_p([], [], 2, (0.5, 2.0), obj),
+    "exact_sigma_linear": lambda rule, obj: erm_sigma_linear([], 2, [(0, 1)] * 2, 2, rule, obj),
+    "grid_sigma_linear": lambda rule, obj: erm_sigma_linear([], 3, [(0, 1)] * 3, 2, rule, obj),
+}
+
+
+@pytest.mark.parametrize("search", list(_NO_INSTANCES), ids=list(_NO_INSTANCES))
+def test_searches_refuse_an_empty_instance_list(search):
+    # the sweeps unpacked an empty zip (ValueError), and the grid returned cost 0.0
+    with pytest.raises(DomainError, match="at least one instance"):
+        _NO_INSTANCES[search](PruningRule(p=2.0), Objective(kind="phi_p", p=2.0))
+
+
+def test_a_k_that_is_not_an_integer_is_refused():
+    # range() in the pruning DP raised an untyped TypeError for both
+    inst = euclidean_instance(np.random.default_rng(45), 6)
+    rule, obj = PruningRule(p=2.0), Objective(kind="phi_p", p=2.0)
+    with pytest.raises(DomainError, match="not an integer"):
+        erm_alpha([inst], "convex_minmax", (0.2, 0.8), 2.5, rule, obj)
+    for k in (2.0, True):
+        with pytest.raises(DomainError, match="not an integer"):
+            best_k_pruning(inst, build_tree(inst, MergeRule("convex_minmax", 0.5)), k, rule)
+    assert best_k_pruning(inst, build_tree(inst, MergeRule("convex_minmax", 0.5)), np.int64(2),
+                          rule).k == 2
+
+
+@pytest.mark.parametrize("density", [0, 2.5, -1, True])
+def test_grid_density_must_be_a_positive_integer(density):
+    inst = euclidean_instance(np.random.default_rng(46), 6)
+    with pytest.raises(DomainError, match="grid_density"):
+        erm_sigma_linear([inst], 3, [(0, 1)] * 3, 2, PruningRule(p=2.0),
+                         Objective(kind="phi_p", p=2.0), grid_density=density)
+
+
+def test_a_grid_without_a_positive_weight_is_refused():
+    # one grid point, which the seed-0 jitter clips to the zero weight vector
+    inst = euclidean_instance(np.random.default_rng(46), 6)
+    with pytest.raises(DomainError, match="positive weight"):
+        erm_sigma_linear([inst], 3, [(0, 1)] * 3, 2, PruningRule(p=2.0),
+                         Objective(kind="phi_p", p=2.0), grid_density=1)
 
 
 # ---------------------------------------------------------------------------
@@ -1460,6 +1566,20 @@ def test_a_reuse_needs_both_the_root_and_the_sign_test(by_sign, f, roots, monkey
     assert checked and min(checked) < 0.5
 
 
+def _settled_reference_collector(family, sigma, eqs, memo=None, solve=None):
+    """reference_count_collector, whose keys of each step solve settles: eqs
+    gets the open ones, as from the package's collector."""
+    raw = set()
+    collect = reference_count_collector(family, sigma, raw)
+
+    def cb(*args):
+        collect(*args)
+        eqs.update(key for key in _resolve(solve, list(raw)) if key)
+        raw.clear()
+
+    return cb
+
+
 def test_count_memos_stay_with_their_instance(monkeypatch):
     # D and D**1.7 order their distances alike, so their multisets have the
     # same key bytes, but not the same equations: a memo shared by the two
@@ -1483,9 +1603,7 @@ def test_count_memos_stay_with_their_instance(monkeypatch):
     monkeypatch.setattr(param_search, "_run",
                         lambda inst, mrule, collector=None, table=None, ids=None:
                         reference_run(inst, mrule, collector))
-    monkeypatch.setattr(param_search, "_make_collector",
-                        lambda family, sigma, eqs, memo=None, solve=None:
-                        reference_count_collector(family, sigma, eqs))
+    monkeypatch.setattr(param_search, "_make_collector", _settled_reference_collector)
     assert [outcome(search) for search in searches] == got
     # and the reference driver, which reuses no run, splits at the same roots
     monkeypatch.setattr(param_search, "_lazy_sweep", reference_lazy_sweep)
@@ -1494,13 +1612,13 @@ def test_count_memos_stay_with_their_instance(monkeypatch):
 
 def test_count_sweeps_encode_and_build_each_equation_once(monkeypatch):
     encoded, built, enclosed, keyed = [], [], [], []
-    count_family_keys, one_signed = param_search._count_family_keys, param_search._one_signed
+    encode, one_signed = param_search._encode, param_search._one_signed
     lazy_sweep = param_search._lazy_sweep
 
-    def counted_keys(family, sigma, queue, sets, solve):
+    def counted_encode(family, sigma, queue, sets, solve):
         encoded.extend((sets.distinct.tobytes(), sets.keys[w], sets.keys[s])
                        for w, fresh in queue for s in fresh)
-        return count_family_keys(family, sigma, queue, sets, solve)
+        return encode(family, sigma, queue, sets, solve)
 
     class CountedSum(ExpSum):
         __slots__ = ()
@@ -1522,7 +1640,7 @@ def test_count_sweeps_encode_and_build_each_equation_once(monkeypatch):
 
         return recorded
 
-    monkeypatch.setattr(param_search, "_count_family_keys", counted_keys)
+    monkeypatch.setattr(param_search, "_encode", counted_encode)
     monkeypatch.setattr(param_search, "ExpSum", CountedSum)
     monkeypatch.setattr(param_search, "_one_signed", recorded_one_signed)
     monkeypatch.setattr(param_search, "_lazy_sweep", lambda segments, runs, *rest: lazy_sweep(
@@ -1616,10 +1734,12 @@ def test_screened_equations_certify_where_their_values_overflow(monkeypatch):
 
     screened, runs = search()
     assert runs == 2
-    # unscreened: the collector's batch proves nothing, and every key is solved
-    monkeypatch.setattr(param_search, "_is_combined_key", lambda key: False)
+    # unscreened: neither the partial-sum screen nor the interval enclosure
+    # proves anything, and every key is solved
     monkeypatch.setattr(param_search, "_keeps_signs",
                         lambda a, b, lengths, lo, hi: np.zeros(len(lengths), dtype=bool))
+    monkeypatch.setattr(param_search, "_one_signed",
+                        lambda keys, lo, hi: np.zeros(len(keys), dtype=bool))
     assert search() == (screened, 3)
     monkeypatch.setattr(param_search, "_lazy_sweep", reference_lazy_sweep)
     assert search() == (screened, 3)
@@ -1654,7 +1774,8 @@ def test_sweeps_free_their_state_without_the_garbage_collector(monkeypatch):
 
 def test_gaussian_power_average_sweep_at_n60_stays_small():
     # the sweep of tools/ab_tune.py --gaussian 60; the memo of multiset
-    # bytes pairs, with its per-key encoding, peaked at 42.5 MiB here
+    # bytes pairs, with its per-key encoding, peaked at 42.5 MiB here, and
+    # the encoding of a build's fresh pairs in one count_terms pass at 22.0
     pts = np.random.default_rng(60).standard_normal((60, 2))
     D = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
     np.fill_diagonal(D, 0.0)
@@ -1667,7 +1788,7 @@ def test_gaussian_power_average_sweep_at_n60_stays_small():
     finally:
         tracemalloc.stop()
     assert len(res.profile) > 1
-    assert peak < 32 * 2 ** 20
+    assert peak < 16 * 2 ** 20
 
 
 def test_gadget_erm_runs_the_pipeline_twice():

@@ -38,8 +38,9 @@ times instead the large power_average sweep: ``erm_alpha`` over alpha in
 (0.5, 3) with k=3, p=2 and ``phi_p`` on one instance of N 2-d points drawn
 by ``numpy.random.default_rng(N).standard_normal``.  Each of R rounds
 (default 1) runs it once on each tree, alternating which goes first, and
-the script prints each side's CPU seconds and their ratio.  It exits with
-status 1 when the profiles (bit for bit) or ``instances_evaluated`` differ.
+the script prints each side's CPU seconds and their ratio, then each side's
+``tracemalloc`` peak over one untimed sweep.  It exits with status 1 when
+the profiles (bit for bit) or ``instances_evaluated`` differ.
 
     python3 tools/ab_tune.py BASE CHANGE --builds [--rounds R]
 
@@ -163,17 +164,20 @@ def gaussian(libs, n, rounds):
     pts = np.random.default_rng(n).standard_normal((n, 2))
     dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
     np.fill_diagonal(dist, 0.0)
+
+    def sweep(lib):
+        return lib.erm_alpha([lib.ClusteringInstance(n=n, dist=dist)], "power_average",
+                             (0.5, 3.0), 3, lib.PruningRule(p=2.0),
+                             lib.Objective(kind="phi_p", p=2.0))
+
     same, ratios = True, []
     print(f"gaussian power_average sweep, n={n}: {rounds} rounds")
     print("round  base_s  change_s  ratio  runs  cells")
     for r in range(rounds):
         spent, got = {}, {}
         for side in (("base", "change") if r % 2 == 0 else ("change", "base")):
-            lib = libs[side]
-            inst = lib.ClusteringInstance(n=n, dist=dist)
             t0 = time.process_time()
-            res = lib.erm_alpha([inst], "power_average", (0.5, 3.0), 3, lib.PruningRule(p=2.0),
-                                lib.Objective(kind="phi_p", p=2.0))
+            res = sweep(libs[side])
             spent[side] = time.process_time() - t0
             prof = res.profile
             got[side] = bits((prof.breakpoints, prof.values, prof.representatives,
@@ -183,6 +187,15 @@ def gaussian(libs, n, rounds):
         print(f"{r:5d}  {spent['base']:6.2f}  {spent['change']:8.2f}  {ratios[-1]:.3f}"
               f"  {res.instances_evaluated:4d}  {len(prof):5d}")
     print(f"median ratio change/base {statistics.median(ratios):.3f}")
+    peak = {}
+    for side, lib in libs.items():  # untimed: the traced peak
+        tracemalloc.start()
+        try:
+            sweep(lib)
+            peak[side] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+    print(f"tracemalloc peak MiB: base {peak['base']:.1f}, change {peak['change']:.1f}")
     print(f"profiles and instances_evaluated identical in all {rounds} rounds: "
           f"{'yes' if same else 'NO'}")
     return 0 if same else 1
