@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .errors import DataError, DomainError, NumericError, ParseError
+from .errors import DataError, DomainError, NumericError, ParseError, check_seed
 from .instances import (
     ClusteringInstance,
     MaxQPInstance,
@@ -91,10 +91,10 @@ def _range(text: str):
 
 
 def _seed(text: str) -> int:
-    val = int(text)
-    if not 0 <= val < 2 ** 128:
-        raise argparse.ArgumentTypeError(f"seed must lie in [0, 2**128), got {val}")
-    return val
+    try:
+        return check_seed(int(text))
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _pvalue(text: str) -> float:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one shared input check."""
+
+import numbers
 
 
 class PartitionTunerError(Exception):
@@ -98,3 +100,12 @@ class NonNullDiagonal(NumericError):
 
 class ClassTooLarge(NumericError):
     """Discretized rounding-class enumeration would exceed the cap."""
+
+
+def check_seed(seed):
+    """seed, if it is an integer in [0, 2**128), the key range of the
+    package's Philox streams; else DomainError."""
+    integral = isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
+    if not (integral and 0 <= seed < 2 ** 128):
+        raise DomainError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    return seed

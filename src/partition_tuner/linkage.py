@@ -19,6 +19,7 @@ reads contiguous slices.
 from __future__ import annotations
 
 import itertools
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -55,6 +56,9 @@ class MergeRule:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise UnknownFamily(f"unknown merge family {self.family!r}")
+        if self.sigma is not None and (isinstance(self.sigma, bool)
+                                       or not isinstance(self.sigma, numbers.Integral)):
+            raise DomainError(f"sigma = {self.sigma!r} is not an integer")
         if self.alpha is not None and np.isnan(self.alpha):
             raise DomainError(f"{self.family} needs a number for alpha, not NaN")
         if self.family == "convex_minmax":

@@ -20,7 +20,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .errors import (DimensionMismatch, DomainError, Overflow, RootNotConverged,
-                     SigmaTooLargeForExact, SweepDiverged, UnknownFamily)
+                     SigmaTooLargeForExact, SweepDiverged, UnknownFamily, check_seed)
 from .instances import ClusteringInstance
 from .linkage import (
     _NEEDS_COUNTS,
@@ -238,14 +238,35 @@ def find_roots(f: ExpSum, lo: float, hi: float, tol: float = ROOT_TOL):
     threshold, plus rounding, so the recursion finds nothing in a screened
     sum either.  Where f / b_max^x overflows, the sign of f over its
     largest term stands in for it.  Raises DomainError unless lo < hi are
-    finite.
+    finite numbers and tol is a finite number >= 0.
     """
+    _check_tol(tol)
     if f.is_zero():
         return IDENTICALLY_ZERO
+    lo, hi = _pair((lo, hi), "a root interval")
     if not -math.inf < lo < hi < math.inf:
         raise DomainError("need finite lo < hi")
-    roots = _roots_rec(f, float(lo), float(hi), tol)
+    roots = _roots_rec(f, lo, hi, tol)
     return IDENTICALLY_ZERO if roots is IDENTICALLY_ZERO else _merge_close(roots)
+
+
+def _check_tol(tol):
+    """Refuse a root tolerance that is not a finite number >= 0: bisection
+    stops once its bracket is narrower than tol, so an infinite one returns
+    the first midpoint as the root."""
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
+        raise DomainError(f"root tolerance {tol!r} is not a finite number >= 0")
+
+
+def _pair(r, name):
+    """The two entries of r as floats, or DomainError."""
+    if not isinstance(r, (str, bytes)):
+        try:
+            lo, hi = r
+            return float(lo), float(hi)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise DomainError(f"{name} must be a pair of numbers, got {r!r}")
 
 
 def _merge_close(xs):
@@ -396,18 +417,6 @@ class PiecewiseProfile:
     payloads: Optional[list] = None
     hard_boundaries: tuple = ()
 
-    @classmethod
-    def from_cells(cls, parameter, cells, hard_boundaries=()):
-        """The profile of _lazy_sweep's cells [lo, hi, rep, fingerprints, value, parts]."""
-        return cls(
-            parameter=parameter,
-            breakpoints=[cells[0][0]] + [c[1] for c in cells],
-            values=[c[4] for c in cells],
-            representatives=[c[2] for c in cells],
-            payloads=[c[3] for c in cells],
-            hard_boundaries=hard_boundaries,
-        )
-
     def interval(self, i):
         return (self.breakpoints[i], self.breakpoints[i + 1])
 
@@ -446,15 +455,16 @@ def _strict_sign(f: ExpSum, x: float):
     return None
 
 
-def _lazy_sweep(segments, runs, combine, solve):
-    """Refine each (lo, hi) of segments into cells on which every instance's
-    run is constant: (cells [lo, hi, rep, fingerprints, value, parts], runs
-    made), where parts lists (lo, hi, payloads) for each cell merged into it.
+def _lazy_sweep(sweep, runs, combine, parameter):
+    """Refine each (lo, hi) of sweep.segments into cells on which every
+    instance's run is constant: (the PiecewiseProfile of parameter, cells
+    [lo, hi, rep, fingerprints, value, parts]), where parts lists (lo, hi,
+    payloads) for each cell merged into it; sweep.runs counts the runs made.
 
     runs[i](x) -> (fingerprint, payload, equation_keys) runs instance i at
-    x, and combine(payloads) is a cell's value.  solve(key) -> (ExpSum,
-    roots over the whole sweep domain) of each key a run returns, which the
-    caller's _Solver left open.  An equation it settled with no root (proven
+    x, and combine(payloads) is a cell's value.  sweep.cache maps each key
+    a run returns, one the sweep left open, to its (ExpSum, roots over the
+    whole domain).  An equation the sweep settled with no root (proven
     one-signed on the whole domain, or identically zero) passes the test of
     _holds anywhere in exact arithmetic (where its terms overflow,
     _strict_sign cannot tell), so runs leave it out.
@@ -470,42 +480,46 @@ def _lazy_sweep(segments, runs, combine, solve):
     """
     if not runs:
         raise DomainError("a sweep needs at least one instance")
-    cells, starts, made = [], {a for a, _ in segments}, 0
+    cells = []
 
     def refine(a, b, held, depth):
         if depth > 80:
             raise SweepDiverged("sweep refinement failed to converge")
         mid = 0.5 * (a + b)
-        now, runs_made = [], 0
+        now = []
         for i, run in enumerate(runs):
             tried = dict.fromkeys((held[i], last[i]))  # the probe above's, then the latest
             r = next((r for r in tried if r and _holds(r, mid)), None)
             if r is None:
-                r = last[i] = _Run(mid, run, solve)
-                runs_made += 1
+                r = last[i] = _Run(mid, run, sweep)
+                sweep.runs += 1
             now.append(r)
         guard = 1e-12 * max(1.0, abs(a), abs(b))
         found = {x for r in now for x in r.roots if a + guard < x < b - guard}
         if not found:
             fps, payloads, _ = zip(*(r.result for r in now))
             cells.append([a, b, mid, fps, combine(payloads), [(a, b, payloads)]])
-            return runs_made
+            return
         bounds = [a] + _merge_close(found) + [b]
-        return runs_made + sum(refine(p, q, now, depth + 1) for p, q in zip(bounds, bounds[1:]))
+        for p, q in zip(bounds, bounds[1:]):
+            refine(p, q, now, depth + 1)
 
-    for a, b in segments:
+    for a, b in sweep.segments:
         last = [None] * len(runs)  # each instance's latest run; none crosses a segment end
-        made += refine(float(a), float(b), [None] * len(runs), 0)
+        refine(a, b, [None] * len(runs), 0)
     del refine  # a self-referring closure: free the runs' state now, not at a later gc
     out = [cells[0]]
     for c in cells[1:]:
         prev = out[-1]
-        if c[0] not in starts and c[3] == prev[3] and _values_close(c[4], prev[4]):
+        if c[0] not in sweep.hard and c[3] == prev[3] and _values_close(c[4], prev[4]):
             prev[1] = c[1]
             prev[5] += c[5]
         else:
             out.append(c)
-    return out, made
+    profile = PiecewiseProfile(parameter, breakpoints=[out[0][0]] + [c[1] for c in out],
+                               values=[c[4] for c in out], representatives=[c[2] for c in out],
+                               payloads=[c[3] for c in out], hard_boundaries=sweep.hard)
+    return profile, out
 
 
 class _Run:
@@ -514,9 +528,9 @@ class _Run:
 
     __slots__ = ("x", "result", "eqs", "roots", "signs")
 
-    def __init__(self, x, run, solve):
+    def __init__(self, x, run, sweep):
         self.x, self.result = x, run(x)
-        solved = list(map(solve, self.result[2]))
+        solved = list(map(sweep.cache.__getitem__, self.result[2]))
         self.eqs = [f for f, _ in solved]
         self.roots = [r for _, rs in solved for r in rs]
         self.signs = None  # each equation's _strict_sign at x, once asked for
@@ -537,10 +551,6 @@ def _holds(rec, x):
     if rec.signs is None:
         rec.signs = [_strict_sign(f, rec.x) for f in rec.eqs]
     return all(s is not None and _strict_sign(f, x) is s for f, s in zip(rec.eqs, rec.signs))
-
-
-def _terms_from_key(key):
-    return [(a, b, j) for b, j, a in key]
 
 
 def _keys(a, b, j, sizes):
@@ -579,16 +589,22 @@ def _one_signed(keys, lo, hi) -> np.ndarray:
     return proven[: len(keys)] & proven[len(keys):]
 
 
-class _Solver:
-    """The equations of one sweep over [lo, hi], each settled once: cache
-    maps a key (see _keys) to its (ExpSum, find_roots on [lo, hi]), or to the
-    screened entry (None, []) where no root can lie: for a key _one_signed
-    proves one-signed, an identically zero one and a sum a b^x of one term."""
+class _Sweep:
+    """One sweep of a parameter over segments, the consecutive (lo, hi)
+    pieces of its domain [lo, hi], whose inner ends are its hard
+    boundaries; runs counts the pipeline runs _lazy_sweep made in it.  Its
+    equations are each settled once: cache maps a key (see _keys) to its
+    (ExpSum, find_roots on [lo, hi]), or to the screened entry (None, [])
+    where no root can lie: for a key _one_signed proves one-signed, an
+    identically zero one and a sum a b^x of one term."""
 
     screened = (None, [])
 
-    def __init__(self, lo, hi, tol=ROOT_TOL):
-        self.lo, self.hi, self.tol, self.cache = lo, hi, tol, {}
+    def __init__(self, segments, tol=ROOT_TOL):
+        _check_tol(tol)
+        self.segments, self.tol, self.cache, self.runs = segments, tol, {}, 0
+        self.lo, self.hi = segments[0][0], segments[-1][1]
+        self.hard = tuple(a for a, _ in segments[1:])
 
     def resolve(self, a, b, j, sizes):
         """The open key (see _keys) of each sum laid end to end, sum i the
@@ -622,7 +638,7 @@ class _Solver:
         return [key if key and cache[key] is not self.screened else None for key in keys]
 
     def _solve(self, key):
-        f = ExpSum(_terms_from_key(key))
+        f = ExpSum._combined({(b, j): a for b, j, a in key})
         if len(f.terms) == 1 and not f.terms[0][2]:  # a b^x keeps the sign of a
             return self.screened
         roots = find_roots(f, self.lo, self.hi, self.tol)
@@ -634,8 +650,8 @@ class _Solver:
 
 
 def _alpha_segments(family, alpha_range):
-    """Pieces and hard boundaries of [lo, hi]; power ranges clipped, split at 0."""
-    lo, hi = float(alpha_range[0]), float(alpha_range[1])
+    """The segments of a sweep over [lo, hi]; power ranges clipped, split at 0."""
+    lo, hi = _pair(alpha_range, "alpha range")
     if family in ("power_minmax", "power_average", "sigma_power"):
         lo, hi = max(lo, -SWEEP_CLIP), min(hi, SWEEP_CLIP)
     if not lo < hi:
@@ -643,18 +659,18 @@ def _alpha_segments(family, alpha_range):
     if family == "convex_minmax":
         if lo < 0.0 or hi > 1.0:
             raise DomainError("convex sweep range must lie in [0, 1]")
-        return [(lo, hi)], ()
+        return [(lo, hi)]
     if family in ("power_minmax", "power_average", "sigma_power"):
         if lo < 0.0 < hi:
-            return [(lo, 0.0), (0.0, hi)], (0.0,)
-        return [(lo, hi)], ()
+            return [(lo, 0.0), (0.0, hi)]
+        return [(lo, hi)]
     raise UnknownFamily(f"family {family!r} has no alpha sweep")
 
 
-def _make_collector(family, sigma, eqs, memo=None, solve=None):
+def _make_collector(family, sigma, eqs, memo=None, sweep=None):
     """Collector for linkage._run: adds to eqs the key (see _keys) of every
     winner-vs-candidate comparison the run executes, but for identically
-    zero ones and, with solve, those solve.resolve settles with no root;
+    zero ones and, with sweep, those sweep.resolve settles with no root;
     sigma_linear's (sigma = 2) are affine in theta, the first of the weights
     (theta, 1 - theta).  memo = (compared, open), an instance's for a sweep
     (else the pair store's, for its build), maps a winner id to the
@@ -678,7 +694,7 @@ def _make_collector(family, sigma, eqs, memo=None, solve=None):
         if known:
             eqs.update(map(known.__getitem__, known.keys() & live))
         if len(ids) == 2:
-            for win, cand, key in _encode(family, sigma, queue, sets, solve):
+            for win, cand, key in _encode(family, sigma, queue, sets, sweep):
                 opened.setdefault(win, {})[cand] = key
                 eqs.add(key)
             queue.clear()
@@ -689,9 +705,9 @@ def _make_collector(family, sigma, eqs, memo=None, solve=None):
 _ENCODE_PAIRS = 2048  # fresh pairs per count_terms pass, which bounds its arrays
 
 
-def _encode(family, sigma, queue, sets, solve):
+def _encode(family, sigma, queue, sets, sweep):
     """(w, s, key) for each queued winner id w and fresh candidate id s whose
-    key is not empty and, with solve, stays open after solve.resolve; the
+    key is not empty and, with sweep, stays open after sweep.resolve; the
     pairs are encoded by count_terms, _ENCODE_PAIRS at a time."""
     if family in ("power_average", "sigma_power"):
         _check_spread(float(sets.distinct[0]), float(sets.distinct[-1]))
@@ -703,7 +719,7 @@ def _encode(family, sigma, queue, sets, solve):
         pair, *terms = count_terms(family, sets.supports(w), sets.supports(s), sets.distinct,
                                    sigma)
         terms.append(np.bincount(pair, minlength=len(s)))
-        keys = solve.resolve(*terms) if solve else _keys(*terms)
+        keys = sweep.resolve(*terms) if sweep else _keys(*terms)
         out += [triple for triple in zip(w, s, keys) if triple[2]]
     return out
 
@@ -763,13 +779,11 @@ def _total(values):
     return functools.reduce(operator.add, values, 0.0)
 
 
-def _search(instances, family, sigma, rule_at, segments, hard, score, combine, tol,
-            parameter="alpha"):
-    """(ErmResult of the best run, cells) of the _lazy_sweep over segments
-    of combine over each instance's score(inst, tree), for its tree under
-    the merge rule rule_at(x); each instance keeps its own distance table,
-    multiset ids and memo for the sweep."""
-    solve = _Solver(segments[0][0], segments[-1][1], tol)
+def _search(instances, family, sigma, rule_at, sweep, score, combine, parameter="alpha"):
+    """(ErmResult of the best run, cells) of the _lazy_sweep of sweep, a
+    _Sweep, of combine over each instance's score(inst, tree), for its tree
+    under the merge rule rule_at(x); each instance keeps its own distance
+    table, multiset ids and memo for the sweep."""
 
     def runner(inst):
         table, memo = distance_table(inst.dist), ({}, {})
@@ -777,18 +791,16 @@ def _search(instances, family, sigma, rule_at, segments, hard, score, combine, t
 
         def run(x):
             eqs = set()
-            collector = _make_collector(family, sigma, eqs, memo, solve)
+            collector = _make_collector(family, sigma, eqs, memo, sweep)
             tree = _run(inst, rule_at(x), collector=collector, table=table, ids=ids)
             return tree.fingerprint(), score(inst, tree), eqs
 
         return run
 
-    cells, evals = _lazy_sweep(segments, [runner(inst) for inst in instances], combine,
-                               solve.cache.__getitem__)
-    profile = PiecewiseProfile.from_cells(parameter, cells, hard)
+    profile, cells = _lazy_sweep(sweep, [runner(inst) for inst in instances], combine, parameter)
     lo, hi, cost, rep = _best_run(profile)
     return ErmResult(best_param=rep, best_interval=(lo, hi), best_cost=cost, profile=profile,
-                     instances_evaluated=evals), cells
+                     instances_evaluated=sweep.runs), cells
 
 
 def _best_run(profile: PiecewiseProfile):
@@ -823,11 +835,10 @@ def erm_alpha(
     cells containing the earliest one, closed at both ends, with the
     midpoint as the concrete parameter choice.
     """
-    segments, hard = _alpha_segments(family, alpha_range)
     return _search(
         instances, family, sigma, lambda alpha: MergeRule(family=family, alpha=alpha, sigma=sigma),
-        segments, hard, lambda inst, tree: _cost(inst, tree, k, rule, obj, variant), _total,
-        tol)[0]
+        _Sweep(_alpha_segments(family, alpha_range), tol),
+        lambda inst, tree: _cost(inst, tree, k, rule, obj, variant), _total)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -841,7 +852,8 @@ def _p_domain(p_range, instances):
     overflows is refused up front: the pruning DP would rank infinite
     costs, and dp_with_comparisons refuses a probe whose distance powers
     overflow, which should not depend on where the probes land."""
-    lo, hi = float(p_range[0]), min(float(p_range[1]), SWEEP_CLIP)
+    lo, hi = _pair(p_range, "p range")
+    hi = min(hi, SWEEP_CLIP)
     if not (0.0 < lo < hi):
         raise DomainError(f"p range must satisfy 0 < lo < hi, lo below {SWEEP_CLIP}")
     with np.errstate(over="ignore"):
@@ -850,10 +862,10 @@ def _p_domain(p_range, instances):
     return lo, hi
 
 
-def _sweep_p_cells(instances, trees, k, domain, obj, variant, solve):
-    """Cells of the summed objective over p in domain = _p_domain(...) for
-    fixed trees, and the number of DP runs made; solve is a _Solver over
-    that domain, which every exponent sweep of a search may share."""
+def _sweep_p(instances, trees, k, obj, variant, sweep):
+    """The profile of the summed objective over p for fixed trees; sweep is
+    a _Sweep over [_p_domain(...)], which every exponent sweep of a search
+    may share."""
     if len(trees) != len(instances):
         raise DimensionMismatch(f"{len(trees)} trees for {len(instances)} instances")
 
@@ -865,13 +877,12 @@ def _sweep_p_cells(instances, trees, k, domain, obj, variant, solve):
                 clusters, centers = voronoi_reassign(inst, clusters, centers)
             a, b = (np.concatenate([pair[i] for pair in comps] or [np.zeros(0)]) for i in (0, 1))
             sizes = np.fromiter((pair[0].size for pair in comps), np.int64, len(comps))
-            keys = set(solve.resolve(a, b, np.zeros(a.size, dtype=np.int64), sizes)) - {None}
+            keys = set(sweep.resolve(a, b, np.zeros(a.size, dtype=np.int64), sizes)) - {None}
             return sig, objective_value(inst, obj, clusters, centers), keys
 
         return run
 
-    return _lazy_sweep([domain], list(map(runner, instances, trees)), _total,
-                       solve.cache.__getitem__)
+    return _lazy_sweep(sweep, list(map(runner, instances, trees)), _total, "p")[0]
 
 
 def sweep_p(
@@ -880,8 +891,7 @@ def sweep_p(
 ) -> PiecewiseProfile:
     """Cost profile over the pruning exponent for fixed merge trees."""
     domain = _p_domain(p_range, instances)
-    cells, _ = _sweep_p_cells(instances, trees, k, domain, obj, variant, _Solver(*domain, tol))
-    return PiecewiseProfile.from_cells("p", cells)
+    return _sweep_p(instances, trees, k, obj, variant, _Sweep([domain], tol))
 
 
 def erm_joint(
@@ -901,32 +911,32 @@ def erm_joint(
     The reported cost is exact for the product range.  An exponent sweep
     depends on the trees only through their merge records, so each distinct
     tuple of records is swept once, when a cell first needs its value, and
-    every exponent sweep shares one root cache.  The best alpha's trees are
-    those of the swept cell around it.  instances_evaluated counts the DP
-    runs actually made: a tree tuple that was already swept costs none.
+    every exponent sweep shares one _Sweep, its root cache and run count.
+    The best alpha's trees are those of the swept cell around it.
+    instances_evaluated counts the DP runs actually made: a tree tuple that
+    was already swept costs none.
     """
-    segments, hard = _alpha_segments(family, alpha_range)
-    domain = _p_domain(p_range, instances)
-    psolve = _Solver(*domain, tol)
-    swept = {}  # merge records of a tree tuple -> (its exponent sweep's cells, DP runs)
+    sweep = _Sweep(_alpha_segments(family, alpha_range), tol)
+    psweep = _Sweep([_p_domain(p_range, instances)], tol)
+    swept = {}  # merge records of a tree tuple -> its exponent sweep's profile
 
-    def p_cells(trees):
+    def p_profile(trees):
         key = tuple(tuple(t.merges) for t in trees)
         if key not in swept:
-            swept[key] = _sweep_p_cells(instances, trees, k, domain, obj, variant, psolve)
-        return swept[key][0]
+            swept[key] = _sweep_p(instances, trees, k, obj, variant, psweep)
+        return swept[key]
 
     res, cells = _search(
-        instances, family, None, lambda alpha: MergeRule(family=family, alpha=alpha), segments,
-        hard, lambda inst, tree: tree, lambda trees: min(cell[4] for cell in p_cells(trees)), tol)
+        instances, family, None, lambda alpha: MergeRule(family=family, alpha=alpha), sweep,
+        lambda inst, tree: tree, lambda trees: min(p_profile(trees).values))
     arep = res.best_param
     # the trees of the swept cell holding arep; at a cell end merges may tie, so build there
     trees = next((t for c in cells for lo, hi, t in c[5] if lo < arep < hi), None)
     if trees is None:
         trees = [_run(inst, MergeRule(family=family, alpha=arep)) for inst in instances]
-    plo, phi, _, prep = _best_run(PiecewiseProfile.from_cells("p", p_cells(trees)))
+    plo, phi, _, prep = _best_run(p_profile(trees))
     res.best_param, res.best_interval = (arep, prep), (res.best_interval, (plo, phi))
-    res.instances_evaluated = sum(runs for _, runs in swept.values())
+    res.instances_evaluated = psweep.runs
     return res
 
 
@@ -979,8 +989,8 @@ def erm_sigma_linear(
         res, _ = _search(
             instances, "sigma_linear", 2,
             lambda t: MergeRule(family="sigma_linear", weights=(t, 1.0 - t), sigma=2),
-            [(tlo, thi)], (), lambda inst, tree: _cost(inst, tree, k, rule, obj, variant), _total,
-            ROOT_TOL, "theta")
+            _Sweep([(tlo, thi)]), lambda inst, tree: _cost(inst, tree, k, rule, obj, variant),
+            _total, "theta")
         # scale the normalized ray (w1, w2 > 0: theta is inside (0, 1)) into the box: the least
         # scale meeting its lower bounds or, where both are 0, the greatest within its upper ones
         w1, w2 = res.best_param, 1.0 - res.best_param
@@ -996,7 +1006,7 @@ def erm_sigma_linear(
         raise DomainError(f"grid_density = {grid_density!r} is not a positive integer")
     if grid_density ** sigma > 200000:
         raise DomainError("grid too large; reduce grid_density")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(check_seed(seed)))
     axes = [np.linspace(a, b, grid_density) for a, b in box]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, sigma)
     jitter = rng.uniform(-0.5, 0.5, mesh.shape)

@@ -23,6 +23,7 @@ from .errors import (
     DomainError,
     NonFiniteValue,
     NonNullDiagonal,
+    check_seed,
 )
 from .instances import Embedding, MaxQPInstance
 
@@ -41,6 +42,7 @@ def sample_z(n: int, count: int, seed: int) -> np.ndarray:
     """
     if n < 1 or count < 1:
         raise DomainError("need n >= 1 and count >= 1")
+    check_seed(seed)
     out = np.empty((count, n))
     for i in range(count):
         rng = np.random.Generator(np.random.Philox(key=seed ^ i))
@@ -59,6 +61,7 @@ def sample_q(n: int, count: int, seed: int) -> np.ndarray:
     """
     if n < 1 or count < 1:
         raise DomainError("need n >= 1 and count >= 1")
+    check_seed(seed)
     out = np.empty((count, n))
     for i in range(count):
         rng = np.random.Generator(np.random.Philox(key=(seed ^ i) ^ _Q_STREAM_SALT))
@@ -653,7 +656,7 @@ def embed_bm(
         M = -(M - np.diag(np.diag(M)))
     M = 0.5 * (M + M.T)
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=check_seed(seed)))
     V = rng.standard_normal((n, rank))
     V /= np.linalg.norm(V, axis=1, keepdims=True)
 

@@ -418,29 +418,31 @@ def _ref_roots_rec(f, lo, hi, tol):
 # the sweep driver before it reused any run
 
 
-def reference_lazy_sweep(segments, runs, combine, solve):
+def reference_lazy_sweep(sweep, runs, combine, parameter):
     """param_search._lazy_sweep as it was: every piece between the roots is
     refined by running every instance at its midpoint, the probe's own
-    piece included.  Each (lo, hi) of segments is swept on its own.
-    Returns (cells, runs made), each cell listing the (lo, hi, payloads) of
-    the cells merged into it, as param_search._lazy_sweep does.
+    piece included.  Each (lo, hi) of sweep.segments is swept on its own.
+    Returns (the PiecewiseProfile of parameter, cells), each cell listing
+    the (lo, hi, payloads) of the cells merged into it, as
+    param_search._lazy_sweep does, and counts its runs into sweep.runs.
 
     runs[i](x) -> (fingerprint, payload, equation_keys) and combine(payloads),
-    as the package's driver takes them; solve(key) -> (ExpSum, roots), as its
-    solver returns them, of which only the roots are read.
+    as the package's driver takes them; sweep.cache maps each key to its
+    (ExpSum, roots), as the sweep settles them, of which only the roots are
+    read.
     """
     from partition_tuner.errors import SweepDiverged
-    from partition_tuner.param_search import BREAK_MERGE_TOL, IDENTICALLY_ZERO
+    from partition_tuner.param_search import (BREAK_MERGE_TOL, IDENTICALLY_ZERO,
+                                              PiecewiseProfile)
 
     cells = []
-    made = [0]
 
     def refine(a, b, depth):
         if depth > 80:
             raise SweepDiverged("sweep refinement failed to converge")
         mid = 0.5 * (a + b)
         results = [run(mid) for run in runs]
-        made[0] += len(runs)
+        sweep.runs += len(runs)
         fp = tuple(r[0] for r in results)
         payloads = tuple(r[1] for r in results)
         val = combine(payloads)
@@ -448,7 +450,7 @@ def reference_lazy_sweep(segments, runs, combine, solve):
         guard = 1e-12 * max(1.0, abs(a), abs(b))
         found = set()
         for key in eqs:
-            roots = solve(key)[1]
+            roots = sweep.cache[key][1]
             if roots is IDENTICALLY_ZERO:
                 continue
             for x in roots:
@@ -467,7 +469,7 @@ def reference_lazy_sweep(segments, runs, combine, solve):
             refine(bounds[i], bounds[i + 1], depth + 1)
 
     out = []
-    for lo, hi in segments:
+    for lo, hi in sweep.segments:
         cells.clear()
         refine(float(lo), float(hi), 0)
         out.append(cells[0])
@@ -479,7 +481,15 @@ def reference_lazy_sweep(segments, runs, combine, solve):
                 prev[5] += c[5]
             else:
                 out.append(c)
-    return out, made[0]
+    profile = PiecewiseProfile(
+        parameter=parameter,
+        breakpoints=[out[0][0]] + [c[1] for c in out],
+        values=[c[4] for c in out],
+        representatives=[c[2] for c in out],
+        payloads=[c[3] for c in out],
+        hard_boundaries=sweep.hard,
+    )
+    return profile, out
 
 
 # ---------------------------------------------------------------------------

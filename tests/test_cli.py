@@ -175,6 +175,16 @@ def test_malformed_numbers_exit_two_with_their_message(points_path, capsys, flag
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_a_root_tolerance_that_is_not_finite_and_nonnegative_exits_two(points_path, capsys,
+                                                                       tol):
+    rc = main(["sweep-alpha", "--instances", points_path, "--family", "power_average",
+               "--range", "1,3", "--k", "2", "--tol", tol])
+    assert rc == 2
+    message = f"root tolerance {float(tol)!r} is not a finite number >= 0"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_a_search_through_infinite_costs_writes_nothing_to_stderr(tmp_path):
     # 1e200 ** 2 is an infinite pruning cost, which the DP means to compare
     path = tmp_path / "wide.json"
@@ -231,7 +241,7 @@ def test_prune_prints_plain_ints_and_nothing_to_stderr_at_an_infinite_cost(tmp_p
 
 
 def test_diverging_sweep_exits_three(points_path, monkeypatch):
-    def diverge(segments, runs, combine, solve):
+    def diverge(sweep, runs, combine, parameter):
         raise SweepDiverged("sweep refinement failed to converge")
 
     monkeypatch.setattr(param_search, "_lazy_sweep", diverge)

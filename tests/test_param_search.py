@@ -21,6 +21,7 @@ from partition_tuner import (
     MergeRule,
     Objective,
     Overflow,
+    PartitionTunerError,
     PruningRule,
     RootNotConverged,
     SigmaTooLargeForExact,
@@ -37,6 +38,7 @@ from partition_tuner import (
     gen_two_gadget,
     objective_value,
     pdim_table,
+    rule_value,
     sample_size,
     sweep_alpha,
     sweep_p,
@@ -205,7 +207,7 @@ def test_a_sum_whose_base_ratio_overflows_is_refused(lo, hi):
     with pytest.raises(Overflow):
         find_roots(ExpSum(terms), lo, hi)
     with pytest.raises(Overflow):
-        _resolve(param_search._Solver(lo, hi), [_key(terms)])
+        _resolve(param_search._Sweep([(lo, hi)]), [_key(terms)])
     ExpSum([(1.0, 1e-150), (-1.0, 1e150)])  # a ratio of 1e300 stays in range
 
 
@@ -423,12 +425,17 @@ def _key(terms):
     return _canon_terms([(a, b, 0) for a, b in terms])
 
 
-def _resolve(solve, keys):
-    """solve.resolve on the sums of keys, laid end to end: each key's open
+def _terms(key):
+    """The (coeff, base, degree) terms of a key."""
+    return [(a, b, j) for b, j, a in key]
+
+
+def _resolve(sweep, keys):
+    """sweep.resolve on the sums of keys, laid end to end: each key's open
     key, or None."""
     b, j, a = np.array([t for key in keys for t in key] or np.zeros((0, 3))).T
     sizes = np.array([len(key) for key in keys], dtype=np.int64)
-    return solve.resolve(a, b, j.astype(np.int64), sizes)
+    return sweep.resolve(a, b, j.astype(np.int64), sizes)
 
 
 def _enclosure_sound(terms, lo, hi):
@@ -493,9 +500,9 @@ def test_interval_enclosure_refuses_near_tangent_sums(lo, hi, gap):
         True, False, True]
     # the solver then answers as the reference does
     want = reference_find_roots(terms, lo, hi)
-    solve = param_search._Solver(lo, hi)
-    key, = _resolve(solve, [_key(terms)])
-    assert (solve.cache[key][1] if key else []) == want
+    sweep = param_search._Sweep([(lo, hi)])
+    key, = _resolve(sweep, [_key(terms)])
+    assert (sweep.cache[key][1] if key else []) == want
     assert (want == []) == (gap > 0.0)
     # 1 - (1 - 2 gap) b^x with b one ulp above 1 is nearly flat, so its
     # enclosure is tight and only the margin refuses it; 1e-8 of its scale
@@ -594,13 +601,13 @@ def test_batched_screen_decides_most_drawn_sums_in_length_buckets(monkeypatch):
 
 
 def test_solver_answers_identically_zero_keys_with_the_screened_entry():
-    solve = param_search._Solver(0.5, 3.0)
+    sweep = param_search._Sweep([(0.5, 3.0)])
     cancel = ((2.0, 0, 1.0), (2.0, 0, -1.0))  # 2^x - 2^x
     # an empty sum gets no key, and 2^x - 2^x the screened entry: neither is open
-    assert _resolve(solve, [(), cancel]) == [None, None]
-    assert solve.cache == {cancel: solve.screened}
+    assert _resolve(sweep, [(), cancel]) == [None, None]
+    assert sweep.cache == {cancel: sweep.screened}
     # so a run that executes them carries no equation and no root
-    rec = param_search._Run(1.0, lambda x: ("fp", 0.0, set()), solve.cache.__getitem__)
+    rec = param_search._Run(1.0, lambda x: ("fp", 0.0, set()), sweep)
     assert rec.eqs == [] and rec.roots == []
 
 
@@ -653,11 +660,11 @@ def test_batched_average_keys_equal_the_scalar_encoding(data):
     assert repr(param_search._encode("power_average", None, queue, store, None)) == repr(want)
     # with a solver, the pairs whose keys it screens, in numpy however few
     # their terms, are left out
-    solve = param_search._Solver(*data.draw(st.sampled_from(_ENDS)))
+    sweep = param_search._Sweep([data.draw(st.sampled_from(_ENDS))])
     with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as patch:
         patch.setattr(param_search, "_SCREEN_TERMS", 0)
-        got = param_search._encode("power_average", None, queue, store, solve)
-        check = param_search._Solver(solve.lo, solve.hi)
+        got = param_search._encode("power_average", None, queue, store, sweep)
+        check = param_search._Sweep(sweep.segments)
         assert got == [pair for pair in want if _resolve(check, [pair[2]]) != [None]]
 
 
@@ -723,7 +730,7 @@ def test_count_terms_equal_the_scalar_minmax_formulas(data, family):
 
 def _recorded_solves(monkeypatch, sweep):
     """Every (terms, lo, hi, roots) that `sweep` solved with find_roots, and
-    every (key, lo, hi) whose sum one of its solvers proved one-signed
+    every (key, lo, hi) whose sum one of its _Sweep objects proved one-signed
     without solving, by the partial-sum screen (before a key is made) or
     the interval enclosure."""
     solves, solvers, proofs = [], [], set()
@@ -742,7 +749,7 @@ def _recorded_solves(monkeypatch, sweep):
                 proofs.add((tuple(zip(b[i:k].tolist(), [0] * (k - i), a[i:k].tolist())), lo, hi))
         return keeps
 
-    class RecordingSolver(param_search._Solver):
+    class RecordingSweep(param_search._Sweep):
         __slots__ = ()
 
         def __init__(self, *args):
@@ -750,7 +757,7 @@ def _recorded_solves(monkeypatch, sweep):
             solvers.append(self)
 
     monkeypatch.setattr(param_search, "find_roots", recording)
-    monkeypatch.setattr(param_search, "_Solver", RecordingSolver)
+    monkeypatch.setattr(param_search, "_Sweep", RecordingSweep)
     monkeypatch.setattr(param_search, "_keeps_signs", recording_screen)
     sweep()
     monkeypatch.undo()
@@ -778,7 +785,7 @@ def test_sweep_equations_solve_exactly_as_the_reference(monkeypatch):
         for terms, lo, hi, roots in solves:
             assert roots == reference_find_roots(terms, lo, hi)
         for key, lo, hi in screened:
-            assert reference_find_roots(param_search._terms_from_key(key), lo, hi) == []
+            assert reference_find_roots(_terms(key), lo, hi) == []
 
 
 @given(terms=st.lists(st.tuples(_coeff, _base, st.integers(0, 3)), min_size=1, max_size=6),
@@ -949,8 +956,113 @@ def test_sweep_p_refuses_unequal_tree_and_instance_counts():
         with pytest.raises(DimensionMismatch):
             sweep_p(instances, trees, 2, (0.5, 2.0), obj)
         with pytest.raises(DimensionMismatch):
-            param_search._sweep_p_cells(instances, trees, 2, (0.5, 2.0), obj, "fixed",
-                                        param_search._Solver(0.5, 2.0))
+            param_search._sweep_p(instances, trees, 2, obj, "fixed",
+                                  param_search._Sweep([(0.5, 2.0)]))
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
+def test_a_root_tolerance_that_is_not_finite_and_nonnegative_is_refused(tol):
+    # an infinite tol stops bisection at its first midpoint: find_roots gave
+    # [0.0] for the root -1 and sweep_alpha 3 of the 9 breakpoints below
+    inst = gen_general_lb(3)[0]
+    tree = build_tree(inst, MergeRule("power_average", 1.0))
+    rule, obj = PruningRule(2.0), Objective("phi_p", 2.0)
+    with pytest.raises(DomainError):
+        sweep_alpha([inst], "power_average", (1, 3), 2, rule, obj, tol=tol)
+    with pytest.raises(DomainError):
+        erm_alpha([inst], "power_minmax", (0.5, 2.0), 2, rule, obj, tol=tol)
+    with pytest.raises(DomainError):
+        erm_joint([inst], "power_minmax", (0.5, 2.0), (0.5, 3.0), 2, obj, tol=tol)
+    with pytest.raises(DomainError):
+        sweep_p([inst], [tree], 2, (0.5, 3.0), obj, tol=tol)
+    with pytest.raises(DomainError):
+        find_roots(ExpSum([(1.0, 1.0), (-2.0, 2.0)]), -5.0, 5.0, tol=tol)
+    # tol = 0 bisects until the bracket holds no float between its ends
+    assert find_roots(ExpSum([(1.0, 1.0), (-2.0, 2.0)]), -5.0, 5.0, tol=0.0) == [-1.0]
+    assert len(sweep_alpha([inst], "power_average", (1, 3), 2, rule, obj, tol=0.0)
+               .breakpoints) == 9
+
+
+def test_a_sigma_that_is_not_an_integer_is_refused():
+    # build_tree and rule_value raised IndexError on sigma = 2.5: the rule is refused
+    inst = gen_general_lb(3)[0]
+    for sigma in (2.5, 3.0, True, "3"):
+        with pytest.raises(DomainError):
+            MergeRule("sigma_power", 1.0, sigma=sigma)
+    with pytest.raises(DomainError):
+        erm_alpha([inst], "sigma_power", (0.5, 2.0), 2, PruningRule(2.0),
+                  Objective("phi_p", 2.0), sigma=2.5)
+    rule = MergeRule("sigma_power", 1.0, sigma=np.int64(3))
+    assert build_tree(inst, rule).merges == build_tree(inst, MergeRule("sigma_power", 1.0,
+                                                                       sigma=3)).merges
+    assert rule_value(rule, [1.0, 2.0, 4.0]) == rule_value(
+        MergeRule("sigma_power", 1.0, sigma=3), [1.0, 2.0, 4.0])
+
+
+@pytest.mark.parametrize("search,bad", [
+    ("alpha", 1.0), ("alpha", "1,2"), ("alpha", "12"), ("alpha", (1.0, 2.0, 3.0)),
+    ("alpha", (0.5, "x")), ("alpha", None), ("p", 2.0), ("p", (0.5, 2.0, 3.0)), ("p", "12"),
+])
+def test_a_range_that_is_not_a_pair_of_numbers_is_refused(search, bad):
+    inst = gen_general_lb(3)[0]
+    rule, obj = PruningRule(2.0), Objective("phi_p", 2.0)
+    tree = build_tree(inst, MergeRule("power_average", 1.0))
+    calls = {
+        "alpha": [lambda: sweep_alpha([inst], "power_average", bad, 2, rule, obj),
+                  lambda: erm_joint([inst], "power_minmax", bad, (0.5, 3.0), 2, obj)],
+        "p": [lambda: sweep_p([inst], [tree], 2, bad, obj),
+              lambda: erm_joint([inst], "power_minmax", (0.5, 2.0), bad, 2, obj)],
+    }
+    for call in calls[search]:
+        with pytest.raises(DomainError, match="must be a pair of numbers"):
+            call()
+
+
+_EDGES = [math.nan, math.inf, -math.inf, 0, -1, True, False, 2.5, 1.0, (1.0, 2.0, 3.0), "1,2"]
+_EDGE_SCALARS = [x for x in _EDGES if isinstance(x, (int, float))]
+
+
+def _edge_or(*valid):
+    """One of valid three times in four, else one of _EDGES."""
+    return st.integers(0, 3).flatmap(lambda i: st.sampled_from(valid if i else _EDGES))
+
+
+def _edge_range(valid):
+    """The range valid half the time, else an edge value or a pair of
+    scalar edge values."""
+    edge = st.one_of(st.sampled_from(_EDGES), st.tuples(*[st.sampled_from(_EDGE_SCALARS)] * 2))
+    return st.booleans().flatmap(lambda ok: st.just(valid) if ok else edge)
+
+
+_EDGE_INSTANCE = gen_general_lb(2)[0]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_searches_return_a_result_or_refuse_malformed_arguments(data):
+    inst = _EDGE_INSTANCE
+    rule, obj = PruningRule(2.0), Objective("phi_p", 2.0)
+    search = data.draw(st.sampled_from(["erm_alpha", "erm_joint", "sweep_p", "find_roots"]))
+    tol = data.draw(_edge_or(param_search.ROOT_TOL))
+    k = data.draw(_edge_or(2))
+    family = data.draw(st.sampled_from(["convex_minmax", "power_minmax", "power_average",
+                                        "sigma_power"]))
+    alpha_range, p_range = data.draw(_edge_range((0.25, 0.75))), data.draw(_edge_range((0.5, 3.0)))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if search == "erm_alpha":
+                erm_alpha([inst], family, alpha_range, k, rule, obj,
+                          sigma=data.draw(_edge_or(None, 2)), tol=tol)
+            elif search == "erm_joint":
+                erm_joint([inst], family, alpha_range, p_range, k, obj, tol=tol)
+            elif search == "sweep_p":
+                tree = build_tree(inst, MergeRule("power_average", 1.0))
+                sweep_p([inst], [tree], k, p_range, obj, tol=tol)
+            else:
+                lo, hi = data.draw(_edge_or(-5.0)), data.draw(_edge_or(5.0))
+                find_roots(ExpSum([(1.0, 1.0), (-2.0, 2.0)]), lo, hi, tol=tol)
+    except PartitionTunerError:
+        pass
 
 
 def test_sparse_keys_equal_canonical_terms_on_random_dps():
@@ -980,7 +1092,7 @@ def test_erm_joint_sweeps_each_tree_tuple_once(monkeypatch):
     family, arange, prange, k = "power_minmax", (0.3, 2.5), (0.5, 3.0), 2
     events, solves = [], []
     run, dp, roots = param_search._run, param_search.dp_with_comparisons, find_roots
-    p_cells, alpha_sweep = param_search._sweep_p_cells, param_search._search
+    p_sweep, alpha_sweep = param_search._sweep_p, param_search._search
 
     def building(inst, mrule, collector=None, table=None, ids=None):
         events.append(("build", mrule.alpha))
@@ -988,7 +1100,7 @@ def test_erm_joint_sweeps_each_tree_tuple_once(monkeypatch):
 
     def sweeping(insts, trees, *args):
         events.append(("sweep", tuple(tuple(t.merges) for t in trees)))
-        return p_cells(insts, trees, *args)
+        return p_sweep(insts, trees, *args)
 
     def dp_recording(inst, tree, kk, p):
         events.append(("dp", next(i for i, x in enumerate(instances) if x is inst), p))
@@ -1005,7 +1117,7 @@ def test_erm_joint_sweeps_each_tree_tuple_once(monkeypatch):
 
     monkeypatch.setattr(param_search, "_run", building)
     monkeypatch.setattr(param_search, "_search", marked)
-    monkeypatch.setattr(param_search, "_sweep_p_cells", sweeping)
+    monkeypatch.setattr(param_search, "_sweep_p", sweeping)
     monkeypatch.setattr(param_search, "dp_with_comparisons", dp_recording)
     monkeypatch.setattr(param_search, "find_roots", solving)
     res = erm_joint(instances, family, arange, prange, k, obj)
@@ -1276,6 +1388,24 @@ def _only(payloads):
     return value
 
 
+class _Solved(dict):
+    """A sweep cache that answers each key it lacks by solve(key)."""
+
+    def __init__(self, solve):
+        super().__init__()
+        self.solve = solve
+
+    def __missing__(self, key):
+        return self.solve(key)
+
+
+def _sweep_of(solve):
+    """A _Sweep over [0, 1] whose equations are solve(key) -> (ExpSum, roots)."""
+    sweep = param_search._Sweep([(0.0, 1.0)])
+    sweep.cache = _Solved(solve)
+    return sweep
+
+
 def test_sweep_that_never_settles_raises_typed_error():
     # every run reports a root near the right end of its own cell, so the
     # left piece is refined again and again: its equation changes sign
@@ -1294,7 +1424,7 @@ def test_sweep_that_never_settles_raises_typed_error():
         return ExpSum([(1.0, 1.0, 1), (-0.5 * (mid + c), 1.0, 0)]), [bounds[-1]]
 
     with pytest.raises(SweepDiverged):
-        param_search._lazy_sweep([(0.0, 1.0)], [run], _only, solve)
+        param_search._lazy_sweep(_sweep_of(solve), [run], _only, "x")
 
 
 @pytest.mark.parametrize("cross,runs", [(0.6, [0.5, 0.875]), (0.45, [0.5, 0.375, 0.875]),
@@ -1313,8 +1443,9 @@ def test_probe_certifies_its_own_piece_or_falls_back_to_a_run(cross, runs):
     def solve(key):
         return ExpSum([(1.0, 1.0, 1), (-cross, 1.0, 0)]), [0.75]
 
-    cells, made = param_search._lazy_sweep([(0.0, 1.0)], [run], _only, solve)
-    assert probes == runs and made == len(runs)
+    sweep = _sweep_of(solve)
+    _, cells = param_search._lazy_sweep(sweep, [run], _only, "x")
+    assert probes == runs and sweep.runs == len(runs)
     assert cells == [[0.0, 0.75, 0.375, (True,), 1.0, [(0.0, 0.75, (1.0,))]],
                      [0.75, 1.0, 0.875, (False,), 2.0, [(0.75, 1.0, (2.0,))]]]
 
@@ -1334,8 +1465,9 @@ def test_probe_does_not_certify_a_piece_with_an_unmerged_root_inside():
     def solve(key):
         return ExpSum([(1.0, 1.0, 1), (1.0, 1.0, 0)]), [0.25, close]
 
-    cells, made = param_search._lazy_sweep([(0.0, 1.0)], [run], _only, solve)
-    assert probes == [0.5, 0.125, 0.5 * (0.25 + close)] and made == 3
+    sweep = _sweep_of(solve)
+    _, cells = param_search._lazy_sweep(sweep, [run], _only, "x")
+    assert probes == [0.5, 0.125, 0.5 * (0.25 + close)] and sweep.runs == 3
     assert [c[:3] for c in cells] == [[0.0, 0.25, 0.125], [0.25, close, 0.5 * (0.25 + close)],
                                       [close, 1.0, 0.5 * (close + 1.0)]]
 
@@ -1356,7 +1488,7 @@ def _seed41_searches():
     rng = np.random.default_rng(41)
     obj = Objective(kind="phi_p", p=2.0)
     rule = PruningRule(p=2.0)
-    p_cells = param_search._sweep_p_cells
+    p_sweep = param_search._sweep_p
     searches = []
     for _ in range(3):
         insts = [random_instance(rng, n=int(rng.integers(6, 9))) for _ in range(2)]
@@ -1364,17 +1496,16 @@ def _seed41_searches():
                  for i in insts]
         domain = param_search._p_domain((0.5, 4.0), insts)
 
-        def p_sweep(insts=insts, trees=trees, domain=domain):
-            cells, runs = p_cells(insts, trees, 3, domain, obj, "fixed",
-                                  param_search._Solver(*domain))
-            return param_search.PiecewiseProfile.from_cells("p", cells), runs
+        def p_search(insts=insts, trees=trees, domain=domain):
+            sweep = param_search._Sweep([domain])
+            return p_sweep(insts, trees, 3, obj, "fixed", sweep), sweep.runs
 
         searches += [
             lambda insts=insts: erm_alpha(insts, "convex_minmax", (0.0, 1.0), 2, rule, obj),
             lambda insts=insts: erm_alpha(insts, "power_minmax", (-3.0, 3.0), 3, rule, obj),
             lambda insts=insts: erm_alpha(insts, "power_average", (0.5, 2.5), 2, rule, obj,
                                           variant="voronoi"),
-            p_sweep,
+            p_search,
             lambda insts=insts: erm_joint(insts, "power_minmax", (0.5, 2.0), (0.5, 3.0), 2, obj),
             lambda insts=insts: erm_sigma_linear(insts, 2, [(0.1, 1.0), (0.1, 1.0)], 2, rule, obj),
         ]
@@ -1501,8 +1632,8 @@ def _checked_reuse(monkeypatch):
 
         return recorded
 
-    def sweep(segments, runs, combine, solve):
-        return lazy_sweep(segments, [recording(r) for r in runs], combine, solve)
+    def recorded_sweep(sweep, runs, combine, parameter):
+        return lazy_sweep(sweep, [recording(r) for r in runs], combine, parameter)
 
     def checked_holds(rec, x):
         if not holds(rec, x):
@@ -1512,7 +1643,7 @@ def _checked_reuse(monkeypatch):
         checked.append(x)
         return True
 
-    monkeypatch.setattr(param_search, "_lazy_sweep", sweep)
+    monkeypatch.setattr(param_search, "_lazy_sweep", recorded_sweep)
     monkeypatch.setattr(param_search, "_holds", checked_holds)
     return checked
 
@@ -1561,20 +1692,22 @@ def test_a_reuse_needs_both_the_root_and_the_sign_test(by_sign, f, roots, monkey
 
     eqs = {"f": (f, roots), "g": (ExpSum([(1.0, 1.0, 1), (-0.9, 1.0, 0)]), [0.9])}
     checked = _checked_reuse(monkeypatch)
-    param_search._lazy_sweep([(0.0, 1.0)], [run, other], sum, eqs.get)
+    sweep = param_search._Sweep([(0.0, 1.0)])
+    sweep.cache = eqs
+    param_search._lazy_sweep(sweep, [run, other], sum, "x")
     # the second instance's run at 0.5 carries over left of 0.9
     assert checked and min(checked) < 0.5
 
 
-def _settled_reference_collector(family, sigma, eqs, memo=None, solve=None):
-    """reference_count_collector, whose keys of each step solve settles: eqs
+def _settled_reference_collector(family, sigma, eqs, memo=None, sweep=None):
+    """reference_count_collector, whose keys of each step sweep settles: eqs
     gets the open ones, as from the package's collector."""
     raw = set()
     collect = reference_count_collector(family, sigma, raw)
 
     def cb(*args):
         collect(*args)
-        eqs.update(key for key in _resolve(solve, list(raw)) if key)
+        eqs.update(key for key in _resolve(sweep, list(raw)) if key)
         raw.clear()
 
     return cb
@@ -1613,19 +1746,16 @@ def test_count_memos_stay_with_their_instance(monkeypatch):
 def test_count_sweeps_encode_and_build_each_equation_once(monkeypatch):
     encoded, built, enclosed, keyed = [], [], [], []
     encode, one_signed = param_search._encode, param_search._one_signed
-    lazy_sweep = param_search._lazy_sweep
+    lazy_sweep, solve = param_search._lazy_sweep, param_search._Sweep._solve
 
-    def counted_encode(family, sigma, queue, sets, solve):
+    def counted_encode(family, sigma, queue, sets, sweep):
         encoded.extend((sets.distinct.tobytes(), sets.keys[w], sets.keys[s])
                        for w, fresh in queue for s in fresh)
-        return encode(family, sigma, queue, sets, solve)
+        return encode(family, sigma, queue, sets, sweep)
 
-    class CountedSum(ExpSum):
-        __slots__ = ()
-
-        def __init__(self, terms):
-            super().__init__(terms)
-            built.append(self.terms)
+    def counted_solve(self, key):
+        built.append(ExpSum(_terms(key)).terms)  # the terms of the ExpSum _solve builds
+        return solve(self, key)
 
     def recorded_one_signed(keys, lo, hi):
         proven = one_signed(keys, lo, hi)
@@ -1641,10 +1771,10 @@ def test_count_sweeps_encode_and_build_each_equation_once(monkeypatch):
         return recorded
 
     monkeypatch.setattr(param_search, "_encode", counted_encode)
-    monkeypatch.setattr(param_search, "ExpSum", CountedSum)
+    monkeypatch.setattr(param_search._Sweep, "_solve", counted_solve)
     monkeypatch.setattr(param_search, "_one_signed", recorded_one_signed)
-    monkeypatch.setattr(param_search, "_lazy_sweep", lambda segments, runs, *rest: lazy_sweep(
-        segments, list(map(keys_of, runs)), *rest))
+    monkeypatch.setattr(param_search, "_lazy_sweep", lambda sweep, runs, *rest: lazy_sweep(
+        sweep, list(map(keys_of, runs)), *rest))
     rng = np.random.default_rng(45)
     insts = [euclidean_instance(rng, 10) for _ in range(2)]
     rule, obj = PruningRule(p=2.0), Objective(kind="phi_p", p=2.0)
@@ -1681,11 +1811,11 @@ def test_constant_sigma_linear_keys_are_never_solved(monkeypatch):
     # is a nonzero constant: screened, it reaches neither find_roots nor a
     # run's equations
     asked, solved, keyed = [], [], []
-    solve, find_roots, lazy_sweep = (param_search._Solver._solve, param_search.find_roots,
+    solve, find_roots, lazy_sweep = (param_search._Sweep._solve, param_search.find_roots,
                                      param_search._lazy_sweep)
 
     def constant(key):
-        return len(ExpSum(param_search._terms_from_key(key)).terms) == 1
+        return len(ExpSum(_terms(key)).terms) == 1
 
     def recorded_solve(self, key):
         asked.append(key)
@@ -1703,10 +1833,10 @@ def test_constant_sigma_linear_keys_are_never_solved(monkeypatch):
 
         return recorded
 
-    monkeypatch.setattr(param_search._Solver, "_solve", recorded_solve)
+    monkeypatch.setattr(param_search._Sweep, "_solve", recorded_solve)
     monkeypatch.setattr(param_search, "find_roots", recorded_find_roots)
-    monkeypatch.setattr(param_search, "_lazy_sweep", lambda segments, runs, *rest: lazy_sweep(
-        segments, list(map(keys_of, runs)), *rest))
+    monkeypatch.setattr(param_search, "_lazy_sweep", lambda sweep, runs, *rest: lazy_sweep(
+        sweep, list(map(keys_of, runs)), *rest))
     rng = np.random.default_rng(45)
     insts = [euclidean_instance(rng, 10) for _ in range(2)]
     erm_sigma_linear(insts, 2, [(0.0, 1.0), (0.0, 1.0)], 3, PruningRule(p=2.0),

@@ -9,17 +9,21 @@ from hypothesis import strategies as st
 
 from partition_tuner import (
     ClassTooLarge,
+    ClusteringInstance,
     DimensionMismatch,
     DiscretizedSpec,
     DomainError,
     Embedding,
     MaxQPInstance,
     NonNullDiagonal,
+    Objective,
+    PruningRule,
     cut_value,
     disc_best,
     discretized_count,
     embed_bm,
     enumerate_discretized,
+    erm_sigma_linear,
     gen_k4_shatter,
     owr_erm,
     owr_value,
@@ -409,6 +413,22 @@ def test_embed_bm_unit_rows_and_determinism():
     assert np.array_equal(V, res2.embedding.vectors)
     with pytest.raises(DomainError):
         embed_bm(inst, rank=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 128, 1.0, True, "1"])
+def test_seeds_outside_the_key_range_are_refused(seed):
+    # numpy refused -1 with a ValueError of its own, at each entry point
+    inst, _, _, _ = gen_k4_shatter(8, 1)
+    points = ClusteringInstance(n=3, dist=np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5],
+                                                    [2.0, 1.5, 0.0]]))
+    for call in (lambda: sample_z(3, 2, seed), lambda: sample_q(3, 2, seed),
+                 lambda: embed_bm(inst, seed=seed),
+                 lambda: erm_sigma_linear([points], 3, [(0.1, 1.0)] * 3, 2, PruningRule(2.0),
+                                          Objective("phi_p", 2.0), grid_density=2, seed=seed)):
+        with pytest.raises(DomainError, match=r"seed must be an integer in \[0, 2\*\*128\)"):
+            call()
+    # the ends of the range are keys
+    assert sample_z(3, 1, 2 ** 128 - 1).shape == sample_q(3, 1, 0).shape == (1, 3)
 
 
 def test_embed_bm_reaches_clique_optimum():
