@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one shared input check."""
+"""Exception types shared across the package, and its shared input checks."""
 
 import numbers
 
@@ -102,10 +102,14 @@ class ClassTooLarge(NumericError):
     """Discretized rounding-class enumeration would exceed the cap."""
 
 
+def is_int(x) -> bool:
+    """x is an integer (np.int64 too), not a bool or an integral float."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def check_seed(seed):
     """seed, if it is an integer in [0, 2**128), the key range of the
     package's Philox streams; else DomainError."""
-    integral = isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
-    if not (integral and 0 <= seed < 2 ** 128):
+    if not (is_int(seed) and 0 <= seed < 2 ** 128):
         raise DomainError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     return seed

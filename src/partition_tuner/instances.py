@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence
 
@@ -182,30 +183,36 @@ def complete_metric_max(n: int, specified: Iterable[tuple]) -> np.ndarray:
     has no path, InconsistentMetric if a specified distance exceeds a
     shortest-path bound (or a pair is given two different values).
     """
-    D = np.full((n, n), np.inf)
-    np.fill_diagonal(D, 0.0)
-    given = {}
+    S = np.full((n, n), np.inf)
+    np.fill_diagonal(S, 0.0)
     for i, j, v in specified:
         if i == j:
             raise InconsistentMetric(f"self-distance specified for point {i}")
-        key = (min(i, j), max(i, j))
-        if key in given and given[key] != v:
-            raise InconsistentMetric(f"pair {key} specified twice with different values")
-        given[key] = v
-        D[i, j] = v
-        D[j, i] = v
-    for k in range(n):
+        if S[i, j] not in (np.inf, v):
+            raise InconsistentMetric(
+                f"pair {(min(i, j), max(i, j))} specified twice with different values")
+        S[i, j] = S[j, i] = v
+    return _complete(S)
+
+
+def _complete(S: np.ndarray) -> np.ndarray:
+    """Floyd-Warshall completion of S, a symmetric matrix of specified distances
+    with a zero diagonal and inf where no distance is given; errors as in
+    complete_metric_max."""
+    D = S.copy()
+    for k in range(len(D)):
         np.minimum(D, D[:, k][:, None] + D[k, :][None, :], out=D)
     if np.any(np.isinf(D)):
         raise Disconnected("specified distance graph is not connected")
-    for (i, j), v in given.items():
-        if D[i, j] < v - 1e-12:
-            raise InconsistentMetric(
-                f"specified d({i},{j}) = {v} exceeds shortest-path bound {D[i, j]}"
-            )
-        # re-stamp to kill accumulated round-off on consistent inputs
-        D[i, j] = v
-        D[j, i] = v
+    given = np.isfinite(S)
+    bad = np.argwhere(given & (D < S - 1e-12))
+    if len(bad):
+        i, j = bad[0]
+        raise InconsistentMetric(
+            f"specified d({i},{j}) = {S[i, j]} exceeds shortest-path bound {D[i, j]}"
+        )
+    # re-stamp to kill accumulated round-off on consistent inputs
+    D[given] = S[given]
     return D
 
 
@@ -230,78 +237,64 @@ def gen_two_gadget(alpha_star: float, family: str, p: float = 1.0):
     25-point blocks A, B, X, Y.  The swing point's side flips exactly at
     alpha_star, in opposite directions for the two gadgets, so empirical risk
     minimization over alpha recovers alpha_star.  Unspecified distances are
-    shortest-path completed; the two gadgets sit 100 apart.
+    shortest-path completed; the two gadgets sit 100 apart.  Each gadget is
+    completed on its own: a path that leaves a gadget costs at least 200,
+    more than any distance inside one, so this equals, bit for bit, the
+    completion of the whole instance with every cross-gadget pair given 100.
     """
-    if family == "convex_minmax":
-        if not (0.0 <= alpha_star <= 1.0):
-            raise BadAlphaRange("convex form needs alpha_star in [0, 1]")
-    elif family in ("power_minmax", "power_average"):
-        if alpha_star == 0.0 or math.isnan(alpha_star):
-            raise BadAlphaRange("power forms need nonzero alpha_star")
-    else:
+    if family not in CLUSTER_FAMILIES:
         raise UnknownFamily(f"unknown family {family!r}")
-    try:
+    if not (isinstance(alpha_star, numbers.Real) and math.isfinite(alpha_star)):
+        raise BadAlphaRange(f"alpha_star must be a finite real number, got {alpha_star!r}")
+    if family == "convex_minmax":
+        if not 0.0 <= alpha_star <= 1.0:
+            raise BadAlphaRange("convex form needs alpha_star in [0, 1]")
         dstar = two_gadget_spread(alpha_star, family)
-    except OverflowError:
-        raise BadAlphaRange(f"alpha_star {alpha_star!r} overflows the power form") from None
+    else:
+        if alpha_star == 0.0:
+            raise BadAlphaRange("power forms need nonzero alpha_star")
+        try:
+            dstar = two_gadget_spread(alpha_star, family)
+        except (OverflowError, ZeroDivisionError):
+            dstar = math.nan
+        # a power mean of 1.1 and 1.2 lies strictly between them unless lost to
+        # round-off, as for tiny |alpha_star|; else the swing point never flips
+        if not 1.1 < dstar < 1.2:
+            raise BadAlphaRange(f"alpha_star {alpha_star!r} is out of float range "
+                                "for the power form")
 
-    n = 210
-    entries = []
-    labels = np.zeros(n, dtype=int)
-    for g in (0, 1):
-        base = 105 * g
-        a, b, c, x, y = base, base + 1, base + 2, base + 3, base + 4
-        A = list(range(base + 5, base + 30))
-        B = list(range(base + 30, base + 55))
-        X = list(range(base + 55, base + 80))
-        Y = list(range(base + 80, base + 105))
-        xs, ys = X[0], Y[0]
+    # one gadget: a, b, c, x, y = 0..4, then the blocks A, B, X, Y
+    S = np.full((105, 105), np.inf)
+    A, B, X, Y = slice(5, 30), slice(30, 55), slice(55, 80), slice(80, 105)
 
-        entries.append((a, b, 1.0))
-        entries.append((x, y, 1.0))
-        if g == 0:
-            entries.append((a, c, 1.1))
-            entries.append((b, c, 1.2))
-            entries.append((x, c, dstar))
-            entries.append((y, c, dstar))
-        else:
-            entries.append((x, c, 1.1))
-            entries.append((y, c, 1.2))
-            entries.append((a, c, dstar))
-            entries.append((b, c, dstar))
-        for q in A + B:
-            entries.append((c, q, 1.51))
-            entries.append((a, q, 1.6))
-            entries.append((b, q, 1.6))
-        for q in X:
-            entries.append((x, q, 1.51 if q == xs else 1.6))
-            entries.append((y, q, 1.6))
-        for q in Y:
-            entries.append((y, q, 1.51 if q == ys else 1.6))
-            entries.append((x, q, 1.6))
-        for block in (A, B, X, Y):
-            for ii in range(len(block)):
-                for jj in range(ii + 1, len(block)):
-                    entries.append((block[ii], block[jj], 1.5))
-        for qa in A:
-            for qb in B:
-                entries.append((qa, qb, 1.6))
-        for qx in X:
-            for qy in Y:
-                entries.append((qx, qy, 1.6))
+    def put(i, j, v):
+        S[i, j] = S[j, i] = v
 
-        lab = 2 * g
-        for q in [a, b, c] + A + B:
-            labels[q] = lab
-        for q in [x, y] + X + Y:
-            labels[q] = lab + 1
+    for block in (A, B, X, Y):
+        put(block, block, 1.5)
+    np.fill_diagonal(S, 0.0)
+    put(A, B, 1.6)
+    put(X, Y, 1.6)
+    put(0, 1, 1.0)
+    put(3, 4, 1.0)
+    put(2, slice(5, 55), 1.51)
+    put(slice(0, 2), slice(5, 55), 1.6)
+    put(slice(3, 5), slice(55, 105), 1.6)
+    put(3, 55, 1.51)
+    put(4, 80, 1.51)
+    dist = np.full((210, 210), 100.0)
+    # the swing point c leans to {a,b} in the first gadget and to {x,y} in the second
+    for g, (near, far) in enumerate(((0, 3), (3, 0))):
+        put(2, near, 1.1)
+        put(2, near + 1, 1.2)
+        put(2, slice(far, far + 2), dstar)
+        half = slice(105 * g, 105 * g + 105)
+        dist[half, half] = _complete(S)
+    labels = np.zeros(210, dtype=int)
+    labels[3:5] = labels[55:105] = 1
+    labels[105:] = labels[:105] + 2
 
-    for i in range(105):
-        for j in range(105, 210):
-            entries.append((i, j, 100.0))
-
-    dist = complete_metric_max(n, entries)
-    inst = ClusteringInstance(n=n, dist=dist, ground_truth=labels, k_hint=4)
+    inst = ClusteringInstance(n=210, dist=dist, ground_truth=labels, k_hint=4)
     fix = FixtureSpec(
         kind="two_gadget",
         family=family,

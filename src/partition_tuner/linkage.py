@@ -19,14 +19,13 @@ reads contiguous slices.
 from __future__ import annotations
 
 import itertools
-import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteDistance, NonPositiveDistance, UnknownFamily
+from .errors import DomainError, NonFiniteDistance, NonPositiveDistance, UnknownFamily, is_int
 from .instances import ClusteringInstance
 
 FAMILIES = (
@@ -56,8 +55,7 @@ class MergeRule:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise UnknownFamily(f"unknown merge family {self.family!r}")
-        if self.sigma is not None and (isinstance(self.sigma, bool)
-                                       or not isinstance(self.sigma, numbers.Integral)):
+        if self.sigma is not None and not is_int(self.sigma):
             raise DomainError(f"sigma = {self.sigma!r} is not an integer")
         if self.alpha is not None and np.isnan(self.alpha):
             raise DomainError(f"{self.family} needs a number for alpha, not NaN")

@@ -20,7 +20,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .errors import (DimensionMismatch, DomainError, Overflow, RootNotConverged,
-                     SigmaTooLargeForExact, SweepDiverged, UnknownFamily, check_seed)
+                     SigmaTooLargeForExact, SweepDiverged, UnknownFamily, check_seed, is_int)
 from .instances import ClusteringInstance
 from .linkage import (
     _NEEDS_COUNTS,
@@ -978,6 +978,7 @@ def erm_sigma_linear(
         exact = sigma == 2
     if exact and sigma != 2:
         raise SigmaTooLargeForExact("exact weight search available only for sigma = 2")
+    check_seed(seed)
 
     if exact:
         (l1, h1), (l2, h2) = box  # h1, h2 > 0, so theta's ends are defined
@@ -1001,12 +1002,11 @@ def erm_sigma_linear(
     # randomized multi-start grid
     if not instances:
         raise DomainError("a grid search needs at least one instance")
-    integral = isinstance(grid_density, numbers.Integral) and not isinstance(grid_density, bool)
-    if not (integral and grid_density >= 1):
+    if not (is_int(grid_density) and grid_density >= 1):
         raise DomainError(f"grid_density = {grid_density!r} is not a positive integer")
     if grid_density ** sigma > 200000:
         raise DomainError("grid too large; reduce grid_density")
-    rng = np.random.Generator(np.random.Philox(check_seed(seed)))
+    rng = np.random.Generator(np.random.Philox(seed))
     axes = [np.linspace(a, b, grid_density) for a, b in box]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, sigma)
     jitter = rng.uniform(-0.5, 0.5, mesh.shape)

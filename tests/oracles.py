@@ -23,7 +23,8 @@ from partition_tuner import (
     qp_value,
     rprt_assign,
 )
-from partition_tuner.errors import DomainError, KTooLarge
+from partition_tuner.errors import Disconnected, DomainError, InconsistentMetric, KTooLarge
+from partition_tuner.instances import FixtureSpec
 from partition_tuner.linkage import MergeTree, build_tree
 from partition_tuner.pruning_dp import VARIANTS, PruningResult, best_k_pruning, voronoi_reassign
 
@@ -1192,3 +1193,113 @@ def reference_embed_bm(inst, rank=None, seed=0, max_iters=10 ** 4, grad_tol=1e-6
 
     return EmbedResult(embedding=Embedding(n=n, d=rank, vectors=V), converged=converged,
                        objective=f, iterations=it, history=history)
+
+
+# ---------------------------------------------------------------------------
+# the two-gadget generator as one list of specified pairs and one completion
+# of the whole 210-point matrix, cross-gadget pairs included
+
+
+def reference_complete_metric_max(n, specified):
+    """Floyd-Warshall over every point, then the specified pairs re-stamped."""
+    D = np.full((n, n), np.inf)
+    np.fill_diagonal(D, 0.0)
+    given = {}
+    for i, j, v in specified:
+        if i == j:
+            raise InconsistentMetric(f"self-distance specified for point {i}")
+        key = (min(i, j), max(i, j))
+        if key in given and given[key] != v:
+            raise InconsistentMetric(f"pair {key} specified twice with different values")
+        given[key] = v
+        D[i, j] = v
+        D[j, i] = v
+    for k in range(n):
+        np.minimum(D, D[:, k][:, None] + D[k, :][None, :], out=D)
+    if np.any(np.isinf(D)):
+        raise Disconnected("specified distance graph is not connected")
+    for (i, j), v in given.items():
+        if D[i, j] < v - 1e-12:
+            raise InconsistentMetric(
+                f"specified d({i},{j}) = {v} exceeds shortest-path bound {D[i, j]}"
+            )
+        # re-stamp to kill accumulated round-off on consistent inputs
+        D[i, j] = v
+        D[j, i] = v
+    return D
+
+
+def reference_gen_two_gadget(alpha_star, family, p=1.0):
+    """gen_two_gadget for a valid alpha_star, every distance listed pair by pair."""
+    if family == "convex_minmax":
+        dstar = 1.2 - 0.1 * alpha_star
+    else:
+        a = alpha_star
+        dstar = ((1.1 ** a + 1.2 ** a) / 2.0) ** (1.0 / a)
+
+    n = 210
+    entries = []
+    labels = np.zeros(n, dtype=int)
+    for g in (0, 1):
+        base = 105 * g
+        a, b, c, x, y = base, base + 1, base + 2, base + 3, base + 4
+        A = list(range(base + 5, base + 30))
+        B = list(range(base + 30, base + 55))
+        X = list(range(base + 55, base + 80))
+        Y = list(range(base + 80, base + 105))
+        xs, ys = X[0], Y[0]
+
+        entries.append((a, b, 1.0))
+        entries.append((x, y, 1.0))
+        if g == 0:
+            entries.append((a, c, 1.1))
+            entries.append((b, c, 1.2))
+            entries.append((x, c, dstar))
+            entries.append((y, c, dstar))
+        else:
+            entries.append((x, c, 1.1))
+            entries.append((y, c, 1.2))
+            entries.append((a, c, dstar))
+            entries.append((b, c, dstar))
+        for q in A + B:
+            entries.append((c, q, 1.51))
+            entries.append((a, q, 1.6))
+            entries.append((b, q, 1.6))
+        for q in X:
+            entries.append((x, q, 1.51 if q == xs else 1.6))
+            entries.append((y, q, 1.6))
+        for q in Y:
+            entries.append((y, q, 1.51 if q == ys else 1.6))
+            entries.append((x, q, 1.6))
+        for block in (A, B, X, Y):
+            for ii in range(len(block)):
+                for jj in range(ii + 1, len(block)):
+                    entries.append((block[ii], block[jj], 1.5))
+        for qa in A:
+            for qb in B:
+                entries.append((qa, qb, 1.6))
+        for qx in X:
+            for qy in Y:
+                entries.append((qx, qy, 1.6))
+
+        lab = 2 * g
+        for q in [a, b, c] + A + B:
+            labels[q] = lab
+        for q in [x, y] + X + Y:
+            labels[q] = lab + 1
+
+    for i in range(105):
+        for j in range(105, 210):
+            entries.append((i, j, 100.0))
+
+    dist = reference_complete_metric_max(n, entries)
+    inst = ClusteringInstance(n=n, dist=dist, ground_truth=labels, k_hint=4)
+    fix = FixtureSpec(
+        kind="two_gadget",
+        family=family,
+        alpha_star=alpha_star,
+        p=p,
+        expected_witness=alpha_star,
+        expected_breakpoints=(alpha_star,),
+    )
+    return inst, fix

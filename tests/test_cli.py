@@ -68,6 +68,17 @@ def test_gen_two_gadget_writes_instance_and_fixture(tmp_path):
     assert fix.alpha_star == 0.3 and fix.expected_breakpoints == (0.3,)
 
 
+@pytest.mark.parametrize("star, family", [("inf", "power-minmax"), ("-inf", "power-average"),
+                                          ("nan", "power-minmax"), ("1e-300", "power-minmax")])
+def test_gen_two_gadget_refuses_an_alpha_star_it_cannot_plant(tmp_path, capsys, star, family):
+    # inf and -inf gave spread 1.0 and wrote "alpha_star": Infinity with exit 0
+    out = tmp_path / "tg.json"
+    assert main(["gen", "two-gadget", f"--alpha-star={star}", "--family", family,
+                 "--out", str(out)]) == 2
+    assert "alpha_star" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_requires_out(tmp_path):
     assert main(["gen", "oscillation", "--alphas", "0.2", "--family", "convex"]) == 2
 

@@ -37,6 +37,7 @@ from partition_tuner import (
     validate,
 )
 from partition_tuner.instances import MaxQPInstance
+from oracles import reference_gen_two_gadget
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +188,38 @@ def test_two_gadget_rejects_bad_alpha():
         gen_two_gadget(0.5, "sigma_linear")
 
 
+_UNPLANTABLE_STARS = [("convex_minmax", s) for s in (math.inf, math.nan, "0.4")] + [
+    (family, s) for family in ("power_minmax", "power_average")
+    for s in (math.inf, -math.inf, math.nan, "0.4", 1j, 1e-300, -1e-300, 1e4, -1e4)]
+
+
+@pytest.mark.parametrize("family, star", _UNPLANTABLE_STARS)
+def test_two_gadget_refuses_an_alpha_star_it_cannot_plant(family, star):
+    # the power forms gave spread 1.0 at +-inf and +-1e-300, where the swing point never
+    # flips (at +-inf the fixture claimed expected_witness = +-inf), and -1e4 raised
+    # ZeroDivisionError
+    with pytest.raises(BadAlphaRange, match="alpha_star"):
+        gen_two_gadget(star, family)
+
+
 def test_two_gadget_halves_far_apart():
     inst, _ = gen_two_gadget(0.4, "convex_minmax")
-    assert np.all(inst.dist[:105, 105:] >= 100.0)
+    assert np.all(inst.dist[:105, 105:] == 100.0)
+
+
+_REFERENCE_STARS = [("convex_minmax", a) for a in (0.0, 0.25, 0.4, 0.5, 1.0)] + [
+    (family, a) for family in ("power_minmax", "power_average")
+    for a in (-30.0, -1.0, -1e-9, 1e-9, 0.4, 1.5, 30.0)]
+
+
+@pytest.mark.parametrize("family, star", _REFERENCE_STARS)
+def test_two_gadget_is_bit_identical_to_one_completion_of_the_whole_instance(family, star):
+    inst, fix = gen_two_gadget(star, family)
+    ref, ref_fix = reference_gen_two_gadget(star, family)
+    assert inst.dist.tobytes() == ref.dist.tobytes()
+    assert inst.ground_truth.tobytes() == ref.ground_truth.tobytes()
+    assert inst.k_hint == ref.k_hint
+    assert vars(fix) == vars(ref_fix)
 
 
 # ---------------------------------------------------------------------------

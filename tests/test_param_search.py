@@ -1317,6 +1317,15 @@ def test_a_grid_without_a_positive_weight_is_refused():
                          Objective(kind="phi_p", p=2.0), grid_density=1)
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_a_seed_outside_the_key_range_is_refused_by_both_weight_searches(exact):
+    # the exact sigma = 2 search never read its seed, so seed=-1 returned a result
+    inst = gen_general_lb(2)[0]
+    with pytest.raises(DomainError, match="seed"):
+        erm_sigma_linear([inst], 2, [(0.1, 1.0), (0.1, 1.0)], 2, PruningRule(p=2.0),
+                         Objective(kind="phi_p", p=2.0), exact=exact, seed=-1)
+
+
 # ---------------------------------------------------------------------------
 # sample sizes and dimension growth
 

@@ -20,17 +20,19 @@ trees, timed the same way, and checked with the workload's ``check_apply``.
 It exits with status 1 when an answer, a profile or an applied output
 differs, or when the change made more runs than the base on any call.
 
-    python3 tools/ab_tune.py BASE CHANGE --workload rounding_erm --setup [--rounds R]
+    python3 tools/ab_tune.py BASE CHANGE --workload WORKLOAD --setup [--rounds R]
 
-times instead the workload's ``setup()``: one untimed set-up on each tree
-first warms its caches, since a process's first set-up runs cold and would
-favour the side that goes second; then each round (default 12) sets up a
-fresh workload on each tree, alternating which goes first, and the script
-prints each round's CPU seconds, the median ratio with its quartiles and the
-rounds the change won.  It exits with status 1 when the two set-ups leave
-different state for the timed calls (every attribute of the workload but
-its library, compared bit for bit; for rounding_erm, the instance, the
-embedding vectors and the draws).
+times instead the ``setup()`` of any workload: one untimed set-up on each
+tree first warms its caches, since a process's first set-up runs cold and
+would favour the side that goes second; then each round (default 12) sets
+up a fresh workload on each tree, alternating which goes first, and the
+script prints each round's CPU seconds, the median ratio with its quartiles
+and the rounds the change won.  It exits with status 1 when the two set-ups
+leave different state for the timed calls (every attribute of the workload
+but its library, compared bit for bit: for rounding_erm, the instance, the
+embedding vectors and the draws; for gadget_erm, the planted instance and
+the held-out ones, every distance, label and hint, so that the comparison
+also checks a change to the two-gadget generator).
 
     python3 tools/ab_tune.py BASE CHANGE --gaussian N [--rounds R]
 
